@@ -6,9 +6,17 @@
 // listener decides the outgoing real channel from the routing table
 // (special channel toward the next gateway, regular channel toward the
 // final destination — the paper's two-gateway disambiguation) and relays
-// the stream paquet by paquet. With pipeline_depth >= 2 a dedicated sender
-// actor retransmits paquet k while the listener receives paquet k+1 — the
-// paper's two-threads/two-buffers scheme. Zero-copy paths follow §2.3.
+// the stream paquet by paquet. Zero-copy paths follow §2.3.
+//
+// Every message crosses one relay loop: an ingress yields relay items
+// (block headers, fragments, the end marker), an egress sends them, and a
+// start policy derived from the options decides who runs the egress —
+// inline on the listener (unreliable, pipeline_depth 1), after the whole
+// message is stored (reliable, window 1 or striped), or on a sender actor
+// behind a mailbox (otherwise) that retransmits paquet k while the listener
+// receives paquet k+1: the paper's two-threads/two-buffers scheme. A
+// reliable relay keeps every block and replays a failed egress through the
+// same loop on a freshly picked route.
 #include "fwd/gateway.hpp"
 
 #include <algorithm>
@@ -21,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "fwd/pipeline.hpp"
+#include "fwd/generic_tm.hpp"
 #include "fwd/rdma_tm.hpp"
 #include "fwd/regulation.hpp"
 #include "fwd/reliable.hpp"
@@ -29,11 +37,10 @@
 #include "mad/copy_stats.hpp"
 #include "mad/session.hpp"
 #include "net/fabric.hpp"
+#include "net/static_pool.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/metrics.hpp"
-#include "util/log.hpp"
 #include "util/panic.hpp"
-#include "util/rng.hpp"
 
 namespace mad::fwd {
 
@@ -65,10 +72,132 @@ class FlowGrant {
   int flow_;
 };
 
+/// One unit of relay work, handed from the ingress to the egress. A
+/// fragment's payload sits in one of four places. Three follow the
+/// zero-copy matrix of §2.3:
+///   * a recycled pool buffer (dynamic→dynamic, and all non-zero-copy
+///     paths);
+///   * an *outgoing* static buffer the paquet was received straight into
+///     (dynamic→static and static→static);
+///   * the *incoming* static buffer kept alive and sent from directly
+///     (static→dynamic).
+/// The fourth is a reliable relay's stored copy of the block, which it
+/// keeps for failover replay.
+struct RelayItem {
+  enum class Kind {
+    BlockHeader,
+    FragmentDynamic,
+    FragmentStaticOut,
+    FragmentHoldIn,
+    FragmentStored,
+    End,
+    /// The upstream died mid-message: the egress stops without an end
+    /// marker.
+    Abort,
+  };
+
+  Kind kind = Kind::End;
+  GtmBlockHeader header;                  // BlockHeader
+  std::uint32_t size = 0;                 // fragments: payload bytes
+  std::vector<std::byte> buffer;          // FragmentDynamic (capacity = MTU)
+  net::StaticBufferPool::Ref static_out;  // FragmentStaticOut
+  net::StaticBufferPool::Ref hold_in;     // FragmentHoldIn
+  /// What the egress sends (all fragments but FragmentStaticOut): a view
+  /// of `buffer`, of `hold_in` or of the stored block.
+  util::ByteSpan payload;
+  /// When the fragment entered a sender actor's queue: the admission
+  /// ledger's sojourn base. Unset on every other path.
+  std::optional<sim::Time> queued_at;
+
+  static RelayItem of(Kind kind, const GtmBlockHeader& header = {}) {
+    RelayItem item;
+    item.kind = kind;
+    item.header = header;
+    return item;
+  }
+  bool fragment() const {
+    return kind != Kind::BlockHeader && kind != Kind::End &&
+           kind != Kind::Abort;
+  }
+};
+
+struct StoredBlock {
+  GtmBlockHeader header;
+  std::vector<std::byte> data;
+};
+
+/// How one egress attempt ended. A HopFailure means the next hop died; a
+/// rejection means the next hop is a healthy gateway whose admission gate
+/// refused the message.
+struct Outcome {
+  std::optional<HopFailure> failure;
+  bool rejected = false;
+  bool ok() const { return !failure && !rejected; }
+};
+
+/// One message crossing the gateway, shared by its listener and its sender
+/// actor. Heap-owned: during engine shutdown the listener may unwind (and
+/// its stack frame be reused) while the sender is still parked inside
+/// items.recv(); stack-allocating this state was a use-after-free (see the
+/// regression in tests/fwd/test_failures.cpp).
+struct Transfer {
+  Transfer(sim::Engine& engine, std::size_t capacity, const std::string& name)
+      : items(engine, capacity, name), done(engine, name + ".done") {}
+
+  GtmMsgHeader hdr;
+  std::optional<GtmStripeHeader> stripe;
+  NodeRank dst = -1;
+  TrafficClass cls{};
+  int flow = -1;
+  /// A reliable relay stores every block: the upstream hop is acked as
+  /// soon as a paquet lands and cannot be asked again, so a failed egress
+  /// replays the message from here. A deque, so spans into the blocks stay
+  /// valid while the listener appends.
+  std::deque<StoredBlock> blocks;
+  sim::Mailbox<RelayItem> items;  // listener → sender actor
+  sim::Condition done;
+  bool finished = false;
+  Outcome outcome;
+};
+
+/// The next hop of one egress attempt and the message header it carries
+/// (a reliable hop's header carries a fresh epoch).
+struct OutHop {
+  Channel* channel;
+  NodeRank next;
+  GtmMsgHeader hdr;
+};
+
+/// A stored message laid out as relay items, read like the sender actor's
+/// mailbox.
+struct ReplayQueue {
+  ReplayQueue(const std::deque<StoredBlock>& blocks, std::uint32_t mtu) {
+    for (const StoredBlock& block : blocks) {
+      items.push_back(
+          RelayItem::of(RelayItem::Kind::BlockHeader, block.header));
+      const std::uint64_t fragments = fragment_count(block.header.size, mtu);
+      for (std::uint64_t i = 0; i < fragments; ++i) {
+        RelayItem& item = items.emplace_back(
+            RelayItem::of(RelayItem::Kind::FragmentStored));
+        item.size = fragment_size(block.header.size, mtu, i);
+        item.payload = util::ByteSpan(block.data).subspan(i * mtu, item.size);
+      }
+    }
+    items.push_back(RelayItem::of(RelayItem::Kind::End));
+  }
+  RelayItem recv() { return std::move(items[next++]); }
+  const RelayItem* peek() const {
+    return next < items.size() ? &items[next] : nullptr;
+  }
+
+  std::vector<RelayItem> items;
+  std::size_t next = 0;
+};
+
 /// Per (gateway, incoming network) relay state, reused across messages.
 ///
-/// Heap-owned (shared_ptr): the pipelined sender actor keeps using this
-/// state (free-buffer pool, regulator) after the listener actor's stack may
+/// Heap-owned (shared_ptr): the sender actor keeps using this state
+/// (free-buffer pool, regulator) after the listener actor's stack may
 /// already have unwound during engine shutdown, so stack ownership would be
 /// a use-after-free.
 class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
@@ -124,13 +253,33 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     flow_turn_.notify_all();
   }
 
+  /// Parses the head of an accepted stream and relays the message.
+  void relay_stream(MessageReader& in) {
+    try {
+      std::optional<GtmMsgHeader> header;
+      // Reliable boundary parse: skips late retransmits and ghost framing
+      // of streams this relay already completed.
+      const Preamble preamble =
+          vc_.reliable() ? vc_.read_stream_head(in, in_channel_, self_, header)
+                         : read_preamble(in);
+      MAD_ASSERT(preamble.forwarded != 0,
+                 "native message on a special channel");
+      relay_message(std::move(in), header);
+    } catch (const PeerDied&) {
+      // A cut-through relay abandoned a stream whose upstream (or this
+      // gateway itself) died mid-message. The origin replays on a
+      // surviving route; keep listening.
+    }
+  }
+
+ private:
   void relay_message(MessageReader in, std::optional<GtmMsgHeader> pre_hdr) {
     // In reliable mode the accept loop already parsed the header (its epoch
     // feeds the ghost filter in read_stream_head).
     const GtmMsgHeader hdr = pre_hdr ? *pre_hdr : read_msg_header(in);
     // A striped rail carries its GtmStripeHeader on every hop; the relay
     // forwards it verbatim. Rail identity is implied by the channel pair
-    // this relay serves, so the paquet engine below needs no other change.
+    // this relay serves, so the relay loop below needs no other change.
     std::optional<GtmStripeHeader> stripe;
     if ((hdr.flags & kGtmFlagStriped) != 0) {
       stripe = read_stripe_header(in);
@@ -140,173 +289,464 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     const auto dst = static_cast<NodeRank>(hdr.final_dst);
     MAD_ASSERT(dst != self_,
                "message to the gateway itself must use a regular channel");
-    if ((hdr.flags & kGtmFlagReliable) != 0) {
-      const TrafficClass cls = traffic_class_from_wire(hdr.traffic_class);
-      if (admission_ != nullptr) {
-        const bool new_flow =
-            flow_ids_.find({static_cast<NodeRank>(hdr.origin),
-                            static_cast<int>(traffic_class_index(cls))}) ==
-            flow_ids_.end();
-        const AdmissionController::Verdict verdict =
-            admission_->admit(cls, new_flow);
-        if (verdict != AdmissionController::Verdict::Admit) {
-          reject_message(in, hdr, cls, verdict);
-          return;
-        }
-        admission_->on_message_admitted(cls);
+    const TrafficClass cls = traffic_class_from_wire(hdr.traffic_class);
+    const bool admitted =
+        (hdr.flags & kGtmFlagReliable) != 0 && admission_ != nullptr;
+    if (admitted) {
+      const bool new_flow =
+          flow_ids_.find({static_cast<NodeRank>(hdr.origin),
+                          static_cast<int>(traffic_class_index(cls))}) ==
+          flow_ids_.end();
+      const AdmissionController::Verdict verdict =
+          admission_->admit(cls, new_flow);
+      if (verdict != AdmissionController::Verdict::Admit) {
+        reject_message(in, hdr, cls, verdict);
+        return;
       }
-      try {
-        relay_reliable(in, hdr, stripe, dst);
-      } catch (...) {
-        if (admission_ != nullptr) {
-          admission_->on_message_done(cls);
-        }
-        throw;
-      }
-      if (admission_ != nullptr) {
+      admission_->on_message_admitted(cls);
+    }
+    try {
+      relay(in, hdr, stripe, dst, cls);
+    } catch (...) {
+      if (admitted) {
         admission_->on_message_done(cls);
       }
-      in.end_unpacking();
-      ++vc_.mutable_gateway_stats(self_).messages_forwarded;
-      return;
+      throw;
     }
-    // Route by value: a concurrent reliable relay on this node may call
-    // mark_dead, which rebuilds the routing table while this relay blocks
-    // inside the network — references into the table would dangle.
-    const topo::Route route = vc_.routing().route(self_, dst);
-    const topo::Hop hop = route.front();
-    const bool last_hop = route.size() == 1;
-    // Past the last gateway messages travel on a regular channel, so plain
-    // nodes poll a single channel; toward another gateway they stay on the
-    // special channel (paper §2.2.2). Striped rails stay on their own
-    // channel pair end to end.
-    Channel& out_channel =
-        last_hop ? vc_.rail_regular_channel(hop.network, rail_, self_)
-                 : vc_.rail_special_channel(hop.network, rail_, self_);
-    const NodeRank next = hop.node;
-
-    if (vc_.options().pipeline_depth == 1) {
-      relay_sequential(in, hdr, stripe, out_channel, next, last_hop);
-    } else {
-      relay_pipelined(in, hdr, stripe, out_channel, next, last_hop);
+    if (admitted) {
+      admission_->on_message_done(cls);
     }
     in.end_unpacking();
     ++vc_.mutable_gateway_stats(self_).messages_forwarded;
   }
 
- private:
-  /// Phase-duration histogram: one series per (gateway, pipeline phase),
-  /// feeding the Fig 5/8 step tables and the metrics JSON report.
-  void note_phase_us(const char* phase, sim::Time begin, sim::Time end) {
-    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-    if (metrics.enabled()) {
-      metrics
-          .histogram("gw.phase_us",
-                     "gateway=" + std::to_string(self_) +
-                         ",phase=" + phase)
-          .record(sim::to_microseconds(end - begin));
-    }
-  }
-
-  struct StoredBlock {
-    GtmBlockHeader header;
-    std::vector<std::byte> data;
-  };
-
-  /// Reliable-mode relay: store-and-forward with downstream failover.
+  /// The relay loop: ingress → (mailbox) → egress, under the start policy
+  /// the options select (ARCHITECTURE.md §5 has the table).
   ///
-  /// At window = 1 — and on striped rails, whose reassembly protocol
-  /// assumes a rail appears downstream all-or-nothing — the relay is
-  /// strictly two-phase. Phase 1 receives (and acks) the whole message
-  /// into owned buffers; the upstream hop is then done with it, so a
+  /// Store-then-send (reliable, window 1 or striped — a striped rail's
+  /// reassembly protocol assumes a rail appears downstream all-or-nothing)
+  /// is strictly two-phase. Phase 1 receives (and acks) the whole message
+  /// into owned blocks; the upstream hop is then done with it, so a
   /// downstream failure never has to propagate back. Phase 2 resends it
   /// reliably, declaring dead hops to the routing table and retrying over
-  /// the surviving routes. With window > 1 the relay cuts through instead
-  /// (relay_reliable_streaming below). Known limitation: if THIS gateway
-  /// crashes after the upstream acks completed but before downstream
-  /// delivery, the message is lost (end-to-end acks would be needed to
-  /// close that window).
-  void relay_reliable(MessageReader& in, const GtmMsgHeader& hdr,
-                      const std::optional<GtmStripeHeader>& stripe,
-                      NodeRank dst) {
-    if (vc_.options().reliable.window > 1 && !stripe) {
-      relay_reliable_streaming(in, hdr, dst);
+  /// the surviving routes. A reliable sender actor cuts through instead,
+  /// still storing every block for the same replay. Known limitation: if
+  /// THIS gateway crashes after the upstream acks completed but before
+  /// downstream delivery, the message is lost (end-to-end acks would be
+  /// needed to close that window).
+  void relay(MessageReader& in, const GtmMsgHeader& hdr,
+             const std::optional<GtmStripeHeader>& stripe, NodeRank dst,
+             TrafficClass cls) {
+    const VcOptions& options = vc_.options();
+    const bool reliable = (hdr.flags & kGtmFlagReliable) != 0;
+    const auto origin = static_cast<NodeRank>(hdr.origin);
+    const int flow = flow_id_for(origin, cls);
+    // Sender-actor queue bound. Unreliable: pipeline_depth - 1 items plus
+    // the paquet being received reproduce the paper's buffer budget.
+    // Reliable: unbounded by default — every fragment is stored for replay
+    // anyway, so cut-through depth costs no extra memory and the listener
+    // must never block behind a sender that is busy retransmitting (or
+    // already failed). In flow mode it is bounded at flow.queue_limit
+    // instead — a full queue blocks this flow's listener, which stalls its
+    // hop acks and backpressures the origin's window, while the sender
+    // keeps draining even after a HopFailure so the bound cannot deadlock
+    // the pair. DRR buffer sizing: a weight-w flow drains w quanta per
+    // scheduler round, so both its queue bound and its mark point scale
+    // with the weight — otherwise a heavy flow's visits go underfilled and
+    // its surplus leaks to the light flows.
+    std::size_t capacity = 0;
+    if (!reliable) {
+      capacity = static_cast<std::size_t>(options.pipeline_depth - 1);
+    } else if (flow_sched_ != nullptr) {
+      capacity = static_cast<std::size_t>(
+          static_cast<double>(options.flow.queue_limit) *
+          std::max(1.0, flow_sched_->weight_of(flow)));
+    }
+    auto t = std::make_shared<Transfer>(
+        engine_, capacity, vc_.name() + ".gwitems." + std::to_string(self_));
+    t->hdr = hdr;
+    t->stripe = stripe;
+    t->dst = dst;
+    t->cls = cls;
+    t->flow = flow;
+
+    if (reliable && (options.reliable.window == 1 || stripe)) {
+      // Store-then-send.
+      Ingress ingress(*this, in, *t, nullptr);
+      while (ingress.recv().kind != RelayItem::Kind::End) {
+      }
+      replay(*t);
       return;
     }
-    const int flow = flow_id_for(static_cast<NodeRank>(hdr.origin),
-                                 traffic_class_from_wire(hdr.traffic_class));
-    const NodeRank from = in.source();
+    const OutHop hop = next_hop(*t);
+    if (!reliable && options.pipeline_depth == 1) {
+      // Inline: the listener sends each item as soon as it has it.
+      Egress out(*this, hop, *t);
+      Ingress ingress(*this, in, *t, &hop.channel->tm());
+      pump(out, ingress, *t);
+      return;
+    }
+    // Sender actor.
+    engine_.spawn(vc_.name() + ".gwsend." + std::to_string(self_),
+                  [self = shared_from_this(), t, hop] {
+                    Egress out(*self, hop, *t);
+                    t->outcome = self->pump(out, t->items, *t);
+                    t->finished = true;
+                    t->done.notify_all();
+                  });
+    Ingress ingress(*this, in, *t, &hop.channel->tm());
+    std::optional<PeerDied> upstream_died;
+    try {
+      for (bool more = true; more;) {
+        RelayItem item = ingress.recv();
+        more = item.kind != RelayItem::Kind::End;
+        const bool fragment = item.fragment();
+        const std::uint32_t size = item.size;
+        if (fragment) {
+          item.queued_at = engine_.now();
+        }
+        t->items.send(std::move(item));
+        if (fragment) {
+          note_queued(*t, ingress.rx, size);
+        }
+      }
+    } catch (const PeerDied& dead) {
+      upstream_died = dead;
+      t->items.send(RelayItem::of(RelayItem::Kind::Abort));
+    }
+    while (!t->finished) {
+      t->done.wait();
+    }
+    if (upstream_died) {
+      // Upstream died (or this gateway's own NIC crashed) mid-stream:
+      // abandon the partial relay — the origin replays on a surviving
+      // route, and downstream readers adopt the replayed stream.
+      throw *upstream_died;
+    }
+    if (t->outcome.ok() || vc_.node_crashed(self_)) {
+      return;
+    }
+    // A downstream admission refusal backs off before the replay (which
+    // keeps retrying, and backing off, until the next gateway admits it);
+    // a dead hop is declared first.
+    int reject_attempts = 0;
+    recover(t->outcome, reject_attempts, dst);
+    replay(*t);
+  }
 
-    // Phase 1: receive the full message, paquet by paquet, acking each.
-    // detect_dead: an upstream that dies (or is rerouted away) mid-stream
-    // abandons its half-sent message, and a blocking receiver would wait
-    // on the rest of it forever.
-    std::deque<StoredBlock> blocks;
-    ReliableReceiver rx(vc_, self_, in_channel_, from, hdr.epoch,
-                        /*detect_dead=*/true);
-    std::uint32_t seq = 0;
-    for (;;) {
-      const GtmBlockHeader bh = rx.recv_block_header(in, seq++);
+  /// The receiving half of the relay loop: yields the upstream hop message
+  /// as relay items. A plain ingress receives each paquet along the §2.3
+  /// zero-copy matrix toward the egress TM; a reliable one acks it and
+  /// stores it into the message's blocks.
+  struct Ingress {
+    Ingress(GatewayRelay& relay, MessageReader& in, Transfer& t,
+            TransmissionModule* out_tm)
+        : relay(relay), in(in), t(t), out_tm(out_tm) {
+      if ((t.hdr.flags & kGtmFlagReliable) != 0) {
+        // detect_dead: an upstream that dies (or is rerouted away)
+        // mid-stream abandons its half-sent message, and a blocking
+        // receiver would wait on the rest of it forever.
+        rx.emplace(relay.vc_, relay.self_, relay.in_channel_, in.source(),
+                   t.hdr.epoch, /*detect_dead=*/true);
+      }
+    }
+
+    RelayItem recv() {
+      const std::uint32_t mtu = relay.vc_.mtu();
+      if (fragment < fragments) {
+        const std::uint32_t size = fragment_size(block.size, mtu, fragment);
+        const std::uint64_t offset = fragment++ * mtu;
+        relay.regulator_.pace(size);
+        const sim::Time begin = relay.engine_.now();
+        RelayItem item = rx ? RelayItem::of(RelayItem::Kind::FragmentStored)
+                            : relay.receive_zero_copy(in, *out_tm, size);
+        if (rx) {
+          const util::MutByteSpan dst =
+              util::MutByteSpan(t.blocks.back().data).subspan(offset, size);
+          rx->recv(in, seq++, dst);
+          item.payload = dst;
+        }
+        item.size = size;
+        relay.span("recv", begin, size);
+        GatewayStats& stats = relay.vc_.mutable_gateway_stats(relay.self_);
+        ++stats.paquets_forwarded;
+        stats.bytes_forwarded += size;
+        // The software cost of handing the buffer to the sender thread
+        // (measured ≈40 µs per switch on the paper's testbed, §3.3.1).
+        const sim::Time switch_begin = relay.engine_.now();
+        relay.engine_.sleep_for(relay.vc_.options().gateway_sw_overhead);
+        relay.span("switch", switch_begin);
+        return item;
+      }
+      const GtmBlockHeader bh =
+          rx ? rx->recv_block_header(in, seq++) : read_block_header(in);
       if (bh.end_of_message != 0) {
-        break;
+        if (rx) {
+          // The upstream stream is complete: boundary drains re-ack its
+          // late retransmits (the sender may have lost our acks to a fault
+          // window) and the ghost filter keeps its duplicated framing from
+          // reopening it.
+          Connection& up = relay.in_channel_.connection_to(in.source());
+          up.rx_epoch_done = std::max(up.rx_epoch_done, t.hdr.epoch);
+          // If a fault window swallowed the tail acks, this actor (not the
+          // relay, which is about to block on other work) keeps
+          // re-advertising them so the upstream sender cannot exhaust its
+          // retry budget on a message we already own.
+          relay.vc_.spawn_tail_acker(relay.in_channel_, in.source(),
+                                     t.hdr.epoch, seq - 1);
+        }
+        return RelayItem::of(RelayItem::Kind::End);
       }
-      StoredBlock block;
-      block.header = bh;
-      block.data.resize(bh.size);
-      const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
-      for (std::uint64_t i = 0; i < fragments; ++i) {
-        const std::uint32_t size = fragment_size(bh.size, vc_.mtu(), i);
-        receive_reliable_fragment(
-            rx, in, seq++,
-            util::MutByteSpan(block.data).subspan(i * vc_.mtu(), size));
+      block = bh;
+      fragment = 0;
+      fragments = fragment_count(bh.size, mtu);
+      if (rx) {
+        t.blocks.push_back(
+            StoredBlock{bh, std::vector<std::byte>(bh.size)});
       }
-      blocks.push_back(std::move(block));
+      return RelayItem::of(RelayItem::Kind::BlockHeader, bh);
     }
-    // The upstream stream is complete: boundary drains re-ack its late
-    // retransmits (the sender may have lost our acks to a fault window)
-    // and the ghost filter keeps its duplicated framing from reopening it.
-    Connection& up = in_channel_.connection_to(from);
-    up.rx_epoch_done = std::max(up.rx_epoch_done, hdr.epoch);
-    // If a fault window swallowed the tail acks, this actor (not the relay,
-    // which is about to block on other work) keeps re-advertising them so
-    // the upstream sender cannot exhaust its retry budget on a message we
-    // already own.
-    vc_.spawn_tail_acker(in_channel_, from, hdr.epoch, seq - 1);
-    // Phase 2: reliable resend toward dst, failing over on dead hops.
-    deliver_stored(blocks, hdr, stripe, dst, flow);
+    /// Items are received on demand: nothing is ever queued to bundle.
+    const RelayItem* peek() const { return nullptr; }
+
+    GatewayRelay& relay;
+    MessageReader& in;
+    Transfer& t;
+    TransmissionModule* out_tm;  // plain relays
+    std::optional<ReliableReceiver> rx;  // reliable relays
+    std::uint32_t seq = 0;
+    GtmBlockHeader block{};
+    std::uint64_t fragment = 0;
+    std::uint64_t fragments = 0;
+  };
+
+  /// The sending half of the relay loop: the outgoing hop message, wrapped
+  /// in a ReliableSender on reliable relays.
+  struct Egress {
+    Egress(GatewayRelay& relay, const OutHop& hop, const Transfer& t)
+        : relay(relay),
+          channel(*hop.channel),
+          next(hop.next),
+          out(channel.begin_packing(next)) {
+      // Every hop message starts with the preamble paquet — the fixed,
+      // smaller-than-any-reliable-paquet message opener that lets the next
+      // receiver drop stale retransmits at the boundary by size.
+      write_preamble(out, Preamble{hop.hdr.origin, 1});
+      write_msg_header(out, hop.hdr);
+      if (t.stripe) {
+        write_stripe_header(out, *t.stripe);
+      }
+      if ((hop.hdr.flags & kGtmFlagReliable) != 0) {
+        snd.emplace(relay.vc_, relay.self_, out, channel, next,
+                    hop.hdr.epoch);
+        snd->set_framing(Preamble{hop.hdr.origin, 1}, hop.hdr, t.stripe);
+      }
+    }
+
+    void header(const GtmBlockHeader& bh) {
+      // One-sided block cut: rdma is on, the out TM keeps dynamic buffers
+      // (a static or hybrid TM routes received paquets through protocol
+      // buffers the remote write model cannot target) and the block is
+      // at/above the rendezvous threshold (smaller blocks stay
+      // eager/two-sided).
+      const RdmaOptions& rdma = relay.vc_.options().rdma;
+      const net::NicModelParams& m = channel.tm().model();
+      one_sided = rdma.enabled && !m.tx_static() && !m.hybrid() &&
+                  bh.size >= rdma.rendezvous_threshold;
+      fragments_left = fragment_count(bh.size, relay.vc_.mtu());
+      // The plain writer runs the rendezvous before the block header (so
+      // on a sender actor the handshake overlaps the listener's next
+      // receive like any other egress cost); the reliable sender runs it
+      // after its windowed header paquet.
+      if (snd) {
+        snd->send_block_header(seq++, bh);
+      }
+      if (one_sided) {
+        // The next hop registers (or cache-hits) the receive region behind
+        // this connection's tag before any write lands.
+        const Connection& conn = channel.connection_to(next);
+        RdmaTm* local = relay.vc_.rdma_tm(channel.tm().nic());
+        RdmaTm* remote = relay.vc_.rdma_tm(
+            channel.tm().nic().network().nic(conn.peer_nic_index));
+        local->rendezvous(*remote, conn.tx_tag, bh.size);
+      }
+      if (!snd) {
+        write_block_header(out, bh);
+      }
+    }
+
+    void send(const RelayItem& item) {
+      --fragments_left;
+      if (snd) {
+        snd->send(seq++, item.payload, one_sided);
+        return;
+      }
+      const Connection& conn = channel.connection_to(next);
+      if (item.kind == RelayItem::Kind::FragmentStaticOut) {
+        MAD_ASSERT(!one_sided,
+                   "one-sided egress requires a dynamic-buffer out TM");
+        // Zero-copy: the paquet was received straight into this outgoing
+        // static buffer; hand it to the TM, bypassing the BMM copy-in.
+        channel.tm().send_static_buffer(conn.peer_nic_index, conn.tx_tag,
+                                        item.static_out);
+      } else if (one_sided) {
+        // One-sided egress: fragments bypass the writer and go out as
+        // RDMA-style writes into the next hop's registered region.
+        // Wire-compatible with the two-sided path — same NIC, same tag,
+        // same FIFO order, one packet per fragment — so the receiving GTM
+        // parses the stream unchanged. The block's last write carries the
+        // remote completion notification (the only receiver software of
+        // the whole block).
+        relay.vc_.rdma_tm(channel.tm().nic())
+            ->write(conn.peer_nic_index, conn.tx_tag, item.payload,
+                    /*completion=*/fragments_left == 0);
+      } else {
+        // Gather send from the pool buffer or the held incoming buffer.
+        out.pack(item.payload, SendMode::Cheaper, RecvMode::Express);
+      }
+    }
+
+    void end() {
+      if (snd) {
+        snd->send_block_header(seq, end_marker());
+        snd->flush();
+      } else {
+        write_block_header(out, end_marker());
+      }
+    }
+
+    /// Closes the hop message. The reliable window goes first: on a failed
+    /// hop it is abandoned with the sender, so end_packing is non-blocking
+    /// and releases the connection's tx lock.
+    void finish() {
+      snd.reset();
+      out.end_packing();
+    }
+
+    GatewayRelay& relay;
+    Channel& channel;
+    NodeRank next;
+    MessageWriter out;
+    std::optional<ReliableSender> snd;
+    std::uint32_t seq = 0;
+    // The current block's fragments cross as one-sided writes; framing
+    // (headers, end markers) always stays two-sided.
+    bool one_sided = false;
+    std::uint64_t fragments_left = 0;  // of the current block
+  };
+
+  /// The egress loop: sends items until the end marker (or an abort), then
+  /// closes the hop message. After a HopFailure or a downstream rejection
+  /// it keeps draining, so a bounded (flow mode) item queue cannot wedge
+  /// the listener; the stored copy replays afterwards.
+  template <typename Source>
+  Outcome pump(Egress& out, Source& items, const Transfer& t) {
+    Outcome outcome;
+    for (bool running = true; running;) {
+      RelayItem item = items.recv();
+      running = item.kind != RelayItem::Kind::End &&
+                item.kind != RelayItem::Kind::Abort;
+      if (!outcome.ok()) {
+        // Drained fragments still leave the admission byte ledger —
+        // otherwise a failover would leak their queued bytes against the
+        // class budget forever.
+        note_dequeue(t.cls, item);
+        continue;
+      }
+      try {
+        if (item.kind == RelayItem::Kind::BlockHeader) {
+          out.header(item.header);
+        } else if (item.kind == RelayItem::Kind::End) {
+          out.end();
+        } else if (item.fragment()) {
+          send_bundle(out, items, std::move(item), t);
+        }
+      } catch (const HopFailure& f) {
+        outcome.failure = f;
+      } catch (const FlowRejected&) {
+        // The next hop is itself an overloaded gateway. The hop is
+        // healthy — back off and retry, never declare it dead.
+        outcome.rejected = true;
+      }
+    }
+    out.finish();
+    return outcome;
   }
 
-  /// One reliable fragment into `dst`, with the relay's pacing, tracing
-  /// and per-paquet switch overhead.
-  void receive_reliable_fragment(ReliableReceiver& rx, MessageReader& in,
-                                 std::uint32_t seq, util::MutByteSpan dst) {
-    const auto size = static_cast<std::uint32_t>(dst.size());
-    regulator_.pace(size);
+  /// Sends `head` and, in flow mode, the fragments queued behind it.
+  template <typename Source>
+  void send_bundle(Egress& out, Source& items, RelayItem head,
+                   const Transfer& t) {
+    // Deficit-round-robin, egress side: bundle the fragments already
+    // queued — up to this flow's per-visit allowance (quantum x weight) —
+    // so one grant moves a weight-proportional batch. The head fragment
+    // always goes, even oversized.
+    std::uint64_t bytes = head.size;
+    std::vector<RelayItem> bundle;
+    bundle.push_back(std::move(head));
+    if (flow_sched_ != nullptr) {
+      const std::uint64_t allowance = flow_sched_->allowance(t.flow);
+      for (const RelayItem* next = items.peek();
+           next != nullptr && next->fragment() &&
+           bytes + next->size <= allowance;
+           next = items.peek()) {
+        bytes += next->size;
+        bundle.push_back(items.recv());
+      }
+    }
+    // Leaving the item queue IS the dequeue the admission ledger tracks —
+    // account before make_room, which can throw (a HopFailure here must
+    // not leak the bundle's bytes against the class budget).
+    for (const RelayItem& item : bundle) {
+      note_dequeue(t.cls, item);
+    }
+    // Drain the window first so the DRR grant below covers only the wire
+    // occupancy of the bundle, never an ack round trip — a flow waiting
+    // out its window must not hold the egress against every other flow.
+    if (out.snd) {
+      out.snd->make_room(bundle.size());
+    }
     const sim::Time begin = engine_.now();
-    rx.recv(in, seq, dst);
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(begin, engine_.now(), "gw.recv",
-                                  "bytes=" + std::to_string(size));
+    {
+      FlowGrant grant(flow_sched_.get(), t.flow, bytes);
+      // Occupancy clock starts when the grant is held, not when we began
+      // waiting for it.
+      const sim::Time granted_at = engine_.now();
+      for (const RelayItem& item : bundle) {
+        out.send(item);
+      }
+      // Hold the grant until the bundle's egress-wire occupancy has
+      // elapsed since granted_at. The simulator models wires per (src,
+      // dst) pair, but a real adapter serializes its egress port — and
+      // that serialization is the shared resource the flow scheduler
+      // arbitrates. Without it, concurrent flows would each see a private
+      // full-rate wire and no queue could ever build, making weights and
+      // marks dead code. The sender-side pack cost already spent inside
+      // the grant counts toward the occupancy (DMA streams into the NIC
+      // FIFO while the wire transmits).
+      if (flow_sched_ != nullptr) {
+        const sim::Time occupancy = sim::transfer_time(
+            bytes, out.channel.network().model().wire_bandwidth);
+        const sim::Time elapsed = engine_.now() - granted_at;
+        if (elapsed < occupancy) {
+          engine_.sleep_for(occupancy - elapsed);
+        }
+      }
     }
-    note_phase_us("recv", begin, engine_.now());
-    GatewayStats& stats = vc_.mutable_gateway_stats(self_);
-    ++stats.paquets_forwarded;
-    stats.bytes_forwarded += size;
-    const sim::Time switch_begin = engine_.now();
-    engine_.sleep_for(vc_.options().gateway_sw_overhead);
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(switch_begin, engine_.now(), "gw.switch");
+    span("send", begin, bytes);
+    for (RelayItem& item : bundle) {
+      if (!item.buffer.empty()) {
+        MAD_ASSERT(item.buffer.size() == vc_.mtu(),
+                   "foreign buffer in gw pool");
+        free_buffers_.send(std::move(item.buffer));
+      }
     }
-    note_phase_us("switch", switch_begin, engine_.now());
   }
 
-  /// Reliable resend of a stored message toward dst, declaring dead hops
-  /// and failing over onto surviving routes until delivery (or an
+  /// Reliable resend of the stored message, declaring dead hops and
+  /// failing over onto surviving routes until delivery (or an
   /// "unreachable" panic when no route is left).
-  void deliver_stored(const std::deque<StoredBlock>& blocks,
-                      const GtmMsgHeader& hdr,
-                      const std::optional<GtmStripeHeader>& stripe,
-                      NodeRank dst, int flow) {
+  void replay(Transfer& t) {
     const sim::Time delivery_start = engine_.now();
     int reject_attempts = 0;
     for (;;) {
@@ -316,139 +756,67 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         // healthy peers dead off our suppressed acks.
         return;
       }
-      if (!vc_.routing().reachable(self_, dst)) {
-        MAD_PANIC("node " + std::to_string(dst) +
-                  " unreachable from gateway " + std::to_string(self_) +
-                  ": no route survives the failed nodes");
-      }
-      // Route by value: mark_dead rebuilds the table while we block.
-      const topo::Route route = vc_.routing().route(self_, dst);
-      const topo::Hop hop = route.front();
-      const bool last_hop = route.size() == 1;
-      Channel& out_channel =
-          last_hop ? vc_.rail_regular_channel(hop.network, rail_, self_)
-                   : vc_.rail_special_channel(hop.network, rail_, self_);
-      const NodeRank next = hop.node;
-      GtmMsgHeader out_hdr = hdr;
-      out_hdr.epoch = ++out_channel.connection_to(next).tx_epoch;
-      std::optional<HopFailure> failed;
-      bool rejected = false;
-      {
-        MessageWriter out = open_outgoing(out_channel, next, last_hop,
-                                          out_hdr, stripe);
-        {
-          ReliableSender snd(vc_, self_, out, out_channel, next,
-                             out_hdr.epoch);
-          snd.set_framing(Preamble{out_hdr.origin, 1}, out_hdr, stripe);
-          std::uint32_t out_seq = 0;
-          try {
-            const std::uint64_t allowance =
-                flow_sched_ != nullptr ? flow_sched_->allowance(flow) : 1;
-            for (const StoredBlock& block : blocks) {
-              const bool one_sided =
-                  rdma_block(out_channel, block.header.size);
-              snd.send_block_header(out_seq++, block.header);
-              if (one_sided) {
-                rdma_rendezvous(out_channel, next, block.header.size);
-              }
-              const std::uint64_t fragments =
-                  fragment_count(block.header.size, vc_.mtu());
-              for (std::uint64_t i = 0; i < fragments;) {
-                // Bundle fragments up to the flow's DRR allowance per
-                // grant (a single fragment outside flow mode); the head
-                // fragment always goes, even oversized.
-                const std::uint64_t first = i;
-                std::uint64_t bundle_bytes = 0;
-                std::size_t count = 0;
-                while (i < fragments) {
-                  const std::uint32_t size =
-                      fragment_size(block.header.size, vc_.mtu(), i);
-                  if (count > 0 && bundle_bytes + size > allowance) {
-                    break;
-                  }
-                  bundle_bytes += size;
-                  ++count;
-                  ++i;
-                }
-                // Drain the window first so the DRR grant below covers
-                // only the wire occupancy of the bundle, never an ack
-                // round trip — a flow waiting out its window must not
-                // hold the egress against every other flow.
-                snd.make_room(count);
-                const sim::Time send_begin = engine_.now();
-                {
-                  FlowGrant grant(flow_sched_.get(), flow, bundle_bytes);
-                  // Occupancy clock starts when the grant is held, not
-                  // when we began waiting for it.
-                  const sim::Time granted_at = engine_.now();
-                  for (std::uint64_t j = first; j < i; ++j) {
-                    const std::uint32_t size =
-                        fragment_size(block.header.size, vc_.mtu(), j);
-                    snd.send(out_seq++,
-                             util::ByteSpan(block.data)
-                                 .subspan(j * vc_.mtu(), size),
-                             one_sided);
-                  }
-                  hold_for_wire(out_channel, bundle_bytes, granted_at);
-                }
-                if (vc_.options().trace != nullptr) {
-                  vc_.options().trace->record(
-                      send_begin, engine_.now(), "gw.send",
-                      "bytes=" + std::to_string(bundle_bytes));
-                }
-                note_phase_us("send", send_begin, engine_.now());
-              }
-            }
-            snd.send_block_header(out_seq, end_marker());
-            snd.flush();
-          } catch (const HopFailure& f) {
-            // Keep the exception out of `out`'s destructor path: the
-            // window is abandoned with the sender, so end_packing below
-            // is non-blocking and releases the connection's tx lock.
-            failed = f;
-          } catch (const FlowRejected&) {
-            // The next hop is itself an overloaded gateway. The hop is
-            // healthy — back off and retry, never declare it dead.
-            rejected = true;
-          }
-        }
-        out.end_packing();
-      }
-      if (!failed && !rejected) {
+      ReplayQueue queue(t.blocks, vc_.mtu());
+      Egress out(*this, next_hop(t), t);
+      const Outcome outcome = pump(out, queue, t);
+      if (outcome.ok() || vc_.node_crashed_within(self_, delivery_start)) {
         return;
       }
-      if (vc_.node_crashed_within(self_, delivery_start)) {
-        return;
-      }
-      if (rejected) {
-        sleep_reject_backoff(reject_attempts++);
-        continue;
-      }
-      note_hop_death(*failed, dst);
+      recover(outcome, reject_attempts, t.dst);
     }
   }
 
-  /// Declares a failed hop dead and records whether a failover survives.
-  void note_hop_death(const HopFailure& failed, NodeRank dst) {
-    GatewayStats& stats = vc_.mutable_gateway_stats(self_);
-    vc_.mark_dead(failed.next_hop);
-    ++stats.reliability.peers_declared_dead;
-    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-    const std::string node_label = "node=" + std::to_string(self_);
-    metrics.add("rel.dead_peers", node_label);
+  /// Picks the next hop toward t.dst. Route by value: a concurrent
+  /// reliable relay on this node may call mark_dead, which rebuilds the
+  /// routing table while this relay blocks inside the network — references
+  /// into the table would dangle. A reliable hop gets a fresh epoch.
+  OutHop next_hop(const Transfer& t) {
+    if (!vc_.routing().reachable(self_, t.dst)) {
+      MAD_PANIC("node " + std::to_string(t.dst) +
+                " unreachable from gateway " + std::to_string(self_) +
+                ": no route survives the failed nodes");
+    }
+    const topo::Route route = vc_.routing().route(self_, t.dst);
+    const topo::Hop hop = route.front();
+    // Past the last gateway messages travel on a regular channel, so plain
+    // nodes poll a single channel; toward another gateway they stay on the
+    // special channel (paper §2.2.2). Striped rails stay on their own
+    // channel pair end to end.
+    Channel& channel =
+        route.size() == 1
+            ? vc_.rail_regular_channel(hop.network, rail_, self_)
+            : vc_.rail_special_channel(hop.network, rail_, self_);
+    OutHop out{&channel, hop.node, t.hdr};
+    if ((t.hdr.flags & kGtmFlagReliable) != 0) {
+      out.hdr.epoch = ++channel.connection_to(hop.node).tx_epoch;
+    }
+    return out;
+  }
+
+  /// Prepares the next egress attempt after a failed one. A dead hop is
+  /// declared to the routing table (recording whether a failover
+  /// survives). A downstream rejection — a gateway chain where the NEXT
+  /// gateway is itself overloaded — backs off on the origin-side writer's
+  /// schedule: exponential with deterministic jitter, capped.
+  void recover(const Outcome& outcome, int& reject_attempts, NodeRank dst) {
+    if (outcome.failure) {
+      vc_.declare_dead(self_, outcome.failure->next_hop);
+      if (vc_.routing().reachable(self_, dst)) {
+        vc_.note_failover(self_, dst, outcome.failure->next_hop);
+      }
+      return;
+    }
+    const int attempts = reject_attempts++;
+    const sim::Time delay = vc_.options().flow.reject_delay(
+        attempts, (static_cast<std::uint64_t>(self_) << 40) ^
+                      static_cast<std::uint64_t>(attempts));
+    vc_.domain().fabric().metrics().add("flow.reject_retries",
+                                        "node=" + std::to_string(self_));
     if (vc_.options().trace != nullptr) {
       vc_.options().trace->instant_here(
-          "rel.dead", "peer=" + std::to_string(failed.next_hop));
+          "flow.rejected", "attempts=" + std::to_string(attempts));
     }
-    if (vc_.routing().reachable(self_, dst)) {
-      ++stats.reliability.failovers;
-      metrics.add("rel.failovers", node_label);
-      if (vc_.options().trace != nullptr) {
-        vc_.options().trace->instant_here(
-            "rel.failover", "dst=" + std::to_string(dst) + " around=" +
-                                std::to_string(failed.next_hop));
-      }
-    }
+    engine_.sleep_for(delay);
   }
 
   /// Refuses an over-budget (or shed) message at the admission gate. The
@@ -487,409 +855,14 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     in.end_unpacking();
   }
 
-  /// Backoff before retrying a downstream gateway that rejected this
-  /// relay's message (a gateway chain where the NEXT gateway is itself
-  /// overloaded). Mirrors the origin-side writer's schedule: exponential
-  /// with deterministic jitter, capped.
-  void sleep_reject_backoff(int attempts) {
-    const FlowOptions& flow = vc_.options().flow;
-    double delay = static_cast<double>(flow.reject_backoff);
-    const double cap = static_cast<double>(flow.reject_backoff_cap);
-    for (int i = 0; i < attempts && delay < cap; ++i) {
-      delay *= flow.reject_backoff_factor;
-    }
-    delay = std::min(delay, cap);
-    util::Rng jitter((static_cast<std::uint64_t>(self_) << 40) ^
-                     static_cast<std::uint64_t>(attempts));
-    delay += delay * 0.25 * jitter.next_double();
-    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-    metrics.add("flow.reject_retries", "node=" + std::to_string(self_));
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->instant_here(
-          "flow.rejected", "attempts=" + std::to_string(attempts));
-    }
-    engine_.sleep_for(static_cast<sim::Time>(delay));
-  }
-
-  /// Cut-through reliable relay (window > 1, unstriped): a dedicated
-  /// sender actor retransmits paquet k downstream while the listener
-  /// receives paquet k+1 — the paper's two-threads/two-buffers scheme
-  /// applied to the reliable path. The listener still stores every block:
-  /// the upstream hop is acked as soon as a paquet lands and cannot be
-  /// asked again, so if the downstream hop dies mid-stream the sender's
-  /// window is abandoned and the whole message replays from the stored
-  /// copy onto a failover route (deliver_stored).
-  void relay_reliable_streaming(MessageReader& in, const GtmMsgHeader& hdr,
-                                NodeRank dst) {
-    const NodeRank from = in.source();
-    if (!vc_.routing().reachable(self_, dst)) {
-      MAD_PANIC("node " + std::to_string(dst) + " unreachable from gateway " +
-                std::to_string(self_) +
-                ": no route survives the failed nodes");
-    }
-    const topo::Route route = vc_.routing().route(self_, dst);
-    const topo::Hop hop = route.front();
-    const bool last_hop = route.size() == 1;
-    Channel& out_channel =
-        last_hop ? vc_.rail_regular_channel(hop.network, rail_, self_)
-                 : vc_.rail_special_channel(hop.network, rail_, self_);
-    const NodeRank next = hop.node;
-    GtmMsgHeader out_hdr = hdr;
-    out_hdr.epoch = ++out_channel.connection_to(next).tx_epoch;
-    const TrafficClass cls = traffic_class_from_wire(hdr.traffic_class);
-    const int flow = flow_id_for(static_cast<NodeRank>(hdr.origin), cls);
-
-    struct StreamItem {
-      enum class Kind { Header, Fragment, End, Abort };
-      Kind kind = Kind::End;
-      std::size_t block = 0;
-      std::uint64_t offset = 0;
-      std::uint32_t size = 0;
-      // Admission accounting: when this fragment entered the egress queue
-      // (sojourn feeds the CoDel-style shedding policy).
-      sim::Time enq_at = 0;
-    };
-    // Shared with the sender actor, heap-owned for the same shutdown
-    // reason as PipeState below. The item mailbox is unbounded by default:
-    // every fragment is stored for replay anyway, so cut-through depth
-    // costs no extra memory and the listener must never block behind a
-    // sender that is busy retransmitting (or already failed). In flow mode
-    // it is bounded at flow.queue_limit instead — a full queue blocks this
-    // flow's listener, which stalls its hop acks and backpressures the
-    // origin's window, while the sender keeps draining even after a
-    // HopFailure so the bound cannot deadlock the pair. blocks is a deque
-    // so references the sender reads from stay stable while the listener
-    // appends.
-    struct StreamState {
-      StreamState(sim::Engine& engine, std::size_t capacity,
-                  const std::string& name)
-          : items(engine, capacity, name), done(engine, name + ".done") {}
-      sim::Mailbox<StreamItem> items;
-      std::deque<StoredBlock> blocks;
-      sim::Condition done;
-      bool finished = false;
-      std::optional<HopFailure> failure;
-      // Downstream gateway refused the message at its admission gate: the
-      // hop is healthy, so the relay backs off and replays instead of
-      // declaring it dead.
-      bool rejected = false;
-    };
-    // DRR buffer sizing: a weight-w flow drains w quanta per scheduler
-    // round, so both its queue bound and its mark point scale with the
-    // weight — otherwise a heavy flow's visits go underfilled and its
-    // surplus leaks to the light flows.
-    const std::size_t queue_capacity =
-        flow_sched_ != nullptr
-            ? static_cast<std::size_t>(
-                  static_cast<double>(vc_.options().flow.queue_limit) *
-                  std::max(1.0, flow_sched_->weight_of(flow)))
-            : 0;
-    auto state = std::make_shared<StreamState>(
-        engine_, queue_capacity,
-        vc_.name() + ".gwstream." + std::to_string(self_));
-
-    engine_.spawn(
-        vc_.name() + ".gwsend." + std::to_string(self_),
-        [self = shared_from_this(), state, &out_channel, next, last_hop,
-         out_hdr, flow, cls] {
-          MessageWriter out = self->open_outgoing(
-              out_channel, next, last_hop, out_hdr, std::nullopt);
-          {
-            ReliableSender snd(self->vc_, self->self_, out, out_channel,
-                               next, out_hdr.epoch);
-            snd.set_framing(Preamble{out_hdr.origin, 1}, out_hdr,
-                            std::nullopt);
-            std::uint32_t out_seq = 0;
-            bool failed = false;
-            for (bool running = true; running;) {
-              const StreamItem item = state->items.recv();
-              if (failed) {
-                // Keep draining after a HopFailure so a bounded (flow
-                // mode) item queue cannot wedge the listener; the stored
-                // copy replays via deliver_stored below. Drained
-                // fragments still leave the admission byte ledger —
-                // otherwise a failover would leak their queued bytes
-                // against the class budget forever.
-                if (item.kind == StreamItem::Kind::Fragment) {
-                  self->note_dequeue(cls, item.size, item.enq_at);
-                }
-                running = item.kind != StreamItem::Kind::End &&
-                          item.kind != StreamItem::Kind::Abort;
-                continue;
-              }
-              try {
-                switch (item.kind) {
-                  case StreamItem::Kind::Header: {
-                    const GtmBlockHeader& bh =
-                        state->blocks[item.block].header;
-                    snd.send_block_header(out_seq++, bh);
-                    if (self->rdma_block(out_channel, bh.size)) {
-                      self->rdma_rendezvous(out_channel, next, bh.size);
-                    }
-                    break;
-                  }
-                  case StreamItem::Kind::Fragment: {
-                    // Deficit-round-robin, actor side: bundle the
-                    // fragments already queued — up to this flow's
-                    // per-visit allowance (quantum x weight) — so one
-                    // grant moves a weight-proportional batch. The head
-                    // item always goes, even oversized.
-                    std::vector<StreamItem> bundle{item};
-                    std::uint64_t bundle_bytes = item.size;
-                    if (self->flow_sched_ != nullptr) {
-                      const std::uint64_t allowance =
-                          self->flow_sched_->allowance(flow);
-                      for (;;) {
-                        const StreamItem* head = state->items.peek();
-                        if (head == nullptr ||
-                            head->kind != StreamItem::Kind::Fragment ||
-                            bundle_bytes + head->size > allowance) {
-                          break;
-                        }
-                        bundle_bytes += head->size;
-                        bundle.push_back(*state->items.try_recv());
-                      }
-                    }
-                    // Leaving the item queue IS the dequeue the admission
-                    // ledger tracks — account before make_room, which can
-                    // throw (a HopFailure here must not leak the bundle's
-                    // bytes against the class budget).
-                    for (const StreamItem& b : bundle) {
-                      self->note_dequeue(cls, b.size, b.enq_at);
-                    }
-                    // Window drain outside the grant: only the bundle's
-                    // wire occupancy is scheduled, never an ack wait.
-                    snd.make_room(bundle.size());
-                    const sim::Time send_begin = self->engine_.now();
-                    {
-                      FlowGrant grant(self->flow_sched_.get(), flow,
-                                      bundle_bytes);
-                      // Occupancy clock starts when the grant is held,
-                      // not when we began waiting for it.
-                      const sim::Time granted_at = self->engine_.now();
-                      for (const StreamItem& b : bundle) {
-                        snd.send(
-                            out_seq++,
-                            util::ByteSpan(state->blocks[b.block].data)
-                                .subspan(b.offset, b.size),
-                            self->rdma_block(
-                                out_channel,
-                                state->blocks[b.block].header.size));
-                      }
-                      self->hold_for_wire(out_channel, bundle_bytes,
-                                          granted_at);
-                    }
-                    if (self->vc_.options().trace != nullptr) {
-                      self->vc_.options().trace->record(
-                          send_begin, self->engine_.now(), "gw.send",
-                          "bytes=" + std::to_string(bundle_bytes));
-                    }
-                    self->note_phase_us("send", send_begin,
-                                        self->engine_.now());
-                    break;
-                  }
-                  case StreamItem::Kind::End:
-                    snd.send_block_header(out_seq, end_marker());
-                    snd.flush();
-                    running = false;
-                    break;
-                  case StreamItem::Kind::Abort:
-                    running = false;
-                    break;
-                }
-              } catch (const HopFailure& f) {
-                state->failure = f;
-                failed = true;
-                running = item.kind != StreamItem::Kind::End &&
-                          item.kind != StreamItem::Kind::Abort;
-              } catch (const FlowRejected&) {
-                state->rejected = true;
-                failed = true;
-                running = item.kind != StreamItem::Kind::End &&
-                          item.kind != StreamItem::Kind::Abort;
-              }
-            }
-          }
-          out.end_packing();
-          state->finished = true;
-          state->done.notify_all();
-        });
-
-    std::optional<PeerDied> upstream_died;
-    {
-      ReliableReceiver rx(vc_, self_, in_channel_, from, hdr.epoch,
-                          /*detect_dead=*/true);
-      std::uint32_t seq = 0;
-      try {
-        for (;;) {
-          const GtmBlockHeader bh = rx.recv_block_header(in, seq++);
-          if (bh.end_of_message != 0) {
-            Connection& up = in_channel_.connection_to(from);
-            up.rx_epoch_done = std::max(up.rx_epoch_done, hdr.epoch);
-            vc_.spawn_tail_acker(in_channel_, from, hdr.epoch, seq - 1);
-            state->items.send(StreamItem{StreamItem::Kind::End, 0, 0, 0});
-            break;
-          }
-          StoredBlock block;
-          block.header = bh;
-          block.data.resize(bh.size);
-          state->blocks.push_back(std::move(block));
-          const std::size_t index = state->blocks.size() - 1;
-          state->items.send(
-              StreamItem{StreamItem::Kind::Header, index, 0, 0});
-          const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
-          for (std::uint64_t i = 0; i < fragments; ++i) {
-            const std::uint32_t size = fragment_size(bh.size, vc_.mtu(), i);
-            const std::uint64_t offset = i * vc_.mtu();
-            receive_reliable_fragment(
-                rx, in, seq++,
-                util::MutByteSpan(state->blocks[index].data)
-                    .subspan(offset, size));
-            state->items.send(StreamItem{StreamItem::Kind::Fragment, index,
-                                         offset, size, engine_.now()});
-            note_enqueue(cls, size);
-            if (flow_sched_ != nullptr) {
-              note_flow_depth(rx, static_cast<NodeRank>(hdr.origin), flow,
-                              state->items.size());
-            }
-          }
-        }
-      } catch (const PeerDied& dead) {
-        upstream_died = dead;
-        state->items.send(StreamItem{StreamItem::Kind::Abort, 0, 0, 0});
-      }
-    }
-    while (!state->finished) {
-      state->done.wait();
-    }
-    if (upstream_died) {
-      // Upstream died (or this gateway's own NIC crashed) mid-stream:
-      // abandon the partial relay — the origin replays on a surviving
-      // route, and downstream readers adopt the replayed stream.
-      throw *upstream_died;
-    }
-    if (state->rejected) {
-      // Downstream admission refusal: the hop is healthy, so back off and
-      // replay the stored copy (deliver_stored keeps retrying — and keeps
-      // backing off — until the downstream gateway admits it).
-      if (vc_.node_crashed(self_)) {
-        return;
-      }
-      sleep_reject_backoff(0);
-      deliver_stored(state->blocks, hdr, std::nullopt, dst, flow);
-    } else if (state->failure) {
-      if (vc_.node_crashed(self_)) {
-        return;
-      }
-      note_hop_death(*state->failure, dst);
-      deliver_stored(state->blocks, hdr, std::nullopt, dst, flow);
-    }
-  }
-
-  /// Holds the calling actor (and therefore its DRR grant) until the
-  /// paquet's egress-wire occupancy has elapsed since `send_begin`. The
-  /// simulator models wires per (src, dst) pair, but a real adapter
-  /// serializes its egress port — and that serialization is the shared
-  /// resource the flow scheduler arbitrates. Without it, concurrent flows
-  /// would each see a private full-rate wire and no queue could ever
-  /// build, making weights and marks dead code. The sender-side pack cost
-  /// already spent inside the grant counts toward the occupancy (DMA
-  /// streams into the NIC FIFO while the wire transmits). No-op outside
-  /// flow mode.
-  void hold_for_wire(Channel& out_channel, std::uint64_t bytes,
-                     sim::Time send_begin) {
-    if (flow_sched_ == nullptr) {
-      return;
-    }
-    const sim::Time occupancy = sim::transfer_time(
-        bytes, out_channel.network().model().wire_bandwidth);
-    const sim::Time elapsed = engine_.now() - send_begin;
-    if (elapsed < occupancy) {
-      engine_.sleep_for(occupancy - elapsed);
-    }
-  }
-
-  /// Flow-mode queue accounting for one just-enqueued relay paquet: depth
-  /// histogram, plus an ECN-style mark to the upstream sender once the
-  /// flow's queue reaches its threshold — the egress scheduler is serving
-  /// other flows faster than this one drains, so the origin should shrink
-  /// its window rather than pile the queue to the blocking limit.
-  void note_flow_depth(ReliableReceiver& rx, NodeRank origin, int flow,
-                       std::size_t depth) {
-    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-    metrics.observe_us("flow.queue_depth", flow_label(origin),
-                       static_cast<double>(depth));
-    // Threshold scales with the flow's weight, mirroring its queue bound:
-    // a weight-w flow legitimately holds w quanta of scheduled backlog.
-    const double weight = std::max(1.0, flow_sched_->weight_of(flow));
-    if (static_cast<double>(depth) >=
-        static_cast<double>(vc_.options().flow.mark_threshold) * weight) {
-      rx.post_congestion_mark();
-      ++vc_.mutable_gateway_stats(self_).flow_marks;
-      metrics.add("flow.marks", flow_label(origin));
-      if (vc_.options().trace != nullptr) {
-        vc_.options().trace->instant_here(
-            "flow.mark", "origin=" + std::to_string(origin) +
-                             " depth=" + std::to_string(depth));
-      }
-    }
-  }
-
-  MessageWriter open_outgoing(Channel& out_channel, NodeRank next,
-                              bool last_hop, const GtmMsgHeader& hdr,
-                              const std::optional<GtmStripeHeader>& stripe) {
-    MessageWriter out = out_channel.begin_packing(next);
-    // Every hop message starts with the preamble paquet — the fixed,
-    // smaller-than-any-reliable-paquet message opener that lets the next
-    // receiver drop stale retransmits at the boundary by size.
-    write_preamble(out, Preamble{hdr.origin, 1});
-    write_msg_header(out, hdr);
-    if (stripe) {
-      write_stripe_header(out, *stripe);
-    }
-    return out;
-  }
-
-  /// True when this relay's egress over `out_channel` may use one-sided
-  /// writes: rdma is on and the out TM keeps dynamic buffers (a static or
-  /// hybrid TM routes received paquets through protocol buffers the remote
-  /// write model cannot target).
-  bool rdma_eligible(Channel& out_channel) const {
-    const net::NicModelParams& m = out_channel.tm().model();
-    return vc_.options().rdma.enabled && !m.tx_static() && !m.hybrid();
-  }
-
-  /// One-sided block cut: eligible egress and block at/above the
-  /// rendezvous threshold (smaller blocks stay eager/two-sided).
-  bool rdma_block(Channel& out_channel, std::uint64_t block_size) const {
-    return rdma_eligible(out_channel) &&
-           block_size >= vc_.options().rdma.rendezvous_threshold;
-  }
-
-  /// Runs the rendezvous handshake with the next hop for one qualifying
-  /// block: the remote side registers (or cache-hits) the receive region
-  /// behind this connection's tag before any write lands.
-  void rdma_rendezvous(Channel& out_channel, NodeRank next,
-                       std::uint64_t block_size) {
-    const Connection& conn = out_channel.connection_to(next);
-    RdmaTm* local = vc_.rdma_tm(out_channel.tm().nic());
-    RdmaTm* remote = vc_.rdma_tm(
-        out_channel.tm().nic().network().nic(conn.peer_nic_index));
-    local->rendezvous(*remote, conn.tx_tag, block_size);
-  }
-
   /// Receives the next paquet of `size` bytes, choosing the §2.3 zero-copy
   /// path from the static/dynamic buffer modes of both sides.
-  RelayItem receive_fragment(MessageReader& in, Channel& out_channel,
-                             std::uint32_t size) {
+  RelayItem receive_zero_copy(MessageReader& in, TransmissionModule& out_tm,
+                              std::uint32_t size) {
     TransmissionModule& in_tm = in_channel_.tm();
-    TransmissionModule& out_tm = out_channel.tm();
     const bool in_static = in_tm.model().rx_static();
     const bool out_static = out_tm.model().tx_static();
     const bool zero_copy = vc_.options().zero_copy;
-
-    regulator_.pace(size);
-    const sim::Time begin = engine_.now();
     RelayItem item;
     if (in_static && zero_copy) {
       // Consume the paquet's protocol buffer directly (the GTM discipline
@@ -898,167 +871,55 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
           in_channel_.connection_to(in.source()).rx_tag;
       auto in_ref = in_tm.recv_packet_static(rx_tag);
       MAD_ASSERT(in_ref.used() == size, "paquet/static-buffer size mismatch");
-      if (out_static) {
-        // static → static: the one unavoidable copy (paper §2.3).
-        auto out_ref = out_tm.acquire_static_buffer();
-        counted_copy(out_ref.span().first(size), in_ref.data(),
-                     CopyPath::ZeroCopy);
-        out_ref.set_used(size);
-        item.kind = RelayItem::Kind::FragmentStaticOut;
-        item.static_out = std::move(out_ref);
-      } else {
+      if (!out_static) {
         // static → dynamic: send straight from the incoming buffer.
         item.kind = RelayItem::Kind::FragmentHoldIn;
         item.hold_in = std::move(in_ref);
+        item.payload = item.hold_in.data();
+        return item;
       }
+      // static → static: the one unavoidable copy (paper §2.3).
+      item.static_out = out_tm.acquire_static_buffer();
+      counted_copy(item.static_out.span().first(size), in_ref.data(),
+                   CopyPath::ZeroCopy);
     } else if (out_static && zero_copy) {
       // dynamic → static: "ask the outgoing TM for a static buffer which
       // we use to receive data into" (paper §2.3).
-      auto out_ref = out_tm.acquire_static_buffer();
-      in.unpack(out_ref.span().first(size), SendMode::Cheaper,
+      item.static_out = out_tm.acquire_static_buffer();
+      in.unpack(item.static_out.span().first(size), SendMode::Cheaper,
                 RecvMode::Express);
-      out_ref.set_used(size);
-      item.kind = RelayItem::Kind::FragmentStaticOut;
-      item.static_out = std::move(out_ref);
     } else {
       // dynamic → dynamic (or zero-copy disabled): a recycled pipeline
       // buffer. Still copy-free for dynamic protocols — the NIC scatters
       // into and gathers out of this buffer directly.
-      std::vector<std::byte> buffer = free_buffers_.recv();
-      in.unpack(util::MutByteSpan(buffer).first(size), SendMode::Cheaper,
-                RecvMode::Express);
       item.kind = RelayItem::Kind::FragmentDynamic;
-      item.buffer = std::move(buffer);
-      item.size = size;
+      item.buffer = free_buffers_.recv();
+      in.unpack(util::MutByteSpan(item.buffer).first(size), SendMode::Cheaper,
+                RecvMode::Express);
+      item.payload = util::ByteSpan(item.buffer).first(size);
+      return item;
     }
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(begin, engine_.now(), "gw.recv",
-                                  "bytes=" + std::to_string(size));
-    }
-    note_phase_us("recv", begin, engine_.now());
-    GatewayStats& stats = vc_.mutable_gateway_stats(self_);
-    ++stats.paquets_forwarded;
-    stats.bytes_forwarded += size;
-    // The software cost of handing the buffer to the sender thread
-    // (measured ≈40 µs per switch on the paper's testbed, §3.3.1).
-    const sim::Time switch_begin = engine_.now();
-    engine_.sleep_for(vc_.options().gateway_sw_overhead);
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(switch_begin, engine_.now(), "gw.switch");
-    }
-    note_phase_us("switch", switch_begin, engine_.now());
+    item.kind = RelayItem::Kind::FragmentStaticOut;
+    item.static_out.set_used(size);
     return item;
   }
 
-  void recycle(std::vector<std::byte> buffer) {
-    if (!buffer.empty()) {
-      MAD_ASSERT(buffer.size() == vc_.mtu(), "foreign buffer in gw pool");
-      free_buffers_.send(std::move(buffer));
+  /// Records one relay step as a "gw.<phase>" trace span and a gw.phase_us
+  /// sample — one histogram series per (gateway, phase), feeding the Fig
+  /// 5/8 step tables and the metrics JSON report.
+  void span(const std::string& phase, sim::Time begin,
+            std::optional<std::uint64_t> bytes = std::nullopt) {
+    const sim::Time end = engine_.now();
+    if (sim::Trace* trace = vc_.options().trace; trace != nullptr) {
+      trace->record(begin, end, "gw." + phase,
+                    bytes ? "bytes=" + std::to_string(*bytes) : "");
     }
-  }
-
-  void relay_sequential(MessageReader& in, const GtmMsgHeader& hdr,
-                        const std::optional<GtmStripeHeader>& stripe,
-                        Channel& out_channel, NodeRank next, bool last_hop) {
-    MessageWriter out = open_outgoing(out_channel, next, last_hop, hdr,
-                                      stripe);
-    const Connection& conn = out_channel.connection_to(next);
-    for (;;) {
-      const GtmBlockHeader bh = read_block_header(in);
-      if (bh.end_of_message != 0) {
-        write_block_header(out, end_marker());
-        break;
-      }
-      const bool one_sided = rdma_block(out_channel, bh.size);
-      if (one_sided) {
-        rdma_rendezvous(out_channel, next, bh.size);
-      }
-      write_block_header(out, bh);
-      const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
-      for (std::uint64_t i = 0; i < fragments; ++i) {
-        const std::uint32_t size = fragment_size(bh.size, vc_.mtu(), i);
-        RelayItem item = receive_fragment(in, out_channel, size);
-        item.one_sided = one_sided;
-        item.completion = one_sided && i + 1 == fragments;
-        const sim::Time send_begin = engine_.now();
-        recycle(send_relay_item(out, out_channel.tm(), conn, std::move(item),
-                                vc_));
-        note_phase_us("send", send_begin, engine_.now());
-      }
-    }
-    out.end_packing();
-  }
-
-  void relay_pipelined(MessageReader& in, const GtmMsgHeader& hdr,
-                       const std::optional<GtmStripeHeader>& stripe,
-                       Channel& out_channel, NodeRank next, bool last_hop) {
-    const int depth = vc_.options().pipeline_depth;
-    // Shared with the sender actor, heap-owned: during engine shutdown the
-    // listener may unwind (and its stack frame be reused) while the sender
-    // is still parked inside items.recv(); stack-allocating this state was
-    // a use-after-free (see the regression in tests/fwd/test_failures.cpp).
-    struct PipeState {
-      PipeState(sim::Engine& engine, std::size_t capacity,
-                const std::string& name)
-          : items(engine, capacity, name),
-            sender_done(engine, name + ".done") {}
-      sim::Mailbox<RelayItem> items;
-      sim::Condition sender_done;
-      bool finished = false;
-    };
-    auto state = std::make_shared<PipeState>(
-        engine_, static_cast<std::size_t>(depth - 1),
-        vc_.name() + ".gwitems." + std::to_string(self_));
-
-    engine_.spawn(
-        vc_.name() + ".gwsend." + std::to_string(self_),
-        [self = shared_from_this(), state, &out_channel, next, last_hop,
-         hdr, stripe] {
-          MessageWriter out =
-              self->open_outgoing(out_channel, next, last_hop, hdr, stripe);
-          const Connection& conn = out_channel.connection_to(next);
-          for (;;) {
-            RelayItem item = state->items.recv();
-            if (item.kind == RelayItem::Kind::End) {
-              write_block_header(out, end_marker());
-              break;
-            }
-            const bool fragment =
-                item.kind != RelayItem::Kind::BlockHeader;
-            const sim::Time send_begin = self->engine_.now();
-            self->recycle(send_relay_item(out, out_channel.tm(), conn,
-                                          std::move(item), self->vc_));
-            if (fragment) {
-              self->note_phase_us("send", send_begin, self->engine_.now());
-            }
-          }
-          out.end_packing();
-          state->finished = true;
-          state->sender_done.notify_all();
-        });
-
-    for (;;) {
-      const GtmBlockHeader bh = read_block_header(in);
-      if (bh.end_of_message != 0) {
-        state->items.send(RelayItem::end());
-        break;
-      }
-      const bool one_sided = rdma_block(out_channel, bh.size);
-      // The BlockHeader item carries the flag: the SENDER actor runs the
-      // rendezvous (send_relay_item), so the handshake overlaps the
-      // listener's next receive exactly like any other egress cost.
-      state->items.send(RelayItem::block(bh, one_sided));
-      const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
-      for (std::uint64_t i = 0; i < fragments; ++i) {
-        const std::uint32_t size = fragment_size(bh.size, vc_.mtu(), i);
-        RelayItem item = receive_fragment(in, out_channel, size);
-        item.one_sided = one_sided;
-        item.completion = one_sided && i + 1 == fragments;
-        state->items.send(std::move(item));
-      }
-    }
-    while (!state->finished) {
-      state->sender_done.wait();
+    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
+    if (metrics.enabled()) {
+      metrics
+          .histogram("gw.phase_us",
+                     "gateway=" + std::to_string(self_) + ",phase=" + phase)
+          .record(sim::to_microseconds(end - begin));
     }
   }
 
@@ -1104,28 +965,54 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
            ",class=" + std::string(traffic_class_name(cls));
   }
 
-  /// Admission byte accounting, enqueue side (streaming relay only: the
-  /// store-and-forward path never builds a standing egress queue, so it is
-  /// governed by the message budgets alone).
-  void note_enqueue(TrafficClass cls, std::uint32_t size) {
-    if (admission_ == nullptr) {
+  /// Queue accounting for one fragment a sender actor's mailbox just took
+  /// (store-then-send and replay never build a standing egress queue, so
+  /// they are governed by the message budgets alone). The admission byte
+  /// ledger counts it; in flow mode the depth histogram samples the queue,
+  /// and once the flow's queue reaches its threshold an ECN-style mark goes
+  /// to the upstream sender — the egress scheduler is serving other flows
+  /// faster than this one drains, so the origin should shrink its window
+  /// rather than pile the queue to the blocking limit.
+  void note_queued(const Transfer& t, std::optional<ReliableReceiver>& rx,
+                   std::uint32_t size) {
+    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
+    if (admission_ != nullptr) {
+      admission_->on_enqueue(t.cls, size);
+      metrics.observe_us("admission.queued_bytes", class_label(t.cls),
+                         static_cast<double>(admission_->queued_bytes(t.cls)));
+    }
+    if (flow_sched_ == nullptr) {
       return;
     }
-    admission_->on_enqueue(cls, size);
-    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-    metrics.observe_us("admission.queued_bytes", class_label(cls),
-                       static_cast<double>(admission_->queued_bytes(cls)));
+    const auto origin = static_cast<NodeRank>(t.hdr.origin);
+    const std::size_t depth = t.items.size();
+    metrics.observe_us("flow.queue_depth", flow_label(origin),
+                       static_cast<double>(depth));
+    // Threshold scales with the flow's weight, mirroring its queue bound:
+    // a weight-w flow legitimately holds w quanta of scheduled backlog.
+    const double weight = std::max(1.0, flow_sched_->weight_of(t.flow));
+    if (static_cast<double>(depth) >=
+        static_cast<double>(vc_.options().flow.mark_threshold) * weight) {
+      rx->post_congestion_mark();
+      ++vc_.mutable_gateway_stats(self_).flow_marks;
+      metrics.add("flow.marks", flow_label(origin));
+      if (vc_.options().trace != nullptr) {
+        vc_.options().trace->instant_here(
+            "flow.mark", "origin=" + std::to_string(origin) +
+                             " depth=" + std::to_string(depth));
+      }
+    }
   }
 
-  /// Admission byte accounting, dequeue side: feeds the CoDel-style
-  /// sojourn tracker and the per-class sojourn histogram.
-  void note_dequeue(TrafficClass cls, std::uint32_t size,
-                    sim::Time enq_at) {
-    if (admission_ == nullptr) {
+  /// Admission byte accounting, dequeue side, for items that went through
+  /// note_queued: feeds the CoDel-style sojourn tracker and the per-class
+  /// sojourn histogram.
+  void note_dequeue(TrafficClass cls, const RelayItem& item) {
+    if (admission_ == nullptr || !item.queued_at) {
       return;
     }
-    const sim::Time sojourn =
-        admission_->on_dequeue(cls, size, enq_at, engine_.now());
+    const sim::Time sojourn = admission_->on_dequeue(
+        cls, item.size, *item.queued_at, engine_.now());
     sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
     if (metrics.enabled()) {
       metrics.histogram("admission.sojourn_us", class_label(cls))
@@ -1180,72 +1067,41 @@ void spawn_gateway_actors(VirtualChannel& vc) {
               sim::Engine& engine = vc.domain().engine();
               for (;;) {
                 relay->in_channel().wait_incoming();
-                if (relay->flow_mode() &&
-                    relay->in_channel().uses_announce()) {
-                  // Multi-flow dispatch: accept the message, hand it to a
-                  // relay actor of its own, and go straight back to
-                  // accepting — concurrent origins relay (and compete for
-                  // egress via DRR) instead of serializing behind one
-                  // store-and-forward. Messages sharing an upstream hop
-                  // still read that hop's rx stream in arrival order via
-                  // turn tickets. MessageReader is move-only and
-                  // Engine::spawn needs a copyable closure, so the reader
-                  // rides in a shared_ptr.
-                  //
-                  // Announce channels only: begin_unpacking consumes the
-                  // announce packet, so the next wait_incoming blocks
-                  // until a NEW message arrives. A two-member channel has
-                  // no announce stream — its peek would see the pending
-                  // message's paquets until the spawned actor drains
-                  // them, and this loop would spin spawning an actor per
-                  // peek. It also has exactly one upstream, whose
-                  // messages serialize on the rx stream anyway, so the
-                  // inline path below loses no concurrency there (egress
-                  // still goes through the DRR scheduler by origin).
-                  MessageReader in = relay->in_channel().begin_unpacking();
-                  const NodeRank from = in.source();
-                  const std::uint64_t ticket = relay->issue_ticket(from);
-                  auto reader =
-                      std::make_shared<MessageReader>(std::move(in));
-                  engine.spawn(
-                      actor_name + ".msg",
-                      [&vc, relay, reader, from, ticket, rank] {
-                        relay->await_turn(from, ticket);
-                        try {
-                          std::optional<GtmMsgHeader> header;
-                          const Preamble preamble = vc.read_stream_head(
-                              *reader, relay->in_channel(), rank, header);
-                          MAD_ASSERT(preamble.forwarded != 0,
-                                     "native message on a special channel");
-                          relay->relay_message(std::move(*reader), header);
-                        } catch (const PeerDied&) {
-                          // Upstream (or this gateway) died mid-stream;
-                          // the origin replays on a surviving route.
-                        }
-                        relay->finish_turn(from);
-                      });
+                MessageReader in = relay->in_channel().begin_unpacking();
+                if (!relay->flow_mode() ||
+                    !relay->in_channel().uses_announce()) {
+                  relay->relay_stream(in);
                   continue;
                 }
-                try {
-                  MessageReader in = relay->in_channel().begin_unpacking();
-                  Preamble preamble{};
-                  std::optional<GtmMsgHeader> header;
-                  if (vc.reliable()) {
-                    // Boundary parse: skips late retransmits and ghost
-                    // framing of streams this relay already completed.
-                    preamble = vc.read_stream_head(in, relay->in_channel(),
-                                                   rank, header);
-                  } else {
-                    preamble = read_preamble(in);
-                  }
-                  MAD_ASSERT(preamble.forwarded != 0,
-                             "native message on a special channel");
-                  relay->relay_message(std::move(in), header);
-                } catch (const PeerDied&) {
-                  // A cut-through relay abandoned a stream whose upstream
-                  // (or this gateway itself) died mid-message. The origin
-                  // replays on a surviving route; keep listening.
-                }
+                // Multi-flow dispatch: accept the message, hand it to a
+                // relay actor of its own, and go straight back to
+                // accepting — concurrent origins relay (and compete for
+                // egress via DRR) instead of serializing behind one
+                // store-and-forward. Messages sharing an upstream hop
+                // still read that hop's rx stream in arrival order via
+                // turn tickets. MessageReader is move-only and
+                // Engine::spawn needs a copyable closure, so the reader
+                // rides in a shared_ptr.
+                //
+                // Announce channels only: begin_unpacking consumes the
+                // announce packet, so the next wait_incoming blocks
+                // until a NEW message arrives. A two-member channel has
+                // no announce stream — its peek would see the pending
+                // message's paquets until the spawned actor drains
+                // them, and this loop would spin spawning an actor per
+                // peek. It also has exactly one upstream, whose
+                // messages serialize on the rx stream anyway, so the
+                // inline path above loses no concurrency there (egress
+                // still goes through the DRR scheduler by origin).
+                const NodeRank from = in.source();
+                const std::uint64_t ticket = relay->issue_ticket(from);
+                auto reader = std::make_shared<MessageReader>(std::move(in));
+                engine.spawn(actor_name + ".msg",
+                             [relay, reader, from, ticket] {
+                               relay->await_turn(from, ticket);
+                               relay->relay_stream(*reader);
+                               relay->finish_turn(from);
+                             });
               }
             },
             /*daemon=*/true);

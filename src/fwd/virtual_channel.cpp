@@ -37,6 +37,18 @@ void FlowOptions::validate(bool reliable_enabled) const {
              "flow reject_backoff_cap must be >= reject_backoff");
 }
 
+sim::Time FlowOptions::reject_delay(int attempts, std::uint64_t seed) const {
+  double delay = static_cast<double>(reject_backoff);
+  const double cap = static_cast<double>(reject_backoff_cap);
+  for (int i = 0; i < attempts && delay < cap; ++i) {
+    delay *= reject_backoff_factor;
+  }
+  delay = std::min(delay, cap);
+  util::Rng jitter(seed);
+  delay += delay * 0.25 * jitter.next_double();
+  return static_cast<sim::Time>(delay);
+}
+
 void VcOptions::validate() const {
   MAD_ASSERT(pipeline_depth >= 1, "pipeline depth must be >= 1");
   MAD_ASSERT(max_rails >= 1, "max_rails must be >= 1");
@@ -349,6 +361,30 @@ void VirtualChannel::mark_dead(NodeRank rank) {
     if (it != rdma_tms_.end()) {
       it->second->invalidate();
     }
+  }
+}
+
+void VirtualChannel::declare_dead(NodeRank reporter, NodeRank peer) {
+  ReliabilityStats& stats = mutable_gateway_stats(reporter).reliability;
+  mark_dead(peer);
+  ++stats.peers_declared_dead;
+  domain_.fabric().metrics().add("rel.dead_peers",
+                                 "node=" + std::to_string(reporter));
+  if (options_.trace != nullptr) {
+    options_.trace->instant_here("rel.dead",
+                                 "peer=" + std::to_string(peer));
+  }
+}
+
+void VirtualChannel::note_failover(NodeRank reporter, NodeRank dst,
+                                   NodeRank around) {
+  ++mutable_gateway_stats(reporter).reliability.failovers;
+  domain_.fabric().metrics().add("rel.failovers",
+                                 "node=" + std::to_string(reporter));
+  if (options_.trace != nullptr) {
+    options_.trace->instant_here("rel.failover",
+                                 "dst=" + std::to_string(dst) +
+                                     " around=" + std::to_string(around));
   }
 }
 
@@ -872,23 +908,15 @@ bool VcMessageWriter::stale_dead_route() const {
 
 void VcMessageWriter::recover(const HopFailure* failure, bool rejected,
                               bool finishing) {
-  std::optional<HopFailure> failed;
-  if (failure != nullptr) {
-    failed = *failure;
-  }
+  // A value plus a flag, not std::optional: GCC cannot prove the optional
+  // engaged where the panic message reads it (-Wmaybe-uninitialized).
+  HopFailure failed = failure != nullptr ? *failure : HopFailure{};
+  bool hop_failed = failure != nullptr;
   for (;;) {
-    ReliabilityStats& stats =
-        vc_->mutable_gateway_stats(src_).reliability;
     sim::MetricsRegistry& metrics = vc_->domain().fabric().metrics();
     const std::string node_label = "node=" + std::to_string(src_);
-    if (failed) {
-      vc_->mark_dead(failed->next_hop);
-      ++stats.peers_declared_dead;
-      metrics.add("rel.dead_peers", node_label);
-      if (vc_->options().trace != nullptr) {
-        vc_->options().trace->instant_here(
-            "rel.dead", "peer=" + std::to_string(failed->next_hop));
-      }
+    if (hop_failed) {
+      vc_->declare_dead(src_, failed.next_hop);
     }
     // Drop the window first — its in-flight paquets die with the hop and
     // must not outlive the MessageWriter they reference. Express flushing
@@ -899,41 +927,26 @@ void VcMessageWriter::recover(const HopFailure* failure, bool rejected,
     inner_.reset();
     if (!vc_->routing().reachable(src_, dst_)) {
       const std::string why =
-          failed ? "gateway " + std::to_string(failed->next_hop) +
-                       " declared dead after " +
-                       std::to_string(failed->attempts) + " attempts"
-                 : "its route was invalidated under it";
+          hop_failed ? "gateway " + std::to_string(failed.next_hop) +
+                           " declared dead after " +
+                           std::to_string(failed.attempts) + " attempts"
+                     : "its route was invalidated under it";
       MAD_PANIC("node " + std::to_string(dst_) + " unreachable from " +
                 std::to_string(src_) + ": " + why +
                 " and no alternate route exists");
     }
-    if (failed) {
-      ++stats.failovers;
-      metrics.add("rel.failovers", node_label);
-      if (vc_->options().trace != nullptr) {
-        vc_->options().trace->instant_here(
-            "rel.failover", "dst=" + std::to_string(dst_) + " around=" +
-                                std::to_string(failed->next_hop));
-      }
+    if (hop_failed) {
+      vc_->note_failover(src_, dst_, failed.next_hop);
     } else if (rejected) {
       // Admission rejection: the hop is healthy, the gateway is
       // overloaded. Nothing is condemned — back off (exponentially in the
       // consecutive-reject count, with deterministic jitter so lockstep
       // rejectees desynchronize) and replay on a fresh epoch. The tx lock
       // was released above, so the sleep blocks no other writer.
-      const FlowOptions& flow = vc_->options().flow;
-      double delay = static_cast<double>(flow.reject_backoff);
-      for (int i = 0; i < reject_attempts_ &&
-                      delay < static_cast<double>(flow.reject_backoff_cap);
-           ++i) {
-        delay *= flow.reject_backoff_factor;
-      }
-      delay = std::min(delay, static_cast<double>(flow.reject_backoff_cap));
-      util::Rng jitter(
-          (static_cast<std::uint64_t>(src_) << 40) ^
-          (static_cast<std::uint64_t>(dst_) << 20) ^
-          static_cast<std::uint64_t>(reject_attempts_));
-      delay += delay * 0.25 * jitter.next_double();
+      const sim::Time delay = vc_->options().flow.reject_delay(
+          reject_attempts_, (static_cast<std::uint64_t>(src_) << 40) ^
+                                (static_cast<std::uint64_t>(dst_) << 20) ^
+                                static_cast<std::uint64_t>(reject_attempts_));
       ++reject_attempts_;
       metrics.add("flow.reject_retries", node_label);
       if (vc_->options().trace != nullptr) {
@@ -941,7 +954,7 @@ void VcMessageWriter::recover(const HopFailure* failure, bool rejected,
             "flow.rejected", "dst=" + std::to_string(dst_) + " attempt=" +
                                  std::to_string(reject_attempts_));
       }
-      vc_->domain().engine().sleep_for(static_cast<sim::Time>(delay));
+      vc_->domain().engine().sleep_for(delay);
     } else {
       metrics.add("health.reroutes", node_label);
       if (vc_->options().trace != nullptr) {
@@ -961,9 +974,10 @@ void VcMessageWriter::recover(const HopFailure* failure, bool rejected,
       return;
     } catch (const HopFailure& again) {
       failed = again;
+      hop_failed = true;
       rejected = false;
     } catch (const FlowRejected&) {
-      failed.reset();
+      hop_failed = false;
       rejected = true;
     }
   }

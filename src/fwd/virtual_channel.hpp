@@ -81,6 +81,10 @@ struct FlowOptions {
   double reject_backoff_factor = 2.0;
   sim::Time reject_backoff_cap = sim::milliseconds(100);
 
+  /// The backoff before retry number `attempts` + 1 of a rejected message,
+  /// its jitter drawn from `seed`.
+  sim::Time reject_delay(int attempts, std::uint64_t seed) const;
+
   /// Class used for messages originating at `origin`.
   TrafficClass class_of(NodeRank origin) const {
     if (origin >= 0 && static_cast<std::size_t>(origin) < classes.size()) {
@@ -273,6 +277,11 @@ class VirtualChannel {
   /// its streams instead of declaring the peer gone.
   void mark_dead(NodeRank rank);
   bool is_dead(NodeRank rank) const;
+  /// mark_dead on behalf of `reporter`, whose hop to `peer` exhausted its
+  /// retry budget, counted in `reporter`'s stats, metrics and trace.
+  void declare_dead(NodeRank reporter, NodeRank peer);
+  /// Counts `reporter`'s failover toward `dst` around the dead `around`.
+  void note_failover(NodeRank reporter, NodeRank dst, NodeRank around);
 
   /// Health monitor driving adaptive routing; nullptr unless
   /// options().health.enabled.

@@ -2,6 +2,13 @@
 // shapes from the paper's evaluation.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "harness/scenario.hpp"
 #include "mad/copy_stats.hpp"
 #include "support/coc_rig.hpp"
 #include "util/rng.hpp"
@@ -285,6 +292,172 @@ TEST(GatewayConcurrency, TwoSimultaneousStreamsThroughOneGateway) {
   rig.engine.run();
   EXPECT_EQ(delivered, 2);
 }
+
+// ---- Relay matrix -------------------------------------------------------
+//
+// The gateway picks how a message crosses it from the options alone: inline
+// (unreliable, depth 1), a sender actor behind the buffer pool (unreliable,
+// depth >= 2), store-then-send (reliable, window 1) or a reliable sender
+// actor (window > 1), the reliable ones with and without flow mode. Every
+// row relays the same three-block message over the same route. The bytes
+// and the gateway counters must not depend on the row, and each row's
+// one-way virtual time is pinned: the simulator is deterministic, so any
+// change in the relay's event order shows up here as a moved number.
+
+struct RelayRow {
+  const char* name;
+  int pipeline_depth;
+  bool reliable;
+  int window;
+  bool flow;
+};
+
+constexpr std::array<RelayRow, 6> kRelayRows{{
+    {"unreliable_depth1", 1, false, 1, false},
+    {"unreliable_depth3", 3, false, 1, false},
+    {"reliable_window1", 2, true, 1, false},
+    {"reliable_window1_flow", 2, true, 1, true},
+    {"reliable_window8", 2, true, 8, false},
+    {"reliable_window8_flow", 2, true, 8, true},
+}};
+
+enum class RelayTopo { SciToMyri, MyriToSci, TwoGatewayChain };
+
+struct RelayCase {
+  const char* name;
+  RelayTopo topo;
+  bool rdma;
+  /// One-way virtual time per row of kRelayRows, in ns.
+  std::array<sim::Time, kRelayRows.size()> expected_ns;
+};
+
+void PrintTo(const RelayCase& c, std::ostream* os) { *os << c.name; }
+
+struct RelayResult {
+  sim::Time one_way = 0;
+  GatewayStats totals;
+};
+
+// A sub-MTU block, a two-paquet block below the rendezvous threshold and a
+// five-paquet block above it. The paquet counts are the same at the
+// unreliable MTU and at the reliable one (MTU minus the paquet trailer).
+constexpr std::array<std::size_t, 3> kRelayBlocks{1000, 24'000, 72'000};
+
+template <typename World>
+RelayResult relay_once(World& world, NodeRank src, NodeRank dst,
+                       const std::vector<NodeRank>& gateways) {
+  util::Rng rng(7);
+  std::vector<std::vector<std::byte>> sent;
+  for (const std::size_t size : kRelayBlocks) {
+    sent.push_back(rng.bytes(size));
+  }
+  std::vector<std::vector<std::byte>> got;
+  for (const std::size_t size : kRelayBlocks) {
+    got.emplace_back(size);
+  }
+  RelayResult result;
+  world.engine.spawn("matrix_s", [&] {
+    auto msg = world.ep(src).begin_packing(dst);
+    for (const auto& block : sent) {
+      msg.pack(block);
+    }
+    msg.end_packing();
+  });
+  world.engine.spawn("matrix_r", [&] {
+    auto msg = world.ep(dst).begin_unpacking();
+    for (auto& block : got) {
+      msg.unpack(block);
+    }
+    msg.end_unpacking();
+    result.one_way = world.engine.now();
+    // A reliable relay counts its message once the last hop has acked the
+    // end marker, after the receiver returns; stay up until it has.
+    world.engine.sleep_for(sim::milliseconds(50));
+  });
+  world.engine.run();
+  EXPECT_EQ(got, sent);
+  for (const NodeRank gw : gateways) {
+    const GatewayStats& stats = world.vc->gateway_stats(gw);
+    result.totals.messages_forwarded += stats.messages_forwarded;
+    result.totals.paquets_forwarded += stats.paquets_forwarded;
+    result.totals.bytes_forwarded += stats.bytes_forwarded;
+  }
+  return result;
+}
+
+RelayResult relay_case(const RelayCase& c, const RelayRow& row) {
+  VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.pipeline_depth = row.pipeline_depth;
+  options.reliable.enabled = row.reliable;
+  options.reliable.window = row.window;
+  options.flow.enabled = row.flow;
+  options.rdma.enabled = c.rdma;
+  if (c.topo == RelayTopo::TwoGatewayChain) {
+    const auto config = topo::parse_topo_config(R"(
+network myri0 BIP/Myrinet
+network sbp0  SBP
+network sci0  SISCI/SCI
+node m0  myri0
+node gw1 myri0 sbp0
+node gw2 sbp0 sci0
+node s0  sci0
+)");
+    harness::ConfigWorld world(config, options);
+    return relay_once(world, world.rank_of("m0"), world.rank_of("s0"),
+                      {world.rank_of("gw1"), world.rank_of("gw2")});
+  }
+  harness::PaperWorld world(options);
+  const bool sci_first = c.topo == RelayTopo::SciToMyri;
+  return relay_once(world, sci_first ? world.sci_node() : world.myri_node(),
+                    sci_first ? world.myri_node() : world.sci_node(),
+                    {world.gateway_rank});
+}
+
+class GatewayRelayMatrix : public ::testing::TestWithParam<RelayCase> {};
+
+TEST_P(GatewayRelayMatrix, EveryStartPolicyRelaysIdentically) {
+  const RelayCase& c = GetParam();
+  const std::size_t gateways = c.topo == RelayTopo::TwoGatewayChain ? 2 : 1;
+  std::size_t total = 0;
+  for (const std::size_t size : kRelayBlocks) {
+    total += size;
+  }
+  std::optional<GatewayStats> first;
+  for (std::size_t r = 0; r < kRelayRows.size(); ++r) {
+    const RelayRow& row = kRelayRows[r];
+    SCOPED_TRACE(row.name);
+    const RelayResult result = relay_case(c, row);
+    EXPECT_EQ(result.totals.messages_forwarded, gateways);
+    EXPECT_EQ(result.totals.bytes_forwarded, gateways * total);
+    if (!first) {
+      first = result.totals;
+    }
+    EXPECT_EQ(result.totals.messages_forwarded, first->messages_forwarded);
+    EXPECT_EQ(result.totals.paquets_forwarded, first->paquets_forwarded);
+    EXPECT_EQ(result.totals.bytes_forwarded, first->bytes_forwarded);
+    EXPECT_EQ(result.one_way, c.expected_ns[r]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, GatewayRelayMatrix,
+    ::testing::Values(
+        RelayCase{"SciToMyri", RelayTopo::SciToMyri, false,
+                  {3470710, 2270989, 5814642, 5814642, 3386959, 3386959}},
+        RelayCase{"SciToMyriRdma", RelayTopo::SciToMyri, true,
+                  {3610710, 2276853, 5924482, 5924482, 3376318, 3376318}},
+        RelayCase{"MyriToSci", RelayTopo::MyriToSci, false,
+                  {3605781, 2722616, 5711417, 5711417, 3387347, 3387347}},
+        RelayCase{"MyriToSciRdma", RelayTopo::MyriToSci, true,
+                  {3601291, 2516266, 5718095, 5718095, 3385938, 3385938}},
+        RelayCase{"Chain", RelayTopo::TwoGatewayChain, false,
+                  {3876739, 3046700, 10448503, 10448503, 4874968, 4874968}},
+        RelayCase{"ChainRdma", RelayTopo::TwoGatewayChain, true,
+                  {3872249, 2802784, 10455181, 10455181, 4909447, 4909447}}),
+    [](const ::testing::TestParamInfo<RelayCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace mad::fwd

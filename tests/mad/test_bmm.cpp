@@ -1,6 +1,9 @@
 // Buffer-management behaviour: copy accounting and packet shaping.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "support/mad_rig.hpp"
 #include "util/rng.hpp"
 
@@ -167,15 +170,19 @@ TEST(BmmShape, StaticBuffersBoundPacketSize) {
 }
 
 // Property test: random block shapes and flag pairs survive a round trip on
-// every protocol.
+// every protocol. The protocol is a std::string, not a const char*, so the
+// listed test name shows its text instead of the literal's run-dependent
+// address.
 class BmmProperty
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, BmmProperty,
-    ::testing::Combine(::testing::Values("BIP/Myrinet", "SISCI/SCI",
-                                         "TCP/FEth", "SBP",
-                                         "VIA/GigaNet"),
+    ::testing::Combine(::testing::Values(std::string("BIP/Myrinet"),
+                                         std::string("SISCI/SCI"),
+                                         std::string("TCP/FEth"),
+                                         std::string("SBP"),
+                                         std::string("VIA/GigaNet")),
                        ::testing::Range(0, 5)),
     [](const auto& info) {
       std::string n = std::get<0>(info.param);

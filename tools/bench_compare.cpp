@@ -44,8 +44,9 @@
 // Usage: bench_compare <baseline_dir> <candidate_dir> [--threshold 0.10]
 //        [--fairness-drop 0.02] [--latency-slack 10.0]
 //        [--hitrate-drop 2.0] [--throughput-drop 0.5]
-// Exit status: 0 = no regression, 1 = regression found, 2 = usage/IO error
-// or malformed report (missing/empty/non-numeric fields). Malformed input
+// Exit status: 0 = no regression, 1 = regression found, 2 = usage/IO error,
+// a baseline report missing from the candidate directory, or a malformed
+// report (missing/empty/non-numeric fields). Missing or malformed input
 // is never silently skipped: a gate that quietly compares nothing would
 // pass exactly when the artifacts it guards are broken.
 //
@@ -293,14 +294,15 @@ int main(int argc, char** argv) {
 
   int regressions = 0;
   int compared = 0;
-  int skipped = 0;
   for (const fs::path& name : reports) {
     const fs::path cand_path = cand_dir / name;
     if (!fs::exists(cand_path)) {
-      std::printf("SKIP %s (missing from candidate)\n",
-                  name.string().c_str());
-      ++skipped;
-      continue;
+      // A report the candidate no longer produces (renamed binary, glob
+      // drift, a bench that crashed before writing) would otherwise thin
+      // the gate silently.
+      std::fprintf(stderr, "bench_compare: %s is missing from %s\n",
+                   name.string().c_str(), cand_dir.string().c_str());
+      return 2;
     }
     bool ok_base = false;
     bool ok_cand = false;
@@ -426,10 +428,10 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "bench_compare: %d bandwidth/fairness/latency/hit-rate/throughput "
-      "cells compared, %d regressions, %d reports skipped (threshold "
-      "%.0f%%, fairness drop %.2f, latency slack %.1f ms, hit-rate drop "
-      "%.1f points, throughput drop %.0f%%)\n",
-      compared, regressions, skipped, threshold * 100.0, fairness_drop,
+      "cells compared, %d regressions (threshold %.0f%%, fairness drop "
+      "%.2f, latency slack %.1f ms, hit-rate drop %.1f points, throughput "
+      "drop %.0f%%)\n",
+      compared, regressions, threshold * 100.0, fairness_drop,
       latency_slack, hitrate_drop, throughput_drop * 100.0);
   return regressions > 0 ? 1 : 0;
 }
