@@ -16,14 +16,18 @@
 //   * forwarding: the paper's Myrinet -> SCI 8 MB transfer, reported as
 //     simulated bytes moved per wall-clock second.
 //
-// Self-gates (exit 1): every scenario is run twice and must reproduce its
-// context-switch count, timer-fire tally, hop count and final virtual
-// clock exactly — wall clock may vary, the simulation may not. The
-// committed artifact's "events/sec" and "per wall" cells are ratio-gated
-// by tools/bench_compare with a deliberately loose threshold (0.5x) that
-// absorbs machine variance but catches order-of-magnitude engine
-// regressions; "switches" and "virtual ms" cells are deterministic and
-// the "virtual MB/s" cell rides the normal bandwidth gate.
+// Self-gates (exit 1) hold on any healthy host. Every scenario is run
+// twice and must reproduce its context-switch count, timer-fire tally, hop
+// count and final virtual clock exactly: wall clock may vary, the
+// simulation may not. Speed is gated as a ratio, never as an absolute
+// rate: the 1k-actor ring's events/sec over the rate of bare ucontext
+// switches measured in the same run (the floor any fiber switch costs on
+// this host). The committed artifact's "events/sec" and "per wall" cells
+// are wall clock, so tools/bench_compare reports them without gating;
+// "switches" and "virtual ms" cells are deterministic and the
+// "virtual MB/s" cell rides the normal bandwidth gate.
+#include <ucontext.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -62,6 +66,9 @@ struct RingRun {
 };
 
 constexpr int kRingSize = 50;
+
+/// Least 1k-actor events/sec, as a fraction of bare switches/sec.
+constexpr double kMinRelativeRate = 0.05;
 
 /// `actors` daemon actors in rings of kRingSize, `tokens_per_ring` tokens
 /// circulating in each. On every hop the holder charges a small
@@ -139,6 +146,37 @@ RingRun run_rings(int actors, int tokens_per_ring, int hops_per_token) {
   return out;
 }
 
+ucontext_t g_calibration_main;
+ucontext_t g_calibration_peer;
+
+void calibration_peer() {
+  for (;;) {
+    swapcontext(&g_calibration_peer, &g_calibration_main);
+  }
+}
+
+/// Bare ucontext switches per second between two contexts that do nothing
+/// else: the host's floor for a fiber switch. Best of three.
+double bare_switches_per_sec() {
+  constexpr int kRoundTrips = 100000;
+  std::vector<char> stack(64 * 1024);
+  getcontext(&g_calibration_peer);
+  g_calibration_peer.uc_stack.ss_sp = stack.data();
+  g_calibration_peer.uc_stack.ss_size = stack.size();
+  g_calibration_peer.uc_link = nullptr;
+  makecontext(&g_calibration_peer, &calibration_peer, 0);
+  double best = 0.0;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kRoundTrips; ++i) {
+      swapcontext(&g_calibration_main, &g_calibration_peer);
+    }
+    const double rate = 2.0 * kRoundTrips / wall_seconds_since(start);
+    best = rate > best ? rate : best;
+  }
+  return best;
+}
+
 }  // namespace
 
 int main() {
@@ -155,9 +193,9 @@ int main() {
     int tokens_per_ring;
     int hops_per_token;
   };
-  // Budgets sized so every row does >= ~100k context switches (enough to
-  // swamp thread spawn/join cost in the rate) while the whole bench stays
-  // a few seconds of wall clock.
+  // Budgets sized so every row does >= ~30k context switches (enough to
+  // swamp actor spawn and stack mapping in the rate) while the whole bench
+  // stays about two seconds of wall clock.
   const std::vector<Sweep> sweeps = {
       {100, 8, 1000},
       {1000, 8, 500},
@@ -237,14 +275,21 @@ int main() {
   ring_table.print();
   fwd_table.print();
 
-  // Capability floor: the refactored engine clears ~1M events/sec on a
-  // 2020s core; 100k leaves 10x headroom for slow CI machines while still
-  // catching a return to per-switch condvar round-trips or an O(n) timer
-  // scan. Determinism failures are hard failures regardless.
-  if (events_per_sec_at_1k < 100e3) {
+  // Speed gate, relative to this host. A ring hop is a mailbox send, a
+  // timer arm and cancel and a switch, and the fiber engine runs the
+  // 1k-actor ring at 0.35-0.5 of the bare switch rate (4-core x86-64 VM).
+  // Engines with an OS thread per actor ran it at about 0.02; those, or
+  // an O(n) scheduler scan, fall under the floor.
+  const double bare_rate = bare_switches_per_sec();
+  const double relative_1k = events_per_sec_at_1k / bare_rate;
+  std::printf("calibration: %.0f bare switches/sec; 1k-actor ring at %.3f "
+              "of that\n",
+              bare_rate, relative_1k);
+  if (relative_1k < kMinRelativeRate) {
     std::fprintf(stderr,
-                 "FAIL: 1k-actor ring ran at %.0f events/sec (< 100k floor)\n",
-                 events_per_sec_at_1k);
+                 "FAIL: 1k-actor ring ran at %.3f of the bare switch rate "
+                 "(< %.3f)\n",
+                 relative_1k, kMinRelativeRate);
     ok = false;
   }
   if (switches_at_1k == 0) {
@@ -255,8 +300,8 @@ int main() {
   harness::JsonReport json("ext_engine");
   json.set_note(
       "engine throughput self-benchmark; events/sec and per-wall cells are "
-      "machine-dependent and ratio-gated loosely (0.5x), switches and "
-      "virtual-time cells are deterministic");
+      "wall clock and reported, not gated; switches and virtual-time cells "
+      "are deterministic");
   json.add_table(ring_table);
   json.add_table(fwd_table);
   json.write_file();

@@ -16,10 +16,8 @@ Condition::~Condition() {
 void Condition::wait() { wait_until(kForever); }
 
 WakeReason Condition::wait_until(Time deadline) {
-  std::unique_lock lock(engine_.mutex_);
   Engine::ActorState& a = engine_.self();
   if (engine_.stopping_) {
-    lock.unlock();
     throw StopSimulation{};
   }
   if (deadline != kForever && deadline <= engine_.now_) {
@@ -31,8 +29,7 @@ WakeReason Condition::wait_until(Time deadline) {
     engine_.arm_timer(a, deadline);
   }
   a.status = Engine::Status::Blocked;
-  lock.release();
-  const WakeReason reason = engine_.park();  // returns without the mutex
+  const WakeReason reason = engine_.park();
   if (engine_.stopping_) {
     throw StopSimulation{};
   }
@@ -40,15 +37,12 @@ WakeReason Condition::wait_until(Time deadline) {
 }
 
 void Condition::notify_one() {
-  // Waiter-aware fast path: with no waiters a notify is a no-op, and since
-  // only one actor runs at a time (mutex handoffs order every waiters_
-  // mutation before this read) the emptiness check needs no lock. This is
+  // Waiter-aware fast path: with no waiters a notify is a no-op. This is
   // what keeps Mailbox/StaticBufferPool notify storms off the scheduler.
   if (waiters_.empty()) {
     ++engine_.noop_notifies_;
     return;
   }
-  std::unique_lock lock(engine_.mutex_);
   ++engine_.notifies_;
   // make_ready removes the actor from our deque and cancels its timer.
   engine_.make_ready(engine_.actor(waiters_.front()), WakeReason::Notified);
@@ -59,7 +53,6 @@ void Condition::notify_all() {
     ++engine_.noop_notifies_;
     return;
   }
-  std::unique_lock lock(engine_.mutex_);
   while (!waiters_.empty()) {
     ++engine_.notifies_;
     engine_.make_ready(engine_.actor(waiters_.front()), WakeReason::Notified);

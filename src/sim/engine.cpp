@@ -1,52 +1,63 @@
 #include "sim/engine.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
+#include <cxxabi.h>
 #include <sstream>
-#include <thread>
 
 #include "sim/condition.hpp"
 #include "sim/engine_internal.hpp"
 #include "sim/trace.hpp"
-#include "util/log.hpp"
 #include "util/panic.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#define MAD_ASAN_FIBERS 1
+#else
+#define MAD_ASAN_FIBERS 0
+#endif
 
 namespace mad::sim {
 
 namespace {
 
-struct TlsActor {
-  Engine* engine = nullptr;
-  ActorId id = -1;
-};
+/// The engine inside whose run() the calling thread is.
+thread_local Engine* t_engine = nullptr;
 
-thread_local TlsActor t_current;
+std::size_t guard_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// Maps a stack with a PROT_NONE guard page below it, so an overflow
+/// faults instead of running into a neighbour's memory.
+void* map_stack() {
+  void* base = mmap(nullptr, guard_bytes() + Engine::kActorStackBytes,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                    -1, 0);
+  MAD_ASSERT(base != MAP_FAILED, "cannot map an actor stack");
+  MAD_ASSERT(mprotect(base, guard_bytes(), PROT_NONE) == 0,
+             "cannot protect an actor stack's guard page");
+  return static_cast<char*>(base) + guard_bytes();
+}
 
 }  // namespace
 
+void UnmapStack::operator()(void* stack) const {
+  munmap(static_cast<char*>(stack) - guard_bytes(),
+         guard_bytes() + Engine::kActorStackBytes);
+}
+
 Engine::Engine() = default;
 
-Engine::~Engine() {
-  {
-    std::unique_lock lock(mutex_);
-    stopping_ = true;
-    for (auto& a : actors_) {
-      if (!a->started && a->status != Status::Finished) {
-        // Thread is parked waiting for its first dispatch; releasing it with
-        // stopping_ set makes the trampoline skip the body entirely.
-        a->gate.open();
-      }
-    }
-  }
-  for (auto& a : actors_) {
-    if (a->thread.joinable()) {
-      a->thread.join();
-    }
-  }
-}
+Engine::~Engine() = default;
 
 ActorHandle Engine::spawn(std::string name, std::function<void()> body,
                           bool daemon) {
-  std::unique_lock lock(mutex_);
   MAD_ASSERT(!stopping_, "spawn after shutdown");
   const ActorId id = static_cast<ActorId>(actors_.size());
   auto state = std::make_unique<ActorState>();
@@ -55,43 +66,19 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
   a->name = std::move(name);
   a->daemon = daemon;
   a->body = std::move(body);
+  a->stack.reset(map_stack());
+  Fiber& f = a->fiber;
+  f.stack = a->stack.get();
+  f.stack_bytes = kActorStackBytes;
+  getcontext(&f.context);
+  f.context.uc_stack.ss_sp = f.stack;
+  f.context.uc_stack.ss_size = f.stack_bytes;
+  f.context.uc_link = nullptr;
+  makecontext(&f.context, &Engine::fiber_main, 0);
   actors_.push_back(std::move(state));
   if (!daemon) {
     ++live_non_daemons_;
   }
-  a->thread = std::thread([this, a] {
-    t_current.engine = this;
-    t_current.id = a->id;
-    a->gate.wait();
-    // Unlocked reads are safe here: the gate's release/acquire edge orders
-    // everything the waker wrote, and nothing else runs until we block.
-    if (stopping_ && !a->started) {
-      // Shutdown (or engine tear-down) before the actor ever ran: skip
-      // the body and hand control onward like any finishing actor.
-      std::unique_lock tl(mutex_);
-      ActorState* next = finish_locked(*a, nullptr);
-      tl.unlock();
-      if (next != nullptr) {
-        next->gate.open();
-      }
-      return;
-    }
-    a->started = true;
-    std::exception_ptr error;
-    try {
-      a->body();
-    } catch (const StopSimulation&) {
-      // normal shutdown unwinding
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::unique_lock tl(mutex_);
-    ActorState* next = finish_locked(*a, error);
-    tl.unlock();
-    if (next != nullptr) {
-      next->gate.open();
-    }
-  });
   // Newly spawned actors start at the back of the ready queue, at the
   // current virtual instant.
   a->status = Status::Ready;
@@ -102,10 +89,70 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
   return ActorHandle(id);
 }
 
-Engine* Engine::current() { return t_current.engine; }
+void Engine::fiber_main() {
+  Engine& e = *t_engine;
+  ActorState& a = e.self();
+  e.resumed(a.fiber);
+  ActorState* next = nullptr;
+  {
+    // Scoped so nothing is left to destroy on a stack that is never
+    // returned to.
+    std::exception_ptr error;
+    // Shutdown before the actor ever ran: skip the body.
+    if (!e.stopping_) {
+      try {
+        a.body();
+      } catch (const StopSimulation&) {
+        // normal shutdown unwinding
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    next = e.finish(a, std::move(error));
+  }
+  e.zombie_ = &a;
+  e.switch_to(a.fiber, next != nullptr ? next->fiber : *e.scheduler_);
+}
+
+void Engine::switch_to(Fiber& from, Fiber& to) {
+  void* eh = abi::__cxa_get_globals();
+  std::memcpy(from.eh.data(), eh, from.eh.size());
+  std::memcpy(eh, to.eh.data(), to.eh.size());
+#if MAD_ASAN_FIBERS
+  // A finishing actor never comes back: ASan may drop its fake stack.
+  const bool exiting = zombie_ != nullptr && &zombie_->fiber == &from;
+  switched_from_ = &from;
+  __sanitizer_start_switch_fiber(exiting ? nullptr : &from.asan_fake_stack,
+                                 to.stack, to.stack_bytes);
+#endif
+  swapcontext(&from.context, &to.context);
+  resumed(from);
+}
+
+void Engine::resumed(Fiber& self) {
+#if MAD_ASAN_FIBERS
+  const void* bottom = nullptr;
+  std::size_t bytes = 0;
+  __sanitizer_finish_switch_fiber(self.asan_fake_stack, &bottom, &bytes);
+  if (switched_from_ == scheduler_) {
+    // The only way to learn the bounds of run()'s own stack.
+    scheduler_->stack = const_cast<void*>(bottom);
+    scheduler_->stack_bytes = bytes;
+  }
+#else
+  (void)self;
+#endif
+  if (zombie_ != nullptr) {
+    zombie_->stack.reset();
+    zombie_ = nullptr;
+  }
+}
+
+Engine* Engine::current() {
+  return t_engine != nullptr && t_engine->running_ >= 0 ? t_engine : nullptr;
+}
 
 Engine::Stats Engine::stats() const {
-  std::unique_lock lock(mutex_);
   Stats s;
   s.switches = switches_;
   s.timer_fires = timer_fires_;
@@ -117,22 +164,18 @@ Engine::Stats Engine::stats() const {
 }
 
 std::string Engine::current_actor_name() const {
-  std::unique_lock lock(mutex_);
   if (running_ < 0) {
     return "<none>";
   }
   return actors_[static_cast<std::size_t>(running_)]->name;
 }
 
-ActorId Engine::current_actor_id() const {
-  std::unique_lock lock(mutex_);
-  return running_;
-}
+ActorId Engine::current_actor_id() const { return running_; }
 
 Engine::ActorState& Engine::self() {
-  MAD_ASSERT(t_current.engine == this && t_current.id >= 0,
+  MAD_ASSERT(t_engine == this && running_ >= 0,
              "blocking call from outside an actor of this engine");
-  return *actors_[static_cast<std::size_t>(t_current.id)];
+  return *actors_[static_cast<std::size_t>(running_)];
 }
 
 Engine::ActorState& Engine::actor(ActorId id) {
@@ -174,7 +217,6 @@ void Engine::cancel_timer(ActorState& a) {
 }
 
 void Engine::request_stop() {
-  // Caller holds mutex_.
   if (stopping_) {
     return;
   }
@@ -188,39 +230,28 @@ void Engine::request_stop() {
 }
 
 WakeReason Engine::park() {
-  // Caller holds mutex_ and has already queued this actor (ready queue,
-  // condition waiters and/or timer wheel) with status Blocked or Ready.
-  // Returns WITHOUT the mutex: the gate's release/acquire edge makes the
-  // waker's writes (wake_reason, stopping_, now_) readable lock-free, and
-  // only one actor runs at a time, so nothing mutates them under us.
-  std::unique_lock lock(mutex_, std::adopt_lock);
+  // The caller has already queued this actor (ready queue, condition
+  // waiters and/or timer wheel) with status Blocked or Ready.
   ActorState& a = self();
   // Yields park as Ready; only a true wait (sleep, condition) is a block.
   if (trace_ != nullptr && trace_->enabled() &&
       a.status == Status::Blocked) {
     trace_->instant(a.name, now_, "actor.block");
   }
-  ActorState* next = hand_off_locked(/*from_actor=*/true);
-  lock.unlock();
-  if (next == &a) {
-    // Self-handoff (e.g. our own timer was the next event): we already
-    // hold the run permission, so skip both futex syscalls.
-    return a.wake_reason;
+  ActorState* next = hand_off(/*from_actor=*/true);
+  // A self-handoff (e.g. our own timer was the next event) needs no switch.
+  if (next != &a) {
+    switch_to(a.fiber, next != nullptr ? next->fiber : *scheduler_);
   }
-  if (next != nullptr) {
-    next->gate.open();
-  }
-  a.gate.wait();
   return a.wake_reason;
 }
 
-Engine::ActorState* Engine::hand_off_locked(bool from_actor) {
-  // Caller holds mutex_ and no actor is logically running: the caller is
-  // either a parking/finishing actor (whose frame no longer counts as
-  // running) or the run() thread. Batch every scheduler decision — timer
-  // expiry, clock advance, wake — under this single lock hold, then
-  // elect exactly one thread: the next actor (direct handoff, woken by
-  // the caller once it drops the lock) or run().
+Engine::ActorState* Engine::hand_off(bool from_actor) {
+  // No actor is logically running: the caller is either a parking or
+  // finishing actor (whose frame no longer counts as running) or run().
+  // Every scheduler decision — timer expiry, clock advance, wake — happens
+  // here, then exactly one context is elected: the next actor (a direct
+  // handoff) or run().
   if (live_non_daemons_ == 0 && !stopping_) {
     request_stop();
   }
@@ -260,16 +291,12 @@ Engine::ActorState* Engine::hand_off_locked(bool from_actor) {
     // Nothing runnable anywhere: give control to run() for termination or
     // deadlock handling.
     running_ = -1;
-    control_with_scheduler_ = true;
     ++scheduler_rounds_;
-    sched_cv_.notify_one();
     return nullptr;
   }
 }
 
-Engine::ActorState* Engine::finish_locked(ActorState& a,
-                                          std::exception_ptr error) {
-  // Caller (the actor's own trampoline) holds mutex_.
+Engine::ActorState* Engine::finish(ActorState& a, std::exception_ptr error) {
   a.status = Status::Finished;
   if (!a.daemon) {
     --live_non_daemons_;
@@ -278,17 +305,11 @@ Engine::ActorState* Engine::finish_locked(ActorState& a,
     first_error_ = error;
     request_stop();
   }
-  if (in_run_) {
-    return hand_off_locked(/*from_actor=*/true);
-  }
-  // Engine tear-down without run(): nobody is waiting for a handoff.
-  control_with_scheduler_ = true;
-  sched_cv_.notify_one();
-  return nullptr;
+  return hand_off(/*from_actor=*/true);
 }
 
 void Engine::throw_deadlock() {
-  // Caller holds mutex_; collects diagnostics, transitions to shutdown.
+  // Collects diagnostics, transitions to shutdown.
   std::ostringstream os;
   os << "virtual-time deadlock at t=" << now_ << "ns; blocked actors:";
   for (const auto& a : actors_) {
@@ -303,27 +324,23 @@ void Engine::throw_deadlock() {
 }
 
 void Engine::run() {
-  std::unique_lock lock(mutex_);
-  MAD_ASSERT(!in_run_, "Engine::run is not reentrant");
-  MAD_ASSERT(t_current.engine == nullptr, "Engine::run from an actor");
-  in_run_ = true;
+  MAD_ASSERT(scheduler_ == nullptr, "Engine::run is not reentrant");
+  MAD_ASSERT(t_engine == nullptr, "Engine::run from an actor");
+  Fiber scheduler;
+  scheduler_ = &scheduler;
+  t_engine = this;
+  const auto leave = [this] {
+    scheduler_ = nullptr;
+    t_engine = nullptr;
+  };
 
   // run() only seeds execution and adjudicates the "nothing runnable"
   // states (termination, deadlock). Actor-to-actor switches are direct
-  // handoffs inside park()/finish_locked() and never wake this thread.
+  // handoffs inside park()/fiber_main() and never come back here.
   for (;;) {
-    control_with_scheduler_ = false;
-    ActorState* next = hand_off_locked(/*from_actor=*/false);
-    if (next != nullptr) {
-      lock.unlock();
-      next->gate.open();
-      lock.lock();
+    if (ActorState* next = hand_off(/*from_actor=*/false)) {
+      switch_to(scheduler, next->fiber);  // back once nothing is runnable
     }
-    if (!control_with_scheduler_) {
-      // An actor chain is running; sleep until it drains.
-      sched_cv_.wait(lock, [this] { return control_with_scheduler_; });
-    }
-    // Control is back: no ready actor, no pending timer.
     const bool all_finished =
         std::all_of(actors_.begin(), actors_.end(), [](const auto& a) {
           return a->status == Status::Finished;
@@ -331,28 +348,21 @@ void Engine::run() {
     if (all_finished) {
       break;
     }
-    if (!stopping_) {
-      try {
-        throw_deadlock();
-      } catch (...) {
-        engine_error_ = std::current_exception();
-        request_stop();
-        continue;
-      }
-    } else {
+    if (stopping_) {
       // Shutdown was requested and everything woken, yet some actor is
       // blocked again: that actor ignored StopSimulation.
+      leave();
       MAD_PANIC("actor re-blocked during shutdown");
+    }
+    try {
+      throw_deadlock();
+    } catch (...) {
+      engine_error_ = std::current_exception();
+      request_stop();
     }
   }
 
-  in_run_ = false;
-  lock.unlock();
-  for (auto& a : actors_) {
-    if (a->thread.joinable()) {
-      a->thread.join();
-    }
-  }
+  leave();
   if (first_error_) {
     std::rethrow_exception(first_error_);
   }
@@ -367,10 +377,8 @@ void Engine::sleep_for(Time duration) {
 }
 
 void Engine::sleep_until(Time deadline) {
-  std::unique_lock lock(mutex_);
   ActorState& a = self();
   if (stopping_) {
-    lock.unlock();
     throw StopSimulation{};
   }
   if (deadline <= now_) {
@@ -378,24 +386,20 @@ void Engine::sleep_until(Time deadline) {
   }
   arm_timer(a, deadline);
   a.status = Status::Blocked;
-  lock.release();
-  park();  // returns without the mutex
+  park();
   if (stopping_) {
     throw StopSimulation{};
   }
 }
 
 void Engine::yield() {
-  std::unique_lock lock(mutex_);
   ActorState& a = self();
   if (stopping_) {
-    lock.unlock();
     throw StopSimulation{};
   }
   a.status = Status::Ready;
   ready_.push_back(a.id);
-  lock.release();
-  park();  // returns without the mutex
+  park();
   if (stopping_) {
     throw StopSimulation{};
   }

@@ -1,28 +1,27 @@
 // Deterministic virtual-time execution engine.
 //
-// The engine runs a set of actors (each backed by an OS thread) with the
-// strict discipline that EXACTLY ONE actor executes at a time and control
-// only changes hands at blocking points (sleep, condition wait, yield).
-// Together with a virtual clock this gives:
+// The engine runs a set of actors, each a stackful fiber on the thread that
+// calls run(). EXACTLY ONE actor executes at a time and control only changes
+// hands at blocking points (sleep, condition wait, yield), by a user-space
+// context switch. Together with a virtual clock this gives:
 //   * determinism — the interleaving is a pure function of program logic,
 //     never of host scheduling;
-//   * race freedom — shared state needs no locking between actors;
+//   * race freedom — there is one host thread, so shared state needs no
+//     locking between actors;
 //   * exact timing — durations are *charged* (sleep_for) according to the
 //     hardware models in src/net, not measured.
 //
-// This substitutes for the paper's real Pentium-II/Linux-2.2 testbed and its
-// Marcel user-level threads: what the evaluation measures is overlap and bus
-// contention, which a virtual-time engine reproduces faithfully (DESIGN.md
-// §3).
+// This substitutes for the paper's real Pentium-II/Linux-2.2 testbed; the
+// fibers are the counterpart of its Marcel user-level threads. What the
+// evaluation measures is overlap and bus contention, which a virtual-time
+// engine reproduces faithfully (DESIGN.md §3).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -74,6 +73,10 @@ class ActorHandle {
 /// The virtual-time engine. Create, spawn actors, run().
 class Engine {
  public:
+  /// Stack of every actor fiber, the usual default thread stack on Linux.
+  /// Committed lazily, page by page, with a guard page below it.
+  static constexpr std::size_t kActorStackBytes = std::size_t{8} << 20;
+
   Engine();
   ~Engine();
 
@@ -119,8 +122,8 @@ class Engine {
 
   /// --- introspection ---
 
-  /// The engine owning the calling thread's actor, or nullptr when called
-  /// from outside any actor.
+  /// The engine whose actor is running on the calling thread, or nullptr
+  /// when called from outside any actor.
   static Engine* current();
 
   /// Name of the currently running actor ("<none>" outside actors).
@@ -155,29 +158,32 @@ class Engine {
   enum class Status { Created, Ready, Running, Blocked, Finished };
 
   struct ActorState;
+  struct Fiber;
 
   ActorState& self();
   ActorState& actor(ActorId id);
 
-  /// Parks the calling actor (already queued somewhere) and hands control
-  /// to the scheduler; returns when rescheduled. Throws StopSimulation if
-  /// shutdown happened while parked and the wake reason says so.
+  /// Parks the calling actor (already queued somewhere) and switches to
+  /// whatever hand_off elects; returns when rescheduled.
   WakeReason park();
 
-  /// The scheduler proper, batched under the caller's single lock hold:
-  /// advances timers until an actor is runnable and elects it (a *direct*
-  /// handoff when called from a parking or finishing actor — the run()
-  /// thread never wakes), or, when nothing is runnable, returns control
-  /// to run() for termination/deadlock handling and yields nullptr.
-  /// The caller must open the returned actor's gate AFTER dropping
-  /// mutex_: waking while still holding it invites the kernel to
-  /// wake-preempt us into a 3-switch mutex convoy. `from_actor` only
-  /// attributes the switch in stats().
-  ActorState* hand_off_locked(bool from_actor);
+  /// The scheduler proper: advances timers until an actor is runnable and
+  /// elects it (a *direct* handoff when called from a parking or finishing
+  /// actor — run() never sees the switch), or, when nothing is runnable,
+  /// elects run() for termination/deadlock handling and yields nullptr.
+  /// `from_actor` only attributes the switch in stats().
+  ActorState* hand_off(bool from_actor);
 
-  /// Shared trampoline tail: marks `a` finished, captures its error, and
-  /// elects the next actor (to be woken unlocked, as above).
-  ActorState* finish_locked(ActorState& a, std::exception_ptr error);
+  /// Marks `a` finished, captures its error, and elects the next actor.
+  ActorState* finish(ActorState& a, std::exception_ptr error);
+
+  /// Entry point of every actor fiber; never returns.
+  static void fiber_main();
+  /// Switches from the running context to `to`; returns when `from` is
+  /// switched back to.
+  void switch_to(Fiber& from, Fiber& to);
+  /// First thing a context does after a switch lands on it.
+  void resumed(Fiber& self);
 
   void make_ready(ActorState& a, WakeReason reason);
   void arm_timer(ActorState& a, Time deadline);
@@ -185,8 +191,6 @@ class Engine {
   void request_stop();
   [[noreturn]] void throw_deadlock();
 
-  mutable std::mutex mutex_;
-  std::condition_variable sched_cv_;
   std::vector<std::unique_ptr<ActorState>> actors_;
   std::deque<ActorId> ready_;
   TimerWheel timers_;
@@ -194,8 +198,9 @@ class Engine {
   Time horizon_ = kForever;
   TraceSink* trace_ = nullptr;
   ActorId running_ = -1;
-  bool control_with_scheduler_ = true;
-  bool in_run_ = false;
+  Fiber* scheduler_ = nullptr;     // run()'s own context while run() is active
+  ActorState* zombie_ = nullptr;   // finished actor still on its own stack
+  Fiber* switched_from_ = nullptr; // context left by the last switch (ASan)
   bool stopping_ = false;
   std::uint64_t switches_ = 0;
   std::uint64_t timer_fires_ = 0;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <csignal>
+#include <cstdlib>
+#include <cstring>
+#include <exception>
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/condition.hpp"
@@ -230,7 +237,7 @@ TEST(Engine, CurrentActorNameVisibleInside) {
 TEST(Engine, DestructionWithoutRunIsClean) {
   Engine eng;
   eng.spawn("never-ran", [] { FAIL() << "body must not execute"; });
-  // ~Engine must join the parked thread without running the body.
+  // ~Engine must release the unstarted actor without running its body.
 }
 
 TEST(Engine, ManyActorsComplete) {
@@ -244,6 +251,144 @@ TEST(Engine, ManyActorsComplete) {
   }
   eng.run();
   EXPECT_EQ(done, 200);
+}
+
+/// Rethrows the exception being handled and returns its message if it has
+/// type E, or "<other type>".
+template <typename E>
+std::string rethrown_message() {
+  try {
+    throw;
+  } catch (const E& e) {
+    return e.what();
+  } catch (...) {
+    return "<other type>";
+  }
+}
+
+TEST(Engine, BlockedHandlersKeepTheirOwnException) {
+  // The C++ runtime keeps one caught-exception stack per thread; every
+  // actor here shares one thread, so the engine must switch that state
+  // with the actor or the interleaved handlers below see each other's
+  // exceptions.
+  Engine eng;
+  Condition cond(eng, "b-handler");
+  std::string seen_a;
+  std::string seen_b;
+  eng.spawn("a", [&] {
+    try {
+      throw std::runtime_error("from a");
+    } catch (...) {
+      eng.sleep_for(microseconds(10));  // b enters its handler meanwhile
+      seen_a = rethrown_message<std::runtime_error>();
+      cond.notify_one();
+    }
+  });
+  eng.spawn("b", [&] {
+    try {
+      throw std::invalid_argument("from b");
+    } catch (...) {
+      eng.sleep_for(microseconds(5));
+      cond.wait();  // outlives a's handler
+      seen_b = rethrown_message<std::invalid_argument>();
+    }
+  });
+  eng.run();
+  EXPECT_EQ(seen_a, "from a");
+  EXPECT_EQ(seen_b, "from b");
+}
+
+TEST(Engine, BlockedHandlerSurvivesAnotherActorsStopUnwind) {
+  // "unwinder" enters its handler first and "parked" second, so on one
+  // shared exception stack the unwinder's exit from its handler would pop
+  // the parked actor's exception instead of its own.
+  Engine eng;
+  Condition never(eng, "never");
+  int uncaught_while_unwinding = -1;
+  int uncaught_in_parked = -1;
+  std::string seen_parked;
+  struct OnUnwind {
+    int* out;
+    ~OnUnwind() { *out = std::uncaught_exceptions(); }
+  };
+  eng.spawn(
+      "unwinder",
+      [&] {
+        try {
+          throw std::runtime_error("unwinder");
+        } catch (...) {
+          OnUnwind probe{&uncaught_while_unwinding};
+          never.wait();  // throws StopSimulation at shutdown
+        }
+      },
+      /*daemon=*/true);
+  eng.spawn(
+      "parked",
+      [&] {
+        try {
+          throw std::runtime_error("parked");
+        } catch (...) {
+          try {
+            never.wait();  // still blocked while the unwinder unwinds
+          } catch (const StopSimulation&) {
+            uncaught_in_parked = std::uncaught_exceptions();
+          }
+          seen_parked = rethrown_message<std::runtime_error>();
+        }
+      },
+      /*daemon=*/true);
+  eng.spawn("main", [&] { eng.sleep_for(microseconds(10)); });
+  eng.run();
+  EXPECT_EQ(uncaught_while_unwinding, 1);
+  EXPECT_EQ(uncaught_in_parked, 0);
+  EXPECT_EQ(seen_parked, "parked");
+}
+
+TEST(Engine, ActorStackHoldsAOneMebibyteFrame) {
+  Engine eng;
+  std::size_t sum = 0;
+  eng.spawn("big-frame", [&] {
+    std::array<unsigned char, std::size_t{1} << 20> frame;
+    unsigned char* volatile bytes = frame.data();  // keeps every write
+    std::memset(bytes, 1, frame.size());
+    eng.sleep_for(microseconds(1));  // switch away with the frame live
+    sum = std::accumulate(bytes, bytes + frame.size(), std::size_t{0});
+  });
+  eng.run();
+  EXPECT_EQ(sum, std::size_t{1} << 20);
+}
+
+/// Recurses until `limit` frames of at least 1 KiB each are live.
+int recurse(volatile int* depth, int limit) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(*depth);
+  const int next = *depth + 1;
+  *depth = next;
+  if (next >= limit) {
+    return 0;
+  }
+  return recurse(depth, limit) + frame[0];
+}
+
+TEST(EngineDeathTest, StackOverflowFaultsOnTheGuardPage) {
+  // The recursion runs 256 KiB past the end of its stack. The neighbour is
+  // spawned second, so its stack is mapped just below: without the guard
+  // page the overflow would land in it and the run would end normally.
+  const auto overflow = [] {
+    Engine eng;
+    volatile int depth = 0;
+    const int limit =
+        static_cast<int>((Engine::kActorStackBytes + (256 << 10)) / 1024);
+    eng.spawn("recursing", [&] { recurse(&depth, limit); });
+    eng.spawn("neighbour", [&] { eng.sleep_for(microseconds(1)); });
+    eng.run();
+    std::exit(0);
+  };
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_EXIT(overflow(), ::testing::ExitedWithCode(1), "AddressSanitizer");
+#else
+  EXPECT_EXIT(overflow(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 }  // namespace
