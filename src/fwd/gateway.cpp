@@ -3,20 +3,22 @@
 //
 // Per (gateway node, bridged network) a daemon actor listens on that
 // network's SPECIAL channel. Each arriving message is a GTM stream; the
-// listener decides the outgoing real channel from the routing table
-// (special channel toward the next gateway, regular channel toward the
-// final destination — the paper's two-gateway disambiguation) and relays
-// the stream paquet by paquet. Zero-copy paths follow §2.3.
+// listener relays the stream paquet by paquet through the shared hop
+// egress (fwd/egress.hpp), which picks the outgoing real channel from the
+// routing table (special channel toward the next gateway, regular channel
+// toward the final destination — the paper's two-gateway disambiguation).
+// Zero-copy paths follow §2.3.
 //
 // Every message crosses one relay loop: an ingress yields relay items
-// (block headers, fragments, the end marker), an egress sends them, and a
+// (block headers, fragments, the end marker), the egress sends them, and a
 // start policy derived from the options decides who runs the egress —
 // inline on the listener (unreliable, pipeline_depth 1), after the whole
 // message is stored (reliable, window 1 or striped), or on a sender actor
 // behind a mailbox (otherwise) that retransmits paquet k while the listener
 // receives paquet k+1: the paper's two-threads/two-buffers scheme. A
-// reliable relay keeps every block and replays a failed egress through the
-// same loop on a freshly picked route.
+// reliable relay keeps every block; after a failed egress the egress's
+// failover loop replays them through the same relay loop on a freshly
+// picked route.
 #include "fwd/gateway.hpp"
 
 #include <algorithm>
@@ -29,8 +31,8 @@
 #include <utility>
 #include <vector>
 
+#include "fwd/egress.hpp"
 #include "fwd/generic_tm.hpp"
-#include "fwd/rdma_tm.hpp"
 #include "fwd/regulation.hpp"
 #include "fwd/reliable.hpp"
 #include "fwd/virtual_channel.hpp"
@@ -121,32 +123,19 @@ struct RelayItem {
   }
 };
 
-struct StoredBlock {
-  GtmBlockHeader header;
-  std::vector<std::byte> data;
-};
-
-/// How one egress attempt ended. A HopFailure means the next hop died; a
-/// rejection means the next hop is a healthy gateway whose admission gate
-/// refused the message.
-struct Outcome {
-  std::optional<HopFailure> failure;
-  bool rejected = false;
-  bool ok() const { return !failure && !rejected; }
-};
-
 /// One message crossing the gateway, shared by its listener and its sender
 /// actor. Heap-owned: during engine shutdown the listener may unwind (and
 /// its stack frame be reused) while the sender is still parked inside
 /// items.recv(); stack-allocating this state was a use-after-free (see the
-/// regression in tests/fwd/test_failures.cpp).
+/// regression in tests/fwd/test_failures.cpp). Only the two actors' stacks
+/// own it, never an actor's closure: the engine keeps closures until it is
+/// destroyed, after the channels, and an egress still open then would
+/// close its hop message on a dead channel.
 struct Transfer {
   Transfer(sim::Engine& engine, std::size_t capacity, const std::string& name)
       : items(engine, capacity, name), done(engine, name + ".done") {}
 
   GtmMsgHeader hdr;
-  std::optional<GtmStripeHeader> stripe;
-  NodeRank dst = -1;
   TrafficClass cls{};
   int flow = -1;
   /// A reliable relay stores every block: the upstream hop is acked as
@@ -157,15 +146,8 @@ struct Transfer {
   sim::Mailbox<RelayItem> items;  // listener → sender actor
   sim::Condition done;
   bool finished = false;
-  Outcome outcome;
-};
-
-/// The next hop of one egress attempt and the message header it carries
-/// (a reliable hop's header carries a fresh epoch).
-struct OutHop {
-  Channel* channel;
-  NodeRank next;
-  GtmMsgHeader hdr;
+  std::optional<Egress> egress;
+  Setback outcome;  // of the sender actor's attempt
 };
 
 /// A stored message laid out as relay items, read like the sender actor's
@@ -286,8 +268,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       MAD_ASSERT(stripe->rail == static_cast<std::uint16_t>(rail_),
                  "rail relayed on the wrong stripe channel");
     }
-    const auto dst = static_cast<NodeRank>(hdr.final_dst);
-    MAD_ASSERT(dst != self_,
+    MAD_ASSERT(static_cast<NodeRank>(hdr.final_dst) != self_,
                "message to the gateway itself must use a regular channel");
     const TrafficClass cls = traffic_class_from_wire(hdr.traffic_class);
     const bool admitted =
@@ -306,7 +287,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       admission_->on_message_admitted(cls);
     }
     try {
-      relay(in, hdr, stripe, dst, cls);
+      relay(in, hdr, stripe, cls);
     } catch (...) {
       if (admitted) {
         admission_->on_message_done(cls);
@@ -335,8 +316,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// downstream delivery, the message is lost (end-to-end acks would be
   /// needed to close that window).
   void relay(MessageReader& in, const GtmMsgHeader& hdr,
-             const std::optional<GtmStripeHeader>& stripe, NodeRank dst,
-             TrafficClass cls) {
+             const std::optional<GtmStripeHeader>& stripe, TrafficClass cls) {
     const VcOptions& options = vc_.options();
     const bool reliable = (hdr.flags & kGtmFlagReliable) != 0;
     const auto origin = static_cast<NodeRank>(hdr.origin);
@@ -365,36 +345,65 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     auto t = std::make_shared<Transfer>(
         engine_, capacity, vc_.name() + ".gwitems." + std::to_string(self_));
     t->hdr = hdr;
-    t->stripe = stripe;
-    t->dst = dst;
     t->cls = cls;
     t->flow = flow;
+    Egress& egress = t->egress.emplace(
+        vc_, self_, hdr, stripe, rail_, static_cast<std::uint64_t>(self_)
+                                            << 40);
+    // A reliable delivery stands down quietly once this gateway's own NIC
+    // crashed after the delivery began, even if it has recovered since:
+    // declaring healthy peers dead off its suppressed acks would be wrong,
+    // and the downstream copy may already exist. The delivery begins at
+    // the first check.
+    std::optional<sim::Time> since;
+    const auto stand_down = [&] {
+      if (!since) {
+        since = engine_.now();
+      }
+      return vc_.node_crashed_within(self_, *since);
+    };
 
     if (reliable && (options.reliable.window == 1 || stripe)) {
       // Store-then-send.
       Ingress ingress(*this, in, *t, nullptr);
       while (ingress.recv().kind != RelayItem::Kind::End) {
       }
-      replay(*t);
+      if (stand_down()) {
+        return;
+      }
+      egress.pick_route();
+      egress.open();
+      const Setback setback = replay(*t);
+      if (!setback.ok() && !stand_down()) {
+        egress.recover(setback, [&] { return replay(*t); }, stand_down);
+      }
       return;
     }
-    const OutHop hop = next_hop(*t);
+    egress.pick_route();
+    TransmissionModule& out_tm = egress.channel().tm();
     if (!reliable && options.pipeline_depth == 1) {
       // Inline: the listener sends each item as soon as it has it.
-      Egress out(*this, hop, *t);
-      Ingress ingress(*this, in, *t, &hop.channel->tm());
-      pump(out, ingress, *t);
+      egress.open();
+      Ingress ingress(*this, in, *t, &out_tm);
+      pump(ingress, *t);
       return;
     }
     // Sender actor.
     engine_.spawn(vc_.name() + ".gwsend." + std::to_string(self_),
-                  [self = shared_from_this(), t, hop] {
-                    Egress out(*self, hop, *t);
-                    t->outcome = self->pump(out, t->items, *t);
+                  [self = shared_from_this(),
+                   weak = std::weak_ptr<Transfer>(t)] {
+                    // The listener holds the transfer until this actor
+                    // finishes, or unwinds first at engine shutdown.
+                    const std::shared_ptr<Transfer> t = weak.lock();
+                    if (t == nullptr) {
+                      return;
+                    }
+                    t->egress->open();
+                    t->outcome = self->pump(t->items, *t);
                     t->finished = true;
                     t->done.notify_all();
                   });
-    Ingress ingress(*this, in, *t, &hop.channel->tm());
+    Ingress ingress(*this, in, *t, &out_tm);
     std::optional<PeerDied> upstream_died;
     try {
       for (bool more = true; more;) {
@@ -407,7 +416,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         }
         t->items.send(std::move(item));
         if (fragment) {
-          note_queued(*t, ingress.rx, size);
+          note_queued(*t, ingress.hop.receiver(), size);
         }
       }
     } catch (const PeerDied& dead) {
@@ -428,10 +437,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     }
     // A downstream admission refusal backs off before the replay (which
     // keeps retrying, and backing off, until the next gateway admits it);
-    // a dead hop is declared first.
-    int reject_attempts = 0;
-    recover(t->outcome, reject_attempts, dst);
-    replay(*t);
+    // a dead hop is declared first. Here the delivery that may stand down
+    // begins once that is booked, at the failover loop's first check.
+    egress.recover(t->outcome, [&] { return replay(*t); }, stand_down);
   }
 
   /// The receiving half of the relay loop: yields the upstream hop message
@@ -441,15 +449,16 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   struct Ingress {
     Ingress(GatewayRelay& relay, MessageReader& in, Transfer& t,
             TransmissionModule* out_tm)
-        : relay(relay), in(in), t(t), out_tm(out_tm) {
-      if ((t.hdr.flags & kGtmFlagReliable) != 0) {
-        // detect_dead: an upstream that dies (or is rerouted away)
-        // mid-stream abandons its half-sent message, and a blocking
-        // receiver would wait on the rest of it forever.
-        rx.emplace(relay.vc_, relay.self_, relay.in_channel_, in.source(),
-                   t.hdr.epoch, /*detect_dead=*/true);
-      }
-    }
+        : relay(relay),
+          in(in),
+          t(t),
+          out_tm(out_tm),
+          // detect_dead: an upstream that dies (or is rerouted away)
+          // mid-stream abandons its half-sent message, and a blocking
+          // receiver would wait on the rest of it forever.
+          hop(relay.vc_, relay.self_, in, relay.in_channel_, t.hdr,
+              /*detect_dead=*/true),
+          stored(hop.receiver() != nullptr) {}
 
     RelayItem recv() {
       const std::uint32_t mtu = relay.vc_.mtu();
@@ -458,12 +467,13 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         const std::uint64_t offset = fragment++ * mtu;
         relay.regulator_.pace(size);
         const sim::Time begin = relay.engine_.now();
-        RelayItem item = rx ? RelayItem::of(RelayItem::Kind::FragmentStored)
-                            : relay.receive_zero_copy(in, *out_tm, size);
-        if (rx) {
+        RelayItem item = stored
+                             ? RelayItem::of(RelayItem::Kind::FragmentStored)
+                             : relay.receive_zero_copy(in, *out_tm, size);
+        if (stored) {
           const util::MutByteSpan dst =
               util::MutByteSpan(t.blocks.back().data).subspan(offset, size);
-          rx->recv(in, seq++, dst);
+          hop.fragment(dst);
           item.payload = dst;
         }
         item.size = size;
@@ -478,29 +488,15 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         relay.span("switch", switch_begin);
         return item;
       }
-      const GtmBlockHeader bh =
-          rx ? rx->recv_block_header(in, seq++) : read_block_header(in);
+      const GtmBlockHeader bh = hop.block_header();
       if (bh.end_of_message != 0) {
-        if (rx) {
-          // The upstream stream is complete: boundary drains re-ack its
-          // late retransmits (the sender may have lost our acks to a fault
-          // window) and the ghost filter keeps its duplicated framing from
-          // reopening it.
-          Connection& up = relay.in_channel_.connection_to(in.source());
-          up.rx_epoch_done = std::max(up.rx_epoch_done, t.hdr.epoch);
-          // If a fault window swallowed the tail acks, this actor (not the
-          // relay, which is about to block on other work) keeps
-          // re-advertising them so the upstream sender cannot exhaust its
-          // retry budget on a message we already own.
-          relay.vc_.spawn_tail_acker(relay.in_channel_, in.source(),
-                                     t.hdr.epoch, seq - 1);
-        }
+        hop.finish();
         return RelayItem::of(RelayItem::Kind::End);
       }
       block = bh;
       fragment = 0;
       fragments = fragment_count(bh.size, mtu);
-      if (rx) {
+      if (stored) {
         t.blocks.push_back(
             StoredBlock{bh, std::vector<std::byte>(bh.size)});
       }
@@ -513,126 +509,11 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     MessageReader& in;
     Transfer& t;
     TransmissionModule* out_tm;  // plain relays
-    std::optional<ReliableReceiver> rx;  // reliable relays
-    std::uint32_t seq = 0;
+    HopReader hop;
+    bool stored;  // reliable relays store every block for replay
     GtmBlockHeader block{};
     std::uint64_t fragment = 0;
     std::uint64_t fragments = 0;
-  };
-
-  /// The sending half of the relay loop: the outgoing hop message, wrapped
-  /// in a ReliableSender on reliable relays.
-  struct Egress {
-    Egress(GatewayRelay& relay, const OutHop& hop, const Transfer& t)
-        : relay(relay),
-          channel(*hop.channel),
-          next(hop.next),
-          out(channel.begin_packing(next)) {
-      // Every hop message starts with the preamble paquet — the fixed,
-      // smaller-than-any-reliable-paquet message opener that lets the next
-      // receiver drop stale retransmits at the boundary by size.
-      write_preamble(out, Preamble{hop.hdr.origin, 1});
-      write_msg_header(out, hop.hdr);
-      if (t.stripe) {
-        write_stripe_header(out, *t.stripe);
-      }
-      if ((hop.hdr.flags & kGtmFlagReliable) != 0) {
-        snd.emplace(relay.vc_, relay.self_, out, channel, next,
-                    hop.hdr.epoch);
-        snd->set_framing(Preamble{hop.hdr.origin, 1}, hop.hdr, t.stripe);
-      }
-    }
-
-    void header(const GtmBlockHeader& bh) {
-      // One-sided block cut: rdma is on, the out TM keeps dynamic buffers
-      // (a static or hybrid TM routes received paquets through protocol
-      // buffers the remote write model cannot target) and the block is
-      // at/above the rendezvous threshold (smaller blocks stay
-      // eager/two-sided).
-      const RdmaOptions& rdma = relay.vc_.options().rdma;
-      const net::NicModelParams& m = channel.tm().model();
-      one_sided = rdma.enabled && !m.tx_static() && !m.hybrid() &&
-                  bh.size >= rdma.rendezvous_threshold;
-      fragments_left = fragment_count(bh.size, relay.vc_.mtu());
-      // The plain writer runs the rendezvous before the block header (so
-      // on a sender actor the handshake overlaps the listener's next
-      // receive like any other egress cost); the reliable sender runs it
-      // after its windowed header paquet.
-      if (snd) {
-        snd->send_block_header(seq++, bh);
-      }
-      if (one_sided) {
-        // The next hop registers (or cache-hits) the receive region behind
-        // this connection's tag before any write lands.
-        const Connection& conn = channel.connection_to(next);
-        RdmaTm* local = relay.vc_.rdma_tm(channel.tm().nic());
-        RdmaTm* remote = relay.vc_.rdma_tm(
-            channel.tm().nic().network().nic(conn.peer_nic_index));
-        local->rendezvous(*remote, conn.tx_tag, bh.size);
-      }
-      if (!snd) {
-        write_block_header(out, bh);
-      }
-    }
-
-    void send(const RelayItem& item) {
-      --fragments_left;
-      if (snd) {
-        snd->send(seq++, item.payload, one_sided);
-        return;
-      }
-      const Connection& conn = channel.connection_to(next);
-      if (item.kind == RelayItem::Kind::FragmentStaticOut) {
-        MAD_ASSERT(!one_sided,
-                   "one-sided egress requires a dynamic-buffer out TM");
-        // Zero-copy: the paquet was received straight into this outgoing
-        // static buffer; hand it to the TM, bypassing the BMM copy-in.
-        channel.tm().send_static_buffer(conn.peer_nic_index, conn.tx_tag,
-                                        item.static_out);
-      } else if (one_sided) {
-        // One-sided egress: fragments bypass the writer and go out as
-        // RDMA-style writes into the next hop's registered region.
-        // Wire-compatible with the two-sided path — same NIC, same tag,
-        // same FIFO order, one packet per fragment — so the receiving GTM
-        // parses the stream unchanged. The block's last write carries the
-        // remote completion notification (the only receiver software of
-        // the whole block).
-        relay.vc_.rdma_tm(channel.tm().nic())
-            ->write(conn.peer_nic_index, conn.tx_tag, item.payload,
-                    /*completion=*/fragments_left == 0);
-      } else {
-        // Gather send from the pool buffer or the held incoming buffer.
-        out.pack(item.payload, SendMode::Cheaper, RecvMode::Express);
-      }
-    }
-
-    void end() {
-      if (snd) {
-        snd->send_block_header(seq, end_marker());
-        snd->flush();
-      } else {
-        write_block_header(out, end_marker());
-      }
-    }
-
-    /// Closes the hop message. The reliable window goes first: on a failed
-    /// hop it is abandoned with the sender, so end_packing is non-blocking
-    /// and releases the connection's tx lock.
-    void finish() {
-      snd.reset();
-      out.end_packing();
-    }
-
-    GatewayRelay& relay;
-    Channel& channel;
-    NodeRank next;
-    MessageWriter out;
-    std::optional<ReliableSender> snd;
-    std::uint32_t seq = 0;
-    // The current block's fragments cross as one-sided writes; framing
-    // (headers, end markers) always stays two-sided.
-    bool one_sided = false;
-    std::uint64_t fragments_left = 0;  // of the current block
   };
 
   /// The egress loop: sends items until the end marker (or an abort), then
@@ -640,37 +521,43 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// it keeps draining, so a bounded (flow mode) item queue cannot wedge
   /// the listener; the stored copy replays afterwards.
   template <typename Source>
-  Outcome pump(Egress& out, Source& items, const Transfer& t) {
-    Outcome outcome;
+  Setback pump(Source& items, Transfer& t) {
+    Egress& out = *t.egress;
+    Setback setback;
     for (bool running = true; running;) {
       RelayItem item = items.recv();
       running = item.kind != RelayItem::Kind::End &&
                 item.kind != RelayItem::Kind::Abort;
-      if (!outcome.ok()) {
+      if (!setback.ok()) {
         // Drained fragments still leave the admission byte ledger —
         // otherwise a failover would leak their queued bytes against the
         // class budget forever.
         note_dequeue(t.cls, item);
         continue;
       }
-      try {
+      setback = Egress::attempt([&] {
         if (item.kind == RelayItem::Kind::BlockHeader) {
-          out.header(item.header);
+          out.block_header(item.header, one_sided(out, item.header));
         } else if (item.kind == RelayItem::Kind::End) {
           out.end();
         } else if (item.fragment()) {
           send_bundle(out, items, std::move(item), t);
         }
-      } catch (const HopFailure& f) {
-        outcome.failure = f;
-      } catch (const FlowRejected&) {
-        // The next hop is itself an overloaded gateway. The hop is
-        // healthy — back off and retry, never declare it dead.
-        outcome.rejected = true;
-      }
+      });
     }
-    out.finish();
-    return outcome;
+    out.close();
+    return setback;
+  }
+
+  /// One-sided block cut: rdma is on, the out TM keeps dynamic buffers (a
+  /// static or hybrid TM routes received paquets through protocol buffers
+  /// the remote write model cannot target) and the block is at/above the
+  /// rendezvous threshold (smaller blocks stay eager/two-sided).
+  bool one_sided(const Egress& out, const GtmBlockHeader& bh) const {
+    const RdmaOptions& rdma = vc_.options().rdma;
+    const net::NicModelParams& m = out.channel().tm().model();
+    return rdma.enabled && !m.tx_static() && !m.hybrid() &&
+           bh.size >= rdma.rendezvous_threshold;
   }
 
   /// Sends `head` and, in flow mode, the fragments queued behind it.
@@ -703,8 +590,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     // Drain the window first so the DRR grant below covers only the wire
     // occupancy of the bundle, never an ack round trip — a flow waiting
     // out its window must not hold the egress against every other flow.
-    if (out.snd) {
-      out.snd->make_room(bundle.size());
+    if (ReliableSender* snd = out.sender()) {
+      snd->make_room(bundle.size());
     }
     const sim::Time begin = engine_.now();
     {
@@ -713,7 +600,17 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       // waiting for it.
       const sim::Time granted_at = engine_.now();
       for (const RelayItem& item : bundle) {
-        out.send(item);
+        if (item.kind == RelayItem::Kind::FragmentStaticOut) {
+          // Zero-copy: the paquet was received straight into this outgoing
+          // static buffer; hand it to the TM, bypassing the BMM copy-in.
+          const Connection& conn = out.channel().connection_to(out.next());
+          out.channel().tm().send_static_buffer(
+              conn.peer_nic_index, conn.tx_tag, item.static_out);
+        } else {
+          // Gather send from the pool buffer, the held incoming buffer or
+          // the stored block.
+          out.fragment(item.payload);
+        }
       }
       // Hold the grant until the bundle's egress-wire occupancy has
       // elapsed since granted_at. The simulator models wires per (src,
@@ -726,7 +623,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       // FIFO while the wire transmits).
       if (flow_sched_ != nullptr) {
         const sim::Time occupancy = sim::transfer_time(
-            bytes, out.channel.network().model().wire_bandwidth);
+            bytes, out.channel().network().model().wire_bandwidth);
         const sim::Time elapsed = engine_.now() - granted_at;
         if (elapsed < occupancy) {
           engine_.sleep_for(occupancy - elapsed);
@@ -743,80 +640,10 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     }
   }
 
-  /// Reliable resend of the stored message, declaring dead hops and
-  /// failing over onto surviving routes until delivery (or an
-  /// "unreachable" panic when no route is left).
-  void replay(Transfer& t) {
-    const sim::Time delivery_start = engine_.now();
-    int reject_attempts = 0;
-    for (;;) {
-      if (vc_.node_crashed_within(self_, delivery_start)) {
-        // This gateway's own NIC crashed (even if it has recovered since
-        // the attempt began): stand down quietly instead of declaring
-        // healthy peers dead off our suppressed acks.
-        return;
-      }
-      ReplayQueue queue(t.blocks, vc_.mtu());
-      Egress out(*this, next_hop(t), t);
-      const Outcome outcome = pump(out, queue, t);
-      if (outcome.ok() || vc_.node_crashed_within(self_, delivery_start)) {
-        return;
-      }
-      recover(outcome, reject_attempts, t.dst);
-    }
-  }
-
-  /// Picks the next hop toward t.dst. Route by value: a concurrent
-  /// reliable relay on this node may call mark_dead, which rebuilds the
-  /// routing table while this relay blocks inside the network — references
-  /// into the table would dangle. A reliable hop gets a fresh epoch.
-  OutHop next_hop(const Transfer& t) {
-    if (!vc_.routing().reachable(self_, t.dst)) {
-      MAD_PANIC("node " + std::to_string(t.dst) +
-                " unreachable from gateway " + std::to_string(self_) +
-                ": no route survives the failed nodes");
-    }
-    const topo::Route route = vc_.routing().route(self_, t.dst);
-    const topo::Hop hop = route.front();
-    // Past the last gateway messages travel on a regular channel, so plain
-    // nodes poll a single channel; toward another gateway they stay on the
-    // special channel (paper §2.2.2). Striped rails stay on their own
-    // channel pair end to end.
-    Channel& channel =
-        route.size() == 1
-            ? vc_.rail_regular_channel(hop.network, rail_, self_)
-            : vc_.rail_special_channel(hop.network, rail_, self_);
-    OutHop out{&channel, hop.node, t.hdr};
-    if ((t.hdr.flags & kGtmFlagReliable) != 0) {
-      out.hdr.epoch = ++channel.connection_to(hop.node).tx_epoch;
-    }
-    return out;
-  }
-
-  /// Prepares the next egress attempt after a failed one. A dead hop is
-  /// declared to the routing table (recording whether a failover
-  /// survives). A downstream rejection — a gateway chain where the NEXT
-  /// gateway is itself overloaded — backs off on the origin-side writer's
-  /// schedule: exponential with deterministic jitter, capped.
-  void recover(const Outcome& outcome, int& reject_attempts, NodeRank dst) {
-    if (outcome.failure) {
-      vc_.declare_dead(self_, outcome.failure->next_hop);
-      if (vc_.routing().reachable(self_, dst)) {
-        vc_.note_failover(self_, dst, outcome.failure->next_hop);
-      }
-      return;
-    }
-    const int attempts = reject_attempts++;
-    const sim::Time delay = vc_.options().flow.reject_delay(
-        attempts, (static_cast<std::uint64_t>(self_) << 40) ^
-                      static_cast<std::uint64_t>(attempts));
-    vc_.domain().fabric().metrics().add("flow.reject_retries",
-                                        "node=" + std::to_string(self_));
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->instant_here(
-          "flow.rejected", "attempts=" + std::to_string(attempts));
-    }
-    engine_.sleep_for(delay);
+  /// Resends the stored message on the freshly opened hop.
+  Setback replay(Transfer& t) {
+    ReplayQueue queue(t.blocks, vc_.mtu());
+    return pump(queue, t);
   }
 
   /// Refuses an over-budget (or shed) message at the admission gate. The
@@ -973,7 +800,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// to the upstream sender — the egress scheduler is serving other flows
   /// faster than this one drains, so the origin should shrink its window
   /// rather than pile the queue to the blocking limit.
-  void note_queued(const Transfer& t, std::optional<ReliableReceiver>& rx,
+  void note_queued(const Transfer& t, ReliableReceiver* rx,
                    std::uint32_t size) {
     sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
     if (admission_ != nullptr) {

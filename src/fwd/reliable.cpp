@@ -342,11 +342,6 @@ void ReliableSender::send(std::uint32_t seq, util::ByteSpan payload,
   }
 }
 
-void ReliableSender::send_block_header(std::uint32_t seq,
-                                       const GtmBlockHeader& header) {
-  send(seq, util::object_bytes(header));
-}
-
 void ReliableSender::flush() { drain_to(0); }
 
 void ReliableSender::drain_to(std::size_t target) {
@@ -759,13 +754,6 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
   }
 }
 
-GtmBlockHeader ReliableReceiver::recv_block_header(
-    MessageReader& in, std::uint32_t expected_seq) {
-  GtmBlockHeader header{};
-  recv(in, expected_seq, util::object_bytes_mut(header));
-  return header;
-}
-
 void ReliableReceiver::post_congestion_mark() {
   const Connection& conn = in_channel_.connection_to(peer_);
   in_channel_.network().post_mark(conn.rx_tag, self_nic_,
@@ -773,11 +761,71 @@ void ReliableReceiver::post_congestion_mark() {
   vc_.domain().fabric().metrics().add("rel.marks_posted", node_label_);
 }
 
-void ReliableReceiver::post_reject() {
-  const Connection& conn = in_channel_.connection_to(peer_);
-  in_channel_.network().post_reject(conn.rx_tag, self_nic_,
-                                    conn.peer_nic_index, epoch_);
-  vc_.domain().fabric().metrics().add("rel.rejects_posted", node_label_);
+void ReliableReceiver::complete(std::uint32_t last_seq) {
+  Connection& conn = in_channel_.connection_to(peer_);
+  conn.rx_epoch_done = std::max(conn.rx_epoch_done, epoch_);
+  vc_.spawn_tail_acker(in_channel_, peer_, epoch_, last_seq);
+}
+
+// --------------------------------------------------------------- HopReader
+
+HopReader::HopReader(VirtualChannel& vc, NodeRank self,
+                     MessageReader& reader, Channel& channel,
+                     const GtmMsgHeader& header, bool detect_dead)
+    : reader_(reader), mtu_(vc.mtu()) {
+  if ((header.flags & kGtmFlagReliable) != 0) {
+    rel_ = std::make_unique<ReliableReceiver>(
+        vc, self, channel, reader.source(), header.epoch, detect_dead);
+  }
+}
+
+GtmBlockHeader HopReader::block_header() {
+  if (!rel_) {
+    return read_block_header(reader_);
+  }
+  GtmBlockHeader header{};
+  rel_->recv(reader_, seq_++, util::object_bytes_mut(header));
+  return header;
+}
+
+void HopReader::fragment(util::MutByteSpan dst) {
+  if (rel_) {
+    rel_->recv(reader_, seq_++, dst);
+  } else {
+    reader_.unpack(dst, SendMode::Cheaper, RecvMode::Express);
+  }
+}
+
+void HopReader::block(util::MutByteSpan dst, SendMode smode, RecvMode rmode) {
+  const GtmBlockHeader header = block_header();
+  MAD_ASSERT(header.end_of_message == 0,
+             "unpack past the end of a forwarded message");
+  MAD_ASSERT(header.size == dst.size(),
+             "unpack size " + std::to_string(dst.size()) +
+                 " does not match packed size " + std::to_string(header.size));
+  MAD_ASSERT(decode_smode(header.smode) == smode &&
+                 decode_rmode(header.rmode) == rmode,
+             "unpack flags do not match the pack flags");
+  fragments(dst);
+}
+
+void HopReader::fragments(util::MutByteSpan dst) {
+  const std::uint64_t count = fragment_count(dst.size(), mtu_);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    fragment(dst.subspan(i * mtu_, fragment_size(dst.size(), mtu_, i)));
+  }
+}
+
+void HopReader::end() {
+  MAD_ASSERT(block_header().end_of_message == 1,
+             "end_unpacking before all blocks were consumed");
+  finish();
+}
+
+void HopReader::finish() {
+  if (rel_) {
+    rel_->complete(seq_ - 1);
+  }
 }
 
 }  // namespace mad::fwd

@@ -30,7 +30,7 @@
 // retransmission of paquet 0 re-sends the framing prologue in front of it
 // (set_framing below) and the receive side reads headers tolerantly,
 // skipping duplicated framing and unacknowledged stray data paquets
-// (VirtualChannel::read_msg_header_tolerant). Losing the framing to a
+// (VirtualChannel::read_stream_head). Losing the framing to a
 // genuine crash still starves the first paquet's ack, so the sender
 // detects the dead hop via the first paquet's retry budget as before.
 #pragma once
@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -190,10 +191,6 @@ class ReliableSender {
   /// retransmits hit the pin-down cache instead of re-pinning.
   void send(std::uint32_t seq, util::ByteSpan payload,
             bool one_sided = false);
-
-  /// Block headers travel as reliable paquets of their own (a lost header
-  /// would desynchronize the stream silently otherwise).
-  void send_block_header(std::uint32_t seq, const GtmBlockHeader& header);
 
   /// Blocks until every in-flight paquet is acknowledged.
   void flush();
@@ -348,20 +345,19 @@ class ReliableReceiver {
   void recv(MessageReader& in, std::uint32_t expected_seq,
             util::MutByteSpan payload_dst);
 
-  GtmBlockHeader recv_block_header(MessageReader& in,
-                                   std::uint32_t expected_seq);
-
   /// Posts an ECN-style congestion mark back to this hop's sender (same
   /// ack-board path and fault handling as a cumulative ack). The gateway
   /// relay calls this when the flow's relay queue crosses its threshold;
   /// an adaptive sender reacts with a multiplicative decrease.
   void post_congestion_mark();
 
-  /// Posts an admission reject back to this hop's sender (same ack-board
-  /// path and fault handling). The gateway calls this when its admission
-  /// controller refuses the stream's message; the sender observes it as a
-  /// thrown FlowRejected and retries the message after a backoff.
-  void post_reject();
+  /// Completes the stream once its end marker (paquet `last_seq`) was
+  /// consumed. Boundary drains then re-ack its late retransmits (the sender
+  /// may have lost our acks to a fault window) and the ghost filter keeps
+  /// its duplicated framing from reopening it; a tail acker keeps
+  /// re-advertising the final ack, so the sender cannot exhaust its retry
+  /// budget on a message this end already owns.
+  void complete(std::uint32_t last_seq);
 
  private:
   /// Pulls wire paquets until `next_` can be served; fills the reorder
@@ -381,6 +377,41 @@ class ReliableReceiver {
   std::uint32_t cum_next_ = 0;  // first seq not yet received in order
   std::map<std::uint32_t, std::vector<std::byte>> reorder_;
   std::vector<std::byte> scratch_;
+};
+
+/// Reads one hop message's GTM elements in stream order — block headers,
+/// MTU fragments, the end marker — straight off the reader on a plain
+/// stream, through a ReliableReceiver window on a reliable one. Shared by
+/// the final receiver, each striped rail and the gateway relay.
+class HopReader {
+ public:
+  /// Reads the hop stream `header` opened on `channel`, sent by the
+  /// upstream hop `reader.source()` — the last gateway in general, not the
+  /// origin. With `detect_dead` a reliable reader throws PeerDied when
+  /// that peer dies mid-stream.
+  HopReader(VirtualChannel& vc, NodeRank self, MessageReader& reader,
+            Channel& channel, const GtmMsgHeader& header, bool detect_dead);
+
+  GtmBlockHeader block_header();
+  void fragment(util::MutByteSpan dst);
+  /// Every fragment of a block of `dst`'s size.
+  void fragments(util::MutByteSpan dst);
+  /// One application block into `dst`: its self-description must match
+  /// the unpack call (`dst`'s size and the pack flag pair).
+  void block(util::MutByteSpan dst, SendMode smode, RecvMode rmode);
+  /// Reads the end marker, then finish().
+  void end();
+  /// After the end marker: completes a reliable stream
+  /// (ReliableReceiver::complete).
+  void finish();
+
+  ReliableReceiver* receiver() { return rel_.get(); }
+
+ private:
+  MessageReader& reader_;
+  std::uint32_t mtu_;
+  std::unique_ptr<ReliableReceiver> rel_;
+  std::uint32_t seq_ = 0;
 };
 
 }  // namespace mad::fwd

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "fwd/egress.hpp"
 #include "fwd/reliable.hpp"
 #include "mad/channel.hpp"
 #include "mad/session.hpp"
@@ -195,27 +196,22 @@ void Striper::pack(util::ByteSpan data, SendMode smode, RecvMode rmode) {
     copies_.emplace_back(data.begin(), data.end());
     src = util::ByteSpan(copies_.back());
   }
-  const std::uint8_t wire_smode = encode(smode);
-  const std::uint8_t wire_rmode = encode(rmode);
-  if (src.empty()) {
-    const StripeSchedule::Chunk chunk = schedule_.next(0, vc_.mtu());
-    feed(chunk.rail, RailItem{src, wire_smode, wire_rmode, false});
-    return;
-  }
+  // An empty block still takes one (zero-byte) chunk.
   std::size_t offset = 0;
-  while (offset < src.size()) {
+  do {
     const StripeSchedule::Chunk chunk =
         schedule_.next(src.size() - offset, vc_.mtu());
-    feed(chunk.rail, RailItem{src.subspan(offset, chunk.bytes), wire_smode,
-                              wire_rmode, false});
+    feed(chunk.rail, RailItem{src.subspan(offset, chunk.bytes),
+                              block_header_for(chunk.bytes, smode, rmode),
+                              false});
     offset += chunk.bytes;
-  }
+  } while (offset < src.size());
 }
 
 void Striper::end_packing() {
   MAD_ASSERT(!ended_, "end_packing called twice");
   for (const std::unique_ptr<Rail>& rail : rails_) {
-    rail->items.send(RailItem{{}, 0, 0, true});
+    rail->items.send(RailItem{{}, {}, true});
   }
   while (rails_done_ < rails_.size()) {
     done_.wait();
@@ -227,227 +223,78 @@ void Striper::run_rail(std::size_t index) {
   Rail& rail = *rails_[index];
   sim::Engine& engine = vc_.domain().engine();
   sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
+  sim::Trace* trace = vc_.options().trace;
   const std::string label = rail_label(src_, index);
-  const std::uint8_t flags =
-      kGtmFlagStriped | (vc_.reliable() ? kGtmFlagReliable : 0);
+  // One egress, so one sliding window, per rail: each rail pipelines its
+  // own hop's ack round trips, composing with (not replacing) the credit
+  // window's chunk-level backpressure.
+  Egress egress(
+      vc_, src_,
+      GtmMsgHeader{static_cast<std::uint32_t>(dst_),
+                   static_cast<std::uint32_t>(src_), vc_.mtu(), 0,
+                   static_cast<std::uint8_t>(
+                       kGtmFlagStriped |
+                       (vc_.reliable() ? kGtmFlagReliable : 0))},
+      GtmStripeHeader{stripe_id_, static_cast<std::uint16_t>(index),
+                      static_cast<std::uint16_t>(rails_.size()),
+                      rail.plan.share},
+      static_cast<int>(index),
+      (static_cast<std::uint64_t>(src_) << 40) ^
+          (static_cast<std::uint64_t>(dst_) << 20));
+  std::vector<RailItem> sent;  // reliable mode: chunks handed to this rail
 
-  std::vector<RailItem> sent;  // reliable mode: emitted chunks, for repair
-  Channel* out = nullptr;
-  NodeRank next = -1;
-  std::uint32_t epoch = 0;
-  std::uint32_t seq = 0;
-  std::uint64_t route_epoch = 0;
-  std::optional<MessageWriter> writer;
-  std::unique_ptr<ReliableSender> sender;
-
-  const auto open = [&](const topo::Route& route) {
-    const topo::Hop first = route.front();
-    route_epoch = vc_.routing().epoch();
-    // A repaired rail may degrade to a direct hop (every gateway between
-    // the pair died but they share a network): deliver straight on the
-    // rail's regular channel, playing the last-hop gateway's role.
-    const bool deliver = route.size() == 1;
-    Channel& channel =
-        deliver ? vc_.rail_regular_channel(first.network,
-                                           static_cast<int>(index), src_)
-                : vc_.rail_special_channel(first.network,
-                                           static_cast<int>(index), src_);
-    out = &channel;
-    next = first.node;
-    GtmMsgHeader hdr{static_cast<std::uint32_t>(dst_),
-                     static_cast<std::uint32_t>(src_), vc_.mtu(), 0, flags};
-    if (vc_.reliable()) {
-      epoch = ++channel.connection_to(next).tx_epoch;
-      hdr.epoch = epoch;
-    }
-    seq = 0;
-    const Preamble preamble{static_cast<std::uint32_t>(src_), 1};
-    const GtmStripeHeader stripe_hdr{stripe_id_,
-                                     static_cast<std::uint16_t>(index),
-                                     static_cast<std::uint16_t>(rails_.size()),
-                                     rail.plan.share};
-    writer.emplace(channel.begin_packing(next));
-    write_preamble(*writer, preamble);
-    write_msg_header(*writer, hdr);
-    write_stripe_header(*writer, stripe_hdr);
-    if (vc_.reliable()) {
-      // One sliding window per rail: each rail pipelines its own hop's
-      // ack round trips, composing with (not replacing) the credit
-      // window's chunk-level backpressure.
-      sender = std::make_unique<ReliableSender>(vc_, src_, *writer, channel,
-                                                next, epoch);
-      sender->set_framing(preamble, hdr, stripe_hdr);
-    }
-  };
-
-  const auto emit_chunk = [&](const RailItem& item) {
+  const auto emit = [&](const RailItem& item) {
     const sim::Time begin = engine.now();
-    const GtmBlockHeader bh{item.data.size(), item.smode, item.rmode, 0};
-    const std::uint64_t fragments =
-        fragment_count(item.data.size(), vc_.mtu());
-    if (vc_.reliable()) {
-      sender->send_block_header(seq++, bh);
-      for (std::uint64_t i = 0; i < fragments; ++i) {
-        const std::uint32_t fsize =
-            fragment_size(item.data.size(), vc_.mtu(), i);
-        sender->send(seq++, item.data.subspan(i * vc_.mtu(), fsize));
-      }
-    } else {
-      write_block_header(*writer, bh);
-      for (std::uint64_t i = 0; i < fragments; ++i) {
-        const std::uint32_t fsize =
-            fragment_size(item.data.size(), vc_.mtu(), i);
-        writer->pack(item.data.subspan(i * vc_.mtu(), fsize),
-                     SendMode::Cheaper, RecvMode::Express);
-      }
-    }
+    egress.block(item.header, item.data);
     if (metrics.enabled()) {
-      metrics.add("stripe.tx_paquets", label, fragments);
+      metrics.add("stripe.tx_paquets", label,
+                  fragment_count(item.data.size(), vc_.mtu()));
       metrics.add("stripe.tx_bytes", label, item.data.size());
     }
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(begin, engine.now(), "stripe.tx",
-                                  "rail=" + std::to_string(index) +
-                                      " bytes=" +
-                                      std::to_string(item.data.size()));
+    if (trace != nullptr) {
+      trace->record(begin, engine.now(), "stripe.tx",
+                    "rail=" + std::to_string(index) +
+                        " bytes=" + std::to_string(item.data.size()));
     }
   };
 
-  const auto emit_end = [&] {
-    if (vc_.reliable()) {
-      // The end marker joins the window like any paquet; flush() then
-      // blocks until the whole rail is acked.
-      sender->send_block_header(seq, end_marker());
-      sender->flush();
-    } else {
-      write_block_header(*writer, end_marker());
+  // The repair rail: reopened by the egress's failover loop (same rail
+  // identity and share, fresh epoch) over the current best surviving
+  // route, it replays everything already handed to this rail. Overlap with
+  // a surviving rail's route is fine — the rail keeps its own channel
+  // pair, so the shared gateway relays both streams without interleaving
+  // them.
+  const auto repair = [&](bool finishing) {
+    metrics.add("stripe.repairs", label);
+    if (trace != nullptr) {
+      trace->instant_here("stripe.repair",
+                          "rail=" + std::to_string(index) +
+                              " via=" + std::to_string(egress.next()));
+    }
+    for (const RailItem& item : sent) {
+      emit(item);
+    }
+    if (finishing) {
+      egress.end();
     }
   };
 
-  // The repair-rail loop: declare the failed hop dead (when a HopFailure
-  // triggered the repair — a proactive reroute on a stale route passes
-  // nullptr and skips the death bookkeeping), reopen this rail's stream
-  // (same rail identity and share, fresh epoch) over the current best
-  // surviving route, and replay everything already handed to this rail.
-  // Overlap with a surviving rail's route is fine — the rail keeps its own
-  // channel pair, so the shared gateway relays both streams without
-  // interleaving them.
-  const auto repair = [&](const HopFailure* failure, const RailItem* current,
-                          bool finishing) {
-    std::optional<HopFailure> failed;
-    if (failure != nullptr) {
-      failed = *failure;
-    }
-    for (;;) {
-      ReliabilityStats& stats =
-          vc_.mutable_gateway_stats(src_).reliability;
-      const std::string node_label = "node=" + std::to_string(src_);
-      if (failed) {
-        vc_.mark_dead(failed->next_hop);
-        ++stats.peers_declared_dead;
-        metrics.add("rel.dead_peers", node_label);
-        if (vc_.options().trace != nullptr) {
-          vc_.options().trace->instant_here(
-              "rel.dead", "peer=" + std::to_string(failed->next_hop));
-        }
-      }
-      // The failed window dies with its sender; Express flushing left
-      // nothing buffered, so closing the dead-hop message is non-blocking
-      // and releases the connection's tx lock.
-      sender.reset();
-      writer->end_packing();
-      writer.reset();
-      if (!vc_.routing().reachable(src_, dst_)) {
-        const std::string why =
-            failed ? "gateway " + std::to_string(failed->next_hop) +
-                         " declared dead after " +
-                         std::to_string(failed->attempts) + " attempts"
-                   : "its route was invalidated under it";
-        MAD_PANIC("node " + std::to_string(dst_) + " unreachable from " +
-                  std::to_string(src_) + " on rail " +
-                  std::to_string(index) + ": " + why +
-                  " and no alternate route exists");
-      }
-      if (failed) {
-        ++stats.failovers;
-        metrics.add("rel.failovers", node_label);
-      } else {
-        metrics.add("health.reroutes", node_label);
-        if (vc_.options().trace != nullptr) {
-          vc_.options().trace->instant_here(
-              "health.reroute", "rail=" + std::to_string(index) +
-                                    " from=" + std::to_string(next));
-        }
-      }
-      metrics.add("stripe.repairs", label);
-      if (vc_.options().trace != nullptr) {
-        vc_.options().trace->instant_here(
-            "stripe.repair",
-            "rail=" + std::to_string(index) + " around=" +
-                std::to_string(failed ? failed->next_hop : next));
-      }
-      // Route by value: the table just got rebuilt and can be rebuilt
-      // again by a concurrent failover while we block below.
-      const topo::Route route = vc_.routing().route(src_, dst_);
-      open(route);
-      try {
-        for (const RailItem& item : sent) {
-          emit_chunk(item);
-        }
-        if (current != nullptr) {
-          emit_chunk(*current);
-        }
-        if (finishing) {
-          emit_end();
-        }
-        return;
-      } catch (const HopFailure& again) {
-        failed = again;
-      }
-    }
-  };
-
-  // True when the route table moved since this rail opened AND the rail's
-  // next hop is now marked dead: the stream is doomed (the dead relay will
-  // never ack), so reroute proactively instead of waiting out the retry
-  // budget. Quality-only cost refreshes also bump the epoch, but with a
-  // live next hop the open stream keeps its route.
-  const auto stale_dead_route = [&] {
-    return vc_.reliable() && route_epoch != vc_.routing().epoch() &&
-           vc_.is_dead(next);
-  };
-
-  open(rail.plan.route);
+  egress.set_route(rail.plan.route);
+  egress.open();
   try {
     for (;;) {
       RailItem item = rail.items.recv();
       if (item.end) {
-        try {
-          if (stale_dead_route()) {
-            repair(nullptr, nullptr, /*finishing=*/true);
-          } else {
-            emit_end();
-          }
-        } catch (const HopFailure& failure) {
-          repair(&failure, nullptr, /*finishing=*/true);
-        }
+        egress.send([&] { egress.end(); }, [&] { repair(true); });
         break;
       }
       // The credit travels with the chunk and is handed back when this
       // iteration ends — successfully or by unwinding.
       CreditGuard credit(rail.credits);
-      try {
-        if (stale_dead_route()) {
-          repair(nullptr, &item, /*finishing=*/false);
-        } else {
-          emit_chunk(item);
-        }
-      } catch (const HopFailure& failure) {
-        repair(&failure, &item, /*finishing=*/false);
-      }
       if (vc_.reliable()) {
         sent.push_back(item);
       }
+      egress.send([&] { emit(item); }, [&] { repair(false); });
     }
   } catch (...) {
     // Unwinding (an unreachable-rail panic, engine shutdown): hand back
@@ -461,8 +308,7 @@ void Striper::run_rail(std::size_t index) {
     }
     throw;
   }
-  sender.reset();
-  writer->end_packing();
+  egress.close();
   ++rails_done_;
   done_.notify_all();
 }
@@ -475,7 +321,6 @@ Reassembler::Reassembler(VcEndpoint& endpoint, VcIncoming& rail0,
     : vc_(endpoint.vc()),
       self_(endpoint.rank()),
       mtu_(endpoint.vc().mtu()),
-      reliable_((header.flags & kGtmFlagReliable) != 0),
       progress_(endpoint.vc().domain().engine(),
                 endpoint.vc().name() + ".rxprogress." +
                     std::to_string(endpoint.rank())) {
@@ -499,26 +344,16 @@ Reassembler::Reassembler(VcEndpoint& endpoint, VcIncoming& rail0,
     owned_.push_back(std::move(inc));
   }
   rails_.resize(stripe.rails);
-  rails_[0].reader = &rail0.reader;
-  rails_[0].channel = rail0.channel;
-  rails_[0].peer = rail0.reader.source();
-  rails_[0].epoch = header.epoch;
+  // Blocking (not detect_dead) reliable receivers: a striped rail is
+  // relayed two-phase, so a partial rail stream never reaches this node.
+  rails_[0].hop.emplace(vc_, self_, rail0.reader, *rail0.channel, header,
+                        /*detect_dead=*/false);
   for (std::size_t r = 1; r < rails_.size(); ++r) {
     StripeIncoming& inc = owned_[r - 1];
-    rails_[r].reader = &inc.reader;
-    rails_[r].channel = inc.channel;
-    rails_[r].peer = inc.reader.source();
-    rails_[r].epoch = inc.header.epoch;
+    rails_[r].hop.emplace(vc_, self_, inc.reader, *inc.channel, inc.header,
+                          /*detect_dead=*/false);
   }
   schedule_ = StripeSchedule(std::move(shares));
-  if (reliable_) {
-    // Blocking (not detect_dead) receivers: a striped rail is relayed
-    // two-phase, so a partial rail stream never reaches this node.
-    for (RailRx& rx : rails_) {
-      rx.rel = std::make_unique<ReliableReceiver>(
-          vc_, self_, *rx.channel, rx.peer, rx.epoch, /*detect_dead=*/false);
-    }
-  }
   // One reader actor per rail: the rails' receive costs overlap instead of
   // serializing in the unpacking actor. `this` is heap-stable (the
   // VcMessageReader owns the Reassembler through a unique_ptr).
@@ -539,18 +374,7 @@ void Reassembler::run_rail_rx(std::size_t rail) {
   for (;;) {
     RxJob job = rx.jobs->recv();
     if (job.end) {
-      const GtmBlockHeader marker =
-          reliable_ ? rx.rel->recv_block_header(*rx.reader, rx.next_seq)
-                    : read_block_header(*rx.reader);
-      MAD_ASSERT(marker.end_of_message == 1,
-                 "end_unpacking before all striped blocks were consumed");
-      if (reliable_) {
-        // The rail's stream is complete: boundary drains re-ack its late
-        // retransmits and the ghost filter drops its duplicated framing.
-        Connection& conn = rx.channel->connection_to(rx.peer);
-        conn.rx_epoch_done = std::max(conn.rx_epoch_done, rx.epoch);
-        vc_.spawn_tail_acker(*rx.channel, rx.peer, rx.epoch, rx.next_seq);
-      }
+      rx.hop->end();
       ++rx.completed;
       progress_.notify_all();
       break;
@@ -567,17 +391,9 @@ void Reassembler::enqueue(std::size_t rail, RxJob job) {
 }
 
 void Reassembler::join() {
-  for (;;) {
-    bool pending = false;
-    for (const RailRx& rx : rails_) {
-      if (rx.completed < rx.enqueued) {
-        pending = true;
-        break;
-      }
-    }
-    if (!pending) {
-      return;
-    }
+  while (std::any_of(rails_.begin(), rails_.end(), [](const RailRx& rx) {
+    return rx.completed < rx.enqueued;
+  })) {
     progress_.wait();
   }
 }
@@ -585,55 +401,27 @@ void Reassembler::join() {
 void Reassembler::read_chunk(std::size_t rail, util::MutByteSpan dst,
                              SendMode smode, RecvMode rmode) {
   RailRx& rx = rails_[rail];
-  GtmBlockHeader bh;
-  if (reliable_) {
-    bh = rx.rel->recv_block_header(*rx.reader, rx.next_seq++);
-  } else {
-    bh = read_block_header(*rx.reader);
-  }
-  MAD_ASSERT(bh.end_of_message == 0,
-             "unpack past the end of a striped rail");
-  MAD_ASSERT(bh.size == dst.size(),
-             "striped chunk of " + std::to_string(bh.size) +
-                 " bytes where the schedule expects " +
-                 std::to_string(dst.size()));
-  MAD_ASSERT(decode_smode(bh.smode) == smode &&
-                 decode_rmode(bh.rmode) == rmode,
-             "unpack flags do not match the pack flags");
-  const std::uint64_t fragments = fragment_count(bh.size, mtu_);
-  for (std::uint64_t i = 0; i < fragments; ++i) {
-    const std::uint32_t fsize = fragment_size(bh.size, mtu_, i);
-    if (reliable_) {
-      rx.rel->recv(*rx.reader, rx.next_seq++, dst.subspan(i * mtu_, fsize));
-    } else {
-      rx.reader->unpack(dst.subspan(i * mtu_, fsize), SendMode::Cheaper,
-                        RecvMode::Express);
-    }
-  }
+  rx.hop->block(dst, smode, rmode);
+  const std::uint64_t fragments = fragment_count(dst.size(), mtu_);
   rx.paquets += fragments;
   sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
   if (metrics.enabled() && fragments > 0) {
     metrics.add("stripe.rx_paquets", rail_label(self_, rail), fragments);
-    metrics.add("stripe.rx_bytes", rail_label(self_, rail), bh.size);
+    metrics.add("stripe.rx_bytes", rail_label(self_, rail), dst.size());
   }
 }
 
 void Reassembler::unpack(util::MutByteSpan dst, SendMode smode,
                          RecvMode rmode) {
-  if (dst.empty()) {
-    const StripeSchedule::Chunk chunk = schedule_.next(0, mtu_);
-    enqueue(chunk.rail, RxJob{dst, smode, rmode, false});
-    join();
-    return;
-  }
+  // An empty block still takes one (zero-byte) chunk, as on the sender.
   std::size_t offset = 0;
-  while (offset < dst.size()) {
+  do {
     const StripeSchedule::Chunk chunk =
         schedule_.next(dst.size() - offset, mtu_);
     enqueue(chunk.rail,
             RxJob{dst.subspan(offset, chunk.bytes), smode, rmode, false});
     offset += chunk.bytes;
-  }
+  } while (offset < dst.size());
   join();
 }
 

@@ -12,13 +12,20 @@
 // schedule from the shares announced in the stripe headers, so nothing
 // about the app's pack/unpack call sequence needs to be negotiated.
 //
+// Each rail's sender actor writes its stream through its own Egress
+// (fwd/egress.hpp), the hop writer the unstriped origin and the gateway
+// relay use too; what stays here is the schedule, the per-rail credit
+// windows, the rail actors and the stripe.* metrics.
+//
 // Flow control: the producer (VcMessageWriter::pack) acquires one credit
 // from the target rail's CreditWindow per chunk; the rail's sender actor
 // releases it once the chunk is on the wire (acked, in reliable mode). A
 // slow, regulated, or failing rail therefore backpressures only its own
-// stripe. In reliable mode a rail whose first-hop gateway dies replays its
-// chunks over the surviving best route (same rail identity, fresh epoch) —
-// the "repair rail" — while the other rails stream on undisturbed.
+// stripe. In reliable mode a rail whose first-hop gateway dies goes
+// through the egress's failover loop like any other sender: the gateway
+// is declared dead and the rail replays its chunks over the surviving best
+// route (same rail identity, fresh epoch) — the "repair rail" — while the
+// other rails stream on undisturbed.
 #pragma once
 
 #include <cstdint>
@@ -113,8 +120,7 @@ class Striper {
  private:
   struct RailItem {
     util::ByteSpan data;
-    std::uint8_t smode = 0;
-    std::uint8_t rmode = 0;
+    GtmBlockHeader header;
     bool end = false;
   };
 
@@ -184,16 +190,11 @@ class Reassembler {
   };
 
   struct RailRx {
-    MessageReader* reader = nullptr;
-    Channel* channel = nullptr;
-    NodeRank peer = -1;
-    std::uint32_t epoch = 0;
-    std::uint32_t next_seq = 0;
+    std::optional<HopReader> hop;
     std::uint64_t paquets = 0;
     std::unique_ptr<sim::Mailbox<RxJob>> jobs;
     std::uint64_t enqueued = 0;
     std::uint64_t completed = 0;  // advanced by the rail's reader actor
-    std::unique_ptr<ReliableReceiver> rel;  // reliable mode only
   };
 
   void run_rail_rx(std::size_t rail);
@@ -206,7 +207,6 @@ class Reassembler {
   VirtualChannel& vc_;
   NodeRank self_;
   std::uint32_t mtu_;
-  bool reliable_ = false;
   std::vector<StripeIncoming> owned_;  // rails 1..k-1, in rail order
   std::vector<RailRx> rails_;          // all k rails, rail 0 first
   StripeSchedule schedule_;

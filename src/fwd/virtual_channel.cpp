@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "fwd/egress.hpp"
 #include "fwd/gateway.hpp"
 #include "fwd/stripe.hpp"
 #include "mad/channel.hpp"
@@ -102,30 +103,22 @@ VirtualChannel::VirtualChannel(Domain& domain, std::string name,
   }
   routing_ = std::make_unique<topo::Routing>(*topology_);
 
-  // Two real channels per device per virtual channel (paper Fig 3).
-  for (int local = 0; local < local_net_count(); ++local) {
-    net::Network& network = *networks_[static_cast<std::size_t>(local)];
-    regular_ids_.push_back(
-        domain_.create_channel(name_ + ".reg." + network.name(), network));
-    special_ids_.push_back(
-        domain_.create_channel(name_ + ".fwd." + network.name(), network));
-  }
-  // Each extra rail gets its own regular/special pair per device, so
-  // striped rails never contend for a connection tx lock or interleave on
-  // a relay actor with rail 0 (or each other).
-  for (int rail = 1; rail < options_.max_rails; ++rail) {
-    std::vector<ChannelId> reg;
-    std::vector<ChannelId> spec;
-    const std::string prefix = name_ + ".st" + std::to_string(rail);
+  // Two real channels per device per virtual channel (paper Fig 3). Each
+  // extra rail gets its own regular/special pair per device, so striped
+  // rails never contend for a connection tx lock or interleave on a relay
+  // actor with rail 0 (or each other).
+  for (int rail = 0; rail < options_.max_rails; ++rail) {
+    const std::string prefix =
+        rail == 0 ? name_ : name_ + ".st" + std::to_string(rail);
+    regular_ids_.emplace_back();
+    special_ids_.emplace_back();
     for (int local = 0; local < local_net_count(); ++local) {
       net::Network& network = *networks_[static_cast<std::size_t>(local)];
-      reg.push_back(
+      regular_ids_.back().push_back(
           domain_.create_channel(prefix + ".reg." + network.name(), network));
-      spec.push_back(
+      special_ids_.back().push_back(
           domain_.create_channel(prefix + ".fwd." + network.name(), network));
     }
-    stripe_regular_ids_.push_back(std::move(reg));
-    stripe_special_ids_.push_back(std::move(spec));
   }
 
   for (NodeRank rank = 0;
@@ -193,21 +186,6 @@ void VirtualChannel::discard_stale_paquet(Channel& channel, NodeRank peer,
   }
 }
 
-void VirtualChannel::drain_stale_paquets(MessageReader& reader,
-                                         Channel& channel, NodeRank self) {
-  // MTU-sized scratch comes from the channel arena: these tolerant-read
-  // paths run once per message, and per-call malloc of ~MTU buffers was a
-  // measurable slice of gateway receive cost.
-  util::BufferLease scratch(scratch_arena_, mtu_ + kGtmTrailerBytes);
-  while (reader.peek_paquet_size() !=
-         static_cast<std::uint32_t>(sizeof(Preamble))) {
-    const std::uint32_t got =
-        reader.unpack_paquet(util::MutByteSpan(scratch.buffer()));
-    discard_stale_paquet(channel, reader.source(), self,
-                         util::ByteSpan(scratch.data(), got));
-  }
-}
-
 void VirtualChannel::read_framing_tolerant(MessageReader& reader,
                                            Channel& channel, NodeRank self,
                                            util::MutByteSpan element) {
@@ -229,24 +207,6 @@ void VirtualChannel::read_framing_tolerant(MessageReader& reader,
     }
     discard_stale_paquet(channel, reader.source(), self, wire);
   }
-}
-
-GtmMsgHeader VirtualChannel::read_msg_header_tolerant(MessageReader& reader,
-                                                      Channel& channel,
-                                                      NodeRank self) {
-  GtmMsgHeader header{};
-  read_framing_tolerant(reader, channel, self, util::object_bytes_mut(header));
-  return header;
-}
-
-GtmStripeHeader VirtualChannel::read_stripe_header_tolerant(
-    MessageReader& reader, Channel& channel, NodeRank self) {
-  GtmStripeHeader header{};
-  read_framing_tolerant(reader, channel, self, util::object_bytes_mut(header));
-  MAD_ASSERT(header.rails > 0 && header.rail < header.rails,
-             "bad rail index on the wire");
-  MAD_ASSERT(header.share > 0, "zero stripe share on the wire");
-  return header;
 }
 
 Preamble VirtualChannel::read_stream_head(MessageReader& reader,
@@ -305,10 +265,13 @@ Preamble VirtualChannel::read_stream_head(MessageReader& reader,
         }
       }
       header = h;
-      if (stripe == nullptr) {
-        return *preamble;
+      if (stripe != nullptr) {
+        read_framing_tolerant(reader, channel, self,
+                              util::object_bytes_mut(*stripe));
+        MAD_ASSERT(stripe->rails > 0 && stripe->rail < stripe->rails,
+                   "bad rail index on the wire");
+        MAD_ASSERT(stripe->share > 0, "zero stripe share on the wire");
       }
-      *stripe = read_stripe_header_tolerant(reader, channel, self);
       return *preamble;
     }
     // Anything else — wrong-sized junk, or a header with no preamble in
@@ -425,16 +388,7 @@ bool VirtualChannel::is_dead(NodeRank rank) const {
 }
 
 bool VirtualChannel::node_crashed(NodeRank rank) const {
-  const sim::Time now = domain_.engine().now();
-  for (const int local : topology_->networks_of(rank)) {
-    net::Network& net = network(local);
-    const net::FaultInjector* injector = net.fault_injector();
-    if (injector != nullptr &&
-        injector->nic_down(domain_.nic_of(rank, net).index(), now)) {
-      return true;
-    }
-  }
-  return false;
+  return node_crashed_within(rank, domain_.engine().now());
 }
 
 bool VirtualChannel::node_crashed_within(NodeRank rank,
@@ -553,46 +507,15 @@ GatewayStats& VirtualChannel::mutable_gateway_stats(NodeRank rank) {
   return gateway_stats_[rank];
 }
 
-Channel& VirtualChannel::regular_channel(int local_net, NodeRank rank) const {
+Channel& VirtualChannel::rail_channel(
+    const std::vector<std::vector<ChannelId>>& ids, int local_net, int rail,
+    NodeRank rank) const {
   MAD_ASSERT(local_net >= 0 && local_net < local_net_count(),
              "bad local network id");
-  return domain_.endpoint(regular_ids_[static_cast<std::size_t>(local_net)],
+  MAD_ASSERT(rail >= 0 && rail < options_.max_rails, "bad rail index");
+  return domain_.endpoint(ids[static_cast<std::size_t>(rail)]
+                             [static_cast<std::size_t>(local_net)],
                           rank);
-}
-
-Channel& VirtualChannel::special_channel(int local_net, NodeRank rank) const {
-  MAD_ASSERT(local_net >= 0 && local_net < local_net_count(),
-             "bad local network id");
-  return domain_.endpoint(special_ids_[static_cast<std::size_t>(local_net)],
-                          rank);
-}
-
-Channel& VirtualChannel::rail_regular_channel(int local_net, int rail,
-                                              NodeRank rank) const {
-  if (rail == 0) {
-    return regular_channel(local_net, rank);
-  }
-  MAD_ASSERT(local_net >= 0 && local_net < local_net_count(),
-             "bad local network id");
-  MAD_ASSERT(rail > 0 && rail < options_.max_rails, "bad rail index");
-  return domain_.endpoint(
-      stripe_regular_ids_[static_cast<std::size_t>(rail - 1)]
-                         [static_cast<std::size_t>(local_net)],
-      rank);
-}
-
-Channel& VirtualChannel::rail_special_channel(int local_net, int rail,
-                                              NodeRank rank) const {
-  if (rail == 0) {
-    return special_channel(local_net, rank);
-  }
-  MAD_ASSERT(local_net >= 0 && local_net < local_net_count(),
-             "bad local network id");
-  MAD_ASSERT(rail > 0 && rail < options_.max_rails, "bad rail index");
-  return domain_.endpoint(
-      stripe_special_ids_[static_cast<std::size_t>(rail - 1)]
-                         [static_cast<std::size_t>(local_net)],
-      rank);
 }
 
 net::Network& VirtualChannel::network(int local_net) const {
@@ -693,6 +616,41 @@ void VirtualChannel::spawn_gateways() { spawn_gateway_actors(*this); }
 
 // ------------------------------------------------------------- VcEndpoint
 
+namespace {
+
+/// Claims the first parked arrival `matches` accepts, else receives until
+/// one arrives (or `recv` gives up), parking the others for their own
+/// claimants.
+template <typename T, typename Recv, typename Match>
+std::optional<T> claim(std::list<T>& parked, Recv recv, Match matches) {
+  for (auto it = parked.begin(); it != parked.end(); ++it) {
+    if (matches(*it)) {
+      T item = std::move(*it);
+      parked.erase(it);
+      return item;
+    }
+  }
+  for (;;) {
+    std::optional<T> item = recv();
+    if (!item || matches(*item)) {
+      return item;
+    }
+    parked.push_back(std::move(*item));
+  }
+}
+
+bool any_message(const VcIncoming&) { return true; }
+
+std::optional<VcMessageReader> reader_for(VcEndpoint& endpoint,
+                                          std::optional<VcIncoming> incoming) {
+  if (!incoming) {
+    return std::nullopt;
+  }
+  return VcMessageReader(endpoint, std::move(*incoming));
+}
+
+}  // namespace
+
 VcEndpoint::VcEndpoint(VirtualChannel& vc, NodeRank rank)
     : vc_(vc),
       rank_(rank),
@@ -704,49 +662,23 @@ VcEndpoint::VcEndpoint(VirtualChannel& vc, NodeRank rank)
 StripeIncoming VcEndpoint::collect_rail(std::uint32_t origin,
                                         std::uint32_t stripe_id,
                                         std::uint16_t rail) {
-  const auto matches = [&](const StripeIncoming& inc) {
-    return inc.preamble.origin == origin && inc.stripe.stripe_id == stripe_id &&
-           inc.stripe.rail == rail;
-  };
-  for (auto it = stripe_pending_.begin(); it != stripe_pending_.end(); ++it) {
-    if (matches(*it)) {
-      StripeIncoming inc = std::move(*it);
-      stripe_pending_.erase(it);
-      return inc;
-    }
-  }
-  for (;;) {
-    StripeIncoming inc = stripe_inbox_.recv();
-    if (matches(inc)) {
-      return inc;
-    }
-    stripe_pending_.push_back(std::move(inc));
-  }
+  return *claim(
+      stripe_pending_,
+      [&] { return std::optional<StripeIncoming>(stripe_inbox_.recv()); },
+      [&](const StripeIncoming& inc) {
+        return inc.preamble.origin == origin &&
+               inc.stripe.stripe_id == stripe_id && inc.stripe.rail == rail;
+      });
 }
 
 std::optional<VcIncoming> VcEndpoint::collect_replacement(
     NodeRank origin, sim::Time deadline) {
-  const auto matches = [&](const VcIncoming& inc) {
-    return inc.preamble.forwarded != 0 &&
-           inc.preamble.origin == static_cast<std::uint32_t>(origin);
-  };
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (matches(*it)) {
-      VcIncoming inc = std::move(*it);
-      pending_.erase(it);
-      return inc;
-    }
-  }
-  for (;;) {
-    auto inc = inbox_.recv_until(deadline);
-    if (!inc) {
-      return std::nullopt;
-    }
-    if (matches(*inc)) {
-      return std::move(*inc);
-    }
-    pending_.push_back(std::move(*inc));
-  }
+  return claim(
+      pending_, [&] { return inbox_.recv_until(deadline); },
+      [&](const VcIncoming& inc) {
+        return inc.preamble.forwarded != 0 &&
+               inc.preamble.origin == static_cast<std::uint32_t>(origin);
+      });
 }
 
 VcMessageWriter VcEndpoint::begin_packing(NodeRank dst) {
@@ -754,55 +686,45 @@ VcMessageWriter VcEndpoint::begin_packing(NodeRank dst) {
 }
 
 VcMessageReader VcEndpoint::begin_unpacking() {
-  if (!pending_.empty()) {
-    VcIncoming inc = std::move(pending_.front());
-    pending_.pop_front();
-    return VcMessageReader(*this, std::move(inc));
-  }
-  return VcMessageReader(*this, inbox_.recv());
+  return VcMessageReader(
+      *this,
+      *claim(pending_, [&] { return std::optional<VcIncoming>(inbox_.recv()); },
+             any_message));
 }
 
 std::optional<VcMessageReader> VcEndpoint::try_begin_unpacking() {
-  if (!pending_.empty()) {
-    VcIncoming inc = std::move(pending_.front());
-    pending_.pop_front();
-    return VcMessageReader(*this, std::move(inc));
-  }
-  auto incoming = inbox_.try_recv();
-  if (!incoming) {
-    return std::nullopt;
-  }
-  return VcMessageReader(*this, std::move(*incoming));
+  return reader_for(
+      *this, claim(pending_, [&] { return inbox_.try_recv(); }, any_message));
 }
 
 std::optional<VcMessageReader> VcEndpoint::begin_unpacking_until(
     sim::Time deadline) {
-  if (!pending_.empty()) {
-    VcIncoming inc = std::move(pending_.front());
-    pending_.pop_front();
-    return VcMessageReader(*this, std::move(inc));
-  }
-  auto incoming = inbox_.recv_until(deadline);
-  if (!incoming) {
-    return std::nullopt;
-  }
-  return VcMessageReader(*this, std::move(*incoming));
+  return reader_for(*this, claim(pending_,
+                                 [&] { return inbox_.recv_until(deadline); },
+                                 any_message));
 }
 
 // -------------------------------------------------------- VcMessageWriter
 
 VcMessageWriter::VcMessageWriter(VirtualChannel& vc, NodeRank src,
                                  NodeRank dst)
-    : vc_(&vc), src_(src), dst_(dst), mtu_(vc.mtu()) {
+    : vc_(&vc), dst_(dst) {
   MAD_ASSERT(vc.is_member(src) && vc.is_member(dst),
              "both ends must be members of the virtual channel");
   // Route by value: a reliable writer elsewhere on this node can call
   // mark_dead (rebuilding the routing table) while this writer blocks in
   // begin_packing — references into the table would dangle.
   const topo::Route route = vc.routing().route(src, dst);
-  const topo::Hop first = route.front();
-  direct_ = route.size() == 1;
-  if (!direct_ && vc.max_rails() > 1) {
+  if (route.size() == 1) {
+    // No gateway: regular channel, native format, full optimizations.
+    // (Also no reliability: the reliable framing protects forwarded
+    // traffic only.)
+    Channel& channel = vc.regular_channel(route.front().network, src);
+    inner_.emplace(channel.begin_packing(dst));
+    write_preamble(*inner_, Preamble{static_cast<std::uint32_t>(src), 0});
+    return;
+  }
+  if (vc.max_rails() > 1) {
     std::vector<RailPlan> plans = plan_rails(vc, src, dst, vc.max_rails());
     if (plans.size() > 1) {
       striper_ = std::make_unique<Striper>(
@@ -810,181 +732,32 @@ VcMessageWriter::VcMessageWriter(VirtualChannel& vc, NodeRank src,
       return;
     }
   }
-  if (direct_) {
-    // No gateway: regular channel, native format, full optimizations.
-    // (Also no reliability: the reliable framing protects forwarded
-    // traffic only.)
-    Channel& channel = vc.regular_channel(first.network, src);
-    inner_.emplace(channel.begin_packing(dst));
-    write_preamble(*inner_, Preamble{static_cast<std::uint32_t>(src), 0});
-  } else if (vc.reliable()) {
-    open_reliable_hop();
-  } else {
-    // At least one gateway: special channel of the first device, GTM
-    // format with self-description.
-    Channel& channel = vc.special_channel(first.network, src);
-    inner_.emplace(channel.begin_packing(first.node));
-    write_preamble(*inner_, Preamble{static_cast<std::uint32_t>(src), 1});
-    write_msg_header(
-        *inner_,
-        GtmMsgHeader{static_cast<std::uint32_t>(dst),
-                     static_cast<std::uint32_t>(src), mtu_, 0, 0,
-                     static_cast<std::uint8_t>(
-                         vc.options().flow.class_of(src))});
-  }
-}
-
-void VcMessageWriter::open_reliable_hop() {
-  // Single-rail path only: a striped writer delegates to its Striper (each
-  // rail opens hops on its own rail channels), so using the primary route
-  // here is correct even when disjoint_routes() would return more.
-  MAD_ASSERT(striper_ == nullptr, "striped writer on the single-rail path");
-  // Route by value: recover() may trigger a concurrent rebuild.
-  const topo::Hop first = vc_->routing().route(src_, dst_).front();
-  next_hop_ = first.node;
-  route_epoch_ = vc_->routing().epoch();
-  out_channel_ = &vc_->special_channel(first.network, src_);
-  epoch_ = ++out_channel_->connection_to(next_hop_).tx_epoch;
-  seq_ = 0;
-  sender_.reset();
-  inner_.emplace(out_channel_->begin_packing(next_hop_));
-  write_preamble(*inner_, Preamble{static_cast<std::uint32_t>(src_), 1});
-  write_msg_header(*inner_,
-                   GtmMsgHeader{static_cast<std::uint32_t>(dst_),
-                                static_cast<std::uint32_t>(src_), mtu_,
-                                epoch_, kGtmFlagReliable,
-                                static_cast<std::uint8_t>(
-                                    vc_->options().flow.class_of(src_))});
-}
-
-ReliableSender& VcMessageWriter::sender() {
-  if (sender_ == nullptr) {
-    sender_ = std::make_unique<ReliableSender>(*vc_, src_, *inner_,
-                                               *out_channel_, next_hop_,
-                                               epoch_);
-    // Mirror of what open_reliable_hop wrote, re-sent with every paquet-0
-    // retransmission in case a fault window ate the original framing.
-    sender_->set_framing(
-        Preamble{static_cast<std::uint32_t>(src_), 1},
-        GtmMsgHeader{static_cast<std::uint32_t>(dst_),
-                     static_cast<std::uint32_t>(src_), mtu_, epoch_,
-                     kGtmFlagReliable,
-                     static_cast<std::uint8_t>(
-                         vc_->options().flow.class_of(src_))},
-        std::nullopt);
-  }
-  return *sender_;
-}
-
-void VcMessageWriter::emit_block(const ReplayBlock& block) {
-  const util::ByteSpan data(block.data);
-  ReliableSender& snd = sender();
-  snd.send_block_header(seq_++,
-                        block_header_for(data.size(), block.smode,
-                                         block.rmode));
-  const std::uint64_t fragments = fragment_count(data.size(), mtu_);
-  for (std::uint64_t i = 0; i < fragments; ++i) {
-    const std::uint32_t fsize = fragment_size(data.size(), mtu_, i);
-    snd.send(seq_++, data.subspan(i * mtu_, fsize));
-  }
-}
-
-void VcMessageWriter::emit_end() {
-  ReliableSender& snd = sender();
-  snd.send_block_header(seq_, end_marker());
-  // The whole window must drain before end_packing: the end marker's ack
-  // confirms the message crossed this hop (and a dead hop surfaces here as
-  // HopFailure, not as a silent loss).
-  snd.flush();
-}
-
-bool VcMessageWriter::stale_dead_route() const {
-  // The epoch check alone is not enough (any unrelated exclude bumps it);
-  // the hop check alone is not enough either (is_dead() consults state a
-  // concurrent rebuild replaces). Together they mean: the table moved AND
-  // our stream's peer is gone — replaying through it can only time out.
-  return route_epoch_ != vc_->routing().epoch() && vc_->is_dead(next_hop_);
-}
-
-void VcMessageWriter::recover(const HopFailure* failure, bool rejected,
-                              bool finishing) {
-  // A value plus a flag, not std::optional: GCC cannot prove the optional
-  // engaged where the panic message reads it (-Wmaybe-uninitialized).
-  HopFailure failed = failure != nullptr ? *failure : HopFailure{};
-  bool hop_failed = failure != nullptr;
-  for (;;) {
-    sim::MetricsRegistry& metrics = vc_->domain().fabric().metrics();
-    const std::string node_label = "node=" + std::to_string(src_);
-    if (hop_failed) {
-      vc_->declare_dead(src_, failed.next_hop);
-    }
-    // Drop the window first — its in-flight paquets die with the hop and
-    // must not outlive the MessageWriter they reference. Express flushing
-    // leaves nothing buffered, so closing the dead-hop message is
-    // non-blocking and releases the connection's tx lock.
-    sender_.reset();
-    inner_->end_packing();
-    inner_.reset();
-    if (!vc_->routing().reachable(src_, dst_)) {
-      const std::string why =
-          hop_failed ? "gateway " + std::to_string(failed.next_hop) +
-                           " declared dead after " +
-                           std::to_string(failed.attempts) + " attempts"
-                     : "its route was invalidated under it";
-      MAD_PANIC("node " + std::to_string(dst_) + " unreachable from " +
-                std::to_string(src_) + ": " + why +
-                " and no alternate route exists");
-    }
-    if (hop_failed) {
-      vc_->note_failover(src_, dst_, failed.next_hop);
-    } else if (rejected) {
-      // Admission rejection: the hop is healthy, the gateway is
-      // overloaded. Nothing is condemned — back off (exponentially in the
-      // consecutive-reject count, with deterministic jitter so lockstep
-      // rejectees desynchronize) and replay on a fresh epoch. The tx lock
-      // was released above, so the sleep blocks no other writer.
-      const sim::Time delay = vc_->options().flow.reject_delay(
-          reject_attempts_, (static_cast<std::uint64_t>(src_) << 40) ^
-                                (static_cast<std::uint64_t>(dst_) << 20) ^
-                                static_cast<std::uint64_t>(reject_attempts_));
-      ++reject_attempts_;
-      metrics.add("flow.reject_retries", node_label);
-      if (vc_->options().trace != nullptr) {
-        vc_->options().trace->instant_here(
-            "flow.rejected", "dst=" + std::to_string(dst_) + " attempt=" +
-                                 std::to_string(reject_attempts_));
-      }
-      vc_->domain().engine().sleep_for(delay);
-    } else {
-      metrics.add("health.reroutes", node_label);
-      if (vc_->options().trace != nullptr) {
-        vc_->options().trace->instant_here(
-            "health.reroute", "dst=" + std::to_string(dst_) + " from=" +
-                                  std::to_string(next_hop_));
-      }
-    }
-    open_reliable_hop();
-    try {
-      for (const ReplayBlock& block : replay_) {
-        emit_block(block);
-      }
-      if (finishing) {
-        emit_end();
-      }
-      return;
-    } catch (const HopFailure& again) {
-      failed = again;
-      hop_failed = true;
-      rejected = false;
-    } catch (const FlowRejected&) {
-      hop_failed = false;
-      rejected = true;
-    }
-  }
+  // At least one gateway: GTM format with self-description, on the special
+  // channel of the first device.
+  egress_ = std::make_unique<Egress>(
+      vc, src,
+      GtmMsgHeader{static_cast<std::uint32_t>(dst),
+                   static_cast<std::uint32_t>(src), vc.mtu(), 0,
+                   vc.reliable() ? kGtmFlagReliable : std::uint8_t{0},
+                   static_cast<std::uint8_t>(vc.options().flow.class_of(src))},
+      std::nullopt, /*rail=*/0,
+      (static_cast<std::uint64_t>(src) << 40) ^
+          (static_cast<std::uint64_t>(dst) << 20));
+  egress_->set_route(route);
+  egress_->open();
 }
 
 VcMessageWriter::VcMessageWriter(VcMessageWriter&&) noexcept = default;
 VcMessageWriter::~VcMessageWriter() = default;
+
+void VcMessageWriter::replay(bool finishing) {
+  for (const StoredBlock& block : replay_) {
+    egress_->block(block.header, block.data);
+  }
+  if (finishing) {
+    egress_->end();
+  }
+}
 
 void VcMessageWriter::pack(util::ByteSpan data, SendMode smode,
                            RecvMode rmode) {
@@ -993,69 +766,37 @@ void VcMessageWriter::pack(util::ByteSpan data, SendMode smode,
     striper_->pack(data, smode, rmode);
     return;
   }
-  if (direct_) {
+  if (inner_) {
     inner_->pack(data, smode, rmode);
     return;
   }
+  const GtmBlockHeader header = block_header_for(data.size(), smode, rmode);
   if (vc_->reliable()) {
     // Keep a copy for replay: a downstream gateway crash can surface any
     // number of blocks later, and the message restarts from scratch on
     // the alternate route.
-    replay_.push_back(ReplayBlock{
-        std::vector<std::byte>(data.begin(), data.end()), smode, rmode});
-    try {
-      if (stale_dead_route()) {
-        // Proactive reroute at the block boundary: the health actor (or a
-        // concurrent writer) invalidated our route and the next hop is
-        // dead — don't wait for the retry budget to discover it.
-        recover(nullptr, /*rejected=*/false, /*finishing=*/false);
-      } else {
-        emit_block(replay_.back());
-      }
-    } catch (const HopFailure& failure) {
-      recover(&failure, /*rejected=*/false, /*finishing=*/false);
-    } catch (const FlowRejected&) {
-      recover(nullptr, /*rejected=*/true, /*finishing=*/false);
-    }
-    return;
+    replay_.push_back(
+        StoredBlock{header, std::vector<std::byte>(data.begin(), data.end())});
+    data = replay_.back().data;
   }
-  // GTM: block header, then MTU-sized fragments. Express flushing makes
-  // every fragment its own packet on every BMM shape, so the paquets the
-  // gateway sees are exactly the paquets the final receiver expects.
-  write_block_header(*inner_, block_header_for(data.size(), smode, rmode));
-  const std::uint64_t fragments = fragment_count(data.size(), mtu_);
-  for (std::uint64_t i = 0; i < fragments; ++i) {
-    const std::uint32_t fsize = fragment_size(data.size(), mtu_, i);
-    inner_->pack(data.subspan(i * mtu_, fsize), SendMode::Cheaper,
-                 RecvMode::Express);
-  }
+  // A stale route reroutes proactively here, at the block boundary: the
+  // health actor (or a concurrent writer) condemned the next hop, so the
+  // writer does not wait for the retry budget to discover it.
+  egress_->send([&] { egress_->block(header, data); },
+                [&] { replay(/*finishing=*/false); });
 }
 
 void VcMessageWriter::end_packing() {
   MAD_ASSERT(!ended_, "end_packing called twice");
   if (striper_ != nullptr) {
     striper_->end_packing();
-    ended_ = true;
-    return;
+  } else if (inner_) {
+    inner_->end_packing();
+  } else {
+    egress_->send([&] { egress_->end(); },
+                  [&] { replay(/*finishing=*/true); });
+    egress_->close();
   }
-  if (!direct_) {
-    if (vc_->reliable()) {
-      try {
-        if (stale_dead_route()) {
-          recover(nullptr, /*rejected=*/false, /*finishing=*/true);
-        } else {
-          emit_end();
-        }
-      } catch (const HopFailure& failure) {
-        recover(&failure, /*rejected=*/false, /*finishing=*/true);
-      } catch (const FlowRejected&) {
-        recover(nullptr, /*rejected=*/true, /*finishing=*/true);
-      }
-    } else {
-      write_block_header(*inner_, end_marker());
-    }
-  }
-  inner_->end_packing();
   ended_ = true;
 }
 
@@ -1065,8 +806,7 @@ VcMessageReader::VcMessageReader(VcEndpoint& endpoint, VcIncoming incoming)
     : incoming_(std::move(incoming)),
       vc_(&endpoint.vc()),
       endpoint_(&endpoint),
-      self_(endpoint.rank()),
-      mtu_(endpoint.vc().mtu()) {
+      self_(endpoint.rank()) {
   if (forwarded()) {
     // In reliable mode the polling actor already pulled the header off the
     // stream (its epoch drives the ghost filter); re-reading it here would
@@ -1078,9 +818,9 @@ VcMessageReader::VcMessageReader(VcEndpoint& endpoint, VcIncoming incoming)
                "forwarded message delivered to the wrong node");
     MAD_ASSERT(gtm_header_.origin == incoming_->preamble.origin,
                "preamble/GTM origin mismatch");
-    MAD_ASSERT(gtm_header_.mtu == mtu_, "GTM MTU mismatch");
-    reliable_ = (gtm_header_.flags & kGtmFlagReliable) != 0;
-    MAD_ASSERT(reliable_ == vc_->reliable(),
+    MAD_ASSERT(gtm_header_.mtu == vc_->mtu(), "GTM MTU mismatch");
+    MAD_ASSERT(((gtm_header_.flags & kGtmFlagReliable) != 0) ==
+                   vc_->reliable(),
                "reliable-mode mismatch between sender and receiver");
     if (striped()) {
       stripe_ = read_stripe_header(incoming_->reader);
@@ -1100,44 +840,45 @@ void VcMessageReader::ensure_reassembler() {
   }
 }
 
-void VcMessageReader::ensure_receiver() {
-  if (receiver_ == nullptr) {
+HopReader& VcMessageReader::hop() {
+  if (hop_ == nullptr) {
     // window = 1 keeps the PR-1 blocking receive (no liveness polling);
     // only the windowed protocol streams partial messages through
     // gateways, so only it can strand a reader on a dead upstream hop.
-    receiver_ = std::make_unique<ReliableReceiver>(
-        *vc_, self_, *incoming_->channel, incoming_->reader.source(),
-        gtm_header_.epoch,
+    hop_ = std::make_unique<HopReader>(
+        *vc_, self_, incoming_->reader, *incoming_->channel, gtm_header_,
         /*detect_dead=*/vc_->options().reliable.window > 1);
   }
+  return *hop_;
 }
 
 void VcMessageReader::adopt() {
   const NodeRank origin = source();
-  // Abandon the dead gateway's stream: in paquet mode the reader holds no
-  // partial-packet state, so closing it is a no-op at the BMM level, and
-  // releasing `done` lets the polling actor pick up the replacement
-  // message on this same real channel.
-  incoming_->reader.end_unpacking();
-  incoming_->done->notify_all();
-  incoming_.reset();
-  receiver_.reset();
   sim::Engine& engine = vc_->domain().engine();
   const sim::Time poll = vc_->options().reliable.ack_timeout;
   std::vector<std::byte> skip;
   for (;;) {
-    if (!vc_->routing().reachable(origin, self_)) {
-      MAD_PANIC("node " + std::to_string(self_) +
-                " cannot adopt the stream from origin " +
-                std::to_string(origin) +
-                ": origin unreachable, no route survives the failed nodes");
+    // Abandon the dead gateway's stream (or the replacement's, when its
+    // gateway died too): in paquet mode the reader holds no partial-packet
+    // state, so closing it is a no-op at the BMM level, and releasing
+    // `done` lets the polling actor pick up the replacement message on
+    // this same real channel.
+    incoming_->reader.end_unpacking();
+    incoming_->done->notify_all();
+    incoming_.reset();
+    hop_.reset();
+    while (!incoming_) {  // recheck reachability each ack_timeout slice
+      if (!vc_->routing().reachable(origin, self_)) {
+        MAD_PANIC("node " + std::to_string(self_) +
+                  " cannot adopt the stream from origin " +
+                  std::to_string(origin) +
+                  ": origin unreachable, no route survives the failed nodes");
+      }
+      if (auto replacement =
+              endpoint_->collect_replacement(origin, engine.now() + poll)) {
+        incoming_.emplace(std::move(*replacement));
+      }
     }
-    auto replacement =
-        endpoint_->collect_replacement(origin, engine.now() + poll);
-    if (!replacement) {
-      continue;  // recheck reachability each ack_timeout slice
-    }
-    incoming_.emplace(std::move(*replacement));
     MAD_ASSERT(incoming_->gtm_header.has_value(),
                "reliable replacement stream arrived without its header");
     const GtmMsgHeader header = *incoming_->gtm_header;
@@ -1147,33 +888,19 @@ void VcMessageReader::adopt() {
                    header.flags == gtm_header_.flags,
                "replayed message does not match the abandoned stream");
     gtm_header_ = header;  // fresh epoch
-    next_seq_ = 0;
-    ensure_receiver();
     // The origin replays the whole message; skip what was already
     // consumed so unpack resumes exactly where the old stream broke.
     try {
       for (std::uint64_t b = 0; b < blocks_consumed_; ++b) {
-        const GtmBlockHeader h =
-            receiver_->recv_block_header(incoming_->reader, next_seq_);
-        ++next_seq_;
+        const GtmBlockHeader h = hop().block_header();
         MAD_ASSERT(h.end_of_message == 0,
                    "replayed message shorter than the consumed prefix");
         skip.resize(h.size);
-        const std::uint64_t fragments = fragment_count(h.size, mtu_);
-        for (std::uint64_t i = 0; i < fragments; ++i) {
-          const std::uint32_t fsize = fragment_size(h.size, mtu_, i);
-          receiver_->recv(incoming_->reader, next_seq_,
-                          util::MutByteSpan(skip).subspan(i * mtu_, fsize));
-          ++next_seq_;
-        }
+        hop().fragments(skip);
       }
       return;
     } catch (const PeerDied&) {
-      // The replacement's gateway died too: abandon again, keep waiting.
-      incoming_->reader.end_unpacking();
-      incoming_->done->notify_all();
-      incoming_.reset();
-      receiver_.reset();
+      // The replacement's gateway died too: keep waiting.
     }
   }
 }
@@ -1194,53 +921,14 @@ void VcMessageReader::unpack(util::MutByteSpan dst, SendMode smode,
     reassembler_->unpack(dst, smode, rmode);
     return;
   }
-  if (reliable_) {
-    // The per-hop stream peer is whoever sent on this real channel — the
-    // last gateway in general (incoming_->reader.source(), not the
-    // preamble origin).
-    for (;;) {
-      try {
-        ensure_receiver();
-        const GtmBlockHeader header =
-            receiver_->recv_block_header(incoming_->reader, next_seq_);
-        ++next_seq_;
-        MAD_ASSERT(header.end_of_message == 0,
-                   "unpack past the end of a forwarded message");
-        MAD_ASSERT(header.size == dst.size(),
-                   "unpack size " + std::to_string(dst.size()) +
-                       " does not match packed size " +
-                       std::to_string(header.size));
-        MAD_ASSERT(decode_smode(header.smode) == smode &&
-                       decode_rmode(header.rmode) == rmode,
-                   "unpack flags do not match the pack flags");
-        const std::uint64_t fragments = fragment_count(header.size, mtu_);
-        for (std::uint64_t i = 0; i < fragments; ++i) {
-          const std::uint32_t fsize = fragment_size(header.size, mtu_, i);
-          receiver_->recv(incoming_->reader, next_seq_,
-                          dst.subspan(i * mtu_, fsize));
-          ++next_seq_;
-        }
-        ++blocks_consumed_;
-        return;
-      } catch (const PeerDied&) {
-        adopt();  // restarts this block on the replayed stream
-      }
+  for (;;) {
+    try {
+      hop().block(dst, smode, rmode);
+      ++blocks_consumed_;
+      return;
+    } catch (const PeerDied&) {
+      adopt();  // restarts this block on the replayed stream
     }
-  }
-  const GtmBlockHeader header = read_block_header(incoming_->reader);
-  MAD_ASSERT(header.end_of_message == 0,
-             "unpack past the end of a forwarded message");
-  MAD_ASSERT(header.size == dst.size(),
-             "unpack size " + std::to_string(dst.size()) +
-                 " does not match packed size " + std::to_string(header.size));
-  MAD_ASSERT(decode_smode(header.smode) == smode &&
-                 decode_rmode(header.rmode) == rmode,
-             "unpack flags do not match the pack flags");
-  const std::uint64_t fragments = fragment_count(header.size, mtu_);
-  for (std::uint64_t i = 0; i < fragments; ++i) {
-    const std::uint32_t fsize = fragment_size(header.size, mtu_, i);
-    incoming_->reader.unpack(dst.subspan(i * mtu_, fsize), SendMode::Cheaper,
-                             RecvMode::Express);
   }
 }
 
@@ -1251,41 +939,17 @@ void VcMessageReader::end_unpacking() {
     // reassembler yet — build it so rails 1..k-1 get claimed and closed).
     ensure_reassembler();
     reassembler_->end_unpacking();
-    incoming_->reader.end_unpacking();
-    ended_ = true;
-    incoming_->done->notify_all();
-    return;
-  }
-  if (forwarded() && reliable_) {
-    // The end marker is a reliable paquet too: its ack confirms the whole
-    // message made it across this hop.
-    for (;;) {
+  } else {
+    while (forwarded()) {
       try {
-        ensure_receiver();
-        const GtmBlockHeader marker =
-            receiver_->recv_block_header(incoming_->reader, next_seq_);
-        MAD_ASSERT(marker.end_of_message == 1,
-                   "end_unpacking before all blocks were consumed");
+        // On a reliable stream the end marker is a paquet too: its ack
+        // confirms the whole message made it across this hop.
+        hop().end();
         break;
       } catch (const PeerDied&) {
         adopt();
       }
     }
-    // The stream is complete: late retransmits of this epoch arriving at
-    // the next message boundary are re-acked (the sender may have lost
-    // our acks to a fault window) instead of reopening the message.
-    Connection& conn =
-        incoming_->channel->connection_to(incoming_->reader.source());
-    conn.rx_epoch_done = std::max(conn.rx_epoch_done, gtm_header_.epoch);
-    // Keep re-advertising the tail ack for a while: if a fault window
-    // swallowed it, the sender would otherwise burn its whole retry budget
-    // on a message we already consumed and falsely declare this hop dead.
-    vc_->spawn_tail_acker(*incoming_->channel, incoming_->reader.source(),
-                          gtm_header_.epoch, next_seq_);
-  } else if (forwarded()) {
-    const GtmBlockHeader marker = read_block_header(incoming_->reader);
-    MAD_ASSERT(marker.end_of_message == 1,
-               "end_unpacking before all blocks were consumed");
   }
   incoming_->reader.end_unpacking();
   ended_ = true;

@@ -168,6 +168,8 @@ struct VcOptions {
 class VcEndpoint;
 class VcMessageWriter;
 class VcMessageReader;
+class Egress;
+struct StoredBlock;
 class Striper;
 class Reassembler;
 
@@ -214,31 +216,6 @@ class VirtualChannel {
   bool reliable() const { return options_.reliable.enabled; }
   const topo::Routing& routing() const { return *routing_; }
   const topo::Topology& topology() const { return *topology_; }
-
-  /// Reliable mode: discards paquets of a *finished* stream that arrive
-  /// after their message completed (late retransmits, wire duplicates) and
-  /// queue ahead of the next message's preamble. Sound because every
-  /// message opens with the preamble paquet and the preamble is strictly
-  /// smaller than any reliable paquet (see generic_tm.hpp), so at a
-  /// message boundary the wire size alone identifies a stale paquet.
-  /// Checksum-valid drops of an epoch the channel's connection already
-  /// completed are re-acked (see Connection::rx_epoch_done).
-  void drain_stale_paquets(MessageReader& reader, Channel& channel,
-                           NodeRank self);
-
-  /// Reliable-mode header reads that tolerate what a lossy fault window
-  /// leaves in front of the expected element: duplicated framing from
-  /// paquet-0 retransmissions (ReliableSender::set_framing) and stray data
-  /// paquets whose own framing was lost. Anything that is not the element
-  /// is dropped via the drain_stale_paquets accounting — unacknowledged
-  /// unless its epoch already completed — so a sender whose header was
-  /// eaten keeps retransmitting paquet 0 (with the prologue) until the
-  /// receiver re-frames.
-  GtmMsgHeader read_msg_header_tolerant(MessageReader& reader,
-                                        Channel& channel, NodeRank self);
-  GtmStripeHeader read_stripe_header_tolerant(MessageReader& reader,
-                                              Channel& channel,
-                                              NodeRank self);
 
   /// Reliable-mode boundary parse: returns the first *genuine* stream head
   /// on `reader` — the preamble, plus the GTM message header when the
@@ -318,13 +295,18 @@ class VirtualChannel {
 
   /// Real channels, indexed by the *local* network id (the position of the
   /// network in the constructor list).
-  Channel& regular_channel(int local_net, NodeRank rank) const;
-  Channel& special_channel(int local_net, NodeRank rank) const;
-  /// Rail-indexed channel pair: rail 0 is the regular/special pair above,
-  /// rails >= 1 (striping) each get a dedicated pair so rails never share
-  /// a connection's tx lock or a relay actor.
-  Channel& rail_regular_channel(int local_net, int rail, NodeRank rank) const;
-  Channel& rail_special_channel(int local_net, int rail, NodeRank rank) const;
+  Channel& regular_channel(int local_net, NodeRank rank) const {
+    return rail_regular_channel(local_net, 0, rank);
+  }
+  /// Rail-indexed channel pair: rail 0 is the paper's regular/special
+  /// pair, rails >= 1 (striping) each get a dedicated pair so rails never
+  /// share a connection's tx lock or a relay actor.
+  Channel& rail_regular_channel(int local_net, int rail, NodeRank rank) const {
+    return rail_channel(regular_ids_, local_net, rail, rank);
+  }
+  Channel& rail_special_channel(int local_net, int rail, NodeRank rank) const {
+    return rail_channel(special_ids_, local_net, rail, rank);
+  }
   int max_rails() const { return options_.max_rails; }
   net::Network& network(int local_net) const;
   int local_net_count() const { return static_cast<int>(networks_.size()); }
@@ -346,10 +328,19 @@ class VirtualChannel {
   /// connection to `peer` already completed.
   void discard_stale_paquet(Channel& channel, NodeRank peer, NodeRank self,
                             util::ByteSpan wire);
-  /// Pulls paquets off `reader` until one matches `element`'s size without
-  /// being a checksum-valid reliable paquet, then copies it out.
+  /// Reliable-mode framing read that tolerates what a lossy fault window
+  /// leaves in front of the expected element: duplicated framing from
+  /// paquet-0 retransmissions (ReliableSender::set_framing) and stray data
+  /// paquets whose own framing was lost. Pulls paquets off `reader` until
+  /// one matches `element`'s size without being a checksum-valid reliable
+  /// paquet, then copies it out. Everything else is dropped with the stale
+  /// accounting — unacknowledged unless its epoch already completed — so a
+  /// sender whose header was eaten keeps retransmitting paquet 0 (with the
+  /// prologue) until the receiver re-frames.
   void read_framing_tolerant(MessageReader& reader, Channel& channel,
                              NodeRank self, util::MutByteSpan element);
+  Channel& rail_channel(const std::vector<std::vector<ChannelId>>& ids,
+                        int local_net, int rail, NodeRank rank) const;
 
   Domain& domain_;
   std::string name_;
@@ -365,12 +356,10 @@ class VirtualChannel {
   // Nodes declared dead by the retry budget — a (reversible) superset
   // split from routing exclusion, which quarantines also use.
   std::set<NodeRank> dead_;
-  std::vector<ChannelId> regular_ids_;  // per local network
-  std::vector<ChannelId> special_ids_;
-  // Per rail >= 1, per local network (striping only; empty when
-  // max_rails == 1).
-  std::vector<std::vector<ChannelId>> stripe_regular_ids_;
-  std::vector<std::vector<ChannelId>> stripe_special_ids_;
+  // Per rail, per local network (rail 0 is the paper's pair; rails >= 1
+  // exist only when striping).
+  std::vector<std::vector<ChannelId>> regular_ids_;
+  std::vector<std::vector<ChannelId>> special_ids_;
   std::map<NodeRank, std::unique_ptr<VcEndpoint>> endpoints_;
   mutable std::map<NodeRank, GatewayStats> gateway_stats_;
   // One RdmaTm per NIC that ever sent one-sided, lazily created (mutable:
@@ -473,7 +462,7 @@ class VcMessageWriter {
 
   NodeRank destination() const { return dst_; }
   /// True when no gateway is involved (native path, full optimizations).
-  bool direct() const { return direct_; }
+  bool direct() const { return inner_.has_value(); }
   /// True when this message is split across several rails.
   bool striped() const { return striper_ != nullptr; }
   /// The striper of a striped message (rail credit accounting etc);
@@ -491,52 +480,17 @@ class VcMessageWriter {
   void end_packing();
 
  private:
-  // Reliable mode: (re)opens the per-hop stream toward the current first
-  // hop with a fresh epoch.
-  void open_reliable_hop();
-  // The per-hop window sender, created lazily at the first emit so the
-  // writer may be moved after construction (the sender keeps a reference
-  // into inner_).
-  ReliableSender& sender();
-  // One packed block, kept for replay across failovers.
-  struct ReplayBlock {
-    std::vector<std::byte> data;
-    SendMode smode;
-    RecvMode rmode;
-  };
-  void emit_block(const ReplayBlock& block);
-  void emit_end();
-  // Reopens the hop and replays the message after any recoverable stream
-  // abort. With a HopFailure the failed hop is first declared dead
-  // (reactive failover); with `rejected` the hop is healthy but a gateway
-  // admission controller refused the message, so the writer backs off
-  // (flow.reject_backoff, exponential + jitter) and replays on a fresh
-  // epoch with nothing condemned; with neither, the route table moved
-  // under us and the current next hop is dead (proactive reroute). Panics
-  // with an "unreachable" diagnosis when no alternate route exists.
-  void recover(const HopFailure* failure, bool rejected, bool finishing);
-  // The route epoch moved since this hop was opened AND the hop's peer is
-  // now dead: the stream is doomed, reroute before feeding it more.
-  bool stale_dead_route() const;
+  // Resends every stored block (and the end marker when `finishing`) on
+  // the hop the egress just reopened.
+  void replay(bool finishing);
 
   VirtualChannel* vc_;
-  NodeRank src_ = -1;
   NodeRank dst_;
-  bool direct_ = false;
-  std::uint32_t mtu_ = 0;
-  std::optional<MessageWriter> inner_;
-  std::unique_ptr<Striper> striper_;  // multi-rail path; inner_ stays empty
+  std::optional<MessageWriter> inner_;  // direct path
+  std::unique_ptr<Egress> egress_;      // forwarded single-rail path
+  std::unique_ptr<Striper> striper_;    // multi-rail path
   bool ended_ = false;
-  // Reliable (non-direct) mode state.
-  Channel* out_channel_ = nullptr;
-  NodeRank next_hop_ = -1;
-  std::uint32_t epoch_ = 0;
-  std::uint32_t seq_ = 0;
-  std::uint64_t route_epoch_ = 0;  // routing().epoch() when the hop opened
-  std::unique_ptr<ReliableSender> sender_;
-  std::vector<ReplayBlock> replay_;
-  // Consecutive admission rejections of this message (backoff exponent).
-  int reject_attempts_ = 0;
+  std::vector<StoredBlock> replay_;  // reliable mode: kept for failover
 };
 
 class VcMessageReader {
@@ -574,9 +528,9 @@ class VcMessageReader {
   // object, which must not move afterwards (readers are only moved
   // between begin_unpacking and the first unpack).
   void ensure_reassembler();
-  // The per-hop window receiver, created lazily at the first unpack for
-  // the same movability reason.
-  void ensure_receiver();
+  // The hop stream's reader (with its window receiver when reliable),
+  // created lazily at the first unpack for the same movability reason.
+  HopReader& hop();
   // Reliable window > 1 only: the upstream gateway died mid-stream.
   // Abandons the current real-channel stream and waits for the origin's
   // replayed message on the failover route, skipping the blocks this
@@ -589,16 +543,12 @@ class VcMessageReader {
   VirtualChannel* vc_ = nullptr;
   VcEndpoint* endpoint_ = nullptr;
   NodeRank self_ = -1;
-  std::uint32_t mtu_ = 0;
   GtmMsgHeader gtm_header_;  // valid when forwarded()
   GtmStripeHeader stripe_;   // valid when striped()
   std::unique_ptr<Reassembler> reassembler_;  // striped messages only
   bool ended_ = false;
-  // Reliable (forwarded) mode state.
-  bool reliable_ = false;
-  std::uint32_t next_seq_ = 0;
   std::uint64_t blocks_consumed_ = 0;  // completed blocks (adoption skip)
-  std::unique_ptr<ReliableReceiver> receiver_;
+  std::unique_ptr<HopReader> hop_;  // forwarded, unstriped messages
 };
 
 }  // namespace mad::fwd

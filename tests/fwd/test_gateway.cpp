@@ -2,7 +2,9 @@
 // shapes from the paper's evaluation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -10,6 +12,8 @@
 
 #include "harness/scenario.hpp"
 #include "mad/copy_stats.hpp"
+#include "net/fault.hpp"
+#include "sim/metrics.hpp"
 #include "support/coc_rig.hpp"
 #include "util/rng.hpp"
 
@@ -456,6 +460,330 @@ INSTANTIATE_TEST_SUITE_P(
         RelayCase{"ChainRdma", RelayTopo::TwoGatewayChain, true,
                   {3872249, 2802784, 10455181, 10455181, 4909447, 4909447}}),
     [](const ::testing::TestParamInfo<RelayCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---- Origin egress matrix -----------------------------------------------
+//
+// The origin side of the relay matrix: the same three-block message leaves
+// its origin directly, through a gateway as plain GTM, through a gateway
+// under a reliable window of 1 and of 8, and striped over two
+// node-disjoint gateways, plain and reliable. Each row runs with the
+// one-sided egress off and on (the origin itself always sends two-sided;
+// only the gateways cut RDMA blocks). One-way times and gateway totals are
+// pinned, so a change in how an origin opens, feeds or closes its hop
+// shows up as a moved number.
+
+enum class OriginPath { Direct, Plain, Reliable, Striped };
+
+struct OriginRow {
+  const char* name;
+  OriginPath path;
+  bool reliable;
+  int window;
+};
+
+constexpr std::array<OriginRow, 6> kOriginRows{{
+    {"direct", OriginPath::Direct, false, 1},
+    {"plain", OriginPath::Plain, false, 1},
+    {"reliable_window1", OriginPath::Reliable, true, 1},
+    {"reliable_window8", OriginPath::Reliable, true, 8},
+    {"striped_plain", OriginPath::Striped, false, 1},
+    {"striped_reliable", OriginPath::Striped, true, 8},
+}};
+
+/// m0 reaches m1 directly and s0 over two node-disjoint gateways (gw1 on
+/// myri0, gw2 on myri1).
+constexpr const char* kDisjointConfig = R"(
+network myri0 BIP/Myrinet
+network myri1 BIP/Myrinet
+network sci0  SISCI/SCI
+node m0  myri0 myri1
+node m1  myri0
+node gw1 myri0 sci0
+node gw2 myri1 sci0
+node s0  sci0
+)";
+
+struct OriginPin {
+  sim::Time one_way_ns;
+  std::uint64_t messages_forwarded;
+  std::uint64_t paquets_forwarded;
+  std::uint64_t bytes_forwarded;
+};
+
+struct OriginCase {
+  const char* name;
+  bool rdma;
+  std::array<OriginPin, kOriginRows.size()> expected;
+};
+
+void PrintTo(const OriginCase& c, std::ostream* os) { *os << c.name; }
+
+RelayResult origin_case(const OriginCase& c, const OriginRow& row) {
+  VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = row.reliable;
+  options.reliable.window = row.window;
+  options.max_rails = row.path == OriginPath::Striped ? 2 : 1;
+  options.rdma.enabled = c.rdma;
+  harness::ConfigWorld world(topo::parse_topo_config(kDisjointConfig),
+                             options);
+  // The pinned totals tell the paths apart: no message crosses a gateway
+  // on the direct path, one on a single-rail path, one per rail striped.
+  return relay_once(world, world.rank_of("m0"),
+                    world.rank_of(row.path == OriginPath::Direct ? "m1"
+                                                                 : "s0"),
+                    {world.rank_of("gw1"), world.rank_of("gw2")});
+}
+
+class OriginEgressMatrix : public ::testing::TestWithParam<OriginCase> {};
+
+TEST_P(OriginEgressMatrix, EveryOriginPathIsPinned) {
+  const OriginCase& c = GetParam();
+  for (std::size_t r = 0; r < kOriginRows.size(); ++r) {
+    const OriginRow& row = kOriginRows[r];
+    SCOPED_TRACE(row.name);
+    const RelayResult result = origin_case(c, row);
+    const OriginPin& pin = c.expected[r];
+    EXPECT_EQ(result.one_way, pin.one_way_ns);
+    EXPECT_EQ(result.totals.messages_forwarded, pin.messages_forwarded);
+    EXPECT_EQ(result.totals.paquets_forwarded, pin.paquets_forwarded);
+    EXPECT_EQ(result.totals.bytes_forwarded, pin.bytes_forwarded);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, OriginEgressMatrix,
+    ::testing::Values(
+        OriginCase{"TwoSided", false,
+                   {{{1516021, 0, 0, 0},
+                     {2756088, 1, 8, 97000},
+                     {5724673, 1, 8, 97000},
+                     {3396469, 1, 8, 97000},
+                     {1907978, 2, 8, 97000},
+                     {3653106, 2, 8, 97000}}}},
+        OriginCase{"Rdma", true,
+                   {{{1516021, 0, 0, 0},
+                     {2464960, 1, 8, 97000},
+                     {5731351, 1, 8, 97000},
+                     {3395060, 1, 8, 97000},
+                     {1907978, 2, 8, 97000},
+                     {3653106, 2, 8, 97000}}}}),
+    [](const ::testing::TestParamInfo<OriginCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---- Recovery pins ------------------------------------------------------
+//
+// Every way a sender recovers from a failed hop, each in one scenario with
+// its one-way time and its recovery counters pinned: an origin failing over
+// around a crashed gateway, a striped rail repairing around one, a second
+// origin rerouting proactively at a block boundary because the first
+// origin's failover already condemned its next hop, and a gateway backing
+// off after the NEXT gateway's admission gate refused its message.
+
+/// One sender's traffic: `messages` messages of `blocks`, starting at
+/// `start`. With `resume_at` set the sender pauses after each message's
+/// first block until that virtual time.
+struct Send {
+  const char* src;
+  const char* dst;
+  int messages = 1;
+  std::vector<std::size_t> blocks;
+  sim::Time start = 0;
+  sim::Time resume_at = 0;
+};
+
+/// Crashes `node`'s NICs on every network at `at`.
+void crash_node(harness::ConfigWorld& world, const char* node, sim::Time at) {
+  const NodeRank rank = world.rank_of(node);
+  for (net::Network* network : world.networks) {
+    if (!world.domain->has_nic(rank, *network)) {
+      continue;
+    }
+    net::FaultPlan plan;
+    plan.crashes.push_back(
+        {static_cast<int>(world.domain->nic_of(rank, *network).index()), at});
+    network->set_fault_plan(plan);
+  }
+}
+
+/// Runs every send to completion, checking each message's bytes; returns
+/// the virtual time the last message was unpacked.
+sim::Time run_sends(harness::ConfigWorld& world,
+                    const std::vector<Send>& sends) {
+  sim::Time last = 0;
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    const Send& send = sends[i];
+    const NodeRank src = world.rank_of(send.src);
+    const NodeRank dst = world.rank_of(send.dst);
+    world.engine.spawn("tx" + std::to_string(i), [&world, &send, i, src,
+                                                  dst] {
+      world.engine.sleep_until(send.start);
+      for (int m = 0; m < send.messages; ++m) {
+        util::Rng rng(100 * i + static_cast<std::size_t>(m));
+        auto msg = world.ep(src).begin_packing(dst);
+        for (std::size_t b = 0; b < send.blocks.size(); ++b) {
+          msg.pack(rng.bytes(send.blocks[b]), SendMode::Safer);
+          if (b == 0 && send.resume_at > 0) {
+            world.engine.sleep_until(send.resume_at);
+          }
+        }
+        msg.end_packing();
+      }
+    });
+    world.engine.spawn("rx" + std::to_string(i), [&world, &send, &last, i,
+                                                  dst] {
+      for (int m = 0; m < send.messages; ++m) {
+        util::Rng rng(100 * i + static_cast<std::size_t>(m));
+        auto msg = world.ep(dst).begin_unpacking();
+        for (const std::size_t size : send.blocks) {
+          std::vector<std::byte> got(size);
+          msg.unpack(got, SendMode::Safer);
+          EXPECT_EQ(got, rng.bytes(size)) << "send " << i << " message " << m;
+        }
+        msg.end_unpacking();
+      }
+      last = std::max(last, world.engine.now());
+    });
+  }
+  world.engine.run();
+  return last;
+}
+
+std::uint64_t counter_total(const sim::MetricsRegistry& metrics,
+                            const std::string& name) {
+  std::uint64_t total = 0;
+  for (const auto& [key, counter] : metrics.counters()) {
+    if (key.first == name) {
+      total += counter.value;
+    }
+  }
+  return total;
+}
+
+enum class Recovery { OriginFailover, StripeRepair, ProactiveReroute,
+                      GatewayReject };
+
+struct RecoveryCase {
+  const char* name;
+  Recovery scenario;
+  sim::Time one_way_ns;
+  std::uint64_t dead_peers;
+  std::uint64_t failovers;
+  std::uint64_t reroutes;
+  std::uint64_t stripe_repairs;
+  std::uint64_t reject_retries;
+};
+
+void PrintTo(const RecoveryCase& c, std::ostream* os) { *os << c.name; }
+
+/// Two gateways bridge myri0 and sci0; m0/m1 and s0/s1 are end nodes.
+constexpr const char* kDualConfig = R"(
+network myri0 BIP/Myrinet
+network sci0  SISCI/SCI
+node m0  myri0
+node m1  myri0
+node gw1 myri0 sci0
+node gw2 myri0 sci0
+node s0  sci0
+node s1  sci0
+)";
+
+/// m0 -myri- gw1 -sbp- gw2 -eth- e0, plus x0 on sbp: x0's traffic meets
+/// m0's at gw2 only.
+constexpr const char* kRejectChainConfig = R"(
+network myri0 BIP/Myrinet
+network sbp0  SBP
+network eth0  TCP/FEth
+node m0  myri0
+node gw1 myri0 sbp0
+node x0  sbp0
+node gw2 sbp0 eth0
+node e0  eth0
+node e1  eth0
+)";
+
+class EgressRecoveryMatrix : public ::testing::TestWithParam<RecoveryCase> {};
+
+TEST_P(EgressRecoveryMatrix, EveryRecoveryPathIsPinned) {
+  const RecoveryCase& c = GetParam();
+  VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = true;
+  options.reliable.window = 4;
+  const char* config = kDualConfig;
+  std::vector<Send> sends;
+  switch (c.scenario) {
+    case Recovery::OriginFailover:
+      sends.push_back({"m0", "s0", 1, {512 * 1024}});
+      break;
+    case Recovery::StripeRepair:
+      config = kDisjointConfig;
+      options.max_rails = 2;
+      sends.push_back({"m0", "s0", 1, {512 * 1024}});
+      break;
+    case Recovery::ProactiveReroute:
+      // m1 opens its message toward gw1 after the crash but long before
+      // m0's retry budget condemns gw1; it pauses after its first block
+      // and finds the next hop dead when it resumes.
+      sends.push_back({"m0", "s0", 1, {512 * 1024}});
+      sends.push_back({"m1", "s1", 1, {32 * 1024, 32 * 1024},
+                       sim::milliseconds(5), sim::seconds(1)});
+      break;
+    case Recovery::GatewayReject:
+      // x0's messages hold gw2's one-message bulk budget, so gw2 refuses
+      // what gw1 relays for m0. gw1 stores each message before sending it
+      // (window 1), so every refusal is retried from the stored copy.
+      config = kRejectChainConfig;
+      options.reliable.window = 1;
+      options.reliable.ack_timeout = sim::milliseconds(120);
+      options.reliable.max_attempts = 10;
+      options.flow.enabled = true;
+      options.flow.admission.enabled = true;
+      options.flow.admission.message_budget[traffic_class_index(
+          TrafficClass::Bulk)] = 1;
+      sends.push_back({"x0", "e1", 3, {256 * 1024}});
+      sends.push_back({"m0", "e0", 3, {256 * 1024}, sim::microseconds(10)});
+      break;
+  }
+  harness::ConfigWorld world(topo::parse_topo_config(config), options);
+  world.fabric->metrics().enable();
+  if (c.scenario != Recovery::GatewayReject) {
+    crash_node(world, "gw1", sim::milliseconds(4));
+  }
+  const sim::Time one_way = run_sends(world, sends);
+  const sim::MetricsRegistry& metrics = world.fabric->metrics();
+  EXPECT_EQ(one_way, c.one_way_ns);
+  EXPECT_EQ(counter_total(metrics, "rel.dead_peers"), c.dead_peers);
+  EXPECT_EQ(counter_total(metrics, "rel.failovers"), c.failovers);
+  EXPECT_EQ(counter_total(metrics, "health.reroutes"), c.reroutes);
+  EXPECT_EQ(counter_total(metrics, "stripe.repairs"), c.stripe_repairs);
+  EXPECT_EQ(counter_total(metrics, "flow.reject_retries"), c.reject_retries);
+  if (c.scenario == Recovery::GatewayReject) {
+    // The refusal happened gateway to gateway: gw2 rejected, gw1 (not an
+    // origin) saw the reject and backed off.
+    const NodeRank gw1 = world.rank_of("gw1");
+    const NodeRank gw2 = world.rank_of("gw2");
+    EXPECT_EQ(world.vc->gateway_stats(gw2).admission_rejects, 6u);
+    EXPECT_EQ(world.vc->gateway_stats(gw1).reliability.flow_rejects, 6u);
+    EXPECT_EQ(world.vc->gateway_stats(gw1).admission_rejects, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, EgressRecoveryMatrix,
+    ::testing::Values(
+        RecoveryCase{"OriginFailover", Recovery::OriginFailover, 602397649,
+                     1, 1, 0, 0, 0},
+        RecoveryCase{"StripeRepair", Recovery::StripeRepair, 603673164, 1,
+                     1, 0, 1, 0},
+        RecoveryCase{"ProactiveReroute", Recovery::ProactiveReroute,
+                     1002499972, 1, 1, 1, 0, 0},
+        RecoveryCase{"GatewayReject", Recovery::GatewayReject, 291571924, 0,
+                     0, 0, 0, 6}),
+    [](const ::testing::TestParamInfo<RecoveryCase>& info) {
       return std::string(info.param.name);
     });
 

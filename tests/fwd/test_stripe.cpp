@@ -15,6 +15,7 @@
 #include "net/fault.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
+#include "sim/trace.hpp"
 #include "support/coc_rig.hpp"
 #include "util/rng.hpp"
 
@@ -280,6 +281,50 @@ TEST(Stripe, GatewayCrashMidStripeRepairsOntoSurvivingRoute) {
   // configured paquet size.)
   const std::uint64_t mtu = rig.vc->mtu();
   EXPECT_EQ(rail_paquets[0] + rail_paquets[1], (bytes + mtu - 1) / mtu);
+}
+
+TEST(Stripe, RepairRecordsDeadPeerAndFailoverInstants) {
+  // A repaired rail goes through the same failover bookkeeping as an
+  // unstriped origin: the trace shows the dead peer and the failover
+  // around it, both from the rail's own actor.
+  sim::Trace trace;
+  trace.enable();
+  fwd::VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = true;
+  options.max_rails = 2;
+  options.trace = &trace;
+  DisjointRailRig rig(options);
+  const sim::Time crash_at = sim::milliseconds(4);
+  net::FaultPlan sci_plan;
+  sci_plan.crashes.push_back({/*nic_index=*/0, crash_at});  // gw1 on sci
+  rig.sci.set_fault_plan(sci_plan);
+  net::FaultPlan myri_plan;
+  myri_plan.crashes.push_back({/*nic_index=*/1, crash_at});  // gw1 on myri0
+  rig.myri_a.set_fault_plan(myri_plan);
+  util::Rng rng(19);
+  const auto payload = rng.bytes(1 << 20);
+  std::vector<std::byte> out(payload.size());
+  rig.engine.spawn("s", [&] {
+    auto msg = rig.ep(0).begin_packing(3);
+    msg.pack(payload);
+    msg.end_packing();
+  });
+  rig.engine.spawn("r", [&] {
+    auto msg = rig.ep(3).begin_unpacking();
+    msg.unpack(out);
+    msg.end_unpacking();
+  });
+  rig.engine.run();
+  EXPECT_EQ(out, payload);
+  const std::vector<sim::TraceEvent> dead = trace.by_name("rel.dead");
+  const std::vector<sim::TraceEvent> failover = trace.by_name("rel.failover");
+  ASSERT_EQ(dead.size(), 1u);
+  ASSERT_EQ(failover.size(), 1u);
+  EXPECT_EQ(dead[0].detail, "peer=1");
+  EXPECT_EQ(failover[0].detail, "dst=3 around=1");
+  EXPECT_EQ(failover[0].track, dead[0].track);
+  EXPECT_EQ(trace.by_name("stripe.repair").size(), 1u);
 }
 
 }  // namespace
