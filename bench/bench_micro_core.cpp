@@ -4,6 +4,7 @@
 // virtual-time results; the figure benches report those.
 #include <benchmark/benchmark.h>
 
+#include "fwd/generic_tm.hpp"
 #include "harness/pingpong.hpp"
 #include "harness/scenario.hpp"
 #include "mad/madeleine.hpp"
@@ -74,6 +75,19 @@ void BM_PciBusContendedTransfers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4 * 64);
 }
 BENCHMARK(BM_PciBusContendedTransfers);
+
+// The reliable-paquet trailer checksum, run once per paquet at every
+// sending and verifying endpoint of each hop.
+void BM_PaquetChecksum(benchmark::State& state) {
+  const std::vector<std::byte> payload =
+      util::Rng(1).bytes(static_cast<std::size_t>(state.range(0)));
+  std::uint32_t seq = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fwd::gtm_paquet_checksum(payload, ++seq, 1));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PaquetChecksum)->Arg(8 * 1024)->Arg(128 * 1024);
 
 void BM_NativeMessage(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

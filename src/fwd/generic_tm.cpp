@@ -1,23 +1,101 @@
 #include "fwd/generic_tm.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 
 #include "util/panic.hpp"
-#include "util/rng.hpp"
 
 namespace mad::fwd {
 
+namespace {
+
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::size_t kLanes = 4;
+constexpr std::size_t kStripe = kLanes * sizeof(std::uint64_t);
+
+std::uint64_t load_word(const std::byte* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);  // wire slices carry no alignment
+  return w;
+}
+
+// One lane step: a bijection of `h` for a fixed word, and injective in `w`
+// for a fixed `h` (odd multipliers, add and rotate are all invertible mod
+// 2^64). The word is multiplied before it meets the state: in the
+// `(h ^ w) * odd` order a flip of the product's top bit survives the
+// multiply unchanged, so a second flip in the lane's next word cancels it.
+std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
+  return std::rotl(h + w * kPrime2, 31) * kPrime1;
+}
+
+// Avalanche: xor-shifts and odd multiplies, so a bijection of 64 bits.
+std::uint64_t finalize(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime1;
+  h ^= h >> 32;
+  return h;
+}
+
+}  // namespace
+
+// Four independent lanes take one 8-byte word each per 32-byte stripe, so
+// their multiply chains overlap. The leftover words, the zero-padded byte
+// tail, the length and (seq, epoch) are then folded into the combined
+// state one `mix` each. Every step from a payload byte to the result is
+// injective in that byte with everything else fixed, so any change
+// confined to one byte of the payload, or to seq or epoch, changes the
+// checksum — the fault injector's corruption model (one byte XOR 1..255).
 std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
                                   std::uint32_t epoch) {
-  std::uint64_t h = util::fnv1a(payload);
-  h ^= (static_cast<std::uint64_t>(seq) + 1) * 0x9E3779B97F4A7C15ull;
-  h ^= (static_cast<std::uint64_t>(epoch) + 1) * 0xC2B2AE3D27D4EB4Full;
-  return h;
+  const std::byte* p = payload.data();
+  const std::size_t size = payload.size();
+  std::array<std::uint64_t, kLanes> lane = {kPrime1 + kPrime2, kPrime2, 0,
+                                            0 - kPrime1};
+  std::size_t at = 0;
+  for (; at + kStripe <= size; at += kStripe) {
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      lane[i] = mix(lane[i], load_word(p + at + i * sizeof(std::uint64_t)));
+    }
+  }
+  std::uint64_t h = lane[0];
+  for (std::size_t i = 1; i < kLanes; ++i) {
+    h = mix(h, lane[i]);
+  }
+  for (; at + sizeof(std::uint64_t) <= size; at += sizeof(std::uint64_t)) {
+    h = mix(h, load_word(p + at));
+  }
+  if (at < size) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, p + at, size - at);
+    h = mix(h, tail);
+  }
+  h = mix(h, size);
+  h = mix(h, (static_cast<std::uint64_t>(epoch) << 32) | seq);
+  return finalize(h);
 }
 
 GtmPaquetTrailer make_paquet_trailer(util::ByteSpan payload, std::uint32_t seq,
                                      std::uint32_t epoch) {
   return {seq, epoch, gtm_paquet_checksum(payload, seq, epoch)};
+}
+
+std::optional<GtmPaquetTrailer> verified_trailer(util::ByteSpan wire) {
+  if (wire.size() < kGtmTrailerBytes) {
+    return std::nullopt;
+  }
+  const std::size_t body = wire.size() - kGtmTrailerBytes;
+  GtmPaquetTrailer trailer;
+  std::memcpy(&trailer, wire.data() + body, kGtmTrailerBytes);
+  if (trailer.checksum !=
+      gtm_paquet_checksum(wire.first(body), trailer.seq, trailer.epoch)) {
+    return std::nullopt;
+  }
+  return trailer;
 }
 
 std::uint8_t encode(SendMode mode) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mad/message.hpp"
@@ -114,6 +115,9 @@ std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
                                   std::uint32_t epoch);
 GtmPaquetTrailer make_paquet_trailer(util::ByteSpan payload, std::uint32_t seq,
                                      std::uint32_t epoch);
+/// The trailer of a reliable paquet on the wire (payload then trailer),
+/// or nullopt when `wire` is shorter than a trailer or its checksum fails.
+std::optional<GtmPaquetTrailer> verified_trailer(util::ByteSpan wire);
 
 std::uint8_t encode(SendMode mode);
 std::uint8_t encode(RecvMode mode);

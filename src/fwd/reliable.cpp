@@ -661,37 +661,25 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
     // A paquet-0 retransmission re-sends the framing prologue in front of
     // itself (ReliableSender::set_framing); mid-stream those duplicates
     // surface here as trailer-less wire paquets of the framing sizes.
-    const bool framing_sized =
-        wire_size == sizeof(Preamble) || wire_size == sizeof(GtmMsgHeader) ||
-        wire_size == sizeof(GtmStripeHeader);
-    if (wire_size < kGtmTrailerBytes) {
-      if (framing_sized) {
-        ++stats.stale_drops;  // duplicated framing, already consumed
-        metrics.add("rel.stale_drops", node_label_);
-      } else {
-        ++stats.corrupt_drops;  // not even a whole trailer — mangled frame
-        metrics.add("rel.corrupt_drops", node_label_);
-      }
-      continue;
-    }
-    GtmPaquetTrailer trailer;
-    std::memcpy(&trailer, scratch_.data() + wire_size - kGtmTrailerBytes,
-                kGtmTrailerBytes);
-    const util::ByteSpan body(scratch_.data(), wire_size - kGtmTrailerBytes);
-    if (trailer.checksum !=
-        gtm_paquet_checksum(body, trailer.seq, trailer.epoch)) {
-      if (framing_sized) {
-        // A framing size with an invalid checksum is a duplicated header,
-        // not corruption (a header cannot carry a trailer).
+    const auto verified =
+        verified_trailer(util::ByteSpan(scratch_.data(), wire_size));
+    if (!verified) {
+      if (wire_size == sizeof(Preamble) || wire_size == sizeof(GtmMsgHeader) ||
+          wire_size == sizeof(GtmStripeHeader)) {
+        // Duplicated framing, already consumed: a header that fails as a
+        // paquet is stale, not corrupt (a header cannot carry a trailer).
         ++stats.stale_drops;
         metrics.add("rel.stale_drops", node_label_);
       } else {
-        // Corrupt: drop silently; the sender's retransmit timer covers it.
+        // Corrupt or mangled: drop silently; the sender's retransmit timer
+        // covers it.
         ++stats.corrupt_drops;
         metrics.add("rel.corrupt_drops", node_label_);
       }
       continue;
     }
+    const GtmPaquetTrailer trailer = *verified;
+    const util::ByteSpan body(scratch_.data(), wire_size - kGtmTrailerBytes);
     if (trailer.epoch != epoch_ || trailer.seq < cum_next_) {
       // Duplicate (or a late retransmit of a superseded stream): drop, but
       // re-acknowledge — the original ack may have been posted before the

@@ -145,32 +145,13 @@ VirtualChannel::~VirtualChannel() {
   }
 }
 
-namespace {
-
-/// True when `wire` parses as a checksum-valid reliable paquet — used to
-/// tell a re-sent framing element from a stray data paquet of equal size,
-/// and a re-ackable late retransmit from line noise.
-bool checksum_valid_paquet(util::ByteSpan wire, GtmPaquetTrailer* trailer) {
-  if (wire.size() < kGtmTrailerBytes) {
-    return false;
-  }
-  std::memcpy(trailer, wire.data() + wire.size() - kGtmTrailerBytes,
-              kGtmTrailerBytes);
-  return trailer->checksum ==
-         gtm_paquet_checksum(
-             util::ByteSpan(wire.data(), wire.size() - kGtmTrailerBytes),
-             trailer->seq, trailer->epoch);
-}
-
-}  // namespace
-
 void VirtualChannel::discard_stale_paquet(Channel& channel, NodeRank peer,
                                           NodeRank self, util::ByteSpan wire) {
   ++mutable_gateway_stats(self).reliability.stale_drops;
   domain_.fabric().metrics().add("rel.stale_drops",
                                  "node=" + std::to_string(self));
-  GtmPaquetTrailer trailer;
-  if (!checksum_valid_paquet(wire, &trailer)) {
+  const auto trailer = verified_trailer(wire);
+  if (!trailer) {
     return;  // duplicated framing or noise: nothing to acknowledge
   }
   // A valid paquet of an epoch this endpoint finished is a late retransmit
@@ -179,10 +160,10 @@ void VirtualChannel::discard_stale_paquet(Channel& channel, NodeRank peer,
   // unacked — their framing was lost, and the sender's paquet-0 prologue
   // retransmission (ReliableSender::set_framing) re-frames the stream.
   const Connection& conn = channel.connection_to(peer);
-  if (trailer.epoch <= conn.rx_epoch_done) {
+  if (trailer->epoch <= conn.rx_epoch_done) {
     channel.network().post_ack(conn.rx_tag, channel.tm().nic().index(),
-                               conn.peer_nic_index, trailer.epoch,
-                               trailer.seq);
+                               conn.peer_nic_index, trailer->epoch,
+                               trailer->seq);
   }
 }
 
@@ -199,8 +180,7 @@ void VirtualChannel::read_framing_tolerant(MessageReader& reader,
     if (got == element.size()) {
       // The element size can collide with a small data paquet's wire size;
       // only a valid checksum identifies the imposter.
-      GtmPaquetTrailer trailer;
-      if (!checksum_valid_paquet(wire, &trailer)) {
+      if (!verified_trailer(wire)) {
         std::memcpy(element.data(), scratch.data(), element.size());
         return;
       }
@@ -226,8 +206,7 @@ Preamble VirtualChannel::read_stream_head(MessageReader& reader,
     const std::uint32_t got =
         reader.unpack_paquet(util::MutByteSpan(scratch.buffer()));
     const util::ByteSpan wire(scratch.data(), got);
-    GtmPaquetTrailer trailer;
-    if (checksum_valid_paquet(wire, &trailer)) {
+    if (verified_trailer(wire)) {
       // A late data paquet, never a framing element (framing carries no
       // trailer). Re-acked inside when its epoch already completed.
       discard_stale_paquet(channel, peer, self, wire);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "support/mad_rig.hpp"
+#include "util/rng.hpp"
 
 namespace mad::fwd {
 namespace {
@@ -91,6 +95,128 @@ TEST(GenericTm, HeadersTravelThroughAChannel) {
   EXPECT_EQ(got_msg.mtu, 8192u);
   EXPECT_EQ(got_block.size, 99u);
   EXPECT_EQ(decode_smode(got_block.smode), SendMode::Safer);
+}
+
+// The fault injector corrupts a paquet by XORing one byte with 1..255; the
+// reliable path relies on every such change being caught.
+TEST(GenericTm, ChecksumCatchesEverySingleByteCorruption) {
+  util::Rng rng(18);
+  const auto flips_caught = [](std::vector<std::byte>& payload,
+                               std::size_t pos, std::uint32_t seq,
+                               std::uint32_t epoch,
+                               std::initializer_list<unsigned> masks) {
+    const std::uint64_t clean = gtm_paquet_checksum(payload, seq, epoch);
+    bool caught = true;
+    for (const unsigned mask : masks) {
+      payload[pos] ^= static_cast<std::byte>(mask);
+      caught = caught && gtm_paquet_checksum(payload, seq, epoch) != clean;
+      payload[pos] ^= static_cast<std::byte>(mask);
+    }
+    return caught;
+  };
+  std::vector<unsigned> every_mask(255);
+  for (unsigned m = 1; m <= 255; ++m) {
+    every_mask[m - 1] = m;
+  }
+  for (const std::size_t size :
+       {0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 4096}) {
+    std::vector<std::byte> payload = rng.bytes(size);
+    const std::uint64_t clean = gtm_paquet_checksum(payload, 3, 1);
+    for (std::size_t pos = 0; pos < size; ++pos) {
+      for (const unsigned mask : every_mask) {
+        payload[pos] ^= static_cast<std::byte>(mask);
+        ASSERT_NE(gtm_paquet_checksum(payload, 3, 1), clean)
+            << "size " << size << " pos " << pos << " mask " << mask;
+        payload[pos] ^= static_cast<std::byte>(mask);
+      }
+    }
+  }
+  // A 128 KiB payload, and one that leaves three words and a byte tail
+  // after its last 32-byte stripe: every lane, word and tail boundary.
+  for (const std::size_t size : {128 * 1024, 128 * 1024 - 3}) {
+    std::vector<std::byte> payload = rng.bytes(size);
+    for (const std::size_t edge : {std::size_t{0}, (size / 2) & ~std::size_t{31},
+                                   (size & ~std::size_t{31}) - 32,
+                                   size & ~std::size_t{31}}) {
+      for (std::size_t off = 0; off < 40 && edge + off < size; ++off) {
+        EXPECT_TRUE(
+            flips_caught(payload, edge + off, 9, 2, {0x01, 0x80, 0xFF}))
+            << "size " << size << " pos " << edge + off;
+      }
+    }
+    EXPECT_TRUE(flips_caught(payload, size - 1, 9, 2, {0x01, 0x80, 0xFF}));
+  }
+  // Every single-bit flip of seq and of epoch.
+  const std::vector<std::byte> payload = rng.bytes(100);
+  const std::uint32_t seq = 0x1234'5678;
+  const std::uint32_t epoch = 0x9ABC'DEF0;
+  const std::uint64_t clean = gtm_paquet_checksum(payload, seq, epoch);
+  for (int bit = 0; bit < 32; ++bit) {
+    EXPECT_NE(gtm_paquet_checksum(payload, seq ^ (1u << bit), epoch), clean);
+    EXPECT_NE(gtm_paquet_checksum(payload, seq, epoch ^ (1u << bit)), clean);
+  }
+}
+
+TEST(GenericTm, ChecksumMixesOrderLengthAndPairs) {
+  util::Rng rng(7);
+  // Swapping two distinct 8-byte words: same stripe, same lane in another
+  // stripe, and the leftover words after the last stripe.
+  const std::vector<std::byte> payload = rng.bytes(100);
+  const std::uint64_t clean = gtm_paquet_checksum(payload, 0, 0);
+  for (std::size_t a = 0; a + 8 <= payload.size(); a += 8) {
+    for (std::size_t b = a + 8; b + 8 <= payload.size(); b += 8) {
+      std::vector<std::byte> swapped = payload;
+      std::memcpy(swapped.data() + a, payload.data() + b, 8);
+      std::memcpy(swapped.data() + b, payload.data() + a, 8);
+      EXPECT_NE(gtm_paquet_checksum(swapped, 0, 0), clean)
+          << "words at " << a << " and " << b;
+    }
+  }
+  // Appending a zero byte.
+  for (std::size_t size = 0; size <= 65; ++size) {
+    std::vector<std::byte> grown = rng.bytes(size);
+    const std::uint64_t before = gtm_paquet_checksum(grown, 0, 0);
+    grown.push_back(std::byte{0});
+    EXPECT_NE(gtm_paquet_checksum(grown, 0, 0), before) << "size " << size;
+  }
+  // Every pair of single-bit flips in a 64-byte payload (two stripes, so
+  // each lane takes two words), over random and all-zero data.
+  for (std::vector<std::byte> bytes : {rng.bytes(64),
+                                       std::vector<std::byte>(64)}) {
+    const std::uint64_t base = gtm_paquet_checksum(bytes, 5, 5);
+    std::size_t missed = 0;
+    for (std::size_t i = 0; i < 64 * 8; ++i) {
+      bytes[i / 8] ^= static_cast<std::byte>(1u << (i % 8));
+      for (std::size_t j = i + 1; j < 64 * 8; ++j) {
+        bytes[j / 8] ^= static_cast<std::byte>(1u << (j % 8));
+        missed += gtm_paquet_checksum(bytes, 5, 5) == base ? 1 : 0;
+        bytes[j / 8] ^= static_cast<std::byte>(1u << (j % 8));
+      }
+      bytes[i / 8] ^= static_cast<std::byte>(1u << (i % 8));
+    }
+    EXPECT_EQ(missed, 0u);
+  }
+}
+
+TEST(GenericTm, VerifiedTrailerChecksTheWireTrailer) {
+  util::Rng rng(3);
+  std::vector<std::byte> wire = rng.bytes(40);
+  const GtmPaquetTrailer trailer = make_paquet_trailer(wire, 11, 4);
+  wire.resize(wire.size() + kGtmTrailerBytes);
+  std::memcpy(wire.data() + 40, &trailer, kGtmTrailerBytes);
+  const auto got = verified_trailer(wire);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->seq, 11u);
+  EXPECT_EQ(got->epoch, 4u);
+  // A trailer field counts as covered bytes: flipping seq fails the check.
+  wire[40] ^= std::byte{1};
+  EXPECT_FALSE(verified_trailer(wire).has_value());
+  wire[40] ^= std::byte{1};
+  wire[3] ^= std::byte{0x40};
+  EXPECT_FALSE(verified_trailer(wire).has_value());
+  EXPECT_FALSE(
+      verified_trailer(util::ByteSpan(wire.data(), kGtmTrailerBytes - 1))
+          .has_value());
 }
 
 }  // namespace
