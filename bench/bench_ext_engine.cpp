@@ -21,8 +21,8 @@
 // count and final virtual clock exactly: wall clock may vary, the
 // simulation may not. Speed is gated as a ratio, never as an absolute
 // rate: the 1k-actor ring's events/sec over the rate of bare ucontext
-// switches measured in the same run (the floor any fiber switch costs on
-// this host). The committed artifact's "events/sec" and "per wall" cells
+// switches measured in the same run (a fixed yardstick of this host's
+// speed; the engine's own switch is cheaper). The committed artifact's "events/sec" and "per wall" cells
 // are wall clock, so tools/bench_compare reports them without gating;
 // "switches" and "virtual ms" cells are deterministic and the
 // "virtual MB/s" cell rides the normal bandwidth gate.
@@ -276,10 +276,12 @@ int main() {
   fwd_table.print();
 
   // Speed gate, relative to this host. A ring hop is a mailbox send, a
-  // timer arm and cancel and a switch, and the fiber engine runs the
-  // 1k-actor ring at 0.35-0.5 of the bare switch rate (4-core x86-64 VM).
-  // Engines with an OS thread per actor ran it at about 0.02; those, or
-  // an O(n) scheduler scan, fall under the floor.
+  // timer arm and cancel and a switch. The engine's register-only switch
+  // is an order of magnitude cheaper than swapcontext, so the fiber
+  // engine runs the 1k-actor ring at about 1.2x the bare swapcontext rate
+  // (0.8-1.7 over ten runs, 4-core x86-64 VM); on swapcontext it ran at
+  // 0.35-0.5. Engines with an OS thread per actor ran it at about 0.02;
+  // those, or an O(n) scheduler scan, fall under the floor.
   const double bare_rate = bare_switches_per_sec();
   const double relative_1k = events_per_sec_at_1k / bare_rate;
   std::printf("calibration: %.0f bare switches/sec; 1k-actor ring at %.3f "

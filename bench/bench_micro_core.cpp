@@ -4,10 +4,14 @@
 // virtual-time results; the figure benches report those.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "fwd/generic_tm.hpp"
 #include "harness/pingpong.hpp"
 #include "harness/scenario.hpp"
 #include "mad/madeleine.hpp"
+#include "sim/fiber.hpp"
 #include "sim/mailbox.hpp"
 #include "util/rng.hpp"
 
@@ -35,6 +39,28 @@ void BM_EngineContextSwitches(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * switches * 2);
 }
 BENCHMARK(BM_EngineContextSwitches)->Arg(256)->Arg(1024);
+
+sim::FiberContext g_switch_main;
+sim::FiberContext g_switch_peer;
+
+void switch_back_forever() {
+  for (;;) {
+    sim::fiber_switch(g_switch_peer, g_switch_main);
+  }
+}
+
+// One round trip between two bare fibers: the floor under every engine
+// switch, without the scheduler.
+void BM_FiberSwitch(benchmark::State& state) {
+  std::vector<std::byte> stack(64 * 1024);
+  sim::fiber_init(g_switch_peer, stack.data(), stack.size(),
+                  &switch_back_forever);
+  for (auto _ : state) {
+    sim::fiber_switch(g_switch_main, g_switch_peer);
+  }
+  state.SetItemsProcessed(state.iterations() * 2);  // switches
+}
+BENCHMARK(BM_FiberSwitch);
 
 void BM_MailboxThroughput(benchmark::State& state) {
   const int items = static_cast<int>(state.range(0));

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "fwd/generic_tm.hpp"
@@ -49,8 +50,21 @@ struct Setback {
 
 /// A block a sender keeps for replay after a failover.
 struct StoredBlock {
+  /// A view of a caller's buffer, which stays unchanged until the message
+  /// ends.
+  StoredBlock(const GtmBlockHeader& header, util::ByteSpan data)
+      : header(header), data(data) {}
+  /// A block that owns its bytes.
+  StoredBlock(const GtmBlockHeader& header, std::vector<std::byte> bytes)
+      : header(header), owned(std::move(bytes)), data(owned) {}
+  // Moving keeps `owned`'s heap buffer, so `data` stays valid; a copy
+  // would not.
+  StoredBlock(StoredBlock&&) = default;
+  StoredBlock& operator=(StoredBlock&&) = default;
+
   GtmBlockHeader header;
-  std::vector<std::byte> data;
+  std::vector<std::byte> owned;  // empty for a view
+  util::ByteSpan data;
 };
 
 class Egress {

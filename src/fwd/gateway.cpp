@@ -472,7 +472,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
                              : relay.receive_zero_copy(in, *out_tm, size);
         if (stored) {
           const util::MutByteSpan dst =
-              util::MutByteSpan(t.blocks.back().data).subspan(offset, size);
+              util::MutByteSpan(t.blocks.back().owned).subspan(offset, size);
           hop.fragment(dst);
           item.payload = dst;
         }
@@ -497,8 +497,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       fragment = 0;
       fragments = fragment_count(bh.size, mtu);
       if (stored) {
-        t.blocks.push_back(
-            StoredBlock{bh, std::vector<std::byte>(bh.size)});
+        t.blocks.emplace_back(bh, std::vector<std::byte>(bh.size));
       }
       return RelayItem::of(RelayItem::Kind::BlockHeader, bh);
     }

@@ -751,11 +751,17 @@ void VcMessageWriter::pack(util::ByteSpan data, SendMode smode,
   }
   const GtmBlockHeader header = block_header_for(data.size(), smode, rmode);
   if (vc_->reliable()) {
-    // Keep a copy for replay: a downstream gateway crash can surface any
-    // number of blocks later, and the message restarts from scratch on
-    // the alternate route.
+    // Keep the block for replay: a downstream gateway crash can surface
+    // any number of blocks later, and the message restarts from scratch on
+    // the alternate route. Replays happen only inside pack() and
+    // end_packing(), until which Cheaper and Later leave the caller's
+    // buffer unchanged; Safer lets the caller reuse it once pack()
+    // returns, so only Safer blocks are snapshotted.
     replay_.push_back(
-        StoredBlock{header, std::vector<std::byte>(data.begin(), data.end())});
+        smode == SendMode::Safer
+            ? StoredBlock(header,
+                          std::vector<std::byte>(data.begin(), data.end()))
+            : StoredBlock(header, data));
     data = replay_.back().data;
   }
   // A stale route reroutes proactively here, at the block boundary: the

@@ -10,10 +10,12 @@
 
 #include "sim/condition.hpp"
 #include "sim/engine_internal.hpp"
+#include "sim/fiber.hpp"
 #include "sim/trace.hpp"
 #include "util/panic.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #define MAD_ASAN_FIBERS 1
 #else
@@ -54,7 +56,11 @@ void UnmapStack::operator()(void* stack) const {
 
 Engine::Engine() = default;
 
-Engine::~Engine() = default;
+Engine::~Engine() {
+  for (void* stack : free_stacks_) {
+    UnmapStack{}(stack);
+  }
+}
 
 ActorHandle Engine::spawn(std::string name, std::function<void()> body,
                           bool daemon) {
@@ -66,15 +72,23 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
   a->name = std::move(name);
   a->daemon = daemon;
   a->body = std::move(body);
-  a->stack.reset(map_stack());
+  if (free_stacks_.empty()) {
+    a->stack.reset(map_stack());
+    ++stacks_mapped_;
+  } else {
+    a->stack.reset(free_stacks_.back());
+    free_stacks_.pop_back();
+  }
   Fiber& f = a->fiber;
   f.stack = a->stack.get();
   f.stack_bytes = kActorStackBytes;
-  getcontext(&f.context);
-  f.context.uc_stack.ss_sp = f.stack;
-  f.context.uc_stack.ss_size = f.stack_bytes;
-  f.context.uc_link = nullptr;
-  makecontext(&f.context, &Engine::fiber_main, 0);
+#if MAD_ASAN_FIBERS
+  // A stack's last actor never returned from its outermost frames, whose
+  // redzones are still poisoned; a fresh mapping may reuse the addresses
+  // of a stack another engine unmapped.
+  __asan_unpoison_memory_region(f.stack, f.stack_bytes);
+#endif
+  fiber_init(f.context, f.stack, f.stack_bytes, &Engine::fiber_main);
   actors_.push_back(std::move(state));
   if (!daemon) {
     ++live_non_daemons_;
@@ -125,7 +139,7 @@ void Engine::switch_to(Fiber& from, Fiber& to) {
   __sanitizer_start_switch_fiber(exiting ? nullptr : &from.asan_fake_stack,
                                  to.stack, to.stack_bytes);
 #endif
-  swapcontext(&from.context, &to.context);
+  fiber_switch(from.context, to.context);
   resumed(from);
 }
 
@@ -143,7 +157,7 @@ void Engine::resumed(Fiber& self) {
   (void)self;
 #endif
   if (zombie_ != nullptr) {
-    zombie_->stack.reset();
+    free_stacks_.push_back(zombie_->stack.release());
     zombie_ = nullptr;
   }
 }
@@ -160,6 +174,7 @@ Engine::Stats Engine::stats() const {
   s.noop_notifies = noop_notifies_;
   s.direct_handoffs = direct_handoffs_;
   s.scheduler_rounds = scheduler_rounds_;
+  s.stacks_mapped = stacks_mapped_;
   return s;
 }
 

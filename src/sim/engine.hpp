@@ -74,7 +74,8 @@ class ActorHandle {
 class Engine {
  public:
   /// Stack of every actor fiber, the usual default thread stack on Linux.
-  /// Committed lazily, page by page, with a guard page below it.
+  /// Committed lazily, page by page, with a guard page below it. A finished
+  /// actor's stack stays mapped for the engine's next spawn.
   static constexpr std::size_t kActorStackBytes = std::size_t{8} << 20;
 
   Engine();
@@ -149,6 +150,8 @@ class Engine {
     std::uint64_t noop_notifies = 0;     // notifies skipped (no waiters)
     std::uint64_t direct_handoffs = 0;   // actor->actor switches bypassing run()
     std::uint64_t scheduler_rounds = 0;  // times control returned to run()
+    std::uint64_t stacks_mapped = 0;     // actor stacks mapped; finished
+                                         // actors' stacks are reused
   };
   Stats stats() const;
 
@@ -208,6 +211,8 @@ class Engine {
   std::uint64_t noop_notifies_ = 0;
   std::uint64_t direct_handoffs_ = 0;
   std::uint64_t scheduler_rounds_ = 0;
+  std::uint64_t stacks_mapped_ = 0;
+  std::vector<void*> free_stacks_;  // of finished actors; ~Engine unmaps
   std::size_t live_non_daemons_ = 0;
   std::exception_ptr first_error_;
   std::exception_ptr engine_error_;

@@ -2,13 +2,12 @@
 // shared by engine.cpp and condition.cpp. Not part of the public API.
 #pragma once
 
-#include <ucontext.h>
-
 #include <array>
 #include <cstddef>
 #include <memory>
 
 #include "sim/engine.hpp"
+#include "sim/fiber.hpp"
 
 namespace mad::sim {
 
@@ -19,7 +18,7 @@ struct UnmapStack {
 
 /// One execution context: an actor's stack, or run()'s own.
 struct Engine::Fiber {
-  ucontext_t context{};
+  FiberContext context;
   // The C++ runtime keeps its caught-exception stack per thread, in the two
   // words of the Itanium ABI's __cxa_eh_globals. Each fiber keeps its own
   // copy across switches, or a `throw;` in one fiber's handler would

@@ -593,6 +593,10 @@ struct Send {
   std::vector<std::size_t> blocks;
   sim::Time start = 0;
   sim::Time resume_at = 0;
+  SendMode mode = SendMode::Safer;
+  /// Overwrites each Safer block as soon as pack() returns, which Safer
+  /// allows.
+  bool scribble = false;
 };
 
 /// Crashes `node`'s NICs on every network at `at`.
@@ -624,8 +628,16 @@ sim::Time run_sends(harness::ConfigWorld& world,
       for (int m = 0; m < send.messages; ++m) {
         util::Rng rng(100 * i + static_cast<std::size_t>(m));
         auto msg = world.ep(src).begin_packing(dst);
+        // Cheaper blocks stay unchanged until end_packing().
+        std::vector<std::vector<std::byte>> kept;
         for (std::size_t b = 0; b < send.blocks.size(); ++b) {
-          msg.pack(rng.bytes(send.blocks[b]), SendMode::Safer);
+          std::vector<std::byte> bytes = rng.bytes(send.blocks[b]);
+          msg.pack(bytes, send.mode);
+          if (send.mode == SendMode::Cheaper) {
+            kept.push_back(std::move(bytes));
+          } else if (send.scribble) {
+            std::fill(bytes.begin(), bytes.end(), std::byte{0xEE});
+          }
           if (b == 0 && send.resume_at > 0) {
             world.engine.sleep_until(send.resume_at);
           }
@@ -640,7 +652,7 @@ sim::Time run_sends(harness::ConfigWorld& world,
         auto msg = world.ep(dst).begin_unpacking();
         for (const std::size_t size : send.blocks) {
           std::vector<std::byte> got(size);
-          msg.unpack(got, SendMode::Safer);
+          msg.unpack(got, send.mode);
           EXPECT_EQ(got, rng.bytes(size)) << "send " << i << " message " << m;
         }
         msg.end_unpacking();
@@ -663,7 +675,8 @@ std::uint64_t counter_total(const sim::MetricsRegistry& metrics,
   return total;
 }
 
-enum class Recovery { OriginFailover, StripeRepair, ProactiveReroute,
+enum class Recovery { OriginFailover, OriginFailoverSafer,
+                      OriginFailoverCheaper, StripeRepair, ProactiveReroute,
                       GatewayReject };
 
 struct RecoveryCase {
@@ -719,6 +732,22 @@ TEST_P(EgressRecoveryMatrix, EveryRecoveryPathIsPinned) {
     case Recovery::OriginFailover:
       sends.push_back({"m0", "s0", 1, {512 * 1024}});
       break;
+    case Recovery::OriginFailoverSafer:
+    case Recovery::OriginFailoverCheaper: {
+      // m0 starts after gw1 crashed. Its first block fits the window, so
+      // pack() returns before any ack is due; the second exhausts gw1's
+      // retry budget and the failover replays the first from what the
+      // origin kept: a snapshot of the Safer buffer, which the test has
+      // scribbled over by then, or the Cheaper buffer itself.
+      Send send{"m0", "s0", 1, {32 * 1024, 480 * 1024}, sim::milliseconds(5)};
+      if (c.scenario == Recovery::OriginFailoverSafer) {
+        send.scribble = true;
+      } else {
+        send.mode = SendMode::Cheaper;
+      }
+      sends.push_back(send);
+      break;
+    }
     case Recovery::StripeRepair:
       config = kDisjointConfig;
       options.max_rails = 2;
@@ -777,6 +806,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         RecoveryCase{"OriginFailover", Recovery::OriginFailover, 602397649,
                      1, 1, 0, 0, 0},
+        RecoveryCase{"OriginFailoverSafer", Recovery::OriginFailoverSafer,
+                     603219718, 1, 1, 0, 0, 0},
+        RecoveryCase{"OriginFailoverCheaper", Recovery::OriginFailoverCheaper,
+                     603219718, 1, 1, 0, 0, 0},
         RecoveryCase{"StripeRepair", Recovery::StripeRepair, 603673164, 1,
                      1, 0, 1, 0},
         RecoveryCase{"ProactiveReroute", Recovery::ProactiveReroute,

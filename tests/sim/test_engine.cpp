@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cfenv>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/condition.hpp"
@@ -358,6 +362,193 @@ TEST(Engine, ActorStackHoldsAOneMebibyteFrame) {
   EXPECT_EQ(sum, std::size_t{1} << 20);
 }
 
+/// How an actor is started: spawned before run() and first entered from
+/// it, or spawned by a running actor and first entered as that actor
+/// finishes.
+enum class Path { BeforeRun, ByActor };
+constexpr std::array<Path, 2> kPaths = {Path::BeforeRun, Path::ByActor};
+
+std::string path_name(Path path) {
+  return path == Path::BeforeRun ? "before run()" : "by an actor";
+}
+
+/// Spawns one actor per body, in order, along `path`.
+void spawn_along(Engine& eng, Path path,
+                 std::vector<std::function<void()>> bodies) {
+  auto spawn_all = [&eng, bodies = std::move(bodies)] {
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      eng.spawn("actor" + std::to_string(i), bodies[i]);
+    }
+  };
+  if (path == Path::BeforeRun) {
+    spawn_all();
+  } else {
+    eng.spawn("spawner", std::move(spawn_all));
+  }
+}
+
+/// 1/10 in double precision, computed at run time under the current SSE
+/// rounding mode (1/10 is not representable, so the mode shows).
+double tenth() {
+  volatile double one = 1.0;
+  volatile double ten = 10.0;
+  return one / ten;
+}
+
+TEST(Engine, FiberKeepsItsFloatingPointEnvironment) {
+  // fegetround reads the x87 control word, tenth() depends on MXCSR; each
+  // fiber keeps both.
+  const double nearest = tenth();
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    Engine eng;
+    int b_round = -1;
+    double b_tenth = 0.0;
+    int a_round = -1;
+    double a_tenth = 0.0;
+    double downward = 0.0;
+    spawn_along(eng, path,
+                {[&] {
+                   std::fesetround(FE_DOWNWARD);
+                   downward = tenth();
+                   eng.yield();
+                   a_round = std::fegetround();
+                   a_tenth = tenth();
+                 },
+                 [&] {
+                   b_round = std::fegetround();
+                   b_tenth = tenth();
+                 }});
+    eng.run();
+    const int main_round = std::fegetround();
+    const double main_tenth = tenth();
+    std::fesetround(FE_TONEAREST);
+    EXPECT_LT(downward, nearest);
+    EXPECT_EQ(b_round, FE_TONEAREST);
+    EXPECT_EQ(b_tenth, nearest);
+    EXPECT_EQ(a_round, FE_DOWNWARD);
+    EXPECT_EQ(a_tenth, downward);
+    EXPECT_EQ(main_round, FE_TONEAREST);
+    EXPECT_EQ(main_tenth, nearest);
+  }
+}
+
+/// Address of a 16-byte vector local, which SSE code loads and stores with
+/// aligned instructions; misaligned unless the caller's stack is aligned as
+/// the ABI requires.
+[[gnu::noinline]] std::uintptr_t vector_local_address() {
+  using Vec4 = float __attribute__((vector_size(16)));
+  alignas(16) volatile Vec4 local = {1.0f, 2.0f, 3.0f, 4.0f};
+  local = local + local;
+  return reinterpret_cast<std::uintptr_t>(&local);
+}
+
+TEST(Engine, ActorEntryStackIsAbiAligned) {
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    Engine eng;
+    std::vector<std::uintptr_t> addresses;
+    const auto probe = [&] { addresses.push_back(vector_local_address()); };
+    spawn_along(eng, path, {probe, probe});
+    eng.run();
+    ASSERT_EQ(addresses.size(), 2u);
+    for (const std::uintptr_t address : addresses) {
+      EXPECT_EQ(address % 16, 0u);
+    }
+  }
+}
+
+TEST(Engine, FinishedActorStacksAreReused) {
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    Engine eng;
+    int ran = 0;
+    std::function<void()> link = [&] {
+      if (++ran < 10000) {
+        eng.spawn("link", link);
+      }
+    };
+    spawn_along(eng, path, {link});
+    eng.run();
+    EXPECT_EQ(ran, 10000);
+    EXPECT_LE(eng.stats().stacks_mapped, 3u);
+  }
+}
+
+/// Runs `first` to completion, then `second` on the stack `first` left.
+void run_on_recycled_stack(Path path, const std::function<void()>& first,
+                           const std::function<void()>& second) {
+  Engine eng;
+  bool recycled = false;
+  spawn_along(eng, path,
+              {first, [&] {
+                 eng.sleep_for(microseconds(1));  // `first` has finished
+                 const std::uint64_t mapped = eng.stats().stacks_mapped;
+                 eng.spawn("second", second);
+                 recycled = eng.stats().stacks_mapped == mapped;
+               }});
+  eng.run();
+  EXPECT_TRUE(recycled);
+}
+
+/// Throws through `depth` frames of 4 KiB each.
+[[gnu::noinline]] void throw_from_depth(int depth) {
+  volatile char frame[4096];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) {
+    throw std::runtime_error("deep");
+  }
+  throw_from_depth(depth - 1);
+  frame[1] = frame[0];
+}
+
+/// Fills a live 1 MiB frame across a switch and sums it.
+std::size_t sum_of_one_mebibyte_frame() {
+  std::array<unsigned char, std::size_t{1} << 20> frame;
+  unsigned char* volatile bytes = frame.data();  // keeps every write
+  std::memset(bytes, 1, frame.size());
+  Engine::current()->yield();
+  return std::accumulate(bytes, bytes + frame.size(), std::size_t{0});
+}
+
+TEST(Engine, RecycledStackRunsAfterAnActorUnwoundByException) {
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    std::string first_caught;
+    std::string second_caught;
+    std::size_t sum = 0;
+    const auto catching = [](std::string& caught) {
+      try {
+        throw_from_depth(16);
+      } catch (const std::runtime_error& e) {
+        caught = e.what();
+      }
+    };
+    run_on_recycled_stack(
+        path, [&] { catching(first_caught); },
+        [&] {
+          sum = sum_of_one_mebibyte_frame();
+          catching(second_caught);
+        });
+    EXPECT_EQ(first_caught, "deep");
+    EXPECT_EQ(second_caught, "deep");
+    EXPECT_EQ(sum, std::size_t{1} << 20);
+  }
+}
+
+TEST(Engine, RecycledStackRunsAfterAOneMebibyteFrame) {
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    std::size_t first = 0;
+    std::size_t second = 0;
+    run_on_recycled_stack(
+        path, [&] { first = sum_of_one_mebibyte_frame(); },
+        [&] { second = sum_of_one_mebibyte_frame(); });
+    EXPECT_EQ(first, std::size_t{1} << 20);
+    EXPECT_EQ(second, std::size_t{1} << 20);
+  }
+}
+
 /// Recurses until `limit` frames of at least 1 KiB each are live.
 int recurse(volatile int* depth, int limit) {
   volatile char frame[1024];
@@ -383,6 +574,30 @@ TEST(EngineDeathTest, StackOverflowFaultsOnTheGuardPage) {
     eng.spawn("neighbour", [&] { eng.sleep_for(microseconds(1)); });
     eng.run();
     std::exit(0);
+  };
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_EXIT(overflow(), ::testing::ExitedWithCode(1), "AddressSanitizer");
+#else
+  EXPECT_EXIT(overflow(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
+}
+
+TEST(EngineDeathTest, StackOverflowFaultsOnARecycledStacksGuardPage) {
+  // "recursing" runs on the stack "first" left; the launcher's stack was
+  // mapped next, just below it.
+  const auto overflow = [] {
+    Engine eng;
+    volatile int depth = 0;
+    const int limit =
+        static_cast<int>((Engine::kActorStackBytes + (256 << 10)) / 1024);
+    eng.spawn("first", [] {});
+    eng.spawn("launcher", [&] {
+      eng.sleep_for(microseconds(1));
+      eng.spawn("recursing", [&] { recurse(&depth, limit); });
+      eng.sleep_for(microseconds(1));
+    });
+    eng.run();
+    std::exit(eng.stats().stacks_mapped == 2 ? 0 : 2);
   };
 #if defined(__SANITIZE_ADDRESS__)
   EXPECT_EXIT(overflow(), ::testing::ExitedWithCode(1), "AddressSanitizer");
