@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <ranges>
 #include <utility>
 #include <vector>
 
@@ -54,9 +55,16 @@ struct StoredBlock {
   /// ends.
   StoredBlock(const GtmBlockHeader& header, util::ByteSpan data)
       : header(header), data(data) {}
+  /// A temporary buffer would convert to the view and leave it dangling.
+  template <typename Buffer>
+    requires(!std::ranges::borrowed_range<Buffer>)
+  StoredBlock(const GtmBlockHeader& header, Buffer&& temporary) = delete;
   /// A block that owns its bytes.
   StoredBlock(const GtmBlockHeader& header, std::vector<std::byte> bytes)
       : header(header), owned(std::move(bytes)), data(owned) {}
+  /// A block stored fragment by fragment as it arrives (the gateway
+  /// relay): `data` stays empty and `fragments` fills up.
+  explicit StoredBlock(const GtmBlockHeader& header) : header(header) {}
   // Moving keeps `owned`'s heap buffer, so `data` stays valid; a copy
   // would not.
   StoredBlock(StoredBlock&&) = default;
@@ -65,6 +73,9 @@ struct StoredBlock {
   GtmBlockHeader header;
   std::vector<std::byte> owned;  // empty for a view
   util::ByteSpan data;
+  /// One buffer of the channel's paquet pool per MTU fragment, in order;
+  /// whoever stored them gives them back.
+  std::vector<util::Bytes> fragments;
 };
 
 class Egress {

@@ -132,16 +132,30 @@ struct RelayItem {
 /// destroyed, after the channels, and an egress still open then would
 /// close its hop message on a dead channel.
 struct Transfer {
-  Transfer(sim::Engine& engine, std::size_t capacity, const std::string& name)
-      : items(engine, capacity, name), done(engine, name + ".done") {}
+  Transfer(sim::Engine& engine, util::BufferPool& pool, std::size_t capacity,
+           const std::string& name)
+      : pool(pool),
+        items(engine, capacity, name),
+        done(engine, name + ".done") {}
+  ~Transfer() {
+    for (StoredBlock& block : blocks) {
+      for (util::Bytes& fragment : block.fragments) {
+        pool.give(std::move(fragment));
+      }
+    }
+  }
+  Transfer(const Transfer&) = delete;
+  Transfer& operator=(const Transfer&) = delete;
+
+  util::BufferPool& pool;  // the channel's, for the stored fragments
 
   GtmMsgHeader hdr;
   TrafficClass cls{};
   int flow = -1;
-  /// A reliable relay stores every block: the upstream hop is acked as
-  /// soon as a paquet lands and cannot be asked again, so a failed egress
-  /// replays the message from here. A deque, so spans into the blocks stay
-  /// valid while the listener appends.
+  /// A reliable relay stores every block, one pooled buffer per fragment:
+  /// the upstream hop is acked as soon as a paquet lands and cannot be
+  /// asked again, so a failed egress replays the message from here. Spans
+  /// into the fragments stay valid while the listener appends.
   std::deque<StoredBlock> blocks;
   sim::Mailbox<RelayItem> items;  // listener → sender actor
   sim::Condition done;
@@ -157,12 +171,14 @@ struct ReplayQueue {
     for (const StoredBlock& block : blocks) {
       items.push_back(
           RelayItem::of(RelayItem::Kind::BlockHeader, block.header));
-      const std::uint64_t fragments = fragment_count(block.header.size, mtu);
-      for (std::uint64_t i = 0; i < fragments; ++i) {
+      MAD_ASSERT(block.fragments.size() ==
+                     fragment_count(block.header.size, mtu),
+                 "stored block is missing fragments");
+      for (const util::Bytes& fragment : block.fragments) {
         RelayItem& item = items.emplace_back(
             RelayItem::of(RelayItem::Kind::FragmentStored));
-        item.size = fragment_size(block.header.size, mtu, i);
-        item.payload = util::ByteSpan(block.data).subspan(i * mtu, item.size);
+        item.size = static_cast<std::uint32_t>(fragment.size());
+        item.payload = util::ByteSpan(fragment);
       }
     }
     items.push_back(RelayItem::of(RelayItem::Kind::End));
@@ -343,7 +359,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
           std::max(1.0, flow_sched_->weight_of(flow)));
     }
     auto t = std::make_shared<Transfer>(
-        engine_, capacity, vc_.name() + ".gwitems." + std::to_string(self_));
+        engine_, vc_.buffer_pool(), capacity,
+        vc_.name() + ".gwitems." + std::to_string(self_));
     t->hdr = hdr;
     t->cls = cls;
     t->flow = flow;
@@ -463,18 +480,17 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     RelayItem recv() {
       const std::uint32_t mtu = relay.vc_.mtu();
       if (fragment < fragments) {
-        const std::uint32_t size = fragment_size(block.size, mtu, fragment);
-        const std::uint64_t offset = fragment++ * mtu;
+        const std::uint32_t size = fragment_size(block.size, mtu, fragment++);
         relay.regulator_.pace(size);
         const sim::Time begin = relay.engine_.now();
         RelayItem item = stored
                              ? RelayItem::of(RelayItem::Kind::FragmentStored)
                              : relay.receive_zero_copy(in, *out_tm, size);
         if (stored) {
-          const util::MutByteSpan dst =
-              util::MutByteSpan(t.blocks.back().owned).subspan(offset, size);
+          util::Bytes& dst = t.blocks.back().fragments.emplace_back(
+              relay.vc_.buffer_pool().take(size));
           hop.fragment(dst);
-          item.payload = dst;
+          item.payload = util::ByteSpan(dst);
         }
         item.size = size;
         relay.span("recv", begin, size);
@@ -497,7 +513,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       fragment = 0;
       fragments = fragment_count(bh.size, mtu);
       if (stored) {
-        t.blocks.emplace_back(bh, std::vector<std::byte>(bh.size));
+        t.blocks.emplace_back(bh).fragments.reserve(fragments);
       }
       return RelayItem::of(RelayItem::Kind::BlockHeader, bh);
     }

@@ -22,6 +22,10 @@ std::uint64_t load_word(const std::byte* p) {
   return w;
 }
 
+void store_word(std::byte* p, std::uint64_t w) {
+  std::memcpy(p, &w, sizeof w);
+}
+
 // One lane step: a bijection of `h` for a fixed word, and injective in `w`
 // for a fixed `h` (odd multipliers, add and rotate are all invertible mod
 // 2^64). The word is multiplied before it meets the state: in the
@@ -41,8 +45,6 @@ std::uint64_t finalize(std::uint64_t h) {
   return h;
 }
 
-}  // namespace
-
 // Four independent lanes take one 8-byte word each per 32-byte stripe, so
 // their multiply chains overlap. The leftover words, the zero-padded byte
 // tail, the length and (seq, epoch) are then folded into the combined
@@ -50,16 +52,25 @@ std::uint64_t finalize(std::uint64_t h) {
 // injective in that byte with everything else fixed, so any change
 // confined to one byte of the payload, or to seq or epoch, changes the
 // checksum — the fault injector's corruption model (one byte XOR 1..255).
-std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
-                                  std::uint32_t epoch) {
-  const std::byte* p = payload.data();
-  const std::size_t size = payload.size();
+//
+// This is the one checksum loop. With `kCopy` it also stores every word it
+// loads to `dst`, so a copy and its checksum are one pass over the bytes
+// (the integrated copy-and-checksum of classic TCP stacks).
+template <bool kCopy>
+std::uint64_t checksum_pass(std::byte* dst, const std::byte* p,
+                            std::size_t size, std::uint32_t seq,
+                            std::uint32_t epoch) {
   std::array<std::uint64_t, kLanes> lane = {kPrime1 + kPrime2, kPrime2, 0,
                                             0 - kPrime1};
   std::size_t at = 0;
   for (; at + kStripe <= size; at += kStripe) {
     for (std::size_t i = 0; i < kLanes; ++i) {
-      lane[i] = mix(lane[i], load_word(p + at + i * sizeof(std::uint64_t)));
+      const std::size_t word = at + i * sizeof(std::uint64_t);
+      const std::uint64_t w = load_word(p + word);
+      if constexpr (kCopy) {
+        store_word(dst + word, w);
+      }
+      lane[i] = mix(lane[i], w);
     }
   }
   std::uint64_t h = lane[0];
@@ -67,11 +78,18 @@ std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
     h = mix(h, lane[i]);
   }
   for (; at + sizeof(std::uint64_t) <= size; at += sizeof(std::uint64_t)) {
-    h = mix(h, load_word(p + at));
+    const std::uint64_t w = load_word(p + at);
+    if constexpr (kCopy) {
+      store_word(dst + at, w);
+    }
+    h = mix(h, w);
   }
   if (at < size) {
     std::uint64_t tail = 0;
     std::memcpy(&tail, p + at, size - at);
+    if constexpr (kCopy) {
+      std::memcpy(dst + at, p + at, size - at);
+    }
     h = mix(h, tail);
   }
   h = mix(h, size);
@@ -79,20 +97,41 @@ std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
   return finalize(h);
 }
 
+}  // namespace
+
+std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
+                                  std::uint32_t epoch) {
+  return checksum_pass<false>(nullptr, payload.data(), payload.size(), seq,
+                              epoch);
+}
+
+std::uint64_t gtm_copy_checksum(util::MutByteSpan dst, util::ByteSpan src,
+                                std::uint32_t seq, std::uint32_t epoch) {
+  MAD_ASSERT(dst.size() == src.size(), "gtm_copy_checksum: size mismatch");
+  return checksum_pass<true>(dst.data(), src.data(), src.size(), seq, epoch);
+}
+
 GtmPaquetTrailer make_paquet_trailer(util::ByteSpan payload, std::uint32_t seq,
                                      std::uint32_t epoch) {
   return {seq, epoch, gtm_paquet_checksum(payload, seq, epoch)};
 }
 
-std::optional<GtmPaquetTrailer> verified_trailer(util::ByteSpan wire) {
+std::optional<GtmPaquetTrailer> wire_trailer(util::ByteSpan wire) {
   if (wire.size() < kGtmTrailerBytes) {
     return std::nullopt;
   }
-  const std::size_t body = wire.size() - kGtmTrailerBytes;
   GtmPaquetTrailer trailer;
-  std::memcpy(&trailer, wire.data() + body, kGtmTrailerBytes);
-  if (trailer.checksum !=
-      gtm_paquet_checksum(wire.first(body), trailer.seq, trailer.epoch)) {
+  std::memcpy(&trailer, wire.data() + wire.size() - kGtmTrailerBytes,
+              kGtmTrailerBytes);
+  return trailer;
+}
+
+std::optional<GtmPaquetTrailer> verified_trailer(util::ByteSpan wire) {
+  const auto trailer = wire_trailer(wire);
+  if (!trailer ||
+      trailer->checksum !=
+          gtm_paquet_checksum(wire.first(wire.size() - kGtmTrailerBytes),
+                              trailer->seq, trailer->epoch)) {
     return std::nullopt;
   }
   return trailer;

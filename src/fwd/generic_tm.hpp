@@ -113,10 +113,18 @@ static_assert(sizeof(Preamble) < kGtmTrailerBytes,
 
 std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
                                   std::uint32_t epoch);
+/// Copies `src` to `dst` (same size, not overlapping) and returns
+/// gtm_paquet_checksum(src, seq, epoch), in one pass over the bytes.
+std::uint64_t gtm_copy_checksum(util::MutByteSpan dst, util::ByteSpan src,
+                                std::uint32_t seq, std::uint32_t epoch);
 GtmPaquetTrailer make_paquet_trailer(util::ByteSpan payload, std::uint32_t seq,
                                      std::uint32_t epoch);
-/// The trailer of a reliable paquet on the wire (payload then trailer),
-/// or nullopt when `wire` is shorter than a trailer or its checksum fails.
+/// The trailer fields of a reliable paquet on the wire (payload then
+/// trailer) as they arrived, unverified; nullopt when `wire` is shorter
+/// than a trailer.
+std::optional<GtmPaquetTrailer> wire_trailer(util::ByteSpan wire);
+/// The trailer of a reliable paquet on the wire, or nullopt when `wire` is
+/// shorter than a trailer or its checksum fails.
 std::optional<GtmPaquetTrailer> verified_trailer(util::ByteSpan wire);
 
 std::uint8_t encode(SendMode mode);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "fwd/rdma_tm.hpp"
 #include "fwd/virtual_channel.hpp"
@@ -73,6 +74,12 @@ ReliableSender::ReliableSender(VirtualChannel& vc, NodeRank self,
   const net::NicModelParams& model = out_channel.tm().model();
   if (vc.options().rdma.enabled && !model.tx_static() && !model.hybrid()) {
     rdma_ = vc.rdma_tm(out_channel.tm().nic());
+  }
+}
+
+ReliableSender::~ReliableSender() {
+  for (InFlight& p : inflight_) {
+    pool_return(std::move(p.wire));
   }
 }
 
@@ -201,18 +208,16 @@ void ReliableSender::transmit(InFlight& p) {
   p.deadline = p.sent_at + p.rto;
 }
 
-std::vector<std::byte> ReliableSender::pool_take(std::size_t size) {
-  // Best fit (the arena's policy), so a tiny block-header paquet does not
-  // claim (and re-key) an MTU-sized registered fragment buffer.
-  return wire_arena_.take(size);
+util::Bytes ReliableSender::pool_take(std::size_t size) {
+  return rdma_ != nullptr ? wire_arena_.take(size)
+                          : vc_.buffer_pool().take(size);
 }
 
-void ReliableSender::pool_return(std::vector<std::byte> wire) {
-  // Only RDMA mode pools: reuse exists to keep registered addresses
-  // stable, and unconditional pooling would hide leaks of two-sided
-  // buffers behind the arena.
-  if (rdma_ != nullptr && !wire.empty()) {
+void ReliableSender::pool_return(util::Bytes wire) {
+  if (rdma_ != nullptr) {
     wire_arena_.give(std::move(wire));
+  } else {
+    vc_.buffer_pool().give(std::move(wire));
   }
 }
 
@@ -328,11 +333,11 @@ void ReliableSender::send(std::uint32_t seq, util::ByteSpan payload,
   p.seq = seq;
   p.one_sided = one_sided && rdma_ != nullptr;
   p.wire = pool_take(payload.size() + kGtmTrailerBytes);
-  if (!payload.empty()) {
-    std::memcpy(p.wire.data(), payload.data(), payload.size());
-  }
-  const GtmPaquetTrailer trailer = make_paquet_trailer(payload, seq, epoch_);
-  std::memcpy(p.wire.data() + payload.size(), &trailer, kGtmTrailerBytes);
+  const util::MutByteSpan wire(p.wire);
+  const GtmPaquetTrailer trailer{
+      seq, epoch_,
+      gtm_copy_checksum(wire.first(payload.size()), payload, seq, epoch_)};
+  std::memcpy(wire.data() + payload.size(), &trailer, kGtmTrailerBytes);
   p.rto = initial_rto();
   inflight_.push_back(std::move(p));
   transmit(inflight_.back());
@@ -605,8 +610,15 @@ ReliableReceiver::ReliableReceiver(VirtualChannel& vc, NodeRank self,
       detect_dead_(detect_dead),
       self_nic_(in_channel.tm().nic().index()),
       node_label_("node=" + std::to_string(self)),
-      window_(static_cast<std::size_t>(vc.options().reliable.window)) {
-  scratch_.resize(static_cast<std::size_t>(vc.mtu()) + kGtmTrailerBytes);
+      window_(static_cast<std::size_t>(vc.options().reliable.window)),
+      scratch_(vc.buffer_pool().take(vc.buffer_pool().capacity())) {}
+
+ReliableReceiver::~ReliableReceiver() {
+  util::BufferPool& pool = vc_.buffer_pool();
+  pool.give(std::move(scratch_));
+  for (auto& [seq, parked] : reorder_) {
+    pool.give(std::move(parked));
+  }
 }
 
 void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
@@ -630,6 +642,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
     if (!payload_dst.empty()) {
       counted_copy(payload_dst, util::ByteSpan(it->second));
     }
+    vc_.buffer_pool().give(std::move(it->second));
     reorder_.erase(it);
     ++next_;
     return;
@@ -658,11 +671,31 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
     } else {
       wire_size = in.unpack_paquet(util::MutByteSpan(scratch_));
     }
+    // Verify the trailer. When its fields, as they arrived, name this
+    // epoch's in-order paquet and the body fits the caller's buffer, the
+    // verification pass also writes the body there (the only place a
+    // verified in-order body goes); every other paquet is only
+    // checksummed. A corrupt one leaves junk in `payload_dst`, which the
+    // retransmission overwrites before this call returns.
+    const util::ByteSpan wire(scratch_.data(), wire_size);
+    std::optional<GtmPaquetTrailer> verified = wire_trailer(wire);
+    if (verified) {
+      const util::ByteSpan body = wire.first(wire_size - kGtmTrailerBytes);
+      const bool in_place = verified->epoch == epoch_ &&
+                            verified->seq == cum_next_ &&
+                            body.size() == payload_dst.size();
+      const std::uint64_t checksum =
+          in_place ? gtm_copy_checksum(payload_dst, body, verified->seq,
+                                       verified->epoch)
+                   : gtm_paquet_checksum(body, verified->seq,
+                                         verified->epoch);
+      if (checksum != verified->checksum) {
+        verified.reset();
+      }
+    }
     // A paquet-0 retransmission re-sends the framing prologue in front of
     // itself (ReliableSender::set_framing); mid-stream those duplicates
     // surface here as trailer-less wire paquets of the framing sizes.
-    const auto verified =
-        verified_trailer(util::ByteSpan(scratch_.data(), wire_size));
     if (!verified) {
       if (wire_size == sizeof(Preamble) || wire_size == sizeof(GtmMsgHeader) ||
           wire_size == sizeof(GtmStripeHeader)) {
@@ -679,7 +712,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
       continue;
     }
     const GtmPaquetTrailer trailer = *verified;
-    const util::ByteSpan body(scratch_.data(), wire_size - kGtmTrailerBytes);
+    const std::size_t body_size = wire_size - kGtmTrailerBytes;
     if (trailer.epoch != epoch_ || trailer.seq < cum_next_) {
       // Duplicate (or a late retransmit of a superseded stream): drop, but
       // re-acknowledge — the original ack may have been posted before the
@@ -708,13 +741,14 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
       continue;
     }
     if (trailer.seq == cum_next_) {
-      // In order: deliver straight to the caller's buffer.
-      MAD_ASSERT(body.size() == payload_dst.size(),
-                 "reliable paquet payload of " + std::to_string(body.size()) +
+      // In order: the verification pass already wrote the body to the
+      // caller's buffer. It is charged as the staged copy it models.
+      MAD_ASSERT(body_size == payload_dst.size(),
+                 "reliable paquet payload of " + std::to_string(body_size) +
                      " bytes, expected " +
                      std::to_string(payload_dst.size()));
       if (!payload_dst.empty()) {
-        counted_copy(payload_dst, body);
+        count_copy(payload_dst.size());
       }
       ++cum_next_;
       ++next_;
@@ -731,8 +765,12 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
                "reliable GTM stream desync: got seq " +
                    std::to_string(trailer.seq) + " beyond the window at " +
                    std::to_string(cum_next_));
-    reorder_.emplace(trailer.seq,
-                     std::vector<std::byte>(body.begin(), body.end()));
+    // The staging buffer itself is parked, trimmed to the body; a fresh one
+    // takes its place.
+    util::Bytes parked = std::exchange(
+        scratch_, vc_.buffer_pool().take(vc_.buffer_pool().capacity()));
+    parked.resize(body_size);
+    reorder_.emplace(trailer.seq, std::move(parked));
     network.post_sack(conn.rx_tag, self_nic_, conn.peer_nic_index, epoch_,
                       trailer.seq);
     if (cum_next_ > 0) {

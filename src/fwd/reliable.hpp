@@ -170,6 +170,10 @@ class ReliableSender {
  public:
   ReliableSender(VirtualChannel& vc, NodeRank self, MessageWriter& out,
                  Channel& out_channel, NodeRank peer, std::uint32_t epoch);
+  /// Gives the wire buffers still in flight back to their pool.
+  ~ReliableSender();
+  ReliableSender(const ReliableSender&) = delete;
+  ReliableSender& operator=(const ReliableSender&) = delete;
 
   /// Registers the unreliable framing prologue (preamble, message header,
   /// optional stripe header) that opened this hop message. The prologue
@@ -186,9 +190,11 @@ class ReliableSender {
   /// With `one_sided` set (and the hop's egress RDMA-eligible) the paquet
   /// — and every retransmission of it — crosses as a one-sided write with
   /// completion (fwd/rdma_tm.hpp): the receiver still sees and acks every
-  /// paquet, but the data moves as DMA on both host buses. The wire buffer
-  /// then comes from a recycled registered pool, so repeated paquets and
-  /// retransmits hit the pin-down cache instead of re-pinning.
+  /// paquet, but the data moves as DMA on both host buses. An RDMA-capable
+  /// sender's wire buffers come from its own registered pool, so repeated
+  /// paquets and retransmits hit the pin-down cache instead of re-pinning.
+  /// The payload's copy into the wire buffer and its checksum are one
+  /// pass (gtm_copy_checksum).
   void send(std::uint32_t seq, util::ByteSpan payload,
             bool one_sided = false);
 
@@ -212,7 +218,7 @@ class ReliableSender {
  private:
   struct InFlight {
     std::uint32_t seq = 0;
-    std::vector<std::byte> wire;  // payload + trailer, ready to re-pack
+    util::Bytes wire;  // payload + trailer, ready to re-pack
     sim::Time tx_begin = 0;  // last attempt start (rel.ack_us base)
     sim::Time sent_at = 0;   // last attempt pack-complete (RTO base)
     sim::Time deadline = 0;
@@ -225,12 +231,10 @@ class ReliableSender {
   };
 
   void transmit(InFlight& p);
-  /// Registered-buffer pool (one-sided mode only): wire buffers recycled
-  /// across paquets so their addresses stay stable and the pin-down cache
-  /// hits on every reuse — including retransmits, which re-send the very
-  /// buffer that was pinned for the first attempt.
-  std::vector<std::byte> pool_take(std::size_t size);
-  void pool_return(std::vector<std::byte> wire);
+  /// Wire buffers: from the channel's paquet pool, or from this sender's
+  /// registered-buffer arena when it can send one-sided (see wire_arena_).
+  util::Bytes pool_take(std::size_t size);
+  void pool_return(util::Bytes wire);
   /// Blocks until at most `target` paquets remain in flight.
   void drain_to(std::size_t target);
   /// Times out `p`: throws HopFailure past the budget, else retransmits
@@ -267,8 +271,11 @@ class ReliableSender {
   /// or hybrid buffers). send(..., one_sided=true) silently degrades to
   /// the two-sided path when null.
   RdmaTm* rdma_ = nullptr;
-  // Retired wire buffers, reused best-fit (RDMA mode only: stable buffer
-  // addresses keep the registration cache warm).
+  // An RDMA-capable sender's retired wire buffers, reused best fit: the
+  // pin-down cache keys on buffer addresses, so every reuse — including a
+  // retransmit, which re-sends the very buffer pinned for the first
+  // attempt — hits, and a tiny block-header paquet does not claim (and
+  // re-key) an MTU-sized registered fragment buffer.
   util::BufferArena wire_arena_;
   std::deque<InFlight> inflight_;
   // Duplicate-cumulative-ack tracking (fast retransmit, window > 1 only).
@@ -338,10 +345,17 @@ class ReliableReceiver {
  public:
   ReliableReceiver(VirtualChannel& vc, NodeRank self, Channel& in_channel,
                    NodeRank peer, std::uint32_t epoch, bool detect_dead);
+  /// Gives the staging buffer and any parked paquets back to their pool.
+  ~ReliableReceiver();
+  ReliableReceiver(const ReliableReceiver&) = delete;
+  ReliableReceiver& operator=(const ReliableReceiver&) = delete;
 
   /// Receives reliable paquet `expected_seq` (must be the successor of the
   /// previous recv) into `payload_dst` (size must match the original
-  /// payload exactly) and acknowledges it.
+  /// payload exactly) and acknowledges it. A wire paquet whose trailer
+  /// names it as this in-order paquet is verified and written to
+  /// `payload_dst` in one pass; until recv returns, `payload_dst` may hold
+  /// the bytes of a corrupt copy that failed verification.
   void recv(MessageReader& in, std::uint32_t expected_seq,
             util::MutByteSpan payload_dst);
 
@@ -360,10 +374,6 @@ class ReliableReceiver {
   void complete(std::uint32_t last_seq);
 
  private:
-  /// Pulls wire paquets until `next_` can be served; fills the reorder
-  /// buffer along the way.
-  void pump(MessageReader& in);
-
   VirtualChannel& vc_;
   NodeRank self_;
   Channel& in_channel_;
@@ -375,8 +385,10 @@ class ReliableReceiver {
   std::size_t window_;
   std::uint32_t next_ = 0;      // next seq to hand to the caller
   std::uint32_t cum_next_ = 0;  // first seq not yet received in order
-  std::map<std::uint32_t, std::vector<std::byte>> reorder_;
-  std::vector<std::byte> scratch_;
+  // Parked out-of-order paquets and the wire staging buffer, all from the
+  // channel's paquet pool.
+  std::map<std::uint32_t, util::Bytes> reorder_;
+  util::Bytes scratch_;
 };
 
 /// Reads one hop message's GTM elements in stream order — block headers,

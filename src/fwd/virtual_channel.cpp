@@ -90,6 +90,8 @@ VirtualChannel::VirtualChannel(Domain& domain, std::string name,
     // crosses every hop unfragmented.
     mtu_ -= kGtmTrailerBytes;
   }
+  buffers_ = util::BufferPool(static_cast<std::size_t>(mtu_) +
+                              kGtmTrailerBytes);
 
   // Topology over *local* network ids (positions in networks_).
   topology_ = std::make_unique<topo::Topology>(domain_.node_count());
@@ -170,9 +172,7 @@ void VirtualChannel::discard_stale_paquet(Channel& channel, NodeRank peer,
 void VirtualChannel::read_framing_tolerant(MessageReader& reader,
                                            Channel& channel, NodeRank self,
                                            util::MutByteSpan element) {
-  util::BufferLease scratch(scratch_arena_,
-                            static_cast<std::size_t>(mtu_) +
-                                kGtmTrailerBytes);
+  util::BufferLease scratch(buffers_, buffers_.capacity());
   for (;;) {
     const std::uint32_t got =
         reader.unpack_paquet(util::MutByteSpan(scratch.buffer()));
@@ -195,9 +195,7 @@ Preamble VirtualChannel::read_stream_head(MessageReader& reader,
                                           GtmStripeHeader* stripe) {
   header.reset();
   const NodeRank peer = reader.source();
-  util::BufferLease scratch(scratch_arena_,
-                            static_cast<std::size_t>(mtu_) +
-                                kGtmTrailerBytes);
+  util::BufferLease scratch(buffers_, buffers_.capacity());
   std::optional<Preamble> preamble;
   const auto count_ghost = [&](util::ByteSpan wire) {
     discard_stale_paquet(channel, peer, self, wire);

@@ -214,6 +214,12 @@ class VirtualChannel {
   /// the wire MTU, so payload + trailer still fits every hop.
   std::uint32_t mtu() const { return mtu_; }
   bool reliable() const { return options_.reliable.enabled; }
+  /// Paquet buffers of the reliable path, at capacity mtu() plus the
+  /// trailer: two-sided ReliableSender wire buffers, ReliableReceiver
+  /// staging and reorder buffers, the tolerant framing reads and the
+  /// gateway's stored fragments. Each goes back when its owner is done.
+  util::BufferPool& buffer_pool() { return buffers_; }
+  const util::BufferPool& buffer_pool() const { return buffers_; }
   const topo::Routing& routing() const { return *routing_; }
   const topo::Topology& topology() const { return *topology_; }
 
@@ -347,9 +353,7 @@ class VirtualChannel {
   std::vector<net::Network*> networks_;
   VcOptions options_;
   std::uint32_t mtu_ = 0;
-  // Recycles MTU-sized scratch buffers for the tolerant-read paths; one
-  // actor runs at a time, so the arena needs no locking.
-  util::BufferArena scratch_arena_;
+  util::BufferPool buffers_{0};  // sized once mtu_ is known
   std::unique_ptr<topo::Topology> topology_;
   std::unique_ptr<topo::Routing> routing_;
   std::unique_ptr<topo::HealthMonitor> health_;

@@ -10,7 +10,8 @@ namespace mad::net {
 Network::Network(sim::Engine& engine, int id, std::string name,
                  NicModelParams model)
     : engine_(engine), id_(id), name_(std::move(name)),
-      model_(std::move(model)), acks_(engine, name_) {
+      model_(std::move(model)), acks_(engine, name_),
+      buffers_(model_.max_packet) {
   MAD_ASSERT(model_.wire_bandwidth > 0, "wire bandwidth must be positive");
 }
 

@@ -20,6 +20,7 @@
 #include "net/packet_log.hpp"
 #include "net/params.hpp"
 #include "sim/engine.hpp"
+#include "util/arena.hpp"
 
 namespace mad::sim {
 class MetricsRegistry;
@@ -82,6 +83,12 @@ class Network {
   /// Hop-level ack board for the reliable GTM mode (see net/fault.hpp).
   AckRegistry& acks() { return acks_; }
 
+  /// Payload buffers of the packets on this network's wire, at capacity
+  /// model().max_packet: a NIC takes one per packet it sends, the
+  /// receiving NIC gives it back once the payload is placed.
+  util::BufferPool& buffer_pool() { return buffers_; }
+  const util::BufferPool& buffer_pool() const { return buffers_; }
+
   /// Posts a receiver acknowledgement, honouring the fault plan: acks from
   /// or toward a crashed NIC — and acks crossing a downed link — vanish,
   /// which is how senders detect dead peers. Visible to the awaiting
@@ -120,6 +127,7 @@ class Network {
   std::map<std::pair<int, int>, sim::Time> wire_busy_;
   std::unique_ptr<FaultInjector> injector_;
   AckRegistry acks_;
+  util::BufferPool buffers_;
 };
 
 }  // namespace mad::net

@@ -1,6 +1,7 @@
 #include "net/nic.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "net/host.hpp"
 #include "sim/metrics.hpp"
@@ -9,6 +10,25 @@
 #include "util/panic.hpp"
 
 namespace mad::net {
+
+namespace {
+
+// The packet's payload: the gather list copied into one buffer of the
+// network's pool.
+util::Bytes snapshot(util::BufferPool& pool, const util::ConstIovec& data,
+                     std::size_t n) {
+  util::Bytes payload = pool.take(n);
+  std::size_t at = 0;
+  for (const util::ByteSpan& piece : data) {
+    if (!piece.empty()) {
+      std::memcpy(payload.data() + at, piece.data(), piece.size());
+      at += piece.size();
+    }
+  }
+  return payload;
+}
+
+}  // namespace
 
 Nic::Nic(sim::Engine& engine, Host& host, Network& network)
     : engine_(engine),
@@ -118,18 +138,22 @@ void Nic::send(int dst_index, std::uint64_t tag,
     packet.src_index = index_;
     packet.tag = tag;
     packet.send_time = flow_start;
-    packet.payload = util::gather(data);  // snapshot at flow start; the sender
-                                          // is blocked for the whole flow
     packet.visible_time = wire.depart + model().wire_latency;
     packet.wire_end = wire.wire_end;
     packet.one_sided = opts.one_sided;
     packet.completion = opts.completion;
     packet.timing = timing;
+    // The payload is snapshotted at flow start, into a pooled buffer the
+    // receiving NIC gives back once it has placed the bytes; the sender is
+    // blocked for the whole flow, so the source cannot change meanwhile.
+    if (fault == FaultAction::Duplicate) {
+      WirePacket twin = packet;
+      twin.payload = snapshot(network_.buffer_pool(), data, n);
+      dst_nic.enqueue(std::move(twin));
+    }
+    packet.payload = snapshot(network_.buffer_pool(), data, n);
     if (fault == FaultAction::Corrupt) {
       injector->corrupt(util::MutByteSpan(packet.payload));
-    }
-    if (fault == FaultAction::Duplicate) {
-      dst_nic.enqueue(WirePacket(packet));
     }
     dst_nic.enqueue(std::move(packet));
   }
@@ -256,6 +280,7 @@ void Nic::recv_into(std::uint64_t tag, const util::MutIovec& dst) {
                  std::to_string(util::total_size(dst)) +
                  " != packet size " + std::to_string(packet.payload.size()));
   util::scatter(packet.payload, dst);
+  network_.buffer_pool().give(std::move(packet.payload));
 }
 
 void Nic::recv_into(std::uint64_t tag, util::MutByteSpan dst) {
@@ -263,7 +288,11 @@ void Nic::recv_into(std::uint64_t tag, util::MutByteSpan dst) {
 }
 
 std::vector<std::byte> Nic::recv_owned(std::uint64_t tag) {
-  return consume(tag).payload;
+  WirePacket packet = consume(tag);
+  std::vector<std::byte> payload(packet.payload.begin(),
+                                 packet.payload.end());
+  network_.buffer_pool().give(std::move(packet.payload));
+  return payload;
 }
 
 StaticBufferPool::Ref Nic::recv_static(std::uint64_t tag) {
@@ -275,6 +304,7 @@ StaticBufferPool::Ref Nic::recv_static(std::uint64_t tag) {
              "packet larger than static buffer");
   std::copy(packet.payload.begin(), packet.payload.end(), ref.span().begin());
   ref.set_used(packet.payload.size());
+  network_.buffer_pool().give(std::move(packet.payload));
   return ref;
 }
 

@@ -12,9 +12,13 @@
 //                   cannot complete before the last byte physically
 //                   arrived: max(src flow end, wire end) + latency
 //
-// The payload snapshot is taken when the source PCI flow starts; the sender
-// is blocked for the whole flow, so the buffer cannot change underneath —
-// buffer-reuse semantics are preserved. Receivers may begin their PCI flow
+// The payload snapshot is taken when the source PCI flow starts, copied
+// from the gather list into a buffer of the network's pool
+// (Network::buffer_pool); the sender is blocked for the whole flow, so the
+// source cannot change underneath — buffer-reuse semantics are preserved.
+// The receiving NIC scatters the snapshot into the destination and gives
+// the buffer back. Both copies are host-side artefacts of the simulation,
+// not modelled copies: neither is charged virtual time. Receivers may begin their PCI flow
 // while the sender is still pushing (that is what real cut-through NICs
 // do); the end-correction keeps the completion time physical.
 //
@@ -49,7 +53,7 @@ struct TxTiming {
 struct WirePacket {
   int src_index = -1;
   std::uint64_t tag = 0;
-  std::vector<std::byte> payload;
+  util::Bytes payload;  // from the network's buffer pool
   sim::Time send_time = 0;     // source flow start (latency metrics)
   sim::Time visible_time = 0;  // first byte reaches the NIC
   sim::Time wire_end = 0;      // last byte has left the wire
@@ -127,6 +131,9 @@ class Nic {
 
   /// Packets currently queued for `tag`.
   std::size_t queued(std::uint64_t tag) const;
+  /// Packets currently queued for any tag: each holds a buffer of the
+  /// network's pool until it is consumed.
+  std::size_t queued() const { return queued_total_; }
 
   /// Lifetime counters (tests and benches).
   std::uint64_t packets_sent() const { return packets_sent_; }

@@ -7,10 +7,10 @@
 // exactly like the real protocols do.
 //
 // The recycling half of this idea — minus the blocking/backpressure
-// semantics — is generalized in util/arena.hpp (util::BufferArena), which
-// the fwd layer and the trace sink use for plain allocation reuse. Keep
-// the two distinct: a StaticBufferPool running dry is a modeled protocol
-// event; an arena running dry just mallocs.
+// semantics — is generalized in util/arena.hpp (util::BufferPool and its
+// kin), which the wire, the fwd layer and the trace sink use for plain
+// allocation reuse. Keep the two distinct: a StaticBufferPool running dry
+// is a modeled protocol event; a util pool running dry just mallocs.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,30 @@
 #include "util/arena.hpp"
 
+#include <string>
+
+#include "util/panic.hpp"
+
 namespace mad::util {
 
-std::vector<std::byte> BufferArena::take(std::size_t size) {
+Bytes BufferPool::take(std::size_t size) {
+  MAD_ASSERT(size <= capacity_, "pooled buffer of " + std::to_string(size) +
+                                    " bytes exceeds the pool capacity " +
+                                    std::to_string(capacity_));
+  Bytes buffer = arena_.take();
+  if (buffer.capacity() < capacity_) {
+    buffer.reserve(capacity_);  // a new buffer: reserved once, at capacity
+  }
+  buffer.resize(size);
+  return buffer;
+}
+
+void BufferPool::give(Bytes buffer) {
+  MAD_ASSERT(buffer.capacity() >= capacity_,
+             "retired buffer was not made by this pool");
+  arena_.give(std::move(buffer));
+}
+
+Bytes BufferArena::take(std::size_t size) {
   ++takes_;
   auto best = free_.end();
   for (auto it = free_.begin(); it != free_.end(); ++it) {
@@ -13,17 +35,17 @@ std::vector<std::byte> BufferArena::take(std::size_t size) {
   }
   if (best != free_.end()) {
     ++reuses_;
-    std::vector<std::byte> buffer = std::move(*best);
+    Bytes buffer = std::move(*best);
     free_.erase(best);
     buffer.resize(size);  // within capacity: the address stays put
     return buffer;
   }
-  std::vector<std::byte> buffer;
+  Bytes buffer;
   buffer.resize(size);
   return buffer;
 }
 
-void BufferArena::give(std::vector<std::byte> buffer) {
+void BufferArena::give(Bytes buffer) {
   if (buffer.capacity() == 0) {
     return;
   }

@@ -7,8 +7,12 @@
 
 #include <cstddef>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/panic.hpp"
@@ -17,6 +21,34 @@ namespace mad::util {
 
 using ByteSpan = std::span<const std::byte>;
 using MutByteSpan = std::span<std::byte>;
+
+/// std::allocator whose value-less construct default-initializes, so a
+/// vector's resize() leaves the new elements as they are instead of
+/// zeroing them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A byte buffer whose resize writes nothing: the bytes it grows by are
+/// unspecified until the caller fills them. Every pooled paquet buffer has
+/// this type, because a reused buffer would otherwise zero its growth.
+using Bytes = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
 
 /// Gather list of read-only blocks.
 using ConstIovec = std::vector<ByteSpan>;
@@ -37,16 +69,6 @@ inline std::size_t total_size(const MutIovec& iov) {
     n += s.size();
   }
   return n;
-}
-
-/// Concatenates a gather list into one owned buffer.
-inline std::vector<std::byte> gather(const ConstIovec& iov) {
-  std::vector<std::byte> out;
-  out.reserve(total_size(iov));
-  for (const auto& s : iov) {
-    out.insert(out.end(), s.begin(), s.end());
-  }
-  return out;
 }
 
 /// Scatters `src` across the blocks of `dst`; sizes must match exactly.

@@ -3,8 +3,15 @@
 // corrupt unrelated state.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <type_traits>
+#include <vector>
+
+#include "fwd/egress.hpp"
 #include "net/fault.hpp"
+#include "net/nic.hpp"
 #include "support/coc_rig.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace mad::fwd {
@@ -171,6 +178,26 @@ TEST(Failures, IndependentRunsDoNotShareState) {
   EXPECT_EQ(out, payload);
 }
 
+TEST(Failures, StoredBlockViewRejectsATemporaryBuffer) {
+  // A temporary container would convert silently to the view constructor
+  // and leave the stored block dangling: that must not compile. Views of
+  // lvalues and spans, and the owning constructor, still do.
+  static_assert(!std::is_constructible_v<StoredBlock, const GtmBlockHeader&,
+                                         util::Bytes>);
+  static_assert(!std::is_constructible_v<StoredBlock, const GtmBlockHeader&,
+                                         std::array<std::byte, 8>>);
+  static_assert(std::is_constructible_v<StoredBlock, const GtmBlockHeader&,
+                                        util::Bytes&>);
+  static_assert(std::is_constructible_v<StoredBlock, const GtmBlockHeader&,
+                                        util::ByteSpan>);
+  static_assert(std::is_constructible_v<StoredBlock, const GtmBlockHeader&,
+                                        std::vector<std::byte>>);
+  const util::Bytes bytes(8);
+  const StoredBlock view(GtmBlockHeader{}, bytes);
+  EXPECT_EQ(view.data.data(), bytes.data());
+  EXPECT_TRUE(view.owned.empty());
+}
+
 // ------------------------------------------------------- reliable GTM mode
 
 using testsupport::DualGatewayRig;
@@ -274,6 +301,97 @@ TEST(Reliable, SurvivesCorruptionAndDuplication) {
   EXPECT_GT(total.dup_drops, 0u);
 }
 
+TEST(Reliable, PaquetBuffersReturnToTheirPools) {
+  // A window-16 relay under drop, corruption and duplication runs every
+  // pooled paquet buffer: wire packets, reliable wire buffers, receive
+  // staging, the reorder buffer, retransmits and the gateway's stored
+  // fragments. Each must be back in its pool once the run is over, and a
+  // second identical batch must be served by the buffers the first made.
+  fwd::VcOptions options = reliable_options();
+  options.reliable.window = 16;
+  PaperRig rig(options);
+  net::FaultPlan plan;
+  plan.seed = 5;
+  plan.drop_rate = 0.04;
+  plan.corrupt_rate = 0.04;
+  plan.duplicate_rate = 0.04;
+  const auto inject = [&] {
+    rig.myri.set_fault_plan(plan);
+    rig.sci.set_fault_plan(plan);
+  };
+  const std::vector<const util::BufferPool*> pools = {
+      &rig.vc->buffer_pool(), &rig.myri.buffer_pool(), &rig.sci.buffer_pool()};
+  const auto made = [&] {
+    std::vector<std::uint64_t> counts;
+    for (const util::BufferPool* pool : pools) {
+      counts.push_back(pool->takes() - pool->reuses());
+    }
+    return counts;
+  };
+  util::Rng rng(23);
+  const std::vector<std::vector<std::byte>> batch = {rng.bytes(1 << 20),
+                                                     rng.bytes(100)};
+  const auto send_batch = [&] {
+    for (const std::vector<std::byte>& payload : batch) {
+      auto msg = rig.ep(rig.myri_node()).begin_packing(rig.sci_node());
+      msg.pack(payload);
+      msg.end_packing();
+    }
+  };
+  int intact = 0;
+  const auto receive_batch = [&] {
+    for (const std::vector<std::byte>& payload : batch) {
+      std::vector<std::byte> out(payload.size());
+      auto msg = rig.ep(rig.sci_node()).begin_unpacking();
+      msg.unpack(out);
+      msg.end_unpacking();
+      intact += out == payload ? 1 : 0;
+    }
+  };
+  std::vector<std::uint64_t> made_by_first;
+  inject();
+  rig.engine.spawn("s", send_batch);
+  rig.engine.spawn("r", [&] {
+    receive_batch();
+    made_by_first = made();
+    // The second batch meets the same fault sequence.
+    inject();
+    rig.engine.spawn("s2", send_batch);
+    receive_batch();
+  });
+  rig.engine.run();
+  EXPECT_EQ(intact, 4);
+  fwd::ReliabilityStats total;
+  for (NodeRank rank = 0; rank < 3; ++rank) {
+    const fwd::ReliabilityStats& r = rig.vc->gateway_stats(rank).reliability;
+    total.fast_retransmits += r.fast_retransmits;
+    total.dup_drops += r.dup_drops;
+    total.corrupt_drops += r.corrupt_drops;
+  }
+  // A fast retransmit answers the acks of paquets parked behind a hole.
+  EXPECT_GT(total.fast_retransmits, 0u);
+  EXPECT_GT(total.dup_drops, 0u);
+  EXPECT_GT(total.corrupt_drops, 0u);
+  // Every buffer is idle again, except those a network's packets still
+  // hold: packets left queued at a NIC when the run ended, such as late
+  // retransmits of a finished stream that nothing reads.
+  const auto queued = [](const net::Network& network) {
+    std::size_t packets = 0;
+    for (int i = 0; i < static_cast<int>(network.size()); ++i) {
+      packets += network.nic(i).queued();
+    }
+    return packets;
+  };
+  const std::vector<std::size_t> held = {0, queued(rig.myri),
+                                         queued(rig.sci)};
+  const std::vector<std::uint64_t> made_by_both = made();
+  for (std::size_t i = 0; i < pools.size(); ++i) {
+    EXPECT_GT(made_by_both[i], 0u) << "pool " << i;
+    EXPECT_EQ(pools[i]->idle() + held[i], made_by_both[i]) << "pool " << i;
+    EXPECT_EQ(made_by_both[i], made_by_first[i]) << "pool " << i;
+  }
+}
+
 TEST(Reliable, GatewayCrashFailsOverToAlternate) {
   // Two gateways bridge the clusters; the preferred one (gw1, rank 1)
   // crashes mid-message. The sender must declare it dead and replay the
@@ -308,6 +426,40 @@ TEST(Reliable, GatewayCrashFailsOverToAlternate) {
   EXPECT_GE(sender.peers_declared_dead, 1u);
   EXPECT_TRUE(rig.vc->is_dead(1));
   EXPECT_FALSE(rig.vc->is_dead(2));
+}
+
+TEST(Reliable, PaquetBuffersReturnAfterAFailover) {
+  // A window-16 origin loses its gateway with paquets in flight: the
+  // abandoned window's wire buffers go back to the channel's pool with
+  // the dead hop's sender, and so does whatever the crashed relay held.
+  fwd::VcOptions options = reliable_options();
+  options.reliable.window = 16;
+  DualGatewayRig rig(options);
+  const sim::Time crash_at = sim::milliseconds(4);
+  net::FaultPlan myri_plan;
+  myri_plan.crashes.push_back({/*nic_index=*/1, crash_at});  // gw1 on myri
+  rig.myri.set_fault_plan(myri_plan);
+  net::FaultPlan sci_plan;
+  sci_plan.crashes.push_back({/*nic_index=*/0, crash_at});  // gw1 on sci
+  rig.sci.set_fault_plan(sci_plan);
+  const auto payload = util::Rng(24).bytes(1 << 20);
+  std::vector<std::byte> out(payload.size());
+  rig.engine.spawn("s", [&] {
+    auto msg = rig.ep(0).begin_packing(3);
+    msg.pack(payload);
+    msg.end_packing();
+  });
+  rig.engine.spawn("r", [&] {
+    auto msg = rig.ep(3).begin_unpacking();
+    msg.unpack(out);
+    msg.end_unpacking();
+  });
+  rig.engine.run();
+  EXPECT_EQ(out, payload);
+  EXPECT_GE(rig.vc->gateway_stats(0).reliability.failovers, 1u);
+  const util::BufferPool& pool = rig.vc->buffer_pool();
+  EXPECT_GT(pool.takes(), 0u);
+  EXPECT_EQ(pool.idle(), pool.takes() - pool.reuses());
 }
 
 TEST(Failures, RoutingRebuildDuringPlainRelayLeavesMessageIntact) {

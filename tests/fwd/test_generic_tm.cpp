@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -217,6 +218,47 @@ TEST(GenericTm, VerifiedTrailerChecksTheWireTrailer) {
   EXPECT_FALSE(
       verified_trailer(util::ByteSpan(wire.data(), kGtmTrailerBytes - 1))
           .has_value());
+}
+
+TEST(GenericTm, CopyChecksumEqualsChecksumAndCopies) {
+  // Every size through several stripes and every byte tail, plus both
+  // paquet sizes, at every source and destination alignment: the fused
+  // pass returns exactly the plain checksum, copies every byte and writes
+  // nothing on either side of the destination.
+  constexpr std::size_t kLargest = 128 * 1024 + 13;
+  constexpr std::size_t kGuard = 16;
+  constexpr std::byte kFill{0xA5};
+  std::vector<std::size_t> sizes;
+  for (std::size_t size = 0; size <= 257; ++size) {
+    sizes.push_back(size);
+  }
+  sizes.push_back(8 * 1024);
+  sizes.push_back(kLargest);
+  const std::vector<std::byte> source = util::Rng(9).bytes(kLargest + 7);
+  std::vector<std::byte> dest(kGuard + 7 + kLargest + kGuard);
+  std::uint32_t seq = 0;
+  for (const std::size_t size : sizes) {
+    for (std::size_t src_at = 0; src_at < 8; ++src_at) {
+      for (std::size_t dst_at = 0; dst_at < 8; ++dst_at) {
+        ++seq;
+        const util::ByteSpan src(source.data() + src_at, size);
+        const util::MutByteSpan dst(dest.data() + kGuard + dst_at, size);
+        std::fill(dst.data() - kGuard, dst.data(), kFill);
+        std::fill(dst.data() + size, dst.data() + size + kGuard, kFill);
+        ASSERT_EQ(gtm_copy_checksum(dst, src, seq, 7),
+                  gtm_paquet_checksum(src, seq, 7))
+            << "size " << size << " src+" << src_at << " dst+" << dst_at;
+        ASSERT_TRUE(std::equal(src.begin(), src.end(), dst.begin()))
+            << "size " << size << " src+" << src_at << " dst+" << dst_at;
+        for (std::size_t i = 1; i <= kGuard; ++i) {
+          ASSERT_EQ(*(dst.data() - i), kFill)
+              << "wrote before the destination: size " << size;
+          ASSERT_EQ(*(dst.data() + size + i - 1), kFill)
+              << "wrote past the destination: size " << size;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -35,8 +35,8 @@ TEST(Arena, LifoOrder) {
 
 TEST(BufferArena, ReusesBestFitAndKeepsAddressStable) {
   BufferArena arena;
-  std::vector<std::byte> small = arena.take(64);
-  std::vector<std::byte> big = arena.take(4096);
+  Bytes small = arena.take(64);
+  Bytes big = arena.take(4096);
   const std::byte* big_addr = big.data();
   arena.give(std::move(big));
   arena.give(std::move(small));
@@ -44,17 +44,17 @@ TEST(BufferArena, ReusesBestFitAndKeepsAddressStable) {
 
   // A 32-byte request must draw the 64-byte buffer, not re-key the big
   // one (address stability is what the RDMA registration cache needs).
-  const std::vector<std::byte> tiny = arena.take(32);
+  const Bytes tiny = arena.take(32);
   EXPECT_LT(tiny.capacity(), 4096u);
-  const std::vector<std::byte> large = arena.take(2048);
+  const Bytes large = arena.take(2048);
   EXPECT_EQ(large.data(), big_addr);  // resized within capacity, same spot
   EXPECT_EQ(arena.reuses(), 2u);
 }
 
 TEST(BufferArena, AllocatesWhenNothingFits) {
   BufferArena arena;
-  arena.give(std::vector<std::byte>(16));
-  const std::vector<std::byte> buf = arena.take(1024);
+  arena.give(Bytes(16));
+  const Bytes buf = arena.take(1024);
   EXPECT_EQ(buf.size(), 1024u);
   EXPECT_EQ(arena.reuses(), 0u);
   EXPECT_EQ(arena.idle(), 1u);  // the 16-byte one is still there
