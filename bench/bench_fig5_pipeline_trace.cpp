@@ -17,7 +17,7 @@
 
 int main() {
   using namespace mad;
-  sim::Trace trace;
+  sim::TraceSink trace;
   trace.enable();
   fwd::VcOptions options;
   options.paquet_size = 32 * 1024;
@@ -29,9 +29,9 @@ int main() {
       world.engine, *world.vc, world.sci_node(), world.myri_node(), message,
       /*repeats=*/1, /*warmup=*/0);
 
-  const auto recvs = trace.by_category("gw.recv");
-  const auto sends = trace.by_category("gw.send");
-  const auto switches = trace.by_category("gw.switch");
+  const auto recvs = trace.by_name("gw.recv");
+  const auto sends = trace.by_name("gw.send");
+  const auto switches = trace.by_name("gw.switch");
 
   std::printf("=== Fig 5: gateway pipeline trace (SCI->Myrinet, 512 KB "
               "message, 32 KB paquets) ===\n");
@@ -50,10 +50,10 @@ int main() {
   sim::Time first = INT64_MAX;
   sim::Time last = 0;
   for (const auto* set : {&recvs, &sends, &switches}) {
-    for (const auto& interval : *set) {
-      busy += interval.duration();
-      first = std::min(first, interval.begin);
-      last = std::max(last, interval.end);
+    for (const auto& span : *set) {
+      busy += span.duration();
+      first = std::min(first, span.begin);
+      last = std::max(last, span.end);
     }
   }
   const double overlap =

@@ -24,7 +24,7 @@ namespace {
 /// Mean gateway send-step duration (µs) for one forwarded 512 KB message.
 double mean_send_step_us(bool myri_to_sci, std::uint32_t paquet) {
   using namespace mad;
-  sim::Trace trace;
+  sim::TraceSink trace;
   trace.enable();
   fwd::VcOptions options;
   options.paquet_size = paquet;
@@ -37,8 +37,8 @@ double mean_send_step_us(bool myri_to_sci, std::uint32_t paquet) {
   (void)harness::measure_vc_oneway(world.engine, *world.vc, src, dst,
                                    512 * 1024, 1, 0);
   util::RunningStats stats;
-  for (const auto& interval : trace.by_category("gw.send")) {
-    stats.add(sim::to_microseconds(interval.duration()));
+  for (const auto& span : trace.by_name("gw.send")) {
+    stats.add(sim::to_microseconds(span.duration()));
   }
   return stats.mean();
 }

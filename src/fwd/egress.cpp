@@ -159,7 +159,7 @@ bool Egress::stale() const {
 void Egress::recover(Setback setback, const std::function<Setback()>& replay,
                      const std::function<bool()>& stand_down) {
   sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-  sim::Trace* trace = vc_.options().trace;
+  sim::TraceSink* trace = vc_.options().trace;
   const std::string node_label = "node=" + std::to_string(self_);
   while (!setback.ok()) {
     close();

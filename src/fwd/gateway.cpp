@@ -752,9 +752,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   void span(const std::string& phase, sim::Time begin,
             std::optional<std::uint64_t> bytes = std::nullopt) {
     const sim::Time end = engine_.now();
-    if (sim::Trace* trace = vc_.options().trace; trace != nullptr) {
-      trace->record(begin, end, "gw." + phase,
-                    bytes ? "bytes=" + std::to_string(*bytes) : "");
+    if (sim::TraceSink* trace = vc_.options().trace; trace != nullptr) {
+      trace->span_here(begin, end, "gw." + phase,
+                       bytes ? "bytes=" + std::to_string(*bytes) : "");
     }
     sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
     if (metrics.enabled()) {
@@ -820,16 +820,20 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
     if (admission_ != nullptr) {
       admission_->on_enqueue(t.cls, size);
-      metrics.observe_us("admission.queued_bytes", class_label(t.cls),
-                         static_cast<double>(admission_->queued_bytes(t.cls)));
+      if (metrics.enabled()) {
+        metrics.histogram("admission.queued_bytes", class_label(t.cls))
+            .record(static_cast<double>(admission_->queued_bytes(t.cls)));
+      }
     }
     if (flow_sched_ == nullptr) {
       return;
     }
     const auto origin = static_cast<NodeRank>(t.hdr.origin);
     const std::size_t depth = t.items.size();
-    metrics.observe_us("flow.queue_depth", flow_label(origin),
-                       static_cast<double>(depth));
+    if (metrics.enabled()) {
+      metrics.histogram("flow.queue_depth", flow_label(origin))
+          .record(static_cast<double>(depth));
+    }
     // Threshold scales with the flow's weight, mirroring its queue bound:
     // a weight-w flow legitimately holds w quanta of scheduled backlog.
     const double weight = std::max(1.0, flow_sched_->weight_of(t.flow));
@@ -837,7 +841,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         static_cast<double>(vc_.options().flow.mark_threshold) * weight) {
       rx->post_congestion_mark();
       ++vc_.mutable_gateway_stats(self_).flow_marks;
-      metrics.add("flow.marks", flow_label(origin));
+      if (metrics.enabled()) {
+        metrics.counter("flow.marks", flow_label(origin)).add();
+      }
       if (vc_.options().trace != nullptr) {
         vc_.options().trace->instant_here(
             "flow.mark", "origin=" + std::to_string(origin) +

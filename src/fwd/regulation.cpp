@@ -37,49 +37,12 @@ void Regulator::pace(std::uint64_t bytes) {
                   sim::transfer_time(bytes, rate_);
 }
 
-namespace {
-
-// Shared band-bookkeeping for DrrQueue / FlowScheduler flow removal:
-// drop `flow` from its class band and keep the band cursor pointing at
-// the same *remaining* flow (or a valid slot) so the round continues
-// where it left off.
-void erase_from_band(std::vector<int>& band, std::size_t& cursor, int flow) {
-  const auto it = std::find(band.begin(), band.end(), flow);
-  MAD_ASSERT(it != band.end(), "flow missing from its class band");
-  const std::size_t idx = static_cast<std::size_t>(it - band.begin());
-  band.erase(it);
-  if (band.empty()) {
-    cursor = 0;
-  } else {
-    if (idx < cursor) {
-      --cursor;
-    }
-    if (cursor >= band.size()) {
-      cursor = 0;
-    }
-  }
-}
-
-}  // namespace
-
 int DrrQueue::add_flow(double weight, TrafficClass cls) {
   MAD_ASSERT(weight > 0.0, "DRR flow weight must be positive");
   const int id = static_cast<int>(flows_.size());
-  flows_.push_back(Flow{weight, cls, true, 0, false, {}});
+  flows_.push_back(Flow{weight, cls, 0, false, {}});
   band_[traffic_class_index(cls)].push_back(id);
   return id;
-}
-
-void DrrQueue::remove_flow(int flow) {
-  Flow& f = flow_at(flow);
-  MAD_ASSERT(f.active, "DRR flow removed twice");
-  pending_ -= f.items.size();
-  f.items.clear();
-  f.deficit = 0;
-  f.topped_up = false;
-  f.active = false;
-  const std::size_t band = traffic_class_index(f.cls);
-  erase_from_band(band_[band], band_cursor_[band], flow);
 }
 
 std::optional<DrrQueue::Item> DrrQueue::dequeue() {
@@ -115,7 +78,7 @@ std::optional<DrrQueue::Item> DrrQueue::dequeue() {
         continue;
       }
       if (!f.topped_up) {
-        f.deficit += top_up(f);
+        f.deficit += allowance(ids[cursor]);
         f.topped_up = true;
       }
       if (f.items.front() <= f.deficit) {
@@ -140,41 +103,21 @@ std::optional<DrrQueue::Item> DrrQueue::dequeue() {
 int FlowScheduler::add_flow(double weight, TrafficClass cls,
                             std::int64_t key) {
   MAD_ASSERT(weight > 0.0, "flow scheduler weight must be positive");
+  const int id = static_cast<int>(flows_.size());
   if (key >= 0) {
-    const auto [it, inserted] = keys_.emplace(key, 0);
+    const auto [it, inserted] = keys_.emplace(key, id);
     MAD_ASSERT(inserted, "duplicate flow registration for key " +
                              std::to_string(key) + " (existing flow " +
                              std::to_string(it->second) + ")");
   }
-  const int id = static_cast<int>(flows_.size());
-  flows_.push_back(Flow{weight, cls, key, true, 0, false, {}, 0, 0, 0, 0});
-  if (key >= 0) {
-    keys_[key] = id;
-  }
-  band_[traffic_class_index(cls)].push_back(id);
+  parked_.add_flow(weight, cls);
+  flows_.emplace_back();
   return id;
 }
 
-void FlowScheduler::remove_flow(int flow) {
-  Flow& f = flow_at(flow);
-  MAD_ASSERT(f.active, "scheduler flow removed twice");
-  MAD_ASSERT(f.parked.empty() && !(busy_ && granted_flow_ == flow),
-             "cannot remove a flow with outstanding grant requests");
-  f.deficit = 0;
-  f.topped_up = false;
-  f.active = false;
-  if (f.key >= 0) {
-    keys_.erase(f.key);
-  }
-  const std::size_t band = traffic_class_index(f.cls);
-  erase_from_band(band_[band], band_cursor_[band], flow);
-}
-
 void FlowScheduler::acquire(int flow, std::uint64_t bytes) {
-  Flow& f = flow_at(flow);
-  MAD_ASSERT(f.active, "acquire on a removed scheduler flow");
-  const std::uint64_t ticket = f.enq_ticket++;
-  f.parked.push_back(bytes);
+  const std::uint64_t ticket = flow_at(flow).enq_ticket++;
+  parked_.enqueue(flow, bytes);
   pump();
   // Grants carry (flow, ticket): only the FIFO-matching requester claims.
   while (!(busy_ && granted_flow_ == flow && grant_ticket_ == ticket)) {
@@ -190,64 +133,20 @@ void FlowScheduler::release(int flow) {
 }
 
 void FlowScheduler::pump() {
-  if (busy_ || flows_.empty()) {
+  if (busy_) {
     return;
   }
-  // Strict priority across class bands, DRR within the winning band.
-  for (std::size_t band = 0; band < band_.size(); ++band) {
-    if (pump_band(band)) {
-      return;
-    }
+  const std::optional<DrrQueue::Item> next = parked_.dequeue();
+  if (!next) {
+    return;
   }
-}
-
-bool FlowScheduler::pump_band(std::size_t band) {
-  const std::vector<int>& ids = band_[band];
-  bool any = false;
-  for (const int id : ids) {
-    if (!flows_[static_cast<std::size_t>(id)].parked.empty()) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) {
-    return false;
-  }
-  std::size_t& cursor = band_cursor_[band];
-  // Same DRR walk as DrrQueue::dequeue, over parked grant requests.
-  for (;;) {
-    if (cursor >= ids.size()) {
-      cursor = 0;
-    }
-    Flow& f = flows_[static_cast<std::size_t>(ids[cursor])];
-    if (f.parked.empty()) {
-      f.deficit = 0;
-      f.topped_up = false;
-      cursor = (cursor + 1) % ids.size();
-      continue;
-    }
-    if (!f.topped_up) {
-      f.deficit += top_up(f);
-      f.topped_up = true;
-    }
-    if (f.parked.front() <= f.deficit) {
-      const std::uint64_t bytes = f.parked.front();
-      f.deficit -= bytes;
-      f.parked.pop_front();
-      busy_ = true;
-      granted_flow_ = ids[cursor];
-      grant_ticket_ = f.served_ticket++;
-      ++f.grants;
-      f.granted_bytes += bytes;
-      if (f.parked.empty()) {
-        f.deficit = 0;
-      }
-      granted_cond_.notify_all();
-      return true;
-    }
-    f.topped_up = false;
-    cursor = (cursor + 1) % ids.size();
-  }
+  Flow& f = flow_at(next->flow);
+  busy_ = true;
+  granted_flow_ = next->flow;
+  grant_ticket_ = f.served_ticket++;
+  ++f.grants;
+  f.granted_bytes += next->bytes;
+  granted_cond_.notify_all();
 }
 
 void AdmissionOptions::validate() const {

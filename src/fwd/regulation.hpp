@@ -110,9 +110,10 @@ class CreditWindow {
   sim::Condition freed_;
 };
 
-/// Deficit-round-robin over per-flow byte queues — the pure scheduling
-/// core of the gateway's multi-flow forwarder, kept free of simulator
-/// state so its service order is unit-testable as a plain data structure.
+/// Deficit-round-robin over per-flow byte queues — the scheduling core
+/// of the gateway's multi-flow forwarder (FlowScheduler queues its parked
+/// grant requests here), kept free of simulator state so its service
+/// order is unit-testable as a plain data structure.
 ///
 /// Classic DRR (Shreedhar & Varghese): each backlogged flow holds a byte
 /// deficit; a round-robin cursor visits flows, topping the visited flow's
@@ -134,18 +135,11 @@ class DrrQueue {
   }
 
   /// Registers a flow with the given scheduling weight; returns its id.
-  /// Ids are stable: removing a flow never renumbers the others.
+  /// Ids are dense and stable, in registration order.
   int add_flow(double weight = 1.0, TrafficClass cls = TrafficClass::Bulk);
 
-  /// Deregisters a flow mid-round: its queued items are dropped, its
-  /// deficit is forfeited, and the class round continues with the
-  /// remaining flows — no stall, no credit leak into a neighbour.
-  void remove_flow(int flow);
-
   void enqueue(int flow, std::uint64_t bytes) {
-    Flow& f = flow_at(flow);
-    MAD_ASSERT(f.active, "enqueue on a removed DRR flow");
-    f.items.push_back(bytes);
+    flow_at(flow).items.push_back(bytes);
     ++pending_;
   }
 
@@ -162,12 +156,17 @@ class DrrQueue {
   std::size_t backlog(int flow) const { return flow_at(flow).items.size(); }
   std::size_t flow_count() const { return flows_.size(); }
   TrafficClass class_of(int flow) const { return flow_at(flow).cls; }
+  double weight_of(int flow) const { return flow_at(flow).weight; }
+  /// Per-visit deficit top-up of `flow`: quantum x weight, at least 1.
+  std::uint64_t allowance(int flow) const {
+    const double q = static_cast<double>(quantum_) * flow_at(flow).weight;
+    return q < 1.0 ? 1 : static_cast<std::uint64_t>(q);
+  }
 
  private:
   struct Flow {
     double weight = 1.0;
     TrafficClass cls = TrafficClass::Bulk;
-    bool active = true;
     std::uint64_t deficit = 0;
     bool topped_up = false;  // quantum granted for the current visit
     std::deque<std::uint64_t> items;
@@ -180,10 +179,6 @@ class DrrQueue {
   }
   const Flow& flow_at(int flow) const {
     return const_cast<DrrQueue*>(this)->flow_at(flow);
-  }
-  std::uint64_t top_up(const Flow& f) const {
-    const double q = static_cast<double>(quantum_) * f.weight;
-    return q < 1.0 ? 1 : static_cast<std::uint64_t>(q);
   }
 
   std::uint64_t quantum_;
@@ -203,10 +198,13 @@ class DrrQueue {
 /// the outgoing wire in proportion to their weights instead of in
 /// whatever order their ingress paquets happened to land.
 ///
-/// The cursor stays on the granted flow between grants: a flow with
-/// deficit left keeps the wire for its whole burst (classic DRR visit
-/// semantics), then hands over. Uncontended traffic — one active flow —
-/// passes straight through with one top-up per visit and no waiting.
+/// Parked requests are the items of a DrrQueue and every grant is that
+/// queue's next dequeue, so the scheduler adds only the wire's busy flag
+/// and per-flow FIFO tickets. The DRR cursor stays on the granted flow
+/// between grants: a flow with deficit left keeps the wire for its whole
+/// burst (classic DRR visit semantics), then hands over. Uncontended
+/// traffic — one active flow — passes straight through with one top-up
+/// per visit and no waiting.
 ///
 /// Classes are strict priority across bands (see DrrQueue): when the wire
 /// frees, every parked Control request is granted before any Latency
@@ -216,24 +214,15 @@ class DrrQueue {
 class FlowScheduler {
  public:
   FlowScheduler(sim::Engine& engine, std::uint64_t quantum, std::string name)
-      : drr_quantum_(quantum), granted_cond_(engine, std::move(name)) {
-    MAD_ASSERT(quantum > 0, "flow scheduler quantum must be positive");
-  }
+      : parked_(quantum), granted_cond_(engine, std::move(name)) {}
 
   /// Registers a flow with the given weight; returns its id. `key` is the
   /// caller's identity for the flow (the gateway uses origin·class);
   /// registering the same non-negative key twice is a diagnosable panic —
   /// a duplicate would silently split one origin's traffic across two DRR
-  /// deficits. Pass key = -1 for anonymous flows. Ids are stable across
-  /// removals.
+  /// deficits. Pass key = -1 for anonymous flows.
   int add_flow(double weight = 1.0, TrafficClass cls = TrafficClass::Bulk,
                std::int64_t key = -1);
-
-  /// Deregisters a flow between grants. The flow must be quiescent — no
-  /// parked requests and not holding the wire — and its deficit is
-  /// forfeited, so the surrounding DRR round neither stalls nor inherits
-  /// credit. Its key (if any) becomes reusable.
-  void remove_flow(int flow);
 
   /// Blocks until the DRR order grants this flow the wire for one item of
   /// `bytes`. Requests within a flow are served FIFO.
@@ -250,10 +239,10 @@ class FlowScheduler {
   /// every grant empties its parked queue and a scheduler-side deficit
   /// would be forfeited on every visit, collapsing weights into plain
   /// round-robin.
-  std::uint64_t allowance(int flow) const { return top_up(flow_at(flow)); }
+  std::uint64_t allowance(int flow) const { return parked_.allowance(flow); }
 
-  double weight_of(int flow) const { return flow_at(flow).weight; }
-  TrafficClass class_of(int flow) const { return flow_at(flow).cls; }
+  double weight_of(int flow) const { return parked_.weight_of(flow); }
+  TrafficClass class_of(int flow) const { return parked_.class_of(flow); }
 
   std::uint64_t grants(int flow) const { return flow_at(flow).grants; }
   std::uint64_t granted_bytes(int flow) const {
@@ -263,15 +252,8 @@ class FlowScheduler {
 
  private:
   struct Flow {
-    double weight = 1.0;
-    TrafficClass cls = TrafficClass::Bulk;
-    std::int64_t key = -1;
-    bool active = true;
-    std::uint64_t deficit = 0;
-    bool topped_up = false;
-    std::deque<std::uint64_t> parked;  // requested sizes, FIFO
-    std::uint64_t enq_ticket = 0;      // next ticket to hand a requester
-    std::uint64_t served_ticket = 0;   // tickets granted so far
+    std::uint64_t enq_ticket = 0;     // next ticket to hand a requester
+    std::uint64_t served_ticket = 0;  // tickets granted so far
     std::uint64_t grants = 0;
     std::uint64_t granted_bytes = 0;
   };
@@ -284,19 +266,11 @@ class FlowScheduler {
   const Flow& flow_at(int flow) const {
     return const_cast<FlowScheduler*>(this)->flow_at(flow);
   }
-  std::uint64_t top_up(const Flow& f) const {
-    const double q = static_cast<double>(drr_quantum_) * f.weight;
-    return q < 1.0 ? 1 : static_cast<std::uint64_t>(q);
-  }
   /// Issues the next grant if the wire is free and anything is parked.
   void pump();
-  /// One class band of pump(): true if a grant was issued from it.
-  bool pump_band(std::size_t band);
 
-  std::uint64_t drr_quantum_;
-  std::vector<Flow> flows_;
-  std::array<std::vector<int>, kTrafficClassCount> band_{};
-  std::array<std::size_t, kTrafficClassCount> band_cursor_{};
+  DrrQueue parked_;          // requested sizes, one FIFO per flow
+  std::vector<Flow> flows_;  // same ids as parked_
   std::map<std::int64_t, int> keys_;
   bool busy_ = false;         // a grant is outstanding
   int granted_flow_ = -1;     // flow holding the wire while busy_

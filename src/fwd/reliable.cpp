@@ -101,7 +101,6 @@ void ReliableSender::on_congestion(bool timeout) {
   if (in_recovery_ && !timeout) {
     return;
   }
-  ReliabilityStats& stats = vc_.mutable_gateway_stats(self_).reliability;
   // CUBIC-style decrease factor (RFC 9438 uses 0.7): with selective acks
   // the sender retransmits exactly the lost paquet, so the classic 0.5
   // overcorrects — the pipe drains far below the available rate and the
@@ -112,8 +111,8 @@ void ReliableSender::on_congestion(bool timeout) {
     in_recovery_ = true;
     recover_seq_ = inflight_.back().seq;
   }
-  ++stats.window_decreases;
-  metrics_->add("rel.window_decreases", node_label_);
+  vc_.count_reliability(self_, &ReliabilityStats::window_decreases,
+                        "rel.window_decreases");
   if (metrics_->enabled()) {
     metrics_->histogram("rel.cwnd", node_label_).record(cwnd_);
   }
@@ -253,9 +252,7 @@ void ReliableSender::sample_ack(InFlight& p) {
 
 void ReliableSender::expire(InFlight& p) {
   const ReliableOptions& opts = vc_.options().reliable;
-  ReliabilityStats& stats = vc_.mutable_gateway_stats(self_).reliability;
-  ++stats.timeouts;
-  metrics_->add("rel.timeouts", node_label_);
+  vc_.count_reliability(self_, &ReliabilityStats::timeouts, "rel.timeouts");
   if (trace_ != nullptr) {
     trace_->instant_here("rel.timeout",
                          "peer=" + std::to_string(peer_) + " seq=" +
@@ -274,16 +271,9 @@ void ReliableSender::expire(InFlight& p) {
   // in-flight paquet is already selectively acked, so the path is
   // demonstrably delivering and the evidence amounts to one lost paquet
   // — a multiplicative decrease, not a blackout.
-  bool others_sacked = true;
-  for (const InFlight& q : inflight_) {
-    if (q.seq != p.seq && !q.sacked) {
-      others_sacked = false;
-      break;
-    }
-  }
-  on_congestion(/*timeout=*/!others_sacked);
-  ++stats.retransmits;
-  metrics_->add("rel.retransmits", node_label_);
+  on_congestion(/*timeout=*/!others_sacked(p));
+  vc_.count_reliability(self_, &ReliabilityStats::retransmits,
+                        "rel.retransmits");
   if (trace_ != nullptr) {
     trace_->instant_here("rel.retransmit",
                          "peer=" + std::to_string(peer_) + " seq=" +
@@ -349,8 +339,120 @@ void ReliableSender::send(std::uint32_t seq, util::ByteSpan payload,
 
 void ReliableSender::flush() { drain_to(0); }
 
+bool ReliableSender::others_sacked(const InFlight& p) const {
+  for (const InFlight& q : inflight_) {
+    if (q.seq != p.seq && !q.sacked) {
+      return false;
+    }
+  }
+  return true;
+}
+
+sim::Time ReliableSender::ack_cover(std::uint32_t seq) const {
+  return network_->acks().posted_cover_time(
+      conn_->tx_tag, conn_->peer_nic_index, epoch_, seq);
+}
+
+ReliableSender::FrontLoss ReliableSender::front_loss(sim::Time now,
+                                                     sim::Time& resend_at) {
+  resend_at = sim::kForever;
+  if (window_ <= 1) {
+    return FrontLoss::None;  // stop-and-wait recovers by timer only
+  }
+  InFlight& front = inflight_.front();
+  // Three duplicate cumulative acks mean the receiver keeps re-acking the
+  // same prefix. The burst is spent on this verdict either way.
+  const bool dup_acks = dup_acks_ >= 3;
+  if (dup_acks) {
+    dup_acks_ = 0;
+  }
+  if (front.sacked || ack_cover(front.seq) != sim::kForever) {
+    return FrontLoss::None;  // delivered, or its ack is on the wire
+  }
+  if (!front.retransmitted) {
+    // NewReno-style: one fast retransmit per window front; dup acks and
+    // sacks that keep arriving after it are echoes of the same loss.
+    if (dup_acks) {
+      return FrontLoss::DupAcks;
+    }
+    // SACK-based loss detection (RFC 6675's IsLost, one paquet deep): the
+    // wire is FIFO, so a selective ack for any paquet sent after the
+    // front proves the front's own arrival slot has passed — if three or
+    // more later paquets are sacked and the front is still uncovered, it
+    // is lost. Unlike the duplicate-ack counter this needs no NEW posts:
+    // after a partial recovery (two holes in one window) the receiver has
+    // everything parked and posts nothing more, so the second hole would
+    // otherwise sit out a full RTO that dup acks can never cut short.
+    if (inflight_.size() < 2) {
+      return FrontLoss::None;
+    }
+    std::size_t sacked_later = 0;
+    for (std::size_t i = 1; i < inflight_.size(); ++i) {
+      if (inflight_[i].sacked) {
+        ++sacked_later;
+      }
+    }
+    // Early-retransmit relaxation (RFC 5827): a flight too small to ever
+    // produce three later sacks lowers the bar to flight - 1, so a loss at
+    // the tail of a window (or during slow start) does not have to wait
+    // for the retransmit timer.
+    const std::size_t needed = std::min<std::size_t>(3, inflight_.size() - 1);
+    return sacked_later >= needed ? FrontLoss::Sacks : FrontLoss::None;
+  }
+  // SACK-based lost-retransmit detection. Once the front has been fast
+  // retransmitted, every later in-flight paquet getting selectively acked
+  // while the cumulative frontier still sits below the front means the
+  // receiver has consumed everything behind the front and is waiting on
+  // that one paquet. If half an RTO then passes without the retransmit's
+  // ack, the retransmit itself was almost certainly dropped: waiting out
+  // the full (backed-off, queue-inflated) RTO would idle the pipe for tens
+  // of milliseconds and collapse the adaptive window. Resend once at the
+  // half-RTO mark instead, and let a second loss fall back to the timer.
+  // The half-RTO guard keeps a merely in-flight (not lost) retransmit from
+  // triggering a wasteful duplicate: its ack arrives around one RTT, well
+  // under RTO/2.
+  if (front.sack_rtx || inflight_.size() < 2 || !others_sacked(front)) {
+    return FrontLoss::None;
+  }
+  resend_at = front.sent_at + initial_rto() / 2;
+  return resend_at <= now ? FrontLoss::LostRetransmit : FrontLoss::None;
+}
+
+void ReliableSender::resend_front(FrontLoss loss) {
+  InFlight& front = inflight_.front();
+  // A fast retransmit is a fresh loss signal; the lost-retransmit resend
+  // repeats one already counted, so it only spends its one-shot.
+  const bool fast = loss != FrontLoss::LostRetransmit;
+  vc_.count_reliability(self_, &ReliabilityStats::retransmits,
+                        "rel.retransmits");
+  if (fast) {
+    vc_.count_reliability(self_, &ReliabilityStats::fast_retransmits,
+                          "rel.fast_retransmits");
+  }
+  if (trace_ != nullptr) {
+    const std::string detail =
+        "peer=" + std::to_string(peer_) + " seq=" + std::to_string(front.seq);
+    if (loss == FrontLoss::DupAcks) {
+      trace_->instant_here("rel.fast_retransmit", detail);
+    } else if (loss == FrontLoss::Sacks) {
+      trace_->instant_here("rel.fast_retransmit", detail + " cause=sack");
+    } else {
+      trace_->instant_here("rel.sack_retransmit", detail);
+    }
+  }
+  if (fast) {
+    if (topo::HealthMonitor* health = vc_.health()) {
+      health->record_loss(self_, peer_, engine_->now());
+    }
+    on_congestion(/*timeout=*/false);
+    front.retransmitted = true;
+  } else {
+    front.sack_rtx = true;
+  }
+  transmit(front);
+}
+
 void ReliableSender::drain_to(std::size_t target) {
-  ReliabilityStats& stats = vc_.mutable_gateway_stats(self_).reliability;
   net::AckRegistry& acks = network_->acks();
   const std::uint64_t tag = conn_->tx_tag;
   const int rx_nic = conn_->peer_nic_index;
@@ -384,8 +486,8 @@ void ReliableSender::drain_to(std::size_t target) {
         view.marks >= seen_marks_ ? view.marks - seen_marks_ : 0;
     seen_marks_ = view.marks;
     if (mark_delta > 0) {
-      stats.congestion_marks += mark_delta;
-      metrics_->add("rel.congestion_marks", node_label_, mark_delta);
+      vc_.count_reliability(self_, &ReliabilityStats::congestion_marks,
+                            "rel.congestion_marks", mark_delta);
       on_congestion(/*timeout=*/false);
     }
     // Admission rejects: the receiving gateway refused this epoch's
@@ -397,8 +499,8 @@ void ReliableSender::drain_to(std::size_t target) {
         view.rejects >= seen_rejects_ ? view.rejects - seen_rejects_ : 0;
     seen_rejects_ = view.rejects;
     if (reject_delta > 0) {
-      stats.flow_rejects += reject_delta;
-      metrics_->add("rel.flow_rejects", node_label_, reject_delta);
+      vc_.count_reliability(self_, &ReliabilityStats::flow_rejects,
+                            "rel.flow_rejects", reject_delta);
       throw FlowRejected{peer_};
     }
     // A cumulative ack past the recovery point ends the decrease episode.
@@ -415,138 +517,32 @@ void ReliableSender::drain_to(std::size_t target) {
       }
     }
     // Pop the cumulatively acknowledged prefix.
+    std::uint64_t acked = 0;
     while (!inflight_.empty() && view.has_cum &&
            inflight_.front().seq <= view.cum_seq) {
       InFlight& front = inflight_.front();
       if (!front.sacked) {
         sample_ack(front);
       }
-      ++stats.paquets_acked;
-      metrics_->add("rel.paquets_acked", node_label_);
+      ++acked;
       pool_return(std::move(front.wire));
       inflight_.pop_front();
       on_ack_growth();
+    }
+    if (acked > 0) {
+      vc_.count_reliability(self_, &ReliabilityStats::paquets_acked,
+                            "rel.paquets_acked", acked);
     }
     if (inflight_.size() <= target) {
       return;
     }
     const sim::Time now = engine_->now();
-    // Fast retransmit: three duplicate cumulative acks mean the receiver
-    // keeps re-acking the same prefix — the window front is lost.
-    if (window_ > 1 && dup_acks_ >= 3) {
-      dup_acks_ = 0;
-      InFlight& front = inflight_.front();
-      // NewReno-style: one fast retransmit per window front. Dup acks
-      // that keep arriving after the front was already retransmitted are
-      // echoes of the same loss, not a new one.
-      if (!front.retransmitted && !front.sacked &&
-          acks.posted_cover_time(tag, rx_nic, epoch_, front.seq) ==
-              sim::kForever) {
-        ++stats.retransmits;
-        ++stats.fast_retransmits;
-        metrics_->add("rel.retransmits", node_label_);
-        metrics_->add("rel.fast_retransmits", node_label_);
-        if (trace_ != nullptr) {
-          trace_->instant_here("rel.fast_retransmit",
-                               "peer=" + std::to_string(peer_) + " seq=" +
-                                   std::to_string(front.seq));
-        }
-        if (topo::HealthMonitor* health = vc_.health()) {
-          health->record_loss(self_, peer_, now);
-        }
-        on_congestion(/*timeout=*/false);
-        front.retransmitted = true;
-        transmit(front);
-        continue;  // the pack advanced virtual time; re-read the board
-      }
-    }
-    // SACK-based loss detection (RFC 6675's IsLost, one paquet deep): the
-    // wire is FIFO, so a selective ack for any paquet sent after the
-    // front proves the front's own arrival slot has passed — if three or
-    // more later paquets are sacked and the front is still uncovered, it
-    // is lost. Unlike the duplicate-ack counter this needs no NEW posts:
-    // after a partial recovery (two holes in one window) the receiver has
-    // everything parked and posts nothing more, so the second hole would
-    // otherwise sit out a full RTO that dup acks can never cut short.
-    if (window_ > 1 && inflight_.size() >= 2) {
-      InFlight& front = inflight_.front();
-      if (!front.retransmitted && !front.sacked) {
-        std::size_t sacked_later = 0;
-        for (std::size_t i = 1; i < inflight_.size(); ++i) {
-          if (inflight_[i].sacked) {
-            ++sacked_later;
-          }
-        }
-        // Early-retransmit relaxation (RFC 5827): a flight too small to
-        // ever produce three later sacks lowers the bar to flight - 1,
-        // so a loss at the tail of a window (or during slow start) does
-        // not have to wait for the retransmit timer.
-        const std::size_t needed =
-            std::min<std::size_t>(3, inflight_.size() - 1);
-        if (sacked_later >= needed &&
-            acks.posted_cover_time(tag, rx_nic, epoch_, front.seq) ==
-                sim::kForever) {
-          ++stats.retransmits;
-          ++stats.fast_retransmits;
-          metrics_->add("rel.retransmits", node_label_);
-          metrics_->add("rel.fast_retransmits", node_label_);
-          if (trace_ != nullptr) {
-            trace_->instant_here("rel.fast_retransmit",
-                                 "peer=" + std::to_string(peer_) + " seq=" +
-                                     std::to_string(front.seq) +
-                                     " cause=sack");
-          }
-          if (topo::HealthMonitor* health = vc_.health()) {
-            health->record_loss(self_, peer_, engine_->now());
-          }
-          on_congestion(/*timeout=*/false);
-          front.retransmitted = true;
-          transmit(front);
-          continue;  // the pack advanced virtual time; re-read the board
-        }
-      }
-    }
-    // SACK-based lost-retransmit detection. Once the front has been fast
-    // retransmitted, every later in-flight paquet getting selectively
-    // acked while the cumulative frontier still sits below the front
-    // means the receiver has consumed everything behind the front and is
-    // waiting on that one paquet. If half an RTO then passes without the
-    // retransmit's ack, the retransmit itself was almost certainly
-    // dropped: waiting out the full (backed-off, queue-inflated) RTO
-    // would idle the pipe for tens of milliseconds and collapse the
-    // adaptive window. Resend once at the half-RTO mark instead, and let
-    // a second loss fall back to the timer. The half-RTO guard keeps a
-    // merely in-flight (not lost) retransmit from triggering a wasteful
-    // duplicate: its ack arrives around one RTT, well under RTO/2.
-    sim::Time sack_rtx_at = sim::kForever;
-    if (window_ > 1 && inflight_.size() >= 2) {
-      InFlight& front = inflight_.front();
-      if (front.retransmitted && !front.sack_rtx && !front.sacked &&
-          acks.posted_cover_time(tag, rx_nic, epoch_, front.seq) ==
-              sim::kForever) {
-        bool others_sacked = true;
-        for (std::size_t i = 1; i < inflight_.size(); ++i) {
-          if (!inflight_[i].sacked) {
-            others_sacked = false;
-            break;
-          }
-        }
-        if (others_sacked) {
-          sack_rtx_at = front.sent_at + initial_rto() / 2;
-          if (sack_rtx_at <= now) {
-            front.sack_rtx = true;
-            ++stats.retransmits;
-            metrics_->add("rel.retransmits", node_label_);
-            if (trace_ != nullptr) {
-              trace_->instant_here("rel.sack_retransmit",
-                                   "peer=" + std::to_string(peer_) + " seq=" +
-                                       std::to_string(front.seq));
-            }
-            transmit(front);
-            continue;  // the pack advanced virtual time; re-read the board
-          }
-        }
-      }
+    // Every loss trigger resends the window front through one path.
+    sim::Time resend_at = sim::kForever;
+    if (const FrontLoss loss = front_loss(now, resend_at);
+        loss != FrontLoss::None) {
+      resend_front(loss);
+      continue;  // the pack advanced virtual time; re-read the board
     }
     // Expiry scan + next-wake computation. A single retransmit timer
     // guards the oldest unsacked paquet: its successors' acks can only
@@ -555,15 +551,14 @@ void ReliableSender::drain_to(std::size_t target) {
     // exceeds the current RTO (always true for a freshly opened deep
     // window, whose first deadlines predate any RTT sample). The timer
     // re-arms whenever the window advances past its paquet.
-    sim::Time wake = std::min(view.next_visible, sack_rtx_at);
+    sim::Time wake = std::min(view.next_visible, resend_at);
     bool transmitted = false;
     bool timer_armed = false;
     for (InFlight& p : inflight_) {
       if (p.sacked) {
         continue;
       }
-      const sim::Time cover =
-          acks.posted_cover_time(tag, rx_nic, epoch_, p.seq);
+      const sim::Time cover = ack_cover(p.seq);
       if (cover != sim::kForever) {
         // An ack covering this paquet is already on the wire: never time
         // it out, just wait out its visibility latency.
@@ -627,8 +622,6 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
              "reliable GTM stream desync: caller expects seq " +
                  std::to_string(expected_seq) + ", receiver is at " +
                  std::to_string(next_));
-  ReliabilityStats& stats = vc_.mutable_gateway_stats(self_).reliability;
-  sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
   const Connection& conn = in_channel_.connection_to(peer_);
   net::Network& network = in_channel_.network();
   sim::Engine& engine = vc_.domain().engine();
@@ -701,13 +694,13 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
           wire_size == sizeof(GtmStripeHeader)) {
         // Duplicated framing, already consumed: a header that fails as a
         // paquet is stale, not corrupt (a header cannot carry a trailer).
-        ++stats.stale_drops;
-        metrics.add("rel.stale_drops", node_label_);
+        vc_.count_reliability(self_, &ReliabilityStats::stale_drops,
+                              "rel.stale_drops");
       } else {
         // Corrupt or mangled: drop silently; the sender's retransmit timer
         // covers it.
-        ++stats.corrupt_drops;
-        metrics.add("rel.corrupt_drops", node_label_);
+        vc_.count_reliability(self_, &ReliabilityStats::corrupt_drops,
+                              "rel.corrupt_drops");
       }
       continue;
     }
@@ -720,8 +713,8 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
       // epoch the re-ack also doubles as a duplicate cumulative ack. A
       // *newer* epoch is different: this receiver is the stale one, and
       // acking data it did not deliver would silently lose it — drop only.
-      ++stats.dup_drops;
-      metrics.add("rel.dup_drops", node_label_);
+      vc_.count_reliability(self_, &ReliabilityStats::dup_drops,
+                            "rel.dup_drops");
       if (trailer.epoch <= epoch_) {
         network.post_ack(conn.rx_tag, self_nic_, conn.peer_nic_index,
                          trailer.epoch, trailer.seq);
@@ -730,8 +723,8 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
     }
     if (reorder_.contains(trailer.seq)) {
       // Duplicate of a parked out-of-order paquet: re-issue its sack.
-      ++stats.dup_drops;
-      metrics.add("rel.dup_drops", node_label_);
+      vc_.count_reliability(self_, &ReliabilityStats::dup_drops,
+                            "rel.dup_drops");
       network.post_sack(conn.rx_tag, self_nic_, conn.peer_nic_index, epoch_,
                         trailer.seq);
       if (cum_next_ > 0) {
@@ -784,7 +777,10 @@ void ReliableReceiver::post_congestion_mark() {
   const Connection& conn = in_channel_.connection_to(peer_);
   in_channel_.network().post_mark(conn.rx_tag, self_nic_,
                                   conn.peer_nic_index, epoch_);
-  vc_.domain().fabric().metrics().add("rel.marks_posted", node_label_);
+  sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
+  if (metrics.enabled()) {
+    metrics.counter("rel.marks_posted", node_label_).add();
+  }
 }
 
 void ReliableReceiver::complete(std::uint32_t last_seq) {

@@ -11,12 +11,12 @@
 // back through the network's AckRegistry: a cumulative ack per accepted
 // prefix plus selective acks for parked paquets. Each in-flight paquet
 // carries its own retransmit timer with an adaptive RTO (SRTT/RTTVAR from
-// RTT samples, Karn's rule, clamped exponential backoff); three duplicate
-// cumulative acks trigger a fast retransmit of the window's front without
-// waiting for the timer. Exhausting max_attempts throws HopFailure, which
-// the virtual-channel writer and the gateway relay translate into route
-// invalidation + failover (or a diagnosable "unreachable" panic when no
-// alternate gateway exists).
+// RTT samples, Karn's rule, clamped exponential backoff); duplicate
+// cumulative acks and selective acks resend the window's front without
+// waiting for the timer (ReliableSender::front_loss). Exhausting
+// max_attempts throws HopFailure, which the virtual-channel writer and the
+// gateway relay translate into route invalidation + failover (or a
+// diagnosable "unreachable" panic when no alternate gateway exists).
 //
 // window = 1 reproduces the PR-1 stop-and-wait protocol exactly: one
 // paquet in flight, fixed ack_timeout base, no RTT adaptation, no fast
@@ -64,7 +64,7 @@ class Network;
 namespace mad::sim {
 class Engine;
 class MetricsRegistry;
-class Trace;
+class TraceSink;
 }  // namespace mad::sim
 
 namespace mad::fwd {
@@ -237,9 +237,25 @@ class ReliableSender {
   void pool_return(util::Bytes wire);
   /// Blocks until at most `target` paquets remain in flight.
   void drain_to(std::size_t target);
+  /// Why the window front must be resent before its timer fires.
+  enum class FrontLoss { None, DupAcks, Sacks, LostRetransmit };
+  /// The one loss check on the window front: three duplicate cumulative
+  /// acks, or enough later paquets sacked (fast retransmit), or a fast
+  /// retransmit itself lost (every later paquet sacked and half an RTO
+  /// gone). Sets `resend_at` to when the lost-retransmit case will fire,
+  /// kForever when it cannot.
+  FrontLoss front_loss(sim::Time now, sim::Time& resend_at);
+  /// The one resend path for a front that front_loss condemned: counts,
+  /// traces, feeds health and congestion control, retransmits.
+  void resend_front(FrontLoss loss);
   /// Times out `p`: throws HopFailure past the budget, else retransmits
   /// with a backed-off deadline.
   void expire(InFlight& p);
+  /// True when every in-flight paquet but `p` is selectively acked.
+  bool others_sacked(const InFlight& p) const;
+  /// Visibility time of an ack already posted for `seq` (cumulative or
+  /// selective), kForever when none is.
+  sim::Time ack_cover(std::uint32_t seq) const;
   /// Completes `p` (acked): stats + RTT sample.
   void sample_ack(InFlight& p);
   sim::Time initial_rto() const;
@@ -263,7 +279,7 @@ class ReliableSender {
   net::Network* network_;
   sim::Engine* engine_;
   sim::MetricsRegistry* metrics_;
-  sim::Trace* trace_;
+  sim::TraceSink* trace_;
   std::string node_label_;
   std::size_t window_;
   /// One-sided transmission module of the egress NIC; nullptr when the

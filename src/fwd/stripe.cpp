@@ -223,7 +223,7 @@ void Striper::run_rail(std::size_t index) {
   Rail& rail = *rails_[index];
   sim::Engine& engine = vc_.domain().engine();
   sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-  sim::Trace* trace = vc_.options().trace;
+  sim::TraceSink* trace = vc_.options().trace;
   const std::string label = rail_label(src_, index);
   // One egress, so one sliding window, per rail: each rail pipelines its
   // own hop's ack round trips, composing with (not replacing) the credit
@@ -252,9 +252,9 @@ void Striper::run_rail(std::size_t index) {
       metrics.add("stripe.tx_bytes", label, item.data.size());
     }
     if (trace != nullptr) {
-      trace->record(begin, engine.now(), "stripe.tx",
-                    "rail=" + std::to_string(index) +
-                        " bytes=" + std::to_string(item.data.size()));
+      trace->span_here(begin, engine.now(), "stripe.tx",
+                       "rail=" + std::to_string(index) +
+                           " bytes=" + std::to_string(item.data.size()));
     }
   };
 

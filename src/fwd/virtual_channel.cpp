@@ -149,9 +149,7 @@ VirtualChannel::~VirtualChannel() {
 
 void VirtualChannel::discard_stale_paquet(Channel& channel, NodeRank peer,
                                           NodeRank self, util::ByteSpan wire) {
-  ++mutable_gateway_stats(self).reliability.stale_drops;
-  domain_.fabric().metrics().add("rel.stale_drops",
-                                 "node=" + std::to_string(self));
+  count_reliability(self, &ReliabilityStats::stale_drops, "rel.stale_drops");
   const auto trailer = verified_trailer(wire);
   if (!trailer) {
     return;  // duplicated framing or noise: nothing to acknowledge
@@ -305,11 +303,9 @@ void VirtualChannel::mark_dead(NodeRank rank) {
 }
 
 void VirtualChannel::declare_dead(NodeRank reporter, NodeRank peer) {
-  ReliabilityStats& stats = mutable_gateway_stats(reporter).reliability;
   mark_dead(peer);
-  ++stats.peers_declared_dead;
-  domain_.fabric().metrics().add("rel.dead_peers",
-                                 "node=" + std::to_string(reporter));
+  count_reliability(reporter, &ReliabilityStats::peers_declared_dead,
+                    "rel.dead_peers");
   if (options_.trace != nullptr) {
     options_.trace->instant_here("rel.dead",
                                  "peer=" + std::to_string(peer));
@@ -318,9 +314,7 @@ void VirtualChannel::declare_dead(NodeRank reporter, NodeRank peer) {
 
 void VirtualChannel::note_failover(NodeRank reporter, NodeRank dst,
                                    NodeRank around) {
-  ++mutable_gateway_stats(reporter).reliability.failovers;
-  domain_.fabric().metrics().add("rel.failovers",
-                                 "node=" + std::to_string(reporter));
+  count_reliability(reporter, &ReliabilityStats::failovers, "rel.failovers");
   if (options_.trace != nullptr) {
     options_.trace->instant_here("rel.failover",
                                  "dst=" + std::to_string(dst) +
@@ -482,6 +476,16 @@ const GatewayStats& VirtualChannel::gateway_stats(NodeRank rank) const {
 
 GatewayStats& VirtualChannel::mutable_gateway_stats(NodeRank rank) {
   return gateway_stats_[rank];
+}
+
+void VirtualChannel::count_reliability(NodeRank node,
+                                       std::uint64_t ReliabilityStats::* field,
+                                       const char* name, std::uint64_t n) {
+  gateway_stats_[node].reliability.*field += n;
+  sim::MetricsRegistry& metrics = domain_.fabric().metrics();
+  if (metrics.enabled()) {
+    metrics.counter(name, "node=" + std::to_string(node)).add(n);
+  }
 }
 
 Channel& VirtualChannel::rail_channel(

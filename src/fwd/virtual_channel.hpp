@@ -117,8 +117,9 @@ struct VcOptions {
   /// work: "some sophisticated bandwidth control mechanism is needed to
   /// regulate the incoming communication flow on gateways"). 0 = off.
   double regulation_rate = 0.0;
-  /// Optional interval tracing of gateway steps (Fig 5 / Fig 8 benches).
-  sim::Trace* trace = nullptr;
+  /// Optional event tracing: gateway step spans (Fig 5 / Fig 8 benches),
+  /// stripe spans and reliable-mode instants.
+  sim::TraceSink* trace = nullptr;
   /// Reliable GTM mode: sequence/checksum trailers, per-hop ack/retransmit
   /// and gateway failover for forwarded traffic (fwd/reliable.hpp). Direct
   /// (gateway-free) messages keep the native format and are NOT protected.
@@ -298,6 +299,13 @@ class VirtualChannel {
   /// Forwarding counters of a gateway node (zeroed for non-gateways).
   const GatewayStats& gateway_stats(NodeRank rank) const;
   GatewayStats& mutable_gateway_stats(NodeRank rank);
+  /// Counts `n` reliability events of one kind on `node`: the
+  /// ReliabilityStats `field` and its registry counter `name` ("rel.*",
+  /// labelled "node=<node>") move together. Builds no string while the
+  /// registry is disabled.
+  void count_reliability(NodeRank node,
+                         std::uint64_t ReliabilityStats::* field,
+                         const char* name, std::uint64_t n = 1);
 
   /// Real channels, indexed by the *local* network id (the position of the
   /// network in the constructor list).

@@ -67,6 +67,9 @@ fwd::ReliabilityStats reliability_totals(const fwd::VirtualChannel& vc) {
     total.retransmits += r.retransmits;
     total.fast_retransmits += r.fast_retransmits;
     total.timeouts += r.timeouts;
+    total.congestion_marks += r.congestion_marks;
+    total.window_decreases += r.window_decreases;
+    total.flow_rejects += r.flow_rejects;
     total.dup_drops += r.dup_drops;
     total.corrupt_drops += r.corrupt_drops;
     total.stale_drops += r.stale_drops;

@@ -129,6 +129,14 @@ void TraceSink::instant_here(std::string_view name, std::string_view detail) {
   instant(current_track(), at, name, detail);
 }
 
+void TraceSink::span_here(Time begin, Time end, std::string_view name,
+                          std::string_view detail) {
+  if (!enabled_) {
+    return;
+  }
+  span(current_track(), begin, end, name, detail);
+}
+
 std::vector<TraceEvent> TraceSink::by_name(const std::string& name) const {
   std::vector<TraceEvent> out;
   for (const TraceEvent* event : ordered()) {
@@ -208,40 +216,6 @@ void TraceSink::write_chrome_json(std::ostream& out) const {
         << ",\"args\":{\"dropped\":" << dropped_ << "}}";
   }
   out << "\n]}\n";
-}
-
-void Trace::record(Time begin, Time end, std::string_view category,
-                   std::string_view label) {
-  if (!enabled()) {
-    return;
-  }
-  span(current_track(), begin, end, category, label);
-  intervals_.push_back(
-      {begin, end, std::string(category), std::string(label)});
-}
-
-std::vector<TraceInterval> Trace::by_category(
-    const std::string& category) const {
-  std::vector<TraceInterval> out;
-  for (const auto& interval : intervals_) {
-    if (interval.category == category) {
-      out.push_back(interval);
-    }
-  }
-  return out;
-}
-
-ScopedInterval::ScopedInterval(Trace& trace, const Engine& engine,
-                               std::string category, std::string label)
-    : trace_(trace),
-      engine_(engine),
-      begin_(engine.now()),
-      category_(std::move(category)),
-      label_(std::move(label)) {}
-
-ScopedInterval::~ScopedInterval() {
-  trace_.record(begin_, engine_.now(), std::move(category_),
-                std::move(label_));
 }
 
 }  // namespace mad::sim

@@ -1,17 +1,15 @@
 // Structured tracing on the virtual clock.
 //
-// TraceSink records typed events — spans (gateway pipeline steps) and
-// instants (packet send/receive, fault verdicts, actor lifecycle,
-// reliable-mode retransmissions) — each on a named *track*, and exports
-// them as Chrome trace-event JSON loadable in Perfetto or chrome://tracing
-// (one track per actor, one per network). This stands in for the paper's
-// rdtsc instrumentation (§3.4.1): the gateway pipeline records "recv",
-// "switch" and "send" steps so the Fig 5 / Fig 8 benches can print
-// step-duration tables and show the PCI-conflict elongation of send steps.
-//
-// Trace keeps the original flat-interval API on top (record/intervals/
-// by_category) so step-table consumers stay unchanged; every recorded
-// interval also becomes a span on the calling actor's track.
+// TraceSink records typed events — spans (gateway pipeline steps, stripe
+// rail transmissions) and instants (packet send/receive, fault verdicts,
+// actor lifecycle, reliable-mode retransmissions) — each on a named
+// *track*, and exports them as Chrome trace-event JSON loadable in
+// Perfetto or chrome://tracing (one track per actor, one per network).
+// This stands in for the paper's rdtsc instrumentation (§3.4.1): the
+// gateway pipeline records "gw.recv", "gw.switch" and "gw.send" spans on
+// its relay actor's track, and the Fig 5 / Fig 8 benches read them back
+// with by_name() to print step-duration tables and show the PCI-conflict
+// elongation of send steps.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +23,6 @@
 #include "util/arena.hpp"
 
 namespace mad::sim {
-
-class Engine;
 
 enum class TraceEventKind { Span, Instant };
 
@@ -44,8 +40,6 @@ struct TraceEvent {
 /// Collects typed events. Disabled by default so hot paths cost one branch.
 class TraceSink {
  public:
-  virtual ~TraceSink() = default;
-
   void enable() { enabled_ = true; }
   void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
@@ -79,20 +73,22 @@ class TraceSink {
   /// at that engine's current virtual time.
   void instant_here(std::string_view name, std::string_view detail = {});
 
+  /// [begin, end] span on the calling actor's track (or "main" outside
+  /// actors): the span counterpart of instant_here.
+  void span_here(Time begin, Time end, std::string_view name,
+                 std::string_view detail = {});
+
   /// All retained events in recording order (materialized: the bounded
   /// store is a ring internally).
   std::vector<TraceEvent> events() const;
   std::vector<TraceEvent> by_name(const std::string& name) const;
 
-  virtual void clear();
+  void clear();
 
   /// Chrome trace-event JSON ("traceEvents" array): one pid, one tid per
   /// track with thread_name metadata, events sorted by timestamp, ts/dur
   /// in microseconds. Load the file in https://ui.perfetto.dev.
   void write_chrome_json(std::ostream& out) const;
-
- protected:
-  bool enabled_ = false;
 
  private:
   /// Fills the next event slot (ring overwrite or arena take) in place.
@@ -102,6 +98,7 @@ class TraceSink {
   /// Pointers to retained events, oldest first.
   std::vector<const TraceEvent*> ordered() const;
 
+  bool enabled_ = false;
   std::vector<TraceEvent> events_;
   util::Arena<TraceEvent> pool_;  // retired slots, string capacity intact
   std::size_t capacity_ = 0;      // 0 = unbounded
@@ -109,50 +106,7 @@ class TraceSink {
   std::uint64_t dropped_ = 0;     // evictions since clear()
 };
 
-struct TraceInterval {
-  Time begin = 0;
-  Time end = 0;
-  std::string category;  // e.g. "gw.recv", "gw.send", "gw.switch"
-  std::string label;     // free-form detail, e.g. "paquet=3"
-
-  Time duration() const { return end - begin; }
-};
-
-/// TraceSink plus the flat interval list the step-table benches consume.
-class Trace : public TraceSink {
- public:
-  /// Records an interval AND the equivalent span on the calling actor's
-  /// track.
-  void record(Time begin, Time end, std::string_view category,
-              std::string_view label = {});
-
-  const std::vector<TraceInterval>& intervals() const { return intervals_; }
-  std::vector<TraceInterval> by_category(const std::string& category) const;
-  void clear() override {
-    TraceSink::clear();
-    intervals_.clear();
-  }
-
- private:
-  std::vector<TraceInterval> intervals_;
-};
-
-/// RAII helper: records [construction, destruction] when trace is enabled.
-class ScopedInterval {
- public:
-  ScopedInterval(Trace& trace, const Engine& engine, std::string category,
-                 std::string label = {});
-  ~ScopedInterval();
-
-  ScopedInterval(const ScopedInterval&) = delete;
-  ScopedInterval& operator=(const ScopedInterval&) = delete;
-
- private:
-  Trace& trace_;
-  const Engine& engine_;
-  Time begin_;
-  std::string category_;
-  std::string label_;
-};
+/// The sink's former name, kept because fwdbench/fwdbench.cpp spells it.
+using Trace = TraceSink;
 
 }  // namespace mad::sim

@@ -244,18 +244,19 @@ TEST(GatewayExtension, SciDmaSendWorkaroundHelpsMyrinetToSci) {
 }
 
 TEST(GatewayTrace, RecordsRecvSendSwitchIntervals) {
-  sim::Trace trace;
+  sim::TraceSink trace;
   trace.enable();
   fwd::VcOptions options;
   options.paquet_size = 32 * 1024;
   options.trace = &trace;
   PaperRig rig(options);
   forward_once(rig, rig.myri_node(), rig.sci_node(), 256 * 1024);
-  EXPECT_EQ(trace.by_category("gw.recv").size(), 8u);   // 256K / 32K
-  EXPECT_EQ(trace.by_category("gw.send").size(), 8u);
-  EXPECT_EQ(trace.by_category("gw.switch").size(), 8u);
-  for (const auto& interval : trace.by_category("gw.switch")) {
-    EXPECT_EQ(interval.duration(), sim::microseconds(40));
+  EXPECT_EQ(trace.by_name("gw.recv").size(), 8u);   // 256K / 32K
+  EXPECT_EQ(trace.by_name("gw.send").size(), 8u);
+  EXPECT_EQ(trace.by_name("gw.switch").size(), 8u);
+  for (const auto& span : trace.by_name("gw.switch")) {
+    EXPECT_EQ(span.kind, sim::TraceEventKind::Span);
+    EXPECT_EQ(span.duration(), sim::microseconds(40));
   }
 }
 

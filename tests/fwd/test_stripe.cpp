@@ -287,7 +287,7 @@ TEST(Stripe, RepairRecordsDeadPeerAndFailoverInstants) {
   // A repaired rail goes through the same failover bookkeeping as an
   // unstriped origin: the trace shows the dead peer and the failover
   // around it, both from the rail's own actor.
-  sim::Trace trace;
+  sim::TraceSink trace;
   trace.enable();
   fwd::VcOptions options;
   options.paquet_size = 16 * 1024;

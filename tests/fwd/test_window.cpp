@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
+#include <string>
 
 #include "fwd/reliable.hpp"
 #include "fwd/stripe.hpp"
 #include "net/fault.hpp"
+#include "sim/trace.hpp"
 #include "support/coc_rig.hpp"
 #include "util/panic.hpp"
 #include "util/rng.hpp"
@@ -258,6 +261,49 @@ TEST(Window, CrashMidStripeLeavesNoCreditLeak) {
   EXPECT_EQ(out, payload);
   EXPECT_TRUE(rig.vc->is_dead(1));
   EXPECT_GE(rig.vc->gateway_stats(0).reliability.failovers, 1u);
+}
+
+/// Front retransmits of one run, counted per loss trigger from the trace.
+struct TriggerCounts {
+  std::size_t dup_acks = 0;         // rel.fast_retransmit
+  std::size_t sacks = 0;            // rel.fast_retransmit ... cause=sack
+  std::size_t lost_retransmits = 0; // rel.sack_retransmit
+  std::size_t timeouts = 0;         // rel.timeout
+
+  bool operator==(const TriggerCounts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const TriggerCounts& c) {
+  return os << "{dup_acks=" << c.dup_acks << " sacks=" << c.sacks
+            << " lost_retransmits=" << c.lost_retransmits
+            << " timeouts=" << c.timeouts << "}";
+}
+
+TEST(ReliableWindow, EveryRetransmitTriggerIsPinned) {
+  // One seeded lossy relay at window 16 (drops and duplicates on both
+  // hops). The counts are the ones the sender produced when this test was
+  // written: every loss trigger fires, and a change to any trigger's
+  // condition or order moves its count.
+  sim::TraceSink trace;
+  trace.enable();
+  fwd::VcOptions options = windowed_options(16);
+  options.trace = &trace;
+  PaperRig rig(options);
+  net::FaultPlan plan;
+  plan.seed = 16;
+  plan.drop_rate = 0.06;
+  plan.duplicate_rate = 0.03;
+  rig.myri.set_fault_plan(plan);
+  rig.sci.set_fault_plan(plan);
+  run_transfer(rig, 2 << 20, /*seed=*/40);
+  TriggerCounts counts;
+  for (const sim::TraceEvent& event : trace.by_name("rel.fast_retransmit")) {
+    ++(event.detail.ends_with(" cause=sack") ? counts.sacks
+                                             : counts.dup_acks);
+  }
+  counts.lost_retransmits = trace.by_name("rel.sack_retransmit").size();
+  counts.timeouts = trace.by_name("rel.timeout").size();
+  EXPECT_EQ(counts, (TriggerCounts{15, 9, 4, 2}));
 }
 
 // --------------------------------------------------------------- options

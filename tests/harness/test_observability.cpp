@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/json_report.hpp"
 #include "harness/pingpong.hpp"
@@ -16,12 +19,13 @@
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace mad::harness {
 namespace {
 
 struct TracedRun {
-  sim::Trace trace;
+  sim::TraceSink trace;
   util::JsonValue trace_doc;
   util::JsonValue metrics_doc;
 };
@@ -236,6 +240,85 @@ TEST(Observability, ReliabilityTotalsEqualPerNodeSums) {
   EXPECT_DOUBLE_EQ(
       reliability->find("total")->find("retransmits")->number,
       static_cast<double>(total.retransmits));
+}
+
+TEST(Reliability, RegistryCountersMatchStats) {
+  // Every ReliabilityStats field has a rel.* registry counter that must
+  // count the same events. A lossy adaptive-window run through two
+  // gateways, one of which dies mid-message, moves most of them at once.
+  fwd::VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = true;
+  options.reliable.window = 16;
+  options.reliable.adaptive = true;
+  DualGatewayWorld world(options);
+  world.fabric->metrics().enable();
+  net::FaultPlan myri_plan;
+  myri_plan.seed = 21;
+  myri_plan.drop_rate = 0.02;
+  myri_plan.duplicate_rate = 0.02;
+  myri_plan.corrupt_rate = 0.01;
+  myri_plan.crashes.push_back({/*nic_index=*/1, sim::milliseconds(6)});
+  world.myri->set_fault_plan(myri_plan);
+  net::FaultPlan sci_plan = myri_plan;
+  sci_plan.seed = 22;
+  sci_plan.crashes = {{/*nic_index=*/0, sim::milliseconds(6)}};
+  world.sci->set_fault_plan(sci_plan);
+  util::Rng rng(23);
+  const auto payload = rng.bytes(2 << 20);
+  std::vector<std::byte> out(payload.size());
+  world.engine.spawn("s", [&] {
+    auto msg = world.ep(world.src_node()).begin_packing(world.dst_node());
+    msg.pack(payload);
+    msg.end_packing();
+  });
+  world.engine.spawn("r", [&] {
+    auto msg = world.ep(world.dst_node()).begin_unpacking();
+    msg.unpack(out);
+    msg.end_unpacking();
+  });
+  world.engine.run();
+  ASSERT_EQ(out, payload);
+
+  const sim::MetricsRegistry& metrics = world.fabric->metrics();
+  const auto counter = [&](const std::string& name) {
+    std::uint64_t sum = 0;
+    for (const auto& [key, value] : metrics.counters()) {
+      if (key.first == name) {
+        sum += value.value;
+      }
+    }
+    return sum;
+  };
+  using Field = std::uint64_t fwd::ReliabilityStats::*;
+  const std::pair<const char*, Field> fields[] = {
+      {"rel.paquets_acked", &fwd::ReliabilityStats::paquets_acked},
+      {"rel.retransmits", &fwd::ReliabilityStats::retransmits},
+      {"rel.fast_retransmits", &fwd::ReliabilityStats::fast_retransmits},
+      {"rel.timeouts", &fwd::ReliabilityStats::timeouts},
+      {"rel.congestion_marks", &fwd::ReliabilityStats::congestion_marks},
+      {"rel.window_decreases", &fwd::ReliabilityStats::window_decreases},
+      {"rel.flow_rejects", &fwd::ReliabilityStats::flow_rejects},
+      {"rel.dup_drops", &fwd::ReliabilityStats::dup_drops},
+      {"rel.corrupt_drops", &fwd::ReliabilityStats::corrupt_drops},
+      {"rel.stale_drops", &fwd::ReliabilityStats::stale_drops},
+      {"rel.failovers", &fwd::ReliabilityStats::failovers},
+      {"rel.dead_peers", &fwd::ReliabilityStats::peers_declared_dead},
+  };
+  const fwd::ReliabilityStats total = reliability_totals(*world.vc);
+  for (const auto& [name, field] : fields) {
+    EXPECT_EQ(counter(name), total.*field) << name;
+  }
+  // The run must have moved the counters, or equality proves nothing.
+  EXPECT_GT(total.paquets_acked, 0u);
+  EXPECT_GT(total.retransmits, 0u);
+  EXPECT_GT(total.fast_retransmits, 0u);
+  EXPECT_GT(total.timeouts, 0u);
+  EXPECT_GT(total.window_decreases, 0u);
+  EXPECT_GT(total.dup_drops, 0u);
+  EXPECT_GT(total.corrupt_drops, 0u);
+  EXPECT_GT(total.failovers, 0u);
+  EXPECT_GT(total.peers_declared_dead, 0u);
 }
 
 }  // namespace

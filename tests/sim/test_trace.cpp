@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "util/json.hpp"
@@ -12,76 +13,61 @@ namespace mad::sim {
 namespace {
 
 TEST(Trace, DisabledRecordsNothing) {
-  Trace trace;
-  trace.record(0, 10, "cat");
-  EXPECT_TRUE(trace.intervals().empty());
+  TraceSink trace;
+  trace.span_here(0, 10, "cat");
+  trace.instant_here("cat");
+  EXPECT_TRUE(trace.events().empty());
 }
 
 TEST(Trace, EnabledRecordsIntervals) {
-  Trace trace;
+  TraceSink trace;
   trace.enable();
-  trace.record(5, 15, "gw.recv", "paquet=0");
-  trace.record(15, 30, "gw.send", "paquet=0");
-  ASSERT_EQ(trace.intervals().size(), 2u);
-  EXPECT_EQ(trace.intervals()[0].duration(), 10);
-  EXPECT_EQ(trace.intervals()[1].duration(), 15);
+  trace.span_here(5, 15, "gw.recv", "paquet=0");
+  trace.span_here(15, 30, "gw.send", "paquet=0");
+  const std::vector<TraceEvent> events = trace.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, TraceEventKind::Span);
+  EXPECT_EQ(events[0].duration(), 10);
+  EXPECT_EQ(events[0].detail, "paquet=0");
+  EXPECT_EQ(events[1].duration(), 15);
+  EXPECT_EQ(events[1].track, "main");  // recorded outside any actor
 }
 
-TEST(Trace, ByCategoryFilters) {
-  Trace trace;
+TEST(Trace, ByNameFilters) {
+  TraceSink trace;
   trace.enable();
-  trace.record(0, 1, "a");
-  trace.record(1, 2, "b");
-  trace.record(2, 3, "a");
-  EXPECT_EQ(trace.by_category("a").size(), 2u);
-  EXPECT_EQ(trace.by_category("b").size(), 1u);
-  EXPECT_EQ(trace.by_category("c").size(), 0u);
-}
-
-TEST(Trace, ScopedIntervalUsesVirtualClock) {
-  Engine eng;
-  Trace trace;
-  trace.enable();
-  eng.spawn("a", [&] {
-    Engine* e = Engine::current();
-    e->sleep_for(microseconds(3));
-    {
-      ScopedInterval scope(trace, *e, "step", "k=1");
-      e->sleep_for(microseconds(7));
-    }
-  });
-  eng.run();
-  ASSERT_EQ(trace.intervals().size(), 1u);
-  EXPECT_EQ(trace.intervals()[0].begin, microseconds(3));
-  EXPECT_EQ(trace.intervals()[0].end, microseconds(10));
-  EXPECT_EQ(trace.intervals()[0].label, "k=1");
+  trace.span_here(0, 1, "a");
+  trace.span_here(1, 2, "b");
+  trace.span_here(2, 3, "a");
+  const std::vector<TraceEvent> a = trace.by_name("a");
+  ASSERT_EQ(a.size(), 2u);
+  EXPECT_EQ(a[0].begin, 0);  // recording order
+  EXPECT_EQ(a[1].begin, 2);
+  EXPECT_EQ(trace.by_name("b").size(), 1u);
+  EXPECT_EQ(trace.by_name("c").size(), 0u);
 }
 
 TEST(Trace, RecordAlsoEmitsSpanOnActorTrack) {
   Engine eng;
-  Trace trace;
+  TraceSink trace;
   eng.set_trace(&trace);
   trace.enable();
   eng.spawn("relay", [&] {
     Engine* e = Engine::current();
     const Time begin = e->now();
     e->sleep_for(microseconds(4));
-    trace.record(begin, e->now(), "gw.recv", "paquet=0");
+    trace.span_here(begin, e->now(), "gw.recv", "paquet=0");
   });
   eng.run();
-  bool found = false;
-  for (const TraceEvent& event : trace.events()) {
-    if (event.kind == TraceEventKind::Span && event.name == "gw.recv") {
-      EXPECT_EQ(event.track, "relay");
-      EXPECT_EQ(event.duration(), microseconds(4));
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
+  const std::vector<TraceEvent> spans = trace.by_name("gw.recv");
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].kind, TraceEventKind::Span);
+  EXPECT_EQ(spans[0].track, "relay");
+  EXPECT_EQ(spans[0].duration(), microseconds(4));
 }
 
 TEST(Trace, ChromeJsonExportParsesAndIsOrdered) {
-  Trace trace;
+  TraceSink trace;
   trace.enable();
   // Deliberately out of timestamp order: the writer must sort.
   trace.span("gw", microseconds(10), microseconds(30), "gw.recv",
@@ -127,11 +113,12 @@ TEST(Trace, ChromeJsonExportParsesAndIsOrdered) {
 }
 
 TEST(Trace, ClearEmpties) {
-  Trace trace;
+  TraceSink trace;
   trace.enable();
-  trace.record(0, 1, "x");
+  trace.span_here(0, 1, "x");
   trace.clear();
-  EXPECT_TRUE(trace.intervals().empty());
+  EXPECT_TRUE(trace.events().empty());
+  EXPECT_TRUE(trace.by_name("x").empty());
 }
 
 TEST(Trace, RingCapacityKeepsNewestAndCountsDrops) {

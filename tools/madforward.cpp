@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
 
-  sim::Trace trace;
+  sim::TraceSink trace;
   if (!trace_out.empty()) {
     trace.enable();
     options.trace = &trace;
