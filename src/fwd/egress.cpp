@@ -78,7 +78,7 @@ void Egress::block_header(const GtmBlockHeader& header, bool one_sided) {
   // its windowed header paquet. Block headers travel as reliable paquets
   // of their own: a lost header would desynchronize the stream silently.
   if (sender_) {
-    sender_->send(seq_++, util::object_bytes(header));
+    sender_->send_header(seq_++, header);
   }
   if (one_sided) {
     // The next hop registers (or cache-hits) the receive region behind
@@ -97,7 +97,7 @@ void Egress::block_header(const GtmBlockHeader& header, bool one_sided) {
 void Egress::fragment(util::ByteSpan payload) {
   --fragments_left_;
   if (sender_) {
-    sender_->send(seq_++, payload, one_sided_);
+    sender_->send_fragment(seq_++, payload, one_sided_);
   } else if (one_sided_) {
     // Fragments bypass the writer and go out as RDMA-style writes into the
     // next hop's registered region. Wire-compatible with the two-sided
@@ -131,8 +131,7 @@ void Egress::end() {
     // The end marker joins the window like any paquet; flush() then blocks
     // until the whole hop is acked (a dead hop surfaces here as a
     // HopFailure, not as a silent loss).
-    const GtmBlockHeader marker = end_marker();
-    sender_->send(seq_, util::object_bytes(marker));
+    sender_->send_header(seq_, end_marker());
     sender_->flush();
   } else {
     write_block_header(*writer_, end_marker());

@@ -103,9 +103,12 @@ class Egress {
   /// Block header. `one_sided` sends the block's fragments as RDMA-style
   /// writes after a rendezvous (the out TM must keep dynamic buffers).
   void block_header(const GtmBlockHeader& header, bool one_sided = false);
-  /// One MTU fragment of the current block.
+  /// One MTU fragment of the current block. A reliable hop keeps a view
+  /// of `payload` until its window drains at end() (or the hop is
+  /// closed), so the bytes must stay unchanged that long.
   void fragment(util::ByteSpan payload);
-  /// A whole two-sided block: its header, then its fragments.
+  /// A whole two-sided block: its header, then its fragments (same view
+  /// rule as fragment()).
   void block(const GtmBlockHeader& header, util::ByteSpan data);
   /// The end marker; a reliable hop then drains its window.
   void end();

@@ -77,12 +77,6 @@ ReliableSender::ReliableSender(VirtualChannel& vc, NodeRank self,
   }
 }
 
-ReliableSender::~ReliableSender() {
-  for (InFlight& p : inflight_) {
-    pool_return(std::move(p.wire));
-  }
-}
-
 std::size_t ReliableSender::effective_window() const {
   if (!vc_.options().reliable.adaptive) {
     return window_;
@@ -193,7 +187,13 @@ void ReliableSender::transmit(InFlight& p) {
       out_.pack(util::ByteSpan(blob), SendMode::Safer, RecvMode::Express);
     }
   }
-  if (p.one_sided && rdma_ != nullptr) {
+  if (rdma_ == nullptr) {
+    // Filled straight into a packet buffer, which the NIC adopts.
+    util::Bytes wire = network_->buffer_pool().take(p.payload().size() +
+                                                    kGtmTrailerBytes);
+    fill(p, wire);
+    out_.send_paquet(std::move(wire));
+  } else if (p.one_sided) {
     // One-sided with completion: the receiver is notified of (and acks)
     // every paquet, but the payload crosses both host buses as DMA from
     // the registered wire buffer. Retransmits reuse the same buffer, so
@@ -207,17 +207,17 @@ void ReliableSender::transmit(InFlight& p) {
   p.deadline = p.sent_at + p.rto;
 }
 
-util::Bytes ReliableSender::pool_take(std::size_t size) {
-  return rdma_ != nullptr ? wire_arena_.take(size)
-                          : vc_.buffer_pool().take(size);
-}
-
-void ReliableSender::pool_return(util::Bytes wire) {
-  if (rdma_ != nullptr) {
-    wire_arena_.give(std::move(wire));
-  } else {
-    vc_.buffer_pool().give(std::move(wire));
+void ReliableSender::fill(InFlight& p, util::MutByteSpan wire) {
+  const util::ByteSpan payload = p.payload();
+  if (!p.trailer) {
+    p.trailer = GtmPaquetTrailer{
+        p.seq, epoch_,
+        gtm_copy_checksum(wire.first(payload.size()), payload, p.seq,
+                          epoch_)};
+  } else if (!payload.empty()) {
+    std::memcpy(wire.data(), payload.data(), payload.size());
   }
+  std::memcpy(wire.data() + payload.size(), &*p.trailer, kGtmTrailerBytes);
 }
 
 void ReliableSender::sample_ack(InFlight& p) {
@@ -314,20 +314,31 @@ void ReliableSender::make_room(std::size_t slots) {
   }
 }
 
-void ReliableSender::send(std::uint32_t seq, util::ByteSpan payload,
-                          bool one_sided) {
-  MAD_ASSERT(inflight_.empty() || seq == inflight_.back().seq + 1,
-             "reliable window fed out of sequence");
-  make_room();
+void ReliableSender::send_header(std::uint32_t seq,
+                                 const GtmBlockHeader& header) {
   InFlight p;
   p.seq = seq;
+  p.header = header;
+  enqueue(std::move(p));
+}
+
+void ReliableSender::send_fragment(std::uint32_t seq, util::ByteSpan payload,
+                                   bool one_sided) {
+  InFlight p;
+  p.seq = seq;
+  p.fragment = payload;
   p.one_sided = one_sided && rdma_ != nullptr;
-  p.wire = pool_take(payload.size() + kGtmTrailerBytes);
-  const util::MutByteSpan wire(p.wire);
-  const GtmPaquetTrailer trailer{
-      seq, epoch_,
-      gtm_copy_checksum(wire.first(payload.size()), payload, seq, epoch_)};
-  std::memcpy(wire.data() + payload.size(), &trailer, kGtmTrailerBytes);
+  enqueue(std::move(p));
+}
+
+void ReliableSender::enqueue(InFlight p) {
+  MAD_ASSERT(inflight_.empty() || p.seq == inflight_.back().seq + 1,
+             "reliable window fed out of sequence");
+  make_room();
+  if (rdma_ != nullptr) {
+    p.wire = wire_arena_.take(p.payload().size() + kGtmTrailerBytes);
+    fill(p, p.wire);
+  }
   p.rto = initial_rto();
   inflight_.push_back(std::move(p));
   transmit(inflight_.back());
@@ -525,7 +536,7 @@ void ReliableSender::drain_to(std::size_t target) {
         sample_ack(front);
       }
       ++acked;
-      pool_return(std::move(front.wire));
+      wire_arena_.give(std::move(front.wire));  // empty unless RDMA-capable
       inflight_.pop_front();
       on_ack_growth();
     }
@@ -605,12 +616,10 @@ ReliableReceiver::ReliableReceiver(VirtualChannel& vc, NodeRank self,
       detect_dead_(detect_dead),
       self_nic_(in_channel.tm().nic().index()),
       node_label_("node=" + std::to_string(self)),
-      window_(static_cast<std::size_t>(vc.options().reliable.window)),
-      scratch_(vc.buffer_pool().take(vc.buffer_pool().capacity())) {}
+      window_(static_cast<std::size_t>(vc.options().reliable.window)) {}
 
 ReliableReceiver::~ReliableReceiver() {
-  util::BufferPool& pool = vc_.buffer_pool();
-  pool.give(std::move(scratch_));
+  util::BufferPool& pool = in_channel_.network().buffer_pool();
   for (auto& [seq, parked] : reorder_) {
     pool.give(std::move(parked));
   }
@@ -624,6 +633,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
                  std::to_string(next_));
   const Connection& conn = in_channel_.connection_to(peer_);
   net::Network& network = in_channel_.network();
+  util::BufferPool& pool = network.buffer_pool();
   sim::Engine& engine = vc_.domain().engine();
 
   if (const auto it = reorder_.find(next_); it != reorder_.end()) {
@@ -635,7 +645,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
     if (!payload_dst.empty()) {
       counted_copy(payload_dst, util::ByteSpan(it->second));
     }
-    vc_.buffer_pool().give(std::move(it->second));
+    pool.give(std::move(it->second));
     reorder_.erase(it);
     ++next_;
     return;
@@ -643,17 +653,16 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
   MAD_ASSERT(next_ == cum_next_, "reliable reorder buffer desync");
 
   for (;;) {
-    std::uint32_t wire_size = 0;
+    util::Bytes arrived;
     if (detect_dead_) {
       // Poll in ack_timeout slices so a dead upstream peer is noticed:
       // the stream it was feeding will never complete, and the origin's
       // replay arrives on a fresh stream (reader adoption).
       for (;;) {
-        const auto got = in.unpack_paquet_until(
-            util::MutByteSpan(scratch_),
+        std::optional<util::Bytes> got = in.take_paquet_until(
             engine.now() + vc_.options().reliable.ack_timeout);
         if (got.has_value()) {
-          wire_size = *got;
+          arrived = std::move(*got);
           break;
         }
         if (vc_.is_dead(peer_) || vc_.node_crashed(peer_) ||
@@ -662,15 +671,16 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
         }
       }
     } else {
-      wire_size = in.unpack_paquet(util::MutByteSpan(scratch_));
+      arrived = in.take_paquet();
     }
+    const std::size_t wire_size = arrived.size();
     // Verify the trailer. When its fields, as they arrived, name this
     // epoch's in-order paquet and the body fits the caller's buffer, the
     // verification pass also writes the body there (the only place a
     // verified in-order body goes); every other paquet is only
     // checksummed. A corrupt one leaves junk in `payload_dst`, which the
     // retransmission overwrites before this call returns.
-    const util::ByteSpan wire(scratch_.data(), wire_size);
+    const util::ByteSpan wire(arrived);
     std::optional<GtmPaquetTrailer> verified = wire_trailer(wire);
     if (verified) {
       const util::ByteSpan body = wire.first(wire_size - kGtmTrailerBytes);
@@ -702,6 +712,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
         vc_.count_reliability(self_, &ReliabilityStats::corrupt_drops,
                               "rel.corrupt_drops");
       }
+      pool.give(std::move(arrived));
       continue;
     }
     const GtmPaquetTrailer trailer = *verified;
@@ -719,6 +730,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
         network.post_ack(conn.rx_tag, self_nic_, conn.peer_nic_index,
                          trailer.epoch, trailer.seq);
       }
+      pool.give(std::move(arrived));
       continue;
     }
     if (reorder_.contains(trailer.seq)) {
@@ -731,6 +743,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
         network.post_ack(conn.rx_tag, self_nic_, conn.peer_nic_index,
                          epoch_, cum_next_ - 1);
       }
+      pool.give(std::move(arrived));
       continue;
     }
     if (trailer.seq == cum_next_) {
@@ -743,6 +756,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
       if (!payload_dst.empty()) {
         count_copy(payload_dst.size());
       }
+      pool.give(std::move(arrived));
       ++cum_next_;
       ++next_;
       while (reorder_.contains(cum_next_)) {
@@ -758,12 +772,9 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
                "reliable GTM stream desync: got seq " +
                    std::to_string(trailer.seq) + " beyond the window at " +
                    std::to_string(cum_next_));
-    // The staging buffer itself is parked, trimmed to the body; a fresh one
-    // takes its place.
-    util::Bytes parked = std::exchange(
-        scratch_, vc_.buffer_pool().take(vc_.buffer_pool().capacity()));
-    parked.resize(body_size);
-    reorder_.emplace(trailer.seq, std::move(parked));
+    // The network buffer itself is parked, trimmed to the body.
+    arrived.resize(body_size);
+    reorder_.emplace(trailer.seq, std::move(arrived));
     network.post_sack(conn.rx_tag, self_nic_, conn.peer_nic_index, epoch_,
                       trailer.seq);
     if (cum_next_ > 0) {

@@ -170,8 +170,6 @@ class ReliableSender {
  public:
   ReliableSender(VirtualChannel& vc, NodeRank self, MessageWriter& out,
                  Channel& out_channel, NodeRank peer, std::uint32_t epoch);
-  /// Gives the wire buffers still in flight back to their pool.
-  ~ReliableSender();
   ReliableSender(const ReliableSender&) = delete;
   ReliableSender& operator=(const ReliableSender&) = delete;
 
@@ -185,18 +183,20 @@ class ReliableSender {
   void set_framing(const Preamble& preamble, const GtmMsgHeader& header,
                    const std::optional<GtmStripeHeader>& stripe);
 
-  /// Enqueues `payload` as reliable paquet `seq` (must be the successor of
-  /// the previous send) and transmits it; blocks while the window is full.
-  /// With `one_sided` set (and the hop's egress RDMA-eligible) the paquet
-  /// — and every retransmission of it — crosses as a one-sided write with
-  /// completion (fwd/rdma_tm.hpp): the receiver still sees and acks every
-  /// paquet, but the data moves as DMA on both host buses. An RDMA-capable
-  /// sender's wire buffers come from its own registered pool, so repeated
-  /// paquets and retransmits hit the pin-down cache instead of re-pinning.
-  /// The payload's copy into the wire buffer and its checksum are one
-  /// pass (gtm_copy_checksum).
-  void send(std::uint32_t seq, util::ByteSpan payload,
-            bool one_sided = false);
+  /// Enqueues a copy of `header` (a block header or the end marker) as
+  /// reliable paquet `seq` (must be the successor of the previous send)
+  /// and transmits it; blocks while the window is full.
+  void send_header(std::uint32_t seq, const GtmBlockHeader& header);
+
+  /// Enqueues the fragment `payload` as reliable paquet `seq`, like
+  /// send_header, but keeps only a view of it: `payload` must stay valid
+  /// and unchanged until the window drains (flush(), or this sender is
+  /// dropped). With `one_sided` set (and the hop's egress RDMA-eligible)
+  /// the paquet — and every retransmission of it — crosses as a one-sided
+  /// write with completion (fwd/rdma_tm.hpp): the receiver still sees and
+  /// acks every paquet, but the data moves as DMA on both host buses.
+  void send_fragment(std::uint32_t seq, util::ByteSpan payload,
+                     bool one_sided = false);
 
   /// Blocks until every in-flight paquet is acknowledged.
   void flush();
@@ -216,9 +216,24 @@ class ReliableSender {
   std::size_t effective_window() const;
 
  private:
+  /// One paquet of the window. It keeps no wire buffer of its own (but
+  /// see `wire`): every transmission fills a fresh buffer of the network's
+  /// packet pool and hands it to the writer, which hands it to the NIC.
+  /// The first fill copies the payload and checksums it in one pass
+  /// (gtm_copy_checksum) and seals the trailer; a retransmit copies the
+  /// payload again and appends the sealed trailer. So the payload must
+  /// read the same until the paquet leaves the window: a fragment is a
+  /// view of memory the caller keeps that long (a Safer block's snapshot,
+  /// a Cheaper or Later block's user memory, which is valid until
+  /// end_packing, or a gateway's stored fragment), a header is a copy.
   struct InFlight {
     std::uint32_t seq = 0;
-    util::Bytes wire;  // payload + trailer, ready to re-pack
+    util::ByteSpan fragment;               // when `header` is unset
+    std::optional<GtmBlockHeader> header;  // block header or end marker
+    std::optional<GtmPaquetTrailer> trailer;  // sealed by the first fill
+    /// RDMA-capable senders only: payload + trailer in a buffer of
+    /// wire_arena_, filled once and re-sent as is.
+    util::Bytes wire;
     sim::Time tx_begin = 0;  // last attempt start (rel.ack_us base)
     sim::Time sent_at = 0;   // last attempt pack-complete (RTO base)
     sim::Time deadline = 0;
@@ -228,13 +243,18 @@ class ReliableSender {
     bool sacked = false;
     bool sack_rtx = false;  // lost-retransmit resend spent (one per front)
     bool one_sided = false;  // transmit via RdmaTm::write, not the writer
+
+    util::ByteSpan payload() const {
+      return header ? util::object_bytes(*header) : fragment;
+    }
   };
 
+  /// Appends `p` to the window (after making room) and transmits it.
+  void enqueue(InFlight p);
+  /// Writes `p`'s payload and trailer to `wire` (payload size + trailer),
+  /// sealing the trailer on the first call.
+  void fill(InFlight& p, util::MutByteSpan wire);
   void transmit(InFlight& p);
-  /// Wire buffers: from the channel's paquet pool, or from this sender's
-  /// registered-buffer arena when it can send one-sided (see wire_arena_).
-  util::Bytes pool_take(std::size_t size);
-  void pool_return(util::Bytes wire);
   /// Blocks until at most `target` paquets remain in flight.
   void drain_to(std::size_t target);
   /// Why the window front must be resent before its timer fires.
@@ -287,11 +307,11 @@ class ReliableSender {
   /// or hybrid buffers). send(..., one_sided=true) silently degrades to
   /// the two-sided path when null.
   RdmaTm* rdma_ = nullptr;
-  // An RDMA-capable sender's retired wire buffers, reused best fit: the
-  // pin-down cache keys on buffer addresses, so every reuse — including a
-  // retransmit, which re-sends the very buffer pinned for the first
-  // attempt — hits, and a tiny block-header paquet does not claim (and
-  // re-key) an MTU-sized registered fragment buffer.
+  // An RDMA-capable sender's wire buffers (InFlight::wire), reused best
+  // fit: the pin-down cache keys on buffer addresses, so every reuse —
+  // including a retransmit, which re-sends the very buffer pinned for the
+  // first attempt — hits, and a tiny block-header paquet does not claim
+  // (and re-key) an MTU-sized registered fragment buffer.
   util::BufferArena wire_arena_;
   std::deque<InFlight> inflight_;
   // Duplicate-cumulative-ack tracking (fast retransmit, window > 1 only).
@@ -361,17 +381,19 @@ class ReliableReceiver {
  public:
   ReliableReceiver(VirtualChannel& vc, NodeRank self, Channel& in_channel,
                    NodeRank peer, std::uint32_t epoch, bool detect_dead);
-  /// Gives the staging buffer and any parked paquets back to their pool.
+  /// Gives any parked paquets back to the network's packet pool.
   ~ReliableReceiver();
   ReliableReceiver(const ReliableReceiver&) = delete;
   ReliableReceiver& operator=(const ReliableReceiver&) = delete;
 
   /// Receives reliable paquet `expected_seq` (must be the successor of the
   /// previous recv) into `payload_dst` (size must match the original
-  /// payload exactly) and acknowledges it. A wire paquet whose trailer
-  /// names it as this in-order paquet is verified and written to
-  /// `payload_dst` in one pass; until recv returns, `payload_dst` may hold
-  /// the bytes of a corrupt copy that failed verification.
+  /// payload exactly) and acknowledges it. Each wire paquet is verified in
+  /// the network buffer it arrived in (MessageReader::take_paquet). One
+  /// whose trailer names it as this in-order paquet is verified and
+  /// written to `payload_dst` in one pass; until recv returns,
+  /// `payload_dst` may hold the bytes of a corrupt copy that failed
+  /// verification. An out-of-order paquet is parked in its own buffer.
   void recv(MessageReader& in, std::uint32_t expected_seq,
             util::MutByteSpan payload_dst);
 
@@ -401,10 +423,9 @@ class ReliableReceiver {
   std::size_t window_;
   std::uint32_t next_ = 0;      // next seq to hand to the caller
   std::uint32_t cum_next_ = 0;  // first seq not yet received in order
-  // Parked out-of-order paquets and the wire staging buffer, all from the
-  // channel's paquet pool.
+  // Parked out-of-order paquets, each trimmed to its body in the network
+  // buffer it arrived in.
   std::map<std::uint32_t, util::Bytes> reorder_;
-  util::Bytes scratch_;
 };
 
 /// Reads one hop message's GTM elements in stream order — block headers,

@@ -1,6 +1,8 @@
 #include "mad/bmm.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "mad/copy_stats.hpp"
 #include "util/panic.hpp"
@@ -15,10 +17,18 @@ std::uint32_t BmmRx::peek_paquet_size() {
   MAD_PANIC("this BMM shape does not support paquet-granular receive");
 }
 
-std::optional<std::uint32_t> BmmRx::unpack_paquet_until(
-    util::MutByteSpan /*capacity*/, sim::Time /*deadline*/) {
-  MAD_PANIC("this BMM shape does not support paquet-granular receive");
+namespace {
+
+// A static-buffer packet copied into a buffer of the TM's packet pool: the
+// one software copy a static receive makes anyway.
+util::Bytes copy_to_pool(TransmissionModule& tm,
+                         const net::StaticBufferPool::Ref& buffer) {
+  util::Bytes paquet = tm.packet_pool().take(buffer.used());
+  counted_copy(paquet, buffer.data());
+  return paquet;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------- dynamic tx
 
@@ -71,6 +81,14 @@ void DynamicAggregTx::pack(util::ByteSpan data, SendMode smode,
 }
 
 void DynamicAggregTx::finish() { flush_all(); }
+
+void DynamicAggregTx::send_paquet(util::Bytes paquet) {
+  MAD_ASSERT(pending_.empty(), "send_paquet with partial-packet state pending");
+  MAD_ASSERT(paquet.size() <= tm_.mtu(),
+             "paquet of " + std::to_string(paquet.size()) +
+                 " bytes exceeds the MTU " + std::to_string(tm_.mtu()));
+  tm_.send_packet(route_.dst_nic_index, route_.tag, std::move(paquet));
+}
 
 void DynamicAggregTx::flush() { flush_all(); }
 
@@ -126,20 +144,18 @@ std::uint32_t DynamicAggregRx::unpack_paquet(util::MutByteSpan capacity) {
   return info.size;
 }
 
-std::optional<std::uint32_t> DynamicAggregRx::unpack_paquet_until(
-    util::MutByteSpan capacity, sim::Time deadline) {
-  MAD_ASSERT(pending_.empty(),
-             "unpack_paquet with partial-packet state pending");
-  const auto info = tm_.peek_packet_until(route_.tag, deadline);
-  if (!info.has_value()) {
+util::Bytes DynamicAggregRx::take_paquet() {
+  MAD_ASSERT(pending_.empty(), "take_paquet with partial-packet state pending");
+  return tm_.take_packet(route_.tag);
+}
+
+std::optional<util::Bytes> DynamicAggregRx::take_paquet_until(
+    sim::Time deadline) {
+  MAD_ASSERT(pending_.empty(), "take_paquet with partial-packet state pending");
+  if (!tm_.peek_packet_until(route_.tag, deadline).has_value()) {
     return std::nullopt;
   }
-  MAD_ASSERT(info->size <= capacity.size(),
-             "paquet of " + std::to_string(info->size) +
-                 " bytes exceeds receive capacity " +
-                 std::to_string(capacity.size()));
-  tm_.recv_packet(route_.tag, util::MutIovec{capacity.first(info->size)});
-  return info->size;
+  return tm_.take_packet(route_.tag);
 }
 
 std::uint32_t DynamicAggregRx::peek_paquet_size() {
@@ -179,6 +195,15 @@ void HybridTx::pack(util::ByteSpan data, SendMode smode, RecvMode rmode) {
 }
 
 void HybridTx::finish() { rdma_.finish(); }
+
+void HybridTx::send_paquet(util::Bytes paquet) {
+  if (paquet.size() < threshold_) {
+    pack(paquet, SendMode::Cheaper, RecvMode::Express);
+    tm_.packet_pool().give(std::move(paquet));
+    return;
+  }
+  rdma_.send_paquet(std::move(paquet));
+}
 
 HybridRx::HybridRx(TransmissionModule& tm, RxRoute route,
                    std::uint32_t threshold)
@@ -221,23 +246,21 @@ std::uint32_t HybridRx::unpack_paquet(util::MutByteSpan capacity) {
   return info.size;
 }
 
-std::optional<std::uint32_t> HybridRx::unpack_paquet_until(
-    util::MutByteSpan capacity, sim::Time deadline) {
+util::Bytes HybridRx::take_paquet() {
   rdma_.flush();
-  const auto info = tm_.peek_packet_until(route_.tag, deadline);
-  if (!info.has_value()) {
+  // Routed by the wire size, like unpack_paquet.
+  if (tm_.peek_packet(route_.tag).size < threshold_) {
+    return copy_to_pool(tm_, tm_.recv_packet_static(route_.tag));
+  }
+  return tm_.take_packet(route_.tag);
+}
+
+std::optional<util::Bytes> HybridRx::take_paquet_until(sim::Time deadline) {
+  rdma_.flush();
+  if (!tm_.peek_packet_until(route_.tag, deadline).has_value()) {
     return std::nullopt;
   }
-  if (info->size < threshold_) {
-    auto buffer = tm_.recv_packet_static(route_.tag);
-    MAD_ASSERT(buffer.used() <= capacity.size(),
-               "paquet exceeds receive capacity");
-    counted_copy(capacity.first(buffer.used()), buffer.data());
-    return static_cast<std::uint32_t>(buffer.used());
-  }
-  MAD_ASSERT(info->size <= capacity.size(), "paquet exceeds receive capacity");
-  tm_.recv_packet(route_.tag, util::MutIovec{capacity.first(info->size)});
-  return info->size;
+  return take_paquet();
 }
 
 std::uint32_t HybridRx::peek_paquet_size() {
@@ -286,6 +309,13 @@ void StaticTx::pack(util::ByteSpan data, SendMode /*smode*/, RecvMode rmode) {
 
 void StaticTx::finish() { flush_current(); }
 
+void StaticTx::send_paquet(util::Bytes paquet) {
+  MAD_ASSERT(!current_.valid(),
+             "send_paquet with partial-buffer state pending");
+  pack(paquet, SendMode::Cheaper, RecvMode::Express);
+  tm_.packet_pool().give(std::move(paquet));
+}
+
 // ----------------------------------------------------------------- static rx
 
 StaticRx::StaticRx(TransmissionModule& tm, RxRoute route)
@@ -330,18 +360,19 @@ std::uint32_t StaticRx::unpack_paquet(util::MutByteSpan capacity) {
   return static_cast<std::uint32_t>(buffer.used());
 }
 
-std::optional<std::uint32_t> StaticRx::unpack_paquet_until(
-    util::MutByteSpan capacity, sim::Time deadline) {
+util::Bytes StaticRx::take_paquet() {
   MAD_ASSERT(!current_.valid(),
-             "unpack_paquet with partial-buffer state pending");
+             "take_paquet with partial-buffer state pending");
+  return copy_to_pool(tm_, tm_.recv_packet_static(route_.tag));
+}
+
+std::optional<util::Bytes> StaticRx::take_paquet_until(sim::Time deadline) {
+  MAD_ASSERT(!current_.valid(),
+             "take_paquet with partial-buffer state pending");
   if (!tm_.peek_packet_until(route_.tag, deadline).has_value()) {
     return std::nullopt;
   }
-  auto buffer = tm_.recv_packet_static(route_.tag);
-  MAD_ASSERT(buffer.used() <= capacity.size(),
-             "paquet exceeds receive capacity");
-  counted_copy(capacity.first(buffer.used()), buffer.data());
-  return static_cast<std::uint32_t>(buffer.used());
+  return copy_to_pool(tm_, tm_.recv_packet_static(route_.tag));
 }
 
 std::uint32_t StaticRx::peek_paquet_size() {

@@ -37,6 +37,12 @@ class BmmTx {
   virtual void pack(util::ByteSpan data, SendMode smode, RecvMode rmode) = 0;
   /// Final flush — afterwards the whole message is handed to the network.
   virtual void finish() = 0;
+  /// Sends one whole wire paquet, a buffer of the TM's packet_pool(), as
+  /// its own packet and takes the buffer over. Only valid between Express
+  /// boundaries, when the shape holds no partial-packet state. Dynamic
+  /// shapes hand the buffer to the NIC; the others pack from it as from a
+  /// Cheaper Express block and give it back.
+  virtual void send_paquet(util::Bytes paquet) = 0;
 };
 
 /// Receiver side of one message. Must be driven with the same sequence of
@@ -53,11 +59,17 @@ class BmmRx {
   /// fragment). Only valid between Express boundaries, when the shape
   /// holds no partial-packet state; shapes that cannot support it panic.
   virtual std::uint32_t unpack_paquet(util::MutByteSpan capacity);
-  /// Timed unpack_paquet: nullopt when no packet arrives by `deadline`.
-  /// The sliding-window receiver polls with this so it can notice a dead
+  /// Reliable-GTM receive by ownership: consumes exactly one wire packet
+  /// and returns it in a buffer of the TM's packet_pool(), which the
+  /// caller gives back. Dynamic shapes hand over the NIC's own buffer; the
+  /// others copy the protocol buffer into a pool buffer. Same validity
+  /// rule as unpack_paquet.
+  virtual util::Bytes take_paquet() = 0;
+  /// Timed take_paquet: nullopt when no packet arrives by `deadline`. The
+  /// sliding-window receiver polls with this so it can notice a dead
   /// sender instead of blocking forever.
-  virtual std::optional<std::uint32_t> unpack_paquet_until(
-      util::MutByteSpan capacity, sim::Time deadline);
+  virtual std::optional<util::Bytes> take_paquet_until(
+      sim::Time deadline) = 0;
   /// Size of the next wire paquet without consuming it (blocks until one
   /// arrives). Reliable mode uses this at message boundaries to spot late
   /// retransmits of the previous stream in front of the next preamble.
@@ -81,6 +93,7 @@ class DynamicAggregTx final : public BmmTx {
   DynamicAggregTx(TransmissionModule& tm, TxRoute route, bool eager);
   void pack(util::ByteSpan data, SendMode smode, RecvMode rmode) override;
   void finish() override;
+  void send_paquet(util::Bytes paquet) override;
   /// Transmits everything pending (used by the hybrid BMM to keep block
   /// order around its message-path sends).
   void flush();
@@ -104,8 +117,8 @@ class DynamicAggregRx final : public BmmRx {
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
   std::uint32_t unpack_paquet(util::MutByteSpan capacity) override;
-  std::optional<std::uint32_t> unpack_paquet_until(
-      util::MutByteSpan capacity, sim::Time deadline) override;
+  util::Bytes take_paquet() override;
+  std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
   std::uint32_t peek_paquet_size() override;
   void flush();
 
@@ -133,6 +146,7 @@ class HybridTx final : public BmmTx {
   HybridTx(TransmissionModule& tm, TxRoute route, std::uint32_t threshold);
   void pack(util::ByteSpan data, SendMode smode, RecvMode rmode) override;
   void finish() override;
+  void send_paquet(util::Bytes paquet) override;
 
  private:
   TransmissionModule& tm_;
@@ -147,8 +161,8 @@ class HybridRx final : public BmmRx {
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
   std::uint32_t unpack_paquet(util::MutByteSpan capacity) override;
-  std::optional<std::uint32_t> unpack_paquet_until(
-      util::MutByteSpan capacity, sim::Time deadline) override;
+  util::Bytes take_paquet() override;
+  std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
   std::uint32_t peek_paquet_size() override;
 
  private:
@@ -165,6 +179,7 @@ class StaticTx final : public BmmTx {
   StaticTx(TransmissionModule& tm, TxRoute route);
   void pack(util::ByteSpan data, SendMode smode, RecvMode rmode) override;
   void finish() override;
+  void send_paquet(util::Bytes paquet) override;
 
  private:
   void flush_current();
@@ -181,8 +196,8 @@ class StaticRx final : public BmmRx {
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
   std::uint32_t unpack_paquet(util::MutByteSpan capacity) override;
-  std::optional<std::uint32_t> unpack_paquet_until(
-      util::MutByteSpan capacity, sim::Time deadline) override;
+  util::Bytes take_paquet() override;
+  std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
   std::uint32_t peek_paquet_size() override;
 
  private:

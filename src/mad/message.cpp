@@ -1,6 +1,7 @@
 #include "mad/message.hpp"
 
 #include <exception>
+#include <utility>
 
 #include "mad/channel.hpp"
 #include "sim/metrics.hpp"
@@ -56,6 +57,12 @@ void MessageWriter::pack(util::ByteSpan data, SendMode smode,
   MAD_ASSERT(!ended_, "pack after end_packing");
   bmm_->pack(data, smode, rmode);
   payload_bytes_ += data.size();
+}
+
+void MessageWriter::send_paquet(util::Bytes paquet) {
+  MAD_ASSERT(!ended_, "send_paquet after end_packing");
+  payload_bytes_ += paquet.size();
+  bmm_->send_paquet(std::move(paquet));
 }
 
 void MessageWriter::end_packing() {
@@ -114,14 +121,21 @@ std::uint32_t MessageReader::peek_paquet_size() {
   return bmm_->peek_paquet_size();
 }
 
-std::optional<std::uint32_t> MessageReader::unpack_paquet_until(
-    util::MutByteSpan capacity, sim::Time deadline) {
-  MAD_ASSERT(!ended_, "unpack_paquet after end_unpacking");
-  const auto size = bmm_->unpack_paquet_until(capacity, deadline);
-  if (size.has_value()) {
-    payload_bytes_ += *size;
+util::Bytes MessageReader::take_paquet() {
+  MAD_ASSERT(!ended_, "take_paquet after end_unpacking");
+  util::Bytes paquet = bmm_->take_paquet();
+  payload_bytes_ += paquet.size();
+  return paquet;
+}
+
+std::optional<util::Bytes> MessageReader::take_paquet_until(
+    sim::Time deadline) {
+  MAD_ASSERT(!ended_, "take_paquet after end_unpacking");
+  std::optional<util::Bytes> paquet = bmm_->take_paquet_until(deadline);
+  if (paquet.has_value()) {
+    payload_bytes_ += paquet->size();
   }
-  return size;
+  return paquet;
 }
 
 void MessageReader::end_unpacking() {

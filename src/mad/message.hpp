@@ -46,6 +46,10 @@ class MessageWriter {
   /// has been handed to the network.
   void end_packing();
 
+  /// Sends one whole wire paquet by ownership (BmmTx::send_paquet): the
+  /// buffer comes from the channel TM's packet_pool() and is taken over.
+  void send_paquet(util::Bytes paquet);
+
   /// Re-sends this message's announce packet with its original sequence
   /// number (no-op on channels without an announce stream). A reliable
   /// sender calls this when retransmitting paquet 0: the one-shot announce
@@ -94,10 +98,14 @@ class MessageReader {
   /// (see BmmRx::unpack_paquet).
   std::uint32_t unpack_paquet(util::MutByteSpan capacity);
 
-  /// Timed unpack_paquet: nullopt when no packet arrives by `deadline`
+  /// Reliable-GTM receive by ownership: one wire packet in a buffer of
+  /// the channel TM's packet_pool(), which the caller gives back (see
+  /// BmmRx::take_paquet).
+  util::Bytes take_paquet();
+
+  /// Timed take_paquet: nullopt when no packet arrives by `deadline`
   /// (sliding-window receivers poll so a dead sender is noticed).
-  std::optional<std::uint32_t> unpack_paquet_until(util::MutByteSpan capacity,
-                                                   sim::Time deadline);
+  std::optional<util::Bytes> take_paquet_until(sim::Time deadline);
 
   /// Size of the next wire paquet without consuming it (blocks until one
   /// arrives). Reliable mode uses this at message boundaries to recognize

@@ -1,5 +1,7 @@
 #include "mad/tm.hpp"
 
+#include <utility>
+
 #include "util/panic.hpp"
 
 namespace mad {
@@ -10,6 +12,11 @@ TransmissionModule::TransmissionModule(net::Nic& nic)
 void TransmissionModule::send_packet(int dst_nic_index, std::uint64_t tag,
                                      const util::ConstIovec& data) {
   nic_.send(dst_nic_index, tag, data);
+}
+
+void TransmissionModule::send_packet(int dst_nic_index, std::uint64_t tag,
+                                     util::Bytes packet) {
+  nic_.send(dst_nic_index, tag, std::move(packet));
 }
 
 void TransmissionModule::recv_packet(std::uint64_t tag,

@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "net/link.hpp"
 #include "net/nic.hpp"
 #include "util/bytes.hpp"
 
@@ -34,6 +35,17 @@ class TransmissionModule {
                    const util::ConstIovec& data);
   void recv_packet(std::uint64_t tag, const util::MutIovec& dst);
   std::vector<std::byte> recv_packet_owned(std::uint64_t tag);
+
+  /// --- whole packets carried by ownership, in buffers of packet_pool()
+  /// Sends `packet` without copying it (net::Nic adopts the buffer).
+  void send_packet(int dst_nic_index, std::uint64_t tag, util::Bytes packet);
+  /// Consumes the head packet and hands over its buffer; the caller gives
+  /// it back to packet_pool().
+  util::Bytes take_packet(std::uint64_t tag) { return nic_.recv_buffer(tag); }
+  /// The network's packet buffers.
+  util::BufferPool& packet_pool() const {
+    return nic_.network().buffer_pool();
+  }
 
   /// Blocks until a packet with `tag` is queued and returns its size and
   /// source without consuming it (reliable-GTM receivers size their

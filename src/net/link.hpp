@@ -84,10 +84,18 @@ class Network {
   AckRegistry& acks() { return acks_; }
 
   /// Payload buffers of the packets on this network's wire, at capacity
-  /// model().max_packet: a NIC takes one per packet it sends, the
-  /// receiving NIC gives it back once the payload is placed.
+  /// model().max_packet. Each packet holds one from its send until the
+  /// receiving NIC places the payload, or until whoever took the buffer
+  /// from the NIC (Nic::recv_buffer) gives it back. A sender may fill one
+  /// itself and hand it to the NIC whole.
   util::BufferPool& buffer_pool() { return buffers_; }
   const util::BufferPool& buffer_pool() const { return buffers_; }
+
+  /// Host bytes the NICs copied into packets: gather lists snapshotted at
+  /// flow start and the twins of duplicated packets. Buffers a sender
+  /// hands over whole are not counted.
+  std::uint64_t snapshot_bytes() const { return snapshot_bytes_; }
+  void note_snapshot(std::uint64_t bytes) { snapshot_bytes_ += bytes; }
 
   /// Posts a receiver acknowledgement, honouring the fault plan: acks from
   /// or toward a crashed NIC — and acks crossing a downed link — vanish,
@@ -128,6 +136,7 @@ class Network {
   std::unique_ptr<FaultInjector> injector_;
   AckRegistry acks_;
   util::BufferPool buffers_;
+  std::uint64_t snapshot_bytes_ = 0;
 };
 
 }  // namespace mad::net

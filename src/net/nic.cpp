@@ -13,11 +13,10 @@ namespace mad::net {
 
 namespace {
 
-// The packet's payload: the gather list copied into one buffer of the
-// network's pool.
-util::Bytes snapshot(util::BufferPool& pool, const util::ConstIovec& data,
+// The gather list copied into one buffer of the network's pool.
+util::Bytes snapshot(Network& network, const util::ConstIovec& data,
                      std::size_t n) {
-  util::Bytes payload = pool.take(n);
+  util::Bytes payload = network.buffer_pool().take(n);
   std::size_t at = 0;
   for (const util::ByteSpan& piece : data) {
     if (!piece.empty()) {
@@ -25,6 +24,7 @@ util::Bytes snapshot(util::BufferPool& pool, const util::ConstIovec& data,
       at += piece.size();
     }
   }
+  network.note_snapshot(n);
   return payload;
 }
 
@@ -71,7 +71,18 @@ Nic::TagQueue& Nic::tag_queue(std::uint64_t tag) {
 
 void Nic::send(int dst_index, std::uint64_t tag,
                const util::ConstIovec& data, const SendOptions& opts) {
-  const std::size_t n = util::total_size(data);
+  transmit(dst_index, tag, util::total_size(data), &data, {}, opts);
+}
+
+void Nic::send(int dst_index, std::uint64_t tag, util::Bytes packet,
+               const SendOptions& opts) {
+  const std::size_t n = packet.size();
+  transmit(dst_index, tag, n, nullptr, std::move(packet), opts);
+}
+
+void Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
+                   const util::ConstIovec* gather, util::Bytes packet,
+                   const SendOptions& opts) {
   MAD_ASSERT(n > 0, "send of empty packet");
   MAD_ASSERT(n <= model().max_packet,
              "packet of " + std::to_string(n) + " bytes exceeds max_packet " +
@@ -133,29 +144,38 @@ void Nic::send(int dst_index, std::uint64_t tag,
   }
   const auto wire = network_.reserve_wire(index_, dst_index, n, flow_start);
   auto timing = std::make_shared<TxTiming>();
-  if (fault != FaultAction::Drop) {
-    WirePacket packet;
-    packet.src_index = index_;
-    packet.tag = tag;
-    packet.send_time = flow_start;
-    packet.visible_time = wire.depart + model().wire_latency;
-    packet.wire_end = wire.wire_end;
-    packet.one_sided = opts.one_sided;
-    packet.completion = opts.completion;
-    packet.timing = timing;
-    // The payload is snapshotted at flow start, into a pooled buffer the
-    // receiving NIC gives back once it has placed the bytes; the sender is
-    // blocked for the whole flow, so the source cannot change meanwhile.
+  if (fault == FaultAction::Drop) {
+    if (gather == nullptr) {
+      network_.buffer_pool().give(std::move(packet));
+    }
+  } else {
+    const auto descriptor = [&](util::Bytes payload) {
+      WirePacket wire_packet;
+      wire_packet.src_index = index_;
+      wire_packet.tag = tag;
+      wire_packet.payload = std::move(payload);
+      wire_packet.send_time = flow_start;
+      wire_packet.visible_time = wire.depart + model().wire_latency;
+      wire_packet.wire_end = wire.wire_end;
+      wire_packet.one_sided = opts.one_sided;
+      wire_packet.completion = opts.completion;
+      wire_packet.timing = timing;
+      return wire_packet;
+    };
+    // A gather list is snapshotted at flow start; the sender is blocked
+    // for the whole flow, so the source cannot change meanwhile. An
+    // adopted buffer already is the packet. Either way the receiving NIC,
+    // or the consumer it hands the buffer to, gives it back to the pool.
+    util::Bytes payload =
+        gather != nullptr ? snapshot(network_, *gather, n) : std::move(packet);
     if (fault == FaultAction::Duplicate) {
-      WirePacket twin = packet;
-      twin.payload = snapshot(network_.buffer_pool(), data, n);
-      dst_nic.enqueue(std::move(twin));
+      dst_nic.enqueue(descriptor(
+          snapshot(network_, util::ConstIovec{util::ByteSpan(payload)}, n)));
     }
-    packet.payload = snapshot(network_.buffer_pool(), data, n);
     if (fault == FaultAction::Corrupt) {
-      injector->corrupt(util::MutByteSpan(packet.payload));
+      injector->corrupt(util::MutByteSpan(payload));
     }
-    dst_nic.enqueue(std::move(packet));
+    dst_nic.enqueue(descriptor(std::move(payload)));
   }
 
   // One-sided sends are bus-master DMA regardless of the protocol's
@@ -285,6 +305,10 @@ void Nic::recv_into(std::uint64_t tag, const util::MutIovec& dst) {
 
 void Nic::recv_into(std::uint64_t tag, util::MutByteSpan dst) {
   recv_into(tag, util::MutIovec{dst});
+}
+
+util::Bytes Nic::recv_buffer(std::uint64_t tag) {
+  return std::move(consume(tag).payload);
 }
 
 std::vector<std::byte> Nic::recv_owned(std::uint64_t tag) {

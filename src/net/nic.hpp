@@ -12,15 +12,19 @@
 //                   cannot complete before the last byte physically
 //                   arrived: max(src flow end, wire end) + latency
 //
-// The payload snapshot is taken when the source PCI flow starts, copied
-// from the gather list into a buffer of the network's pool
-// (Network::buffer_pool); the sender is blocked for the whole flow, so the
-// source cannot change underneath — buffer-reuse semantics are preserved.
-// The receiving NIC scatters the snapshot into the destination and gives
-// the buffer back. Both copies are host-side artefacts of the simulation,
-// not modelled copies: neither is charged virtual time. Receivers may begin their PCI flow
-// while the sender is still pushing (that is what real cut-through NICs
-// do); the end-correction keeps the completion time physical.
+// Every packet's payload is one buffer of the network's pool
+// (Network::buffer_pool). A sender either hands such a buffer over, and the
+// NIC adopts it as the packet, or passes a gather list, which is copied
+// into a pool buffer when the source PCI flow starts; the sender is
+// blocked for the whole flow, so the source cannot change underneath —
+// buffer-reuse semantics are preserved. The receiver either has the NIC
+// scatter the payload into its destination and give the buffer back, or
+// takes the buffer itself (recv_buffer) and gives it back when done. The
+// gather snapshot and the scatter are host-side artefacts of the
+// simulation, not modelled copies: neither is charged virtual time.
+// Receivers may begin their PCI flow while the sender is still pushing
+// (that is what real cut-through NICs do); the end-correction keeps the
+// completion time physical.
 //
 // Packets are matched by an opaque 64-bit tag (one per Madeleine channel ×
 // direction); order is preserved per (source NIC, tag).
@@ -99,6 +103,12 @@ class Nic {
   void send(int dst_index, std::uint64_t tag, util::ByteSpan data,
             const SendOptions& opts = {});
 
+  /// Sends `packet`, a buffer of network().buffer_pool(), as one packet
+  /// without copying it: the NIC adopts the buffer, and returns it to the
+  /// pool if the packet is dropped. Same timing as the gather overloads.
+  void send(int dst_index, std::uint64_t tag, util::Bytes packet,
+            const SendOptions& opts = {});
+
   /// Blocks until a packet with `tag` is queued; returns its descriptor
   /// without consuming it and without charging any receive cost.
   PacketInfo peek(std::uint64_t tag);
@@ -115,6 +125,11 @@ class Nic {
   /// Total destination size must equal the packet size exactly.
   void recv_into(std::uint64_t tag, const util::MutIovec& dst);
   void recv_into(std::uint64_t tag, util::MutByteSpan dst);
+
+  /// Consumes the head packet and hands over its own buffer, one of
+  /// network().buffer_pool(), which the caller gives back once done with
+  /// it. Same timing as recv_into, without the placement copy.
+  util::Bytes recv_buffer(std::uint64_t tag);
 
   /// Consumes the head packet into an owned buffer (used by control-plane
   /// paths where the receiver cannot know the size up front).
@@ -190,6 +205,11 @@ class Nic {
   };
 
   TagQueue& tag_queue(std::uint64_t tag);
+  /// The body shared by every send: `gather` (snapshotted at flow start)
+  /// when set, else the adopted `packet`; `n` bytes either way.
+  void transmit(int dst_index, std::uint64_t tag, std::size_t n,
+                const util::ConstIovec* gather, util::Bytes packet,
+                const SendOptions& opts);
   /// Common blocking receive path: pops the head packet and charges the
   /// receiver-side timing.
   WirePacket consume(std::uint64_t tag);

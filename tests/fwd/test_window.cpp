@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "fwd/reliable.hpp"
 #include "fwd/stripe.hpp"
@@ -304,6 +306,47 @@ TEST(ReliableWindow, EveryRetransmitTriggerIsPinned) {
   counts.lost_retransmits = trace.by_name("rel.sack_retransmit").size();
   counts.timeouts = trace.by_name("rel.timeout").size();
   EXPECT_EQ(counts, (TriggerCounts{15, 9, 4, 2}));
+}
+
+TEST(ReliableWindow, LostSackResendFallsBackToTheTimer) {
+  // A window front that was fast retransmitted gets one more resend half
+  // an RTO later once every later paquet is sacked. In this seeded run
+  // (12% drops on both hops) one of those resends is itself dropped: the
+  // sender must then wait out the retransmit timer instead of resending
+  // every half RTO, so each front has at most one rel.sack_retransmit and
+  // the lost one is followed by a rel.timeout for the same paquet.
+  sim::TraceSink trace;
+  trace.enable();
+  fwd::VcOptions options = windowed_options(16);
+  options.trace = &trace;
+  PaperRig rig(options);
+  net::FaultPlan plan;
+  plan.seed = 26;
+  plan.drop_rate = 0.12;
+  rig.myri.set_fault_plan(plan);
+  rig.sci.set_fault_plan(plan);
+  run_transfer(rig, 1 << 20, /*seed=*/40);
+  // A front is one paquet of one sender: its actor, peer and seq.
+  std::map<std::string, std::vector<sim::Time>> resends;
+  for (const sim::TraceEvent& event : trace.by_name("rel.sack_retransmit")) {
+    resends[event.track + " " + event.detail].push_back(event.begin);
+  }
+  ASSERT_FALSE(resends.empty()) << "no lost-retransmit resend fired";
+  std::size_t timed_out = 0;
+  for (const sim::TraceEvent& event : trace.by_name("rel.timeout")) {
+    // "peer=P seq=S attempt=N" names the same front as "peer=P seq=S".
+    const std::string front =
+        event.track + " " +
+        event.detail.substr(0, event.detail.find(" attempt"));
+    const auto it = resends.find(front);
+    if (it != resends.end() && it->second.front() < event.begin) {
+      ++timed_out;
+    }
+  }
+  EXPECT_EQ(timed_out, 1u) << "no half-RTO resend was lost in this run";
+  for (const auto& [front, times] : resends) {
+    EXPECT_EQ(times.size(), 1u) << front;
+  }
 }
 
 // --------------------------------------------------------------- options
