@@ -21,14 +21,12 @@ std::string quoted(const std::string& text) {
 
 std::string reliability_object(const fwd::ReliabilityStats& r) {
   std::ostringstream os;
-  os << "{\"paquets_acked\":" << r.paquets_acked
-     << ",\"retransmits\":" << r.retransmits
-     << ",\"fast_retransmits\":" << r.fast_retransmits
-     << ",\"timeouts\":" << r.timeouts << ",\"dup_drops\":" << r.dup_drops
-     << ",\"corrupt_drops\":" << r.corrupt_drops
-     << ",\"stale_drops\":" << r.stale_drops
-     << ",\"failovers\":" << r.failovers
-     << ",\"peers_declared_dead\":" << r.peers_declared_dead << "}";
+  const char* separator = "{";
+  for (const ReliabilityField& field : kReliabilityFields) {
+    os << separator << quoted(field.key) << ":" << r.*field.member;
+    separator = ",";
+  }
+  os << "}";
   return os.str();
 }
 

@@ -1,5 +1,6 @@
 #include "harness/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "fwd/virtual_channel.hpp"
@@ -55,6 +56,22 @@ std::string size_label(std::uint64_t bytes) {
   return util::format_bytes(bytes);
 }
 
+using Stats = fwd::ReliabilityStats;
+const std::array<ReliabilityField, 12> kReliabilityFields = {{
+    {"paquets_acked", "acked", &Stats::paquets_acked},
+    {"retransmits", "retransmits", &Stats::retransmits},
+    {"fast_retransmits", "fast_rtx", &Stats::fast_retransmits},
+    {"timeouts", "timeouts", &Stats::timeouts},
+    {"congestion_marks", "marks", &Stats::congestion_marks},
+    {"window_decreases", "win_decr", &Stats::window_decreases},
+    {"flow_rejects", "rejects", &Stats::flow_rejects},
+    {"dup_drops", "dup_drops", &Stats::dup_drops},
+    {"corrupt_drops", "corrupt", &Stats::corrupt_drops},
+    {"stale_drops", "stale", &Stats::stale_drops},
+    {"failovers", "failovers", &Stats::failovers},
+    {"peers_declared_dead", "dead_peers", &Stats::peers_declared_dead},
+}};
+
 fwd::ReliabilityStats reliability_totals(const fwd::VirtualChannel& vc) {
   fwd::ReliabilityStats total;
   for (NodeRank rank = 0;
@@ -63,64 +80,42 @@ fwd::ReliabilityStats reliability_totals(const fwd::VirtualChannel& vc) {
       continue;
     }
     const fwd::ReliabilityStats& r = vc.gateway_stats(rank).reliability;
-    total.paquets_acked += r.paquets_acked;
-    total.retransmits += r.retransmits;
-    total.fast_retransmits += r.fast_retransmits;
-    total.timeouts += r.timeouts;
-    total.congestion_marks += r.congestion_marks;
-    total.window_decreases += r.window_decreases;
-    total.flow_rejects += r.flow_rejects;
-    total.dup_drops += r.dup_drops;
-    total.corrupt_drops += r.corrupt_drops;
-    total.stale_drops += r.stale_drops;
-    total.failovers += r.failovers;
-    total.peers_declared_dead += r.peers_declared_dead;
+    for (const ReliabilityField& field : kReliabilityFields) {
+      total.*field.member += r.*field.member;
+    }
   }
   return total;
 }
 
 void print_reliability(const fwd::VirtualChannel& vc) {
-  const char* const header_fmt =
-      "%-6s %12s %12s %12s %12s %12s %12s %12s %12s %12s\n";
-  const char* const row_fmt =
-      "%-6s %12llu %12llu %12llu %12llu %12llu %12llu %12llu %12llu %12llu\n";
   const auto row = [&](const char* label, const fwd::ReliabilityStats& r) {
-    std::printf(row_fmt, label,
-                static_cast<unsigned long long>(r.paquets_acked),
-                static_cast<unsigned long long>(r.retransmits),
-                static_cast<unsigned long long>(r.fast_retransmits),
-                static_cast<unsigned long long>(r.timeouts),
-                static_cast<unsigned long long>(r.dup_drops),
-                static_cast<unsigned long long>(r.corrupt_drops),
-                static_cast<unsigned long long>(r.stale_drops),
-                static_cast<unsigned long long>(r.failovers),
-                static_cast<unsigned long long>(r.peers_declared_dead));
-    std::printf(
-        "csv,reliability,%s,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
-        label, static_cast<unsigned long long>(r.paquets_acked),
-        static_cast<unsigned long long>(r.retransmits),
-        static_cast<unsigned long long>(r.fast_retransmits),
-        static_cast<unsigned long long>(r.timeouts),
-        static_cast<unsigned long long>(r.dup_drops),
-        static_cast<unsigned long long>(r.corrupt_drops),
-        static_cast<unsigned long long>(r.stale_drops),
-        static_cast<unsigned long long>(r.failovers),
-        static_cast<unsigned long long>(r.peers_declared_dead));
+    std::printf("%-6s", label);
+    for (const ReliabilityField& field : kReliabilityFields) {
+      std::printf(" %12llu",
+                  static_cast<unsigned long long>(r.*field.member));
+    }
+    std::printf("\ncsv,reliability,%s", label);
+    for (const ReliabilityField& field : kReliabilityFields) {
+      std::printf(",%llu", static_cast<unsigned long long>(r.*field.member));
+    }
+    std::printf("\n");
   };
   std::printf("\n=== reliability: %s ===\n", vc.name().c_str());
-  std::printf(header_fmt, "node", "acked", "retransmits", "fast_rtx",
-              "timeouts", "dup_drops", "corrupt", "stale", "failovers",
-              "dead_peers");
+  std::printf("%-6s", "node");
+  for (const ReliabilityField& field : kReliabilityFields) {
+    std::printf(" %12s", field.column);
+  }
+  std::printf("\n");
   for (NodeRank rank = 0;
        static_cast<std::size_t>(rank) < vc.domain().node_count(); ++rank) {
     if (!vc.is_member(rank)) {
       continue;
     }
     const fwd::ReliabilityStats& r = vc.gateway_stats(rank).reliability;
-    if (r.paquets_acked == 0 && r.retransmits == 0 &&
-        r.fast_retransmits == 0 && r.timeouts == 0 && r.dup_drops == 0 &&
-        r.corrupt_drops == 0 && r.stale_drops == 0 && r.failovers == 0 &&
-        r.peers_declared_dead == 0) {
+    if (std::all_of(kReliabilityFields.begin(), kReliabilityFields.end(),
+                    [&](const ReliabilityField& field) {
+                      return r.*field.member == 0;
+                    })) {
       continue;
     }
     row(std::to_string(rank).c_str(), r);

@@ -6,6 +6,7 @@
 // prefixed with "csv," for scripting.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -49,12 +50,24 @@ class ReportTable {
 /// "16 KB" style labels for power-of-two byte counts.
 std::string size_label(std::uint64_t bytes);
 
+/// One ReliabilityStats counter as the reports show it: its JSON key (the
+/// field's name), its print_reliability column and the field itself.
+struct ReliabilityField {
+  const char* key;
+  const char* column;
+  std::uint64_t fwd::ReliabilityStats::*member;
+};
+
+/// Every ReliabilityStats counter in declaration order: what
+/// reliability_totals sums and both reports print.
+extern const std::array<ReliabilityField, 12> kReliabilityFields;
+
 /// Sum of the per-member reliable-mode counters of `vc` — the figure the
 /// "total" row of print_reliability (and the JSON report) shows.
 fwd::ReliabilityStats reliability_totals(const fwd::VirtualChannel& vc);
 
-/// Per-member reliable-mode counters of `vc` (acks, retransmits, drops,
-/// failovers) as a fixed-width table plus "csv," mirror lines; all-zero
+/// Per-member reliable-mode counters of `vc` (every kReliabilityFields
+/// column) as a fixed-width table plus "csv," mirror lines; all-zero
 /// members are skipped, a "total" row (== reliability_totals) always
 /// prints.
 void print_reliability(const fwd::VirtualChannel& vc);

@@ -240,6 +240,14 @@ TEST(Observability, ReliabilityTotalsEqualPerNodeSums) {
   EXPECT_DOUBLE_EQ(
       reliability->find("total")->find("retransmits")->number,
       static_cast<double>(total.retransmits));
+  // Every counter is in the block, under its field's name.
+  for (const ReliabilityField& field : kReliabilityFields) {
+    const util::JsonValue* value =
+        reliability->find("total")->find(field.key);
+    ASSERT_NE(value, nullptr) << field.key;
+    EXPECT_DOUBLE_EQ(value->number, static_cast<double>(total.*field.member))
+        << field.key;
+  }
 }
 
 TEST(Reliability, RegistryCountersMatchStats) {
