@@ -90,8 +90,7 @@ VirtualChannel::VirtualChannel(Domain& domain, std::string name,
     // crosses every hop unfragmented.
     mtu_ -= kGtmTrailerBytes;
   }
-  buffers_ = util::BufferPool(static_cast<std::size_t>(mtu_) +
-                              kGtmTrailerBytes);
+  buffers_ = util::BufferPool(mtu_);
 
   // Topology over *local* network ids (positions in networks_).
   topology_ = std::make_unique<topo::Topology>(domain_.node_count());
@@ -170,16 +169,15 @@ void VirtualChannel::discard_stale_paquet(Channel& channel, NodeRank peer,
 void VirtualChannel::read_framing_tolerant(MessageReader& reader,
                                            Channel& channel, NodeRank self,
                                            util::MutByteSpan element) {
-  util::BufferLease scratch(buffers_, buffers_.capacity());
   for (;;) {
-    const std::uint32_t got =
-        reader.unpack_paquet(util::MutByteSpan(scratch.buffer()));
-    const util::ByteSpan wire(scratch.data(), got);
-    if (got == element.size()) {
+    const util::BufferLease paquet(channel.tm().packet_pool(),
+                                   reader.take_paquet());
+    const util::ByteSpan wire(paquet.buffer());
+    if (wire.size() == element.size()) {
       // The element size can collide with a small data paquet's wire size;
       // only a valid checksum identifies the imposter.
       if (!verified_trailer(wire)) {
-        std::memcpy(element.data(), scratch.data(), element.size());
+        std::memcpy(element.data(), wire.data(), element.size());
         return;
       }
     }
@@ -193,39 +191,37 @@ Preamble VirtualChannel::read_stream_head(MessageReader& reader,
                                           GtmStripeHeader* stripe) {
   header.reset();
   const NodeRank peer = reader.source();
-  util::BufferLease scratch(buffers_, buffers_.capacity());
   std::optional<Preamble> preamble;
   const auto count_ghost = [&](util::ByteSpan wire) {
     discard_stale_paquet(channel, peer, self, wire);
   };
   for (;;) {
-    const std::uint32_t got =
-        reader.unpack_paquet(util::MutByteSpan(scratch.buffer()));
-    const util::ByteSpan wire(scratch.data(), got);
+    const util::BufferLease paquet(channel.tm().packet_pool(),
+                                   reader.take_paquet());
+    const util::ByteSpan wire(paquet.buffer());
     if (verified_trailer(wire)) {
       // A late data paquet, never a framing element (framing carries no
       // trailer). Re-acked inside when its epoch already completed.
       discard_stale_paquet(channel, peer, self, wire);
       continue;
     }
-    if (got == static_cast<std::uint32_t>(sizeof(Preamble))) {
+    if (wire.size() == sizeof(Preamble)) {
       if (preamble) {
         // Two preambles in a row: the first was ghost framing whose header
         // a fault window ate. Charge it as stale and adopt the new one.
         count_ghost(util::object_bytes(*preamble));
       }
       Preamble p;
-      std::memcpy(&p, scratch.data(), sizeof(Preamble));
+      std::memcpy(&p, wire.data(), sizeof(Preamble));
       preamble = p;
       if (p.forwarded == 0) {
         return p;  // native stream: no GTM header follows
       }
       continue;
     }
-    if (got == static_cast<std::uint32_t>(sizeof(GtmMsgHeader)) && preamble &&
-        !header) {
+    if (wire.size() == sizeof(GtmMsgHeader) && preamble && !header) {
       GtmMsgHeader h;
-      std::memcpy(&h, scratch.data(), sizeof(GtmMsgHeader));
+      std::memcpy(&h, wire.data(), sizeof(GtmMsgHeader));
       if ((h.flags & kGtmFlagReliable) != 0) {
         const Connection& conn = channel.connection_to(peer);
         if (h.epoch <= conn.rx_epoch_done) {

@@ -215,10 +215,9 @@ class VirtualChannel {
   /// the wire MTU, so payload + trailer still fits every hop.
   std::uint32_t mtu() const { return mtu_; }
   bool reliable() const { return options_.reliable.enabled; }
-  /// Paquet buffers of the reliable path, at capacity mtu() plus the
-  /// trailer: two-sided ReliableSender wire buffers, ReliableReceiver
-  /// staging and reorder buffers, the tolerant framing reads and the
-  /// gateway's stored fragments. Each goes back when its owner is done.
+  /// The reliable gateway relay's stored fragments, at capacity mtu();
+  /// each relay gives its own back when it ends. (Paquets on the wire use
+  /// their network's pool, net::Network::buffer_pool.)
   util::BufferPool& buffer_pool() { return buffers_; }
   const util::BufferPool& buffer_pool() const { return buffers_; }
   const topo::Routing& routing() const { return *routing_; }

@@ -9,14 +9,6 @@
 
 namespace mad {
 
-std::uint32_t BmmRx::unpack_paquet(util::MutByteSpan /*capacity*/) {
-  MAD_PANIC("this BMM shape does not support paquet-granular receive");
-}
-
-std::uint32_t BmmRx::peek_paquet_size() {
-  MAD_PANIC("this BMM shape does not support paquet-granular receive");
-}
-
 namespace {
 
 // A static-buffer packet copied into a buffer of the TM's packet pool: the
@@ -132,18 +124,6 @@ void DynamicAggregRx::finish() { flush_all(); }
 
 void DynamicAggregRx::flush() { flush_all(); }
 
-std::uint32_t DynamicAggregRx::unpack_paquet(util::MutByteSpan capacity) {
-  MAD_ASSERT(pending_.empty(),
-             "unpack_paquet with partial-packet state pending");
-  const net::PacketInfo info = tm_.peek_packet(route_.tag);
-  MAD_ASSERT(info.size <= capacity.size(),
-             "paquet of " + std::to_string(info.size) +
-                 " bytes exceeds receive capacity " +
-                 std::to_string(capacity.size()));
-  tm_.recv_packet(route_.tag, util::MutIovec{capacity.first(info.size)});
-  return info.size;
-}
-
 util::Bytes DynamicAggregRx::take_paquet() {
   MAD_ASSERT(pending_.empty(), "take_paquet with partial-packet state pending");
   return tm_.take_packet(route_.tag);
@@ -156,12 +136,6 @@ std::optional<util::Bytes> DynamicAggregRx::take_paquet_until(
     return std::nullopt;
   }
   return tm_.take_packet(route_.tag);
-}
-
-std::uint32_t DynamicAggregRx::peek_paquet_size() {
-  MAD_ASSERT(pending_.empty(),
-             "peek_paquet_size with partial-packet state pending");
-  return tm_.peek_packet(route_.tag).size;
 }
 
 // ---------------------------------------------------------------- hybrid
@@ -228,27 +202,11 @@ void HybridRx::unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) {
 
 void HybridRx::finish() { rdma_.finish(); }
 
-std::uint32_t HybridRx::unpack_paquet(util::MutByteSpan capacity) {
-  rdma_.flush();
-  const net::PacketInfo info = tm_.peek_packet(route_.tag);
-  // Route by the wire size, exactly as the sender routed by the payload
-  // size: mesg-path packets travel in static buffers, rdma-path packets
-  // land straight in user memory.
-  if (info.size < threshold_) {
-    auto buffer = tm_.recv_packet_static(route_.tag);
-    MAD_ASSERT(buffer.used() <= capacity.size(),
-               "paquet exceeds receive capacity");
-    counted_copy(capacity.first(buffer.used()), buffer.data());
-    return static_cast<std::uint32_t>(buffer.used());
-  }
-  MAD_ASSERT(info.size <= capacity.size(), "paquet exceeds receive capacity");
-  tm_.recv_packet(route_.tag, util::MutIovec{capacity.first(info.size)});
-  return info.size;
-}
-
 util::Bytes HybridRx::take_paquet() {
   rdma_.flush();
-  // Routed by the wire size, like unpack_paquet.
+  // Route by the wire size, exactly as the sender routed by the payload
+  // size: mesg-path packets travel in static buffers, rdma-path packets
+  // are taken whole.
   if (tm_.peek_packet(route_.tag).size < threshold_) {
     return copy_to_pool(tm_, tm_.recv_packet_static(route_.tag));
   }
@@ -261,11 +219,6 @@ std::optional<util::Bytes> HybridRx::take_paquet_until(sim::Time deadline) {
     return std::nullopt;
   }
   return take_paquet();
-}
-
-std::uint32_t HybridRx::peek_paquet_size() {
-  rdma_.flush();
-  return tm_.peek_packet(route_.tag).size;
 }
 
 // ----------------------------------------------------------------- static tx
@@ -350,16 +303,6 @@ void StaticRx::finish() {
              "static BMM desync: leftover bytes at end of message");
 }
 
-std::uint32_t StaticRx::unpack_paquet(util::MutByteSpan capacity) {
-  MAD_ASSERT(!current_.valid(),
-             "unpack_paquet with partial-buffer state pending");
-  auto buffer = tm_.recv_packet_static(route_.tag);
-  MAD_ASSERT(buffer.used() <= capacity.size(),
-             "paquet exceeds receive capacity");
-  counted_copy(capacity.first(buffer.used()), buffer.data());
-  return static_cast<std::uint32_t>(buffer.used());
-}
-
 util::Bytes StaticRx::take_paquet() {
   MAD_ASSERT(!current_.valid(),
              "take_paquet with partial-buffer state pending");
@@ -373,12 +316,6 @@ std::optional<util::Bytes> StaticRx::take_paquet_until(sim::Time deadline) {
     return std::nullopt;
   }
   return copy_to_pool(tm_, tm_.recv_packet_static(route_.tag));
-}
-
-std::uint32_t StaticRx::peek_paquet_size() {
-  MAD_ASSERT(!current_.valid(),
-             "peek_paquet_size with partial-buffer state pending");
-  return tm_.peek_packet(route_.tag).size;
 }
 
 }  // namespace mad

@@ -54,26 +54,18 @@ class BmmRx {
                       RecvMode rmode) = 0;
   virtual void finish() = 0;
   /// Reliable-GTM receive: consumes exactly one wire packet of a priori
-  /// unknown size into the front of `capacity` and returns the actual
-  /// size (a retransmitted duplicate may differ from the expected
-  /// fragment). Only valid between Express boundaries, when the shape
-  /// holds no partial-packet state; shapes that cannot support it panic.
-  virtual std::uint32_t unpack_paquet(util::MutByteSpan capacity);
-  /// Reliable-GTM receive by ownership: consumes exactly one wire packet
-  /// and returns it in a buffer of the TM's packet_pool(), which the
-  /// caller gives back. Dynamic shapes hand over the NIC's own buffer; the
-  /// others copy the protocol buffer into a pool buffer. Same validity
-  /// rule as unpack_paquet.
+  /// unknown size (a retransmitted duplicate may differ from the expected
+  /// fragment) and returns it in a buffer of the TM's packet_pool(), which
+  /// the caller gives back. Dynamic shapes hand over the NIC's own buffer;
+  /// the others copy the protocol buffer into a pool buffer. Only valid
+  /// between Express boundaries, when the shape holds no partial-packet
+  /// state.
   virtual util::Bytes take_paquet() = 0;
   /// Timed take_paquet: nullopt when no packet arrives by `deadline`. The
   /// sliding-window receiver polls with this so it can notice a dead
   /// sender instead of blocking forever.
   virtual std::optional<util::Bytes> take_paquet_until(
       sim::Time deadline) = 0;
-  /// Size of the next wire paquet without consuming it (blocks until one
-  /// arrives). Reliable mode uses this at message boundaries to spot late
-  /// retransmits of the previous stream in front of the next preamble.
-  virtual std::uint32_t peek_paquet_size();
 };
 
 /// Where a Tx sends to / an Rx receives from.
@@ -116,10 +108,8 @@ class DynamicAggregRx final : public BmmRx {
   DynamicAggregRx(TransmissionModule& tm, RxRoute route, bool eager);
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
-  std::uint32_t unpack_paquet(util::MutByteSpan capacity) override;
   util::Bytes take_paquet() override;
   std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
-  std::uint32_t peek_paquet_size() override;
   void flush();
 
  private:
@@ -160,10 +150,8 @@ class HybridRx final : public BmmRx {
   HybridRx(TransmissionModule& tm, RxRoute route, std::uint32_t threshold);
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
-  std::uint32_t unpack_paquet(util::MutByteSpan capacity) override;
   util::Bytes take_paquet() override;
   std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
-  std::uint32_t peek_paquet_size() override;
 
  private:
   TransmissionModule& tm_;
@@ -195,10 +183,8 @@ class StaticRx final : public BmmRx {
   StaticRx(TransmissionModule& tm, RxRoute route);
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
-  std::uint32_t unpack_paquet(util::MutByteSpan capacity) override;
   util::Bytes take_paquet() override;
   std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
-  std::uint32_t peek_paquet_size() override;
 
  private:
   TransmissionModule& tm_;

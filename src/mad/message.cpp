@@ -109,18 +109,6 @@ void MessageReader::unpack(util::MutByteSpan dst, SendMode smode,
   payload_bytes_ += dst.size();
 }
 
-std::uint32_t MessageReader::unpack_paquet(util::MutByteSpan capacity) {
-  MAD_ASSERT(!ended_, "unpack_paquet after end_unpacking");
-  const std::uint32_t size = bmm_->unpack_paquet(capacity);
-  payload_bytes_ += size;
-  return size;
-}
-
-std::uint32_t MessageReader::peek_paquet_size() {
-  MAD_ASSERT(!ended_, "peek_paquet_size after end_unpacking");
-  return bmm_->peek_paquet_size();
-}
-
 util::Bytes MessageReader::take_paquet() {
   MAD_ASSERT(!ended_, "take_paquet after end_unpacking");
   util::Bytes paquet = bmm_->take_paquet();

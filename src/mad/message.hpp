@@ -93,24 +93,14 @@ class MessageReader {
     return value;
   }
 
-  /// Reliable-GTM receive: consumes exactly one wire packet of a priori
-  /// unknown size into the front of `capacity`, returning the actual size
-  /// (see BmmRx::unpack_paquet).
-  std::uint32_t unpack_paquet(util::MutByteSpan capacity);
-
-  /// Reliable-GTM receive by ownership: one wire packet in a buffer of
-  /// the channel TM's packet_pool(), which the caller gives back (see
-  /// BmmRx::take_paquet).
+  /// Reliable-GTM receive: one wire packet of a priori unknown size in a
+  /// buffer of the channel TM's packet_pool(), which the caller gives back
+  /// (see BmmRx::take_paquet).
   util::Bytes take_paquet();
 
   /// Timed take_paquet: nullopt when no packet arrives by `deadline`
   /// (sliding-window receivers poll so a dead sender is noticed).
   std::optional<util::Bytes> take_paquet_until(sim::Time deadline);
-
-  /// Size of the next wire paquet without consuming it (blocks until one
-  /// arrives). Reliable mode uses this at message boundaries to recognize
-  /// late retransmits of the previous stream in front of the preamble.
-  std::uint32_t peek_paquet_size();
 
   /// Finalizes extraction (mad_end_unpacking): all Cheaper blocks are
   /// guaranteed filled afterwards.

@@ -118,12 +118,16 @@ class BufferLease {
  public:
   BufferLease(Pool& pool, std::size_t size)
       : pool_(pool), buffer_(pool.take(size)) {}
+  /// Leases `buffer`, which `pool` made and the caller hands over.
+  BufferLease(Pool& pool, Bytes buffer)
+      : pool_(pool), buffer_(std::move(buffer)) {}
   ~BufferLease() { pool_.give(std::move(buffer_)); }
 
   BufferLease(const BufferLease&) = delete;
   BufferLease& operator=(const BufferLease&) = delete;
 
   Bytes& buffer() { return buffer_; }
+  const Bytes& buffer() const { return buffer_; }
   std::byte* data() { return buffer_.data(); }
   std::size_t size() const { return buffer_.size(); }
 

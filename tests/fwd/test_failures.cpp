@@ -303,10 +303,11 @@ TEST(Reliable, SurvivesCorruptionAndDuplication) {
 
 TEST(Reliable, PaquetBuffersReturnToTheirPools) {
   // A window-16 relay under drop, corruption and duplication runs every
-  // pooled paquet buffer: wire packets, reliable wire buffers, receive
-  // staging, the reorder buffer, retransmits and the gateway's stored
-  // fragments. Each must be back in its pool once the run is over, and a
-  // second identical batch must be served by the buffers the first made.
+  // pooled paquet buffer: wire packets (every reliable paquet and
+  // retransmit crosses in one), dropped packets, duplicates' twins, the
+  // reorder buffer and the gateway's stored fragments. Each must be back
+  // in its pool once the run is over, and a second identical batch must
+  // be served by the buffers the first made.
   fwd::VcOptions options = reliable_options();
   options.reliable.window = 16;
   PaperRig rig(options);
@@ -430,8 +431,9 @@ TEST(Reliable, GatewayCrashFailsOverToAlternate) {
 
 TEST(Reliable, PaquetBuffersReturnAfterAFailover) {
   // A window-16 origin loses its gateway with paquets in flight: the
-  // abandoned window's wire buffers go back to the channel's pool with
-  // the dead hop's sender, and so does whatever the crashed relay held.
+  // packets sent toward the crashed gateway go back to their network's
+  // pool (dropped, or consumed by nobody and still queued), and the
+  // stored fragments the crashed relay held go back to the channel's.
   fwd::VcOptions options = reliable_options();
   options.reliable.window = 16;
   DualGatewayRig rig(options);
@@ -460,6 +462,15 @@ TEST(Reliable, PaquetBuffersReturnAfterAFailover) {
   const util::BufferPool& pool = rig.vc->buffer_pool();
   EXPECT_GT(pool.takes(), 0u);
   EXPECT_EQ(pool.idle(), pool.takes() - pool.reuses());
+  for (const net::Network* network : {&rig.myri, &rig.sci}) {
+    std::size_t queued = 0;
+    for (int i = 0; i < static_cast<int>(network->size()); ++i) {
+      queued += network->nic(i).queued();
+    }
+    const util::BufferPool& wire = network->buffer_pool();
+    EXPECT_EQ(wire.idle() + queued, wire.takes() - wire.reuses())
+        << network->name();
+  }
 }
 
 TEST(Failures, RoutingRebuildDuringPlainRelayLeavesMessageIntact) {
