@@ -15,8 +15,8 @@
 //                     kept) or default-constructs one.
 //   * BufferPool    — uniform-capacity LIFO pool of util::Bytes, built on
 //                     Arena: every paquet-sized buffer of the forwarding
-//                     path (wire packets, reliable wire, staging and
-//                     reorder buffers, the gateway's stored fragments).
+//                     path (wire packets, which reliable senders fill and
+//                     receivers park, and the gateway's stored fragments).
 //   * BufferArena   — size-aware best-fit recycler for byte buffers, kept
 //                     for the RDMA senders, whose pin-down cache keys on
 //                     buffer addresses.
@@ -109,8 +109,8 @@ class BufferArena {
   std::uint64_t reuses_ = 0;
 };
 
-/// RAII scratch buffer: taken from a BufferPool or BufferArena on
-/// construction, retired on destruction. Safe across actor blocking
+/// RAII scratch buffer: taken from a BufferPool or BufferArena (or handed
+/// over) on construction, retired on destruction. Safe across actor blocking
 /// points — each lease owns its buffer outright, concurrent leases simply
 /// draw distinct buffers.
 template <typename Pool>
