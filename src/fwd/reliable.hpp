@@ -223,8 +223,8 @@ class ReliableSender {
   /// (gtm_copy_checksum) and seals the trailer; a retransmit copies the
   /// payload again and appends the sealed trailer. So the payload must
   /// read the same until the paquet leaves the window: a fragment is a
-  /// view of memory the caller keeps that long (a Safer block's snapshot,
-  /// a Cheaper or Later block's user memory, which is valid until
+  /// view of memory the caller keeps that long (a Safer or Later block's
+  /// snapshot, a Cheaper block's user memory, which is unchanged until
   /// end_packing, or a gateway's stored fragment), a header is a copy.
   struct InFlight {
     std::uint32_t seq = 0;

@@ -189,10 +189,14 @@ void Striper::feed(std::size_t rail, RailItem item) {
 void Striper::pack(util::ByteSpan data, SendMode smode, RecvMode rmode) {
   MAD_ASSERT(!ended_, "pack after end_packing");
   util::ByteSpan src = data;
-  if (smode == SendMode::Safer) {
+  if (smode == SendMode::Safer ||
+      (smode == SendMode::Later && vc_.reliable())) {
     // Safer lets the app reuse the buffer as soon as pack() returns, but
-    // the rail actor sends later: snapshot into the striper's arena (kept
-    // until destruction — reliable repair may replay it much later).
+    // the rail actor sends later. Later lets the app change it before
+    // end_packing, but a reliable rail resends each paquet under the
+    // trailer its first transmission sealed. Either way: snapshot into the
+    // striper's arena (kept until destruction — reliable repair may replay
+    // it much later).
     copies_.emplace_back(data.begin(), data.end());
     src = util::ByteSpan(copies_.back());
   }

@@ -751,12 +751,13 @@ void VcMessageWriter::pack(util::ByteSpan data, SendMode smode,
   if (vc_->reliable()) {
     // Keep the block for replay: a downstream gateway crash can surface
     // any number of blocks later, and the message restarts from scratch on
-    // the alternate route. Replays happen only inside pack() and
-    // end_packing(), until which Cheaper and Later leave the caller's
-    // buffer unchanged; Safer lets the caller reuse it once pack()
-    // returns, so only Safer blocks are snapshotted.
+    // the alternate route. Replays and retransmissions happen only inside
+    // pack() and end_packing(), until which a Cheaper buffer stays
+    // unchanged. Safer and Later let the caller change it once pack()
+    // returns, but every retransmission must carry the bytes its first
+    // transmission sealed, so those blocks are snapshotted.
     replay_.push_back(
-        smode == SendMode::Safer
+        smode != SendMode::Cheaper
             ? StoredBlock(header,
                           std::vector<std::byte>(data.begin(), data.end()))
             : StoredBlock(header, data));

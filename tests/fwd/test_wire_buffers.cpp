@@ -123,6 +123,100 @@ TEST(WireBuffers, RetransmitsCarryThePackedBytes) {
       << "the gateway never resent a stored fragment";
 }
 
+/// Seeded 5% drops on each of `networks`.
+void drop_five_percent(const std::vector<net::Network*>& networks) {
+  net::FaultPlan plan;
+  plan.seed = 4;
+  plan.drop_rate = 0.05;
+  for (net::Network* network : networks) {
+    network->set_fault_plan(plan);
+  }
+}
+
+/// Sends one Later block from `src` to `dst`, scribbling over its source
+/// right after pack() (before end_packing, which Later allows), and checks
+/// that the block crosses as packed: a reliable hop reads a Later block at
+/// pack(), so its retransmissions must carry those bytes too. Returns the
+/// time pack() returned.
+template <typename Rig>
+sim::Time send_scribbled_later_block(Rig& rig, NodeRank src, NodeRank dst,
+                                     NodeRank nodes) {
+  const std::vector<std::byte> later = util::Rng(64).bytes(kBlock);
+  std::vector<std::byte> later_src = later;
+  std::vector<std::byte> later_out(kBlock);
+  sim::Time packed = 0;
+  rig.engine.spawn("s", [&] {
+    auto msg = rig.ep(src).begin_packing(dst);
+    msg.pack(later_src, SendMode::Later, RecvMode::Cheaper);
+    packed = rig.engine.now();
+    std::fill(later_src.begin(), later_src.end(), std::byte{0xCC});
+    msg.end_packing();
+  });
+  rig.engine.spawn("r", [&] {
+    auto msg = rig.ep(dst).begin_unpacking();
+    msg.unpack(later_out, SendMode::Later, RecvMode::Cheaper);
+    msg.end_unpacking();
+  });
+  rig.engine.run();
+  EXPECT_EQ(later_out, later);
+  for (NodeRank rank = 0; rank < nodes; ++rank) {
+    const ReliabilityStats& r = rig.vc->gateway_stats(rank).reliability;
+    EXPECT_EQ(r.corrupt_drops, 0u) << "node " << rank;
+    EXPECT_EQ(r.failovers, 0u) << "node " << rank;
+  }
+  return packed;
+}
+
+TEST(WireBuffers, LaterBlockChangedBeforeEndPackingCrossesAsPacked) {
+  // The origin keeps a Later block for its retransmissions: the caller
+  // may change the buffer once pack() returns, and the trailer sealed by
+  // the first transmission covers the bytes as packed.
+  sim::TraceSink trace;
+  trace.enable();
+  VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = true;
+  options.reliable.window = 16;
+  options.trace = &trace;
+  PaperRig rig(options);
+  drop_five_percent({&rig.myri, &rig.sci});
+  const sim::Time packed = send_scribbled_later_block(
+      rig, rig.myri_node(), rig.sci_node(), /*nodes=*/3);
+  // Paquet 0 is the block header, 1..k its fragments.
+  const auto k =
+      static_cast<std::uint32_t>(fragment_count(kBlock, rig.vc->mtu()));
+  EXPECT_GT(resends(trace, "s", 1, k, packed), 0u)
+      << "no Later fragment was resent after its source was scribbled";
+}
+
+TEST(WireBuffers, StripedLaterBlockChangedBeforeEndPackingCrossesAsPacked) {
+  // Same for the striper, whose rail actors send after pack() returns.
+  sim::TraceSink trace;
+  trace.enable();
+  VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = true;
+  options.reliable.window = 16;
+  options.max_rails = 2;
+  options.trace = &trace;
+  testsupport::DisjointRailRig rig(options);
+  drop_five_percent({&rig.myri_a, &rig.myri_b, &rig.sci});
+  const sim::Time packed =
+      send_scribbled_later_block(rig, /*src=*/0, /*dst=*/3, /*nodes=*/4);
+  std::size_t rail_resends = 0;
+  for (const char* name : {"rel.retransmit", "rel.fast_retransmit",
+                           "rel.sack_retransmit"}) {
+    for (const sim::TraceEvent& event : trace.by_name(name)) {
+      rail_resends += event.track.find(".rail") != std::string::npos &&
+                              event.begin >= packed
+                          ? 1
+                          : 0;
+    }
+  }
+  EXPECT_GT(rail_resends, 0u)
+      << "no rail resent a paquet after the source was scribbled";
+}
+
 /// Relays one 1 MiB Cheaper block from m0 to s0 (m1 only widens the
 /// Myrinet channel so that it announces messages) and returns the bytes
 /// each network's NICs copied into packets.
