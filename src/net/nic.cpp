@@ -69,20 +69,9 @@ Nic::TagQueue& Nic::tag_queue(std::uint64_t tag) {
   return *it->second;
 }
 
-void Nic::send(int dst_index, std::uint64_t tag,
-               const util::ConstIovec& data, const SendOptions& opts) {
-  transmit(dst_index, tag, util::total_size(data), &data, {}, opts);
-}
-
-void Nic::send(int dst_index, std::uint64_t tag, util::Bytes packet,
-               const SendOptions& opts) {
-  const std::size_t n = packet.size();
-  transmit(dst_index, tag, n, nullptr, std::move(packet), opts);
-}
-
-void Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
-                   const util::ConstIovec* gather, util::Bytes packet,
-                   const SendOptions& opts) {
+template <typename Payload>
+bool Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
+                   Payload&& payload, const SendOptions& opts) {
   MAD_ASSERT(n > 0, "send of empty packet");
   MAD_ASSERT(n <= model().max_packet,
              "packet of " + std::to_string(n) + " bytes exceeds max_packet " +
@@ -144,16 +133,12 @@ void Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
   }
   const auto wire = network_.reserve_wire(index_, dst_index, n, flow_start);
   auto timing = std::make_shared<TxTiming>();
-  if (fault == FaultAction::Drop) {
-    if (gather == nullptr) {
-      network_.buffer_pool().give(std::move(packet));
-    }
-  } else {
-    const auto descriptor = [&](util::Bytes payload) {
+  if (fault != FaultAction::Drop) {
+    const auto descriptor = [&](util::Bytes buffer) {
       WirePacket wire_packet;
       wire_packet.src_index = index_;
       wire_packet.tag = tag;
-      wire_packet.payload = std::move(payload);
+      wire_packet.payload = std::move(buffer);
       wire_packet.send_time = flow_start;
       wire_packet.visible_time = wire.depart + model().wire_latency;
       wire_packet.wire_end = wire.wire_end;
@@ -162,20 +147,17 @@ void Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
       wire_packet.timing = timing;
       return wire_packet;
     };
-    // A gather list is snapshotted at flow start; the sender is blocked
-    // for the whole flow, so the source cannot change meanwhile. An
-    // adopted buffer already is the packet. Either way the receiving NIC,
-    // or the consumer it hands the buffer to, gives it back to the pool.
-    util::Bytes payload =
-        gather != nullptr ? snapshot(network_, *gather, n) : std::move(packet);
+    // The receiving NIC, or the consumer it hands the buffer to, gives it
+    // back to the pool.
+    util::Bytes packet = payload();
     if (fault == FaultAction::Duplicate) {
       dst_nic.enqueue(descriptor(
-          snapshot(network_, util::ConstIovec{util::ByteSpan(payload)}, n)));
+          snapshot(network_, util::ConstIovec{util::ByteSpan(packet)}, n)));
     }
     if (fault == FaultAction::Corrupt) {
-      injector->corrupt(util::MutByteSpan(payload));
+      injector->corrupt(util::MutByteSpan(packet));
     }
-    dst_nic.enqueue(descriptor(std::move(payload)));
+    dst_nic.enqueue(descriptor(std::move(packet)));
   }
 
   // One-sided sends are bus-master DMA regardless of the protocol's
@@ -186,6 +168,25 @@ void Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
   dst_nic.notify_tx_done();
   ++packets_sent_;
   bytes_sent_ += n;
+  return fault != FaultAction::Drop;
+}
+
+void Nic::send(int dst_index, std::uint64_t tag,
+               const util::ConstIovec& data, const SendOptions& opts) {
+  // Snapshotted at flow start; the sender is blocked for the whole flow,
+  // so the source cannot change meanwhile.
+  const std::size_t n = util::total_size(data);
+  transmit(dst_index, tag, n, [&] { return snapshot(network_, data, n); },
+           opts);
+}
+
+void Nic::send(int dst_index, std::uint64_t tag, util::Bytes packet,
+               const SendOptions& opts) {
+  // The buffer already is the packet; a dropped one goes back to the pool.
+  if (!transmit(dst_index, tag, packet.size(),
+                [&packet] { return std::move(packet); }, opts)) {
+    network_.buffer_pool().give(std::move(packet));
+  }
 }
 
 void Nic::wait_rx_space() {

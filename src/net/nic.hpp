@@ -205,11 +205,13 @@ class Nic {
   };
 
   TagQueue& tag_queue(std::uint64_t tag);
-  /// The body shared by every send: `gather` (snapshotted at flow start)
-  /// when set, else the adopted `packet`; `n` bytes either way.
-  void transmit(int dst_index, std::uint64_t tag, std::size_t n,
-                const util::ConstIovec* gather, util::Bytes packet,
-                const SendOptions& opts);
+  /// The body shared by every send of an `n`-byte packet: calls
+  /// `payload()` at flow start for the packet's buffer, one of
+  /// network().buffer_pool(). Returns false, without calling it, when
+  /// the packet is dropped.
+  template <typename Payload>
+  bool transmit(int dst_index, std::uint64_t tag, std::size_t n,
+                Payload&& payload, const SendOptions& opts);
   /// Common blocking receive path: pops the head packet and charges the
   /// receiver-side timing.
   WirePacket consume(std::uint64_t tag);
