@@ -311,7 +311,14 @@ class ReliableSender {
   // fit: the pin-down cache keys on buffer addresses, so every reuse —
   // including a retransmit, which re-sends the very buffer pinned for the
   // first attempt — hits, and a tiny block-header paquet does not claim
-  // (and re-key) an MTU-sized registered fragment buffer.
+  // (and re-key) an MTU-sized registered fragment buffer. Its two-sided
+  // paquets (headers, end markers, blocks under the rendezvous
+  // threshold) cycle through the arena too, although only one-sided
+  // writes pin: which retired buffer a one-sided fragment reuses, and so
+  // whether its pin hits, depends on every buffer the arena has handed
+  // out. Sending them through the adopting path instead changes which
+  // pins hit and moves the pinned one-way times of the RDMA rows of
+  // GatewayRelayMatrix and OriginEgressMatrix (fwd/test_gateway.cpp).
   util::BufferArena wire_arena_;
   std::deque<InFlight> inflight_;
   // Duplicate-cumulative-ack tracking (fast retransmit, window > 1 only).
