@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/condition.hpp"
@@ -150,6 +153,104 @@ TEST(EngineStats, IdenticalRunsReportIdenticalStatsAndWakeOrder) {
   EXPECT_EQ(a.noop_notifies, b.noop_notifies);
   EXPECT_EQ(a.direct_handoffs, b.direct_handoffs);
   EXPECT_EQ(a.scheduler_rounds, b.scheduler_rounds);
+}
+
+// Pins the exact schedule of a run that leans on the timer queue's tie
+// order: identical-run equality cannot catch a queue that changes the tie
+// order consistently. 1000 sleepers share one deadline, 64 RTO-style
+// receivers arm and cancel a recv_until timeout per round (some of them
+// expire on the very instant their paquet is sent), and a few deadlines
+// lie past 17 s, one of them cancelled by a notify. The figures were
+// recorded with the engine's earlier timer wheel.
+TEST(EngineStats, TimerTieOrderIsPinned) {
+  constexpr int kSleepers = 1000;
+  constexpr int kReceivers = 64;
+  constexpr int kRounds = 20;
+  Engine eng;
+  // One wake record per resumption: (actor id, virtual time).
+  std::vector<std::pair<ActorId, Time>> wakes;
+  std::vector<int> sleeper_order;
+  int timeouts = 0;
+  eng.spawn("root", [&] {
+    Engine& e = *Engine::current();
+    for (int i = 0; i < kSleepers; ++i) {
+      e.spawn("sleeper" + std::to_string(i), [&, i] {
+        // Staggered arming, so arm order is not id order.
+        e.sleep_for(nanoseconds((i * 37) % 11));
+        e.sleep_until(microseconds(50));
+        wakes.emplace_back(e.current_actor_id(), e.now());
+        sleeper_order.push_back(i);
+      });
+    }
+    std::vector<std::unique_ptr<Mailbox<int>>> boxes;
+    for (int k = 0; k < kReceivers; ++k) {
+      boxes.push_back(std::make_unique<Mailbox<int>>(e, 0, "rto"));
+    }
+    for (int k = 0; k < kReceivers; ++k) {
+      Mailbox<int>& box = *boxes[static_cast<std::size_t>(k)];
+      e.spawn("sender" + std::to_string(k), [&, k] {
+        for (int r = 0; r < kRounds; ++r) {
+          e.sleep_for(microseconds((k * 7 + r * 13) % 5));
+          box.send(r);
+        }
+      });
+      e.spawn("receiver" + std::to_string(k), [&] {
+        for (int r = 0; r < kRounds; ++r) {
+          // A 3 us RTO: the sender's 3 us and 4 us delays expire it.
+          const std::optional<int> got =
+              box.recv_until(e.now() + microseconds(3));
+          wakes.emplace_back(e.current_actor_id(), e.now());
+          if (!got) {
+            ++timeouts;
+            (void)box.recv();
+            wakes.emplace_back(e.current_actor_id(), e.now());
+          }
+        }
+      });
+    }
+    Condition far(e, "far");
+    e.spawn("far-waiter", [&] {
+      // Cancelled by the first far sleeper's notify, at 18 s.
+      EXPECT_EQ(far.wait_until(seconds(40)), WakeReason::Notified);
+      wakes.emplace_back(e.current_actor_id(), e.now());
+    });
+    for (const Time t : {seconds(20), seconds(18) + nanoseconds(5),
+                         seconds(20)}) {
+      e.spawn("far", [&, t] {
+        e.sleep_until(t);
+        wakes.emplace_back(e.current_actor_id(), e.now());
+        far.notify_all();
+      });
+    }
+    e.sleep_until(seconds(25));
+  });
+  eng.run();
+
+  std::vector<int> ascending(kSleepers);
+  for (int i = 0; i < kSleepers; ++i) {
+    ascending[static_cast<std::size_t>(i)] = i;
+  }
+  EXPECT_EQ(sleeper_order, ascending);
+  // FNV-1a over the whole wake log.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto& [id, t] : wakes) {
+    for (const std::uint64_t v : {static_cast<std::uint64_t>(id),
+                                  static_cast<std::uint64_t>(t)}) {
+      hash = (hash ^ v) * 0x100000001b3ULL;
+    }
+  }
+  const Engine::Stats s = eng.stats();
+  EXPECT_EQ(wakes.size(), 2540u);
+  EXPECT_EQ(hash, 16641142369553904613ULL);
+  EXPECT_EQ(timeouts, 256);
+  EXPECT_EQ(eng.now(), seconds(25));
+  EXPECT_EQ(s.switches, 5351u);
+  EXPECT_EQ(s.timer_fires, 3193u);
+  EXPECT_EQ(s.notifies, 1025u);
+  EXPECT_EQ(s.noop_notifies, 258u);
+  EXPECT_EQ(s.direct_handoffs, 5350u);
+  EXPECT_EQ(s.scheduler_rounds, 1u);
+  EXPECT_EQ(s.stacks_mapped, 1133u);
 }
 
 }  // namespace
