@@ -111,7 +111,7 @@ RingRun run_rings(int actors, int tokens_per_ring, int hops_per_token) {
               }
               const int hops_left = *token;
               // Deterministic per-hop service time, varied per actor so
-              // the timer wheel sees scattered deadlines, not one bucket.
+              // the timer queue sees scattered deadlines, not one tie.
               eng.sleep_for(mad::sim::nanoseconds(200 + (self % 97) * 13));
               ++out.hops;
               if (hops_left <= 1) {

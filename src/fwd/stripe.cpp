@@ -194,9 +194,9 @@ void Striper::pack(util::ByteSpan data, SendMode smode, RecvMode rmode) {
     // Safer lets the app reuse the buffer as soon as pack() returns, but
     // the rail actor sends later. Later lets the app change it before
     // end_packing, but a reliable rail resends each paquet under the
-    // trailer its first transmission sealed. Either way: snapshot into the
-    // striper's arena (kept until destruction — reliable repair may replay
-    // it much later).
+    // trailer its first transmission sealed (the SendMode::Later contract
+    // in mad/types.hpp). Either way: snapshot into the striper's arena
+    // (kept until destruction — reliable repair may replay it much later).
     copies_.emplace_back(data.begin(), data.end());
     src = util::ByteSpan(copies_.back());
   }

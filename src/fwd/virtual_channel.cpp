@@ -755,7 +755,8 @@ void VcMessageWriter::pack(util::ByteSpan data, SendMode smode,
     // pack() and end_packing(), until which a Cheaper buffer stays
     // unchanged. Safer and Later let the caller change it once pack()
     // returns, but every retransmission must carry the bytes its first
-    // transmission sealed, so those blocks are snapshotted.
+    // transmission sealed, so those blocks are snapshotted (the
+    // SendMode::Later contract in mad/types.hpp).
     replay_.push_back(
         smode != SendMode::Cheaper
             ? StoredBlock(header,

@@ -18,8 +18,18 @@ enum class SendMode {
   /// Data is copied at pack() time; the user may modify the buffer as soon
   /// as pack() returns. Costs one software copy.
   Safer,
-  /// Data is read no earlier than end_packing(); modifications made before
-  /// end_packing() are transmitted.
+  /// Data is read somewhere between pack() and end_packing(), so a change
+  /// made in between may or may not be transmitted. The path decides (a
+  /// deviation from the paper, which reads it at end_packing(); see
+  /// ARCHITECTURE.md §3):
+  ///   * a native channel's aggregating BMM reads it at the next Express
+  ///     block or at end_packing() (DynamicAggregTx suspends its drain);
+  ///     the eager and static shapes and the hybrid's small blocks read it
+  ///     during pack();
+  ///   * a forwarded (GTM) message reads it during pack(), and a reliable
+  ///     hop snapshots it there so retransmissions carry the sealed bytes;
+  ///     a plain striped message's rail actors read it before
+  ///     end_packing() returns.
   Later,
   /// Madeleine chooses the cheapest scheme; the buffer must stay unchanged
   /// until end_packing(). This is the common, fastest mode.

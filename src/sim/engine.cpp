@@ -218,16 +218,13 @@ void Engine::make_ready(ActorState& a, WakeReason reason) {
 }
 
 void Engine::arm_timer(ActorState& a, Time deadline) {
-  MAD_ASSERT(!a.timer_armed, "timer already armed");
-  a.timer_armed = true;
-  a.timer_deadline = deadline;
+  MAD_ASSERT(!timers_.armed(a.id), "timer already armed");
   timers_.arm(deadline, a.id);
 }
 
 void Engine::cancel_timer(ActorState& a) {
-  if (a.timer_armed) {
+  if (timers_.armed(a.id)) {
     timers_.cancel(a.id);
-    a.timer_armed = false;
   }
 }
 
@@ -246,7 +243,7 @@ void Engine::request_stop() {
 
 WakeReason Engine::park() {
   // The caller has already queued this actor (ready queue, condition
-  // waiters and/or timer wheel) with status Blocked or Ready.
+  // waiters and/or timer queue) with status Blocked or Ready.
   ActorState& a = self();
   // Yields park as Ready; only a true wait (sleep, condition) is a block.
   if (trace_ != nullptr && trace_->enabled() &&
@@ -285,10 +282,13 @@ Engine::ActorState* Engine::hand_off(bool from_actor) {
       return &next;
     }
     if (!timers_.empty()) {
-      const TimerWheel::Entry e = timers_.pop_min();
+      // pop_min disarms the timer it returns, so make_ready will not
+      // cancel it again.
+      const TimerQueue::Entry e = timers_.pop_min();
       ActorState& ta = actor(e.id);
-      MAD_ASSERT(ta.timer_armed, "fired timer for an unarmed actor");
-      ta.timer_armed = false;  // consumed: make_ready must not re-cancel
+      // Every way out of Blocked cancels the actor's timer.
+      MAD_ASSERT(ta.status == Status::Blocked,
+                 "fired timer for an unarmed actor");
       if (e.deadline > horizon_ && !stopping_) {
         if (!engine_error_) {
           engine_error_ = std::make_exception_ptr(std::runtime_error(

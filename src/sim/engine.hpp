@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/timer_queue.hpp"
 
 namespace mad::sim {
 
@@ -196,7 +196,7 @@ class Engine {
 
   std::vector<std::unique_ptr<ActorState>> actors_;
   std::deque<ActorId> ready_;
-  TimerWheel timers_;
+  TimerQueue timers_;
   Time now_ = 0;
   Time horizon_ = kForever;
   TraceSink* trace_ = nullptr;

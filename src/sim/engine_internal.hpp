@@ -41,8 +41,6 @@ struct Engine::ActorState {
   Fiber fiber;
   WakeReason wake_reason = WakeReason::Notified;
   Condition* waiting_cond = nullptr;
-  bool timer_armed = false;
-  Time timer_deadline = 0;
 };
 
 }  // namespace mad::sim

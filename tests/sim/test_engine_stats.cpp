@@ -161,7 +161,8 @@ TEST(EngineStats, IdenticalRunsReportIdenticalStatsAndWakeOrder) {
 // receivers arm and cancel a recv_until timeout per round (some of them
 // expire on the very instant their paquet is sent), and a few deadlines
 // lie past 17 s, one of them cancelled by a notify. The figures were
-// recorded with the engine's earlier timer wheel.
+// recorded with the hierarchical timer wheel the binary-heap queue
+// replaced; both queues must give exactly this schedule.
 TEST(EngineStats, TimerTieOrderIsPinned) {
   constexpr int kSleepers = 1000;
   constexpr int kReceivers = 64;

@@ -1,4 +1,4 @@
-#include "sim/timer_wheel.hpp"
+#include "sim/timer_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@
 namespace mad::sim {
 namespace {
 
-TEST(TimerWheel, PopsInDeadlineOrder) {
-  TimerWheel w;
+TEST(TimerQueue, PopsInDeadlineOrder) {
+  TimerQueue w;
   w.arm(nanoseconds(300), 0);
   w.arm(nanoseconds(100), 1);
   w.arm(nanoseconds(200), 2);
@@ -24,8 +24,8 @@ TEST(TimerWheel, PopsInDeadlineOrder) {
   EXPECT_TRUE(w.empty());
 }
 
-TEST(TimerWheel, TiesBreakByActorId) {
-  TimerWheel w;
+TEST(TimerQueue, TiesBreakByActorId) {
+  TimerQueue w;
   // Same deadline, ids armed out of order: expiry must be ascending id —
   // the determinism contract inherited from the old std::set queue.
   for (int id : {7, 2, 9, 0, 5}) {
@@ -40,8 +40,8 @@ TEST(TimerWheel, TiesBreakByActorId) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 5, 7, 9}));
 }
 
-TEST(TimerWheel, CancelRemovesAndUnarms) {
-  TimerWheel w;
+TEST(TimerQueue, CancelRemovesAndUnarms) {
+  TimerQueue w;
   w.arm(nanoseconds(50), 0);
   w.arm(nanoseconds(60), 1);
   EXPECT_TRUE(w.armed(0));
@@ -51,10 +51,10 @@ TEST(TimerWheel, CancelRemovesAndUnarms) {
   EXPECT_EQ(w.pop_min().id, 1);
 }
 
-TEST(TimerWheel, CancelThenRearmAtSameDeadline) {
-  TimerWheel w;
+TEST(TimerQueue, CancelThenRearmAtSameDeadline) {
+  TimerQueue w;
   // The stale lazily-cancelled entry is bit-identical in (deadline, id)
-  // to the live rearm; only the generation distinguishes them. The wheel
+  // to the live rearm; only the generation distinguishes them. The queue
   // must deliver exactly one expiry.
   for (int round = 0; round < 5; ++round) {
     w.arm(microseconds(3), 42);
@@ -66,19 +66,18 @@ TEST(TimerWheel, CancelThenRearmAtSameDeadline) {
   EXPECT_TRUE(w.empty());
 }
 
-TEST(TimerWheel, FarDeadlinesBeyondWheelRange) {
-  TimerWheel w;
-  w.arm(seconds(120), 0);  // far heap: past the wheel's ~17 s span
+TEST(TimerQueue, FarDeadlinesPopInOrder) {
+  TimerQueue w;
+  w.arm(seconds(120), 0);
   w.arm(microseconds(5), 1);
   w.arm(seconds(90), 2);
-  EXPECT_EQ(w.far_count(), 2u);
   EXPECT_EQ(w.pop_min().id, 1);
   EXPECT_EQ(w.pop_min().id, 2);
   EXPECT_EQ(w.pop_min().id, 0);
 }
 
-TEST(TimerWheel, RtoCancelStormStaysBounded) {
-  TimerWheel w;
+TEST(TimerQueue, RtoCancelStormStaysBounded) {
+  TimerQueue w;
   // The forwarding layer's duty cycle: arm a retransmission timeout,
   // cancel it when the paquet arrives — thousands of times per live
   // expiry. Lazy cancellation must keep bookkeeping exact through the
@@ -99,14 +98,14 @@ TEST(TimerWheel, RtoCancelStormStaysBounded) {
 }
 
 // Differential test: random arm/cancel/pop traffic against the reference
-// ordered set the engine used before the wheel. Every extraction must
-// match the set's minimum exactly — deadline AND id.
-TEST(TimerWheel, MatchesOrderedSetReference) {
+// ordered set the engine once used. Every extraction must match the set's
+// minimum exactly — deadline AND id.
+TEST(TimerQueue, MatchesOrderedSetReference) {
   util::Rng rng(0x71e77bee15eedULL);
-  TimerWheel w;
+  TimerQueue w;
   std::set<std::pair<Time, int>> ref;
   std::vector<Time> armed_at(256, -1);  // -1 = unarmed
-  Time floor = 0;  // deadlines may not precede the wheel's horizon
+  Time floor = 0;  // deadlines may not precede the last pop
 
   for (int step = 0; step < 50'000; ++step) {
     const std::uint64_t op = rng.next_u64() % 100;
@@ -117,7 +116,7 @@ TEST(TimerWheel, MatchesOrderedSetReference) {
       }
       Time d = floor + static_cast<Time>(rng.next_u64() % microseconds(40));
       if (rng.next_u64() % 50 == 0) {
-        d += seconds(60);  // exercise the far heap
+        d += seconds(60);  // far deadlines
       }
       w.arm(d, id);
       ref.emplace(d, id);
