@@ -117,6 +117,13 @@ void Egress::fragment(util::ByteSpan payload) {
   }
 }
 
+void Egress::fragment(util::Bytes paquet) {
+  MAD_ASSERT(!sender_ && !one_sided_,
+             "an owned fragment on a reliable or one-sided hop");
+  --fragments_left_;
+  writer_->send_paquet(std::move(paquet));
+}
+
 void Egress::block(const GtmBlockHeader& header, util::ByteSpan data) {
   block_header(header);
   const std::uint32_t mtu = vc_.mtu();

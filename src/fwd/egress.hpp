@@ -107,6 +107,10 @@ class Egress {
   /// of `payload` until its window drains at end() (or the hop is
   /// closed), so the bytes must stay unchanged that long.
   void fragment(util::ByteSpan payload);
+  /// One MTU fragment sent by ownership: `paquet`, a buffer of the out
+  /// network's packet pool, becomes the packet itself. Plain two-sided
+  /// hops only; the same paquet as fragment(ByteSpan) on the wire.
+  void fragment(util::Bytes paquet);
   /// A whole two-sided block: its header, then its fragments (same view
   /// rule as fragment()).
   void block(const GtmBlockHeader& header, util::ByteSpan data);

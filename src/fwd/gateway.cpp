@@ -42,6 +42,7 @@
 #include "net/static_pool.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/metrics.hpp"
+#include "util/arena.hpp"
 #include "util/panic.hpp"
 
 namespace mad::fwd {
@@ -75,19 +76,22 @@ class FlowGrant {
 };
 
 /// One unit of relay work, handed from the ingress to the egress. A
-/// fragment's payload sits in one of four places. Three follow the
+/// fragment's payload sits in one of five places. Four follow the
 /// zero-copy matrix of §2.3:
-///   * a recycled pool buffer (dynamic→dynamic, and all non-zero-copy
-///     paths);
+///   * the network buffer the paquet arrived in, sent on as the outgoing
+///     packet (dynamic→dynamic, two-sided, neither side hybrid);
+///   * a recycled pipeline buffer (one-sided blocks, hybrid sides, and
+///     the non-zero-copy paths);
 ///   * an *outgoing* static buffer the paquet was received straight into
 ///     (dynamic→static and static→static);
 ///   * the *incoming* static buffer kept alive and sent from directly
 ///     (static→dynamic).
-/// The fourth is a reliable relay's stored copy of the block, which it
+/// The fifth is a reliable relay's stored copy of the block, which it
 /// keeps for failover replay.
 struct RelayItem {
   enum class Kind {
     BlockHeader,
+    FragmentAdopted,
     FragmentDynamic,
     FragmentStaticOut,
     FragmentHoldIn,
@@ -101,11 +105,17 @@ struct RelayItem {
   Kind kind = Kind::End;
   GtmBlockHeader header;                  // BlockHeader
   std::uint32_t size = 0;                 // fragments: payload bytes
-  std::vector<std::byte> buffer;          // FragmentDynamic (capacity = MTU)
+  /// FragmentAdopted and FragmentDynamic: a slot of the plain relay's
+  /// pipeline budget (capacity = MTU), which holds the payload of a
+  /// FragmentDynamic only.
+  std::vector<std::byte> buffer;
+  /// FragmentAdopted: the paquet's own network buffer, back to the
+  /// fabric's packet pool unless the egress sends it on.
+  std::optional<util::BufferLease<util::BufferPool>> paquet;
   net::StaticBufferPool::Ref static_out;  // FragmentStaticOut
   net::StaticBufferPool::Ref hold_in;     // FragmentHoldIn
-  /// What the egress sends (all fragments but FragmentStaticOut): a view
-  /// of `buffer`, of `hold_in` or of the stored block.
+  /// What the egress sends as a view (FragmentDynamic, FragmentHoldIn and
+  /// FragmentStored): of `buffer`, of `hold_in` or of the stored block.
   util::ByteSpan payload;
   /// When the fragment entered a sender actor's queue: the admission
   /// ledger's sojourn base. Unset on every other path.
@@ -485,7 +495,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         const sim::Time begin = relay.engine_.now();
         RelayItem item = stored
                              ? RelayItem::of(RelayItem::Kind::FragmentStored)
-                             : relay.receive_zero_copy(in, *out_tm, size);
+                             : relay.receive_zero_copy(in, *out_tm, block,
+                                                       size);
         if (stored) {
           util::Bytes& dst = t.blocks.back().fragments.emplace_back(
               relay.vc_.buffer_pool().take(size));
@@ -552,7 +563,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       }
       setback = Egress::attempt([&] {
         if (item.kind == RelayItem::Kind::BlockHeader) {
-          out.block_header(item.header, one_sided(out, item.header));
+          out.block_header(item.header,
+                         one_sided(out.channel().tm(), item.header));
         } else if (item.kind == RelayItem::Kind::End) {
           out.end();
         } else if (item.fragment()) {
@@ -568,9 +580,10 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// static or hybrid TM routes received paquets through protocol buffers
   /// the remote write model cannot target) and the block is at/above the
   /// rendezvous threshold (smaller blocks stay eager/two-sided).
-  bool one_sided(const Egress& out, const GtmBlockHeader& bh) const {
+  bool one_sided(const TransmissionModule& out_tm,
+                 const GtmBlockHeader& bh) const {
     const RdmaOptions& rdma = vc_.options().rdma;
-    const net::NicModelParams& m = out.channel().tm().model();
+    const net::NicModelParams& m = out_tm.model();
     return rdma.enabled && !m.tx_static() && !m.hybrid() &&
            bh.size >= rdma.rendezvous_threshold;
   }
@@ -614,16 +627,19 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       // Occupancy clock starts when the grant is held, not when we began
       // waiting for it.
       const sim::Time granted_at = engine_.now();
-      for (const RelayItem& item : bundle) {
+      for (RelayItem& item : bundle) {
         if (item.kind == RelayItem::Kind::FragmentStaticOut) {
           // Zero-copy: the paquet was received straight into this outgoing
           // static buffer; hand it to the TM, bypassing the BMM copy-in.
           const Connection& conn = out.channel().connection_to(out.next());
           out.channel().tm().send_static_buffer(
               conn.peer_nic_index, conn.tx_tag, item.static_out);
+        } else if (item.kind == RelayItem::Kind::FragmentAdopted) {
+          // Zero-copy: the paquet leaves in the buffer it arrived in.
+          out.fragment(item.paquet->release());
         } else {
-          // Gather send from the pool buffer, the held incoming buffer or
-          // the stored block.
+          // Gather send from the pipeline buffer, the held incoming buffer
+          // or the stored block.
           out.fragment(item.payload);
         }
       }
@@ -697,9 +713,11 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     in.end_unpacking();
   }
 
-  /// Receives the next paquet of `size` bytes, choosing the §2.3 zero-copy
-  /// path from the static/dynamic buffer modes of both sides.
+  /// Receives the next paquet of `size` bytes of `block`, choosing the
+  /// §2.3 zero-copy path from the static/dynamic buffer modes of both
+  /// sides.
   RelayItem receive_zero_copy(MessageReader& in, TransmissionModule& out_tm,
+                              const GtmBlockHeader& block,
                               std::uint32_t size) {
     TransmissionModule& in_tm = in_channel_.tm();
     const bool in_static = in_tm.model().rx_static();
@@ -731,11 +749,24 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       in.unpack(item.static_out.span().first(size), SendMode::Cheaper,
                 RecvMode::Express);
     } else {
-      // dynamic → dynamic (or zero-copy disabled): a recycled pipeline
-      // buffer. Still copy-free for dynamic protocols — the NIC scatters
-      // into and gathers out of this buffer directly.
-      item.kind = RelayItem::Kind::FragmentDynamic;
+      // dynamic → dynamic (or zero-copy disabled): one slot of the
+      // pipeline budget, waited for exactly as the paper's buffers are.
       item.buffer = free_buffers_.recv();
+      if (!in_static && !out_static && !in_tm.model().hybrid() &&
+          !out_tm.model().hybrid() && !one_sided(out_tm, block)) {
+        // The paquet goes on in the network buffer it arrived in: no
+        // software copy at all (paper §2.3). A hybrid side would route
+        // small paquets through its protocol buffers, and a one-sided
+        // write keeps the pipeline buffer its pin-down cache knows.
+        item.kind = RelayItem::Kind::FragmentAdopted;
+        item.paquet.emplace(in_tm.packet_pool(), in.take_paquet());
+        MAD_ASSERT(item.paquet->size() == size,
+                   "paquet/fragment size mismatch");
+        return item;
+      }
+      // Still copy-free for dynamic protocols — the NIC scatters into and
+      // gathers out of this buffer directly.
+      item.kind = RelayItem::Kind::FragmentDynamic;
       in.unpack(util::MutByteSpan(item.buffer).first(size), SendMode::Cheaper,
                 RecvMode::Express);
       item.payload = util::ByteSpan(item.buffer).first(size);

@@ -388,7 +388,7 @@ class ReliableReceiver {
  public:
   ReliableReceiver(VirtualChannel& vc, NodeRank self, Channel& in_channel,
                    NodeRank peer, std::uint32_t epoch, bool detect_dead);
-  /// Gives any parked paquets back to the network's packet pool.
+  /// Gives any parked paquets back to the fabric's packet pool.
   ~ReliableReceiver();
   ReliableReceiver(const ReliableReceiver&) = delete;
   ReliableReceiver& operator=(const ReliableReceiver&) = delete;

@@ -217,7 +217,7 @@ class VirtualChannel {
   bool reliable() const { return options_.reliable.enabled; }
   /// The reliable gateway relay's stored fragments, at capacity mtu();
   /// each relay gives its own back when it ends. (Paquets on the wire use
-  /// their network's pool, net::Network::buffer_pool.)
+  /// the fabric's packet pool, net::Network::buffer_pool.)
   util::BufferPool& buffer_pool() { return buffers_; }
   const util::BufferPool& buffer_pool() const { return buffers_; }
   const topo::Routing& routing() const { return *routing_; }

@@ -8,6 +8,7 @@
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "sim/metrics.hpp"
+#include "util/arena.hpp"
 
 namespace mad::net {
 
@@ -43,6 +44,12 @@ class Fabric {
 
  private:
   sim::Engine& engine_;
+  // The packet buffers of every network (Network::buffer_pool), at the
+  // largest max_packet of them: the plain relay sends a paquet on in the
+  // buffer it arrived in, so a buffer made for one network may come back
+  // through another. Declared before the hosts and networks, whose NICs
+  // give buffers back into it.
+  util::BufferPool packets_{0};
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Network>> networks_;
   PacketLog packet_log_;

@@ -8,11 +8,12 @@
 namespace mad::net {
 
 Network::Network(sim::Engine& engine, int id, std::string name,
-                 NicModelParams model)
+                 NicModelParams model, util::BufferPool& packets)
     : engine_(engine), id_(id), name_(std::move(name)),
-      model_(std::move(model)), acks_(engine, name_),
-      buffers_(model_.max_packet) {
+      model_(std::move(model)), acks_(engine, name_), buffers_(packets) {
   MAD_ASSERT(model_.wire_bandwidth > 0, "wire bandwidth must be positive");
+  MAD_ASSERT(buffers_.capacity() >= model_.max_packet,
+             "packet pool smaller than max_packet on " + name_);
 }
 
 void Network::set_fault_plan(FaultPlan plan) {

@@ -33,8 +33,10 @@ class Nic;
 
 class Network {
  public:
+  /// `packets` is the fabric's packet pool (Fabric::add_network), whose
+  /// capacity must cover model.max_packet.
   Network(sim::Engine& engine, int id, std::string name,
-          NicModelParams model);
+          NicModelParams model, util::BufferPool& packets);
 
   int id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -83,11 +85,14 @@ class Network {
   /// Hop-level ack board for the reliable GTM mode (see net/fault.hpp).
   AckRegistry& acks() { return acks_; }
 
-  /// Payload buffers of the packets on this network's wire, at capacity
-  /// model().max_packet. Each packet holds one from its send until the
+  /// Payload buffers of the packets on this network's wire: the pool of
+  /// the whole fabric, shared by all its networks and sized at their
+  /// largest max_packet, because a buffer may arrive on one network and
+  /// leave on another. Each packet holds one from its send until the
   /// receiving NIC places the payload, or until whoever took the buffer
-  /// from the NIC (Nic::recv_buffer) gives it back. A sender may fill one
-  /// itself and hand it to the NIC whole.
+  /// from the NIC (Nic::recv_buffer) gives it back or sends it on. A
+  /// sender may fill one itself and hand it to the NIC whole; the plain
+  /// relay hands on the buffer its paquet arrived in.
   util::BufferPool& buffer_pool() { return buffers_; }
   const util::BufferPool& buffer_pool() const { return buffers_; }
 
@@ -96,6 +101,12 @@ class Network {
   /// hands over whole are not counted.
   std::uint64_t snapshot_bytes() const { return snapshot_bytes_; }
   void note_snapshot(std::uint64_t bytes) { snapshot_bytes_ += bytes; }
+
+  /// Host bytes the NICs copied out of packets into receivers' scatter
+  /// lists (Nic::recv_into). Buffers a receiver takes whole are not
+  /// counted.
+  std::uint64_t scatter_bytes() const { return scatter_bytes_; }
+  void note_scatter(std::uint64_t bytes) { scatter_bytes_ += bytes; }
 
   /// Posts a receiver acknowledgement, honouring the fault plan: acks from
   /// or toward a crashed NIC — and acks crossing a downed link — vanish,
@@ -135,8 +146,9 @@ class Network {
   std::map<std::pair<int, int>, sim::Time> wire_busy_;
   std::unique_ptr<FaultInjector> injector_;
   AckRegistry acks_;
-  util::BufferPool buffers_;
+  util::BufferPool& buffers_;
   std::uint64_t snapshot_bytes_ = 0;
+  std::uint64_t scatter_bytes_ = 0;
 };
 
 }  // namespace mad::net

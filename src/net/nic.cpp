@@ -13,7 +13,7 @@ namespace mad::net {
 
 namespace {
 
-// The gather list copied into one buffer of the network's pool.
+// The gather list copied into one buffer of the fabric's packet pool.
 util::Bytes snapshot(Network& network, const util::ConstIovec& data,
                      std::size_t n) {
   util::Bytes payload = network.buffer_pool().take(n);
@@ -70,7 +70,7 @@ Nic::TagQueue& Nic::tag_queue(std::uint64_t tag) {
 }
 
 template <typename Payload>
-bool Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
+void Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
                    Payload&& payload, const SendOptions& opts) {
   MAD_ASSERT(n > 0, "send of empty packet");
   MAD_ASSERT(n <= model().max_packet,
@@ -168,7 +168,6 @@ bool Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
   dst_nic.notify_tx_done();
   ++packets_sent_;
   bytes_sent_ += n;
-  return fault != FaultAction::Drop;
 }
 
 void Nic::send(int dst_index, std::uint64_t tag,
@@ -182,11 +181,11 @@ void Nic::send(int dst_index, std::uint64_t tag,
 
 void Nic::send(int dst_index, std::uint64_t tag, util::Bytes packet,
                const SendOptions& opts) {
-  // The buffer already is the packet; a dropped one goes back to the pool.
-  if (!transmit(dst_index, tag, packet.size(),
-                [&packet] { return std::move(packet); }, opts)) {
-    network_.buffer_pool().give(std::move(packet));
-  }
+  // The buffer already is the packet. It goes back to the pool if the
+  // packet is dropped, or if this sender unwinds before the flow starts.
+  util::BufferLease lease(network_.buffer_pool(), std::move(packet));
+  transmit(dst_index, tag, lease.size(), [&lease] { return lease.release(); },
+           opts);
 }
 
 void Nic::wait_rx_space() {
@@ -255,6 +254,8 @@ WirePacket Nic::consume(std::uint64_t tag) {
   q.packets.pop_front();
   --queued_total_;
   rx_space_.notify_all();
+  // Back to the pool if this receiver unwinds while it waits below.
+  util::BufferLease payload(network_.buffer_pool(), std::move(packet.payload));
 
   engine_.sleep_until(packet.visible_time);
   // A one-sided write lands in pre-registered memory without receiver
@@ -266,7 +267,7 @@ WirePacket Nic::consume(std::uint64_t tag) {
     // One receive engine per NIC as well.
     EngineGuard engine_guard(rx_engine_);
     host_.bus().transfer(packet.one_sided ? PciOp::Dma : model().rx_op,
-                         packet.payload.size());
+                         payload.size());
   }
   // The receive cannot complete before the last byte has physically made it
   // across: source flow end (or wire serialization end) plus latency.
@@ -284,13 +285,14 @@ WirePacket Nic::consume(std::uint64_t tag) {
     trace->instant("net:" + network_.name(), engine_.now(), "pkt.rx",
                    "nic" + std::to_string(packet.src_index) + "->nic" +
                        std::to_string(index_) +
-                       " bytes=" + std::to_string(packet.payload.size()));
+                       " bytes=" + std::to_string(payload.size()));
   }
   if (sim::MetricsRegistry* metrics = network_.metrics();
       metrics != nullptr && metrics->enabled()) {
     metrics->histogram("net.packet_us", "network=" + network_.name())
         .record(sim::to_microseconds(engine_.now() - packet.send_time));
   }
+  packet.payload = payload.release();
   return packet;
 }
 
@@ -301,6 +303,7 @@ void Nic::recv_into(std::uint64_t tag, const util::MutIovec& dst) {
                  std::to_string(util::total_size(dst)) +
                  " != packet size " + std::to_string(packet.payload.size()));
   util::scatter(packet.payload, dst);
+  network_.note_scatter(packet.payload.size());
   network_.buffer_pool().give(std::move(packet.payload));
 }
 

@@ -12,16 +12,20 @@
 //                   cannot complete before the last byte physically
 //                   arrived: max(src flow end, wire end) + latency
 //
-// Every packet's payload is one buffer of the network's pool
-// (Network::buffer_pool). A sender either hands such a buffer over, and the
-// NIC adopts it as the packet, or passes a gather list, which is copied
-// into a pool buffer when the source PCI flow starts; the sender is
-// blocked for the whole flow, so the source cannot change underneath —
-// buffer-reuse semantics are preserved. The receiver either has the NIC
-// scatter the payload into its destination and give the buffer back, or
-// takes the buffer itself (recv_buffer) and gives it back when done. The
-// gather snapshot and the scatter are host-side artefacts of the
-// simulation, not modelled copies: neither is charged virtual time.
+// Every packet's payload is one buffer of the fabric's packet pool
+// (Network::buffer_pool, one pool shared by all networks). A sender either
+// hands such a buffer over, and the NIC adopts it as the packet — a
+// reliable sender's freshly filled wire buffer, or the very buffer a plain
+// relay's paquet arrived in on another network — or passes a gather list,
+// which is copied into a pool buffer when the source PCI flow starts; the
+// sender is blocked for the whole flow, so the source cannot change
+// underneath — buffer-reuse semantics are preserved. The receiver either
+// has the NIC scatter the payload into its destination and give the buffer
+// back, or takes the buffer itself (recv_buffer) and gives it back, or
+// sends it on, when done. The gather snapshot and the scatter are
+// host-side artefacts of the simulation, not modelled copies: neither is
+// charged virtual time (Network::snapshot_bytes and scatter_bytes count
+// them).
 // Receivers may begin their PCI flow while the sender is still pushing
 // (that is what real cut-through NICs do); the end-correction keeps the
 // completion time physical.
@@ -57,7 +61,7 @@ struct TxTiming {
 struct WirePacket {
   int src_index = -1;
   std::uint64_t tag = 0;
-  util::Bytes payload;  // from the network's buffer pool
+  util::Bytes payload;  // from the fabric's packet pool
   sim::Time send_time = 0;     // source flow start (latency metrics)
   sim::Time visible_time = 0;  // first byte reaches the NIC
   sim::Time wire_end = 0;      // last byte has left the wire
@@ -105,7 +109,8 @@ class Nic {
 
   /// Sends `packet`, a buffer of network().buffer_pool(), as one packet
   /// without copying it: the NIC adopts the buffer, and returns it to the
-  /// pool if the packet is dropped. Same timing as the gather overloads.
+  /// pool if the packet is dropped or the sender unwinds first. Same
+  /// timing as the gather overloads.
   void send(int dst_index, std::uint64_t tag, util::Bytes packet,
             const SendOptions& opts = {});
 
@@ -147,7 +152,7 @@ class Nic {
   /// Packets currently queued for `tag`.
   std::size_t queued(std::uint64_t tag) const;
   /// Packets currently queued for any tag: each holds a buffer of the
-  /// network's pool until it is consumed.
+  /// fabric's packet pool until it is consumed.
   std::size_t queued() const { return queued_total_; }
 
   /// Lifetime counters (tests and benches).
@@ -207,10 +212,9 @@ class Nic {
   TagQueue& tag_queue(std::uint64_t tag);
   /// The body shared by every send of an `n`-byte packet: calls
   /// `payload()` at flow start for the packet's buffer, one of
-  /// network().buffer_pool(). Returns false, without calling it, when
-  /// the packet is dropped.
+  /// network().buffer_pool(), unless the packet is dropped.
   template <typename Payload>
-  bool transmit(int dst_index, std::uint64_t tag, std::size_t n,
+  void transmit(int dst_index, std::uint64_t tag, std::size_t n,
                 Payload&& payload, const SendOptions& opts);
   /// Common blocking receive path: pops the head packet and charges the
   /// receiver-side timing.

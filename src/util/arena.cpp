@@ -1,5 +1,6 @@
 #include "util/arena.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "util/panic.hpp"
@@ -22,6 +23,12 @@ void BufferPool::give(Bytes buffer) {
   MAD_ASSERT(buffer.capacity() >= capacity_,
              "retired buffer was not made by this pool");
   arena_.give(std::move(buffer));
+}
+
+void BufferPool::grow(std::size_t capacity) {
+  MAD_ASSERT(idle() == takes() - reuses(),
+             "pool capacity raised while buffers are out");
+  capacity_ = std::max(capacity_, capacity);
 }
 
 Bytes BufferArena::take(std::size_t size) {

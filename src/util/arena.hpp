@@ -15,8 +15,9 @@
 //                     kept) or default-constructs one.
 //   * BufferPool    — uniform-capacity LIFO pool of util::Bytes, built on
 //                     Arena: every paquet-sized buffer of the forwarding
-//                     path (wire packets, which reliable senders fill and
-//                     receivers park, and the gateway's stored fragments).
+//                     path (wire packets, one pool per fabric, which
+//                     reliable senders fill, receivers park and the plain
+//                     relay forwards; the gateway's stored fragments).
 //   * BufferArena   — size-aware best-fit recycler for byte buffers, kept
 //                     for the RDMA senders, whose pin-down cache keys on
 //                     buffer addresses.
@@ -75,6 +76,10 @@ class BufferPool {
   Bytes take(std::size_t size);
   /// Retires a buffer this pool made.
   void give(Bytes buffer);
+  /// Raises the capacity to at least `capacity` (never lowers it). No
+  /// buffer may be out: one made smaller could not come back. Idle ones
+  /// grow when next taken.
+  void grow(std::size_t capacity);
 
   std::size_t capacity() const { return capacity_; }
   std::size_t idle() const { return arena_.idle(); }
@@ -110,21 +115,33 @@ class BufferArena {
 };
 
 /// RAII scratch buffer: taken from a BufferPool or BufferArena (or handed
-/// over) on construction, retired on destruction. Safe across actor blocking
-/// points — each lease owns its buffer outright, concurrent leases simply
-/// draw distinct buffers.
+/// over) on construction, retired on destruction unless release() handed
+/// it on first. Safe across actor blocking points — each lease owns its
+/// buffer outright, concurrent leases simply draw distinct buffers — and
+/// movable, so a queued item can own one.
 template <typename Pool>
 class BufferLease {
  public:
   BufferLease(Pool& pool, std::size_t size)
-      : pool_(pool), buffer_(pool.take(size)) {}
+      : pool_(&pool), buffer_(pool.take(size)) {}
   /// Leases `buffer`, which `pool` made and the caller hands over.
   BufferLease(Pool& pool, Bytes buffer)
-      : pool_(pool), buffer_(std::move(buffer)) {}
-  ~BufferLease() { pool_.give(std::move(buffer_)); }
+      : pool_(&pool), buffer_(std::move(buffer)) {}
+  ~BufferLease() {
+    if (pool_ != nullptr) {
+      pool_->give(std::move(buffer_));
+    }
+  }
 
-  BufferLease(const BufferLease&) = delete;
-  BufferLease& operator=(const BufferLease&) = delete;
+  BufferLease(BufferLease&& other) noexcept
+      : pool_(std::exchange(other.pool_, nullptr)),
+        buffer_(std::move(other.buffer_)) {}
+
+  /// Hands the buffer on; whoever takes it gives it back to the pool.
+  Bytes release() {
+    pool_ = nullptr;
+    return std::move(buffer_);
+  }
 
   Bytes& buffer() { return buffer_; }
   const Bytes& buffer() const { return buffer_; }
@@ -132,7 +149,7 @@ class BufferLease {
   std::size_t size() const { return buffer_.size(); }
 
  private:
-  Pool& pool_;
+  Pool* pool_;
   Bytes buffer_;
 };
 

@@ -3,11 +3,15 @@
 // transmission from a view of the caller's bytes, the NIC adopts it, and
 // the receiver verifies it where it arrived. These tests pin the view
 // contract (every retransmission carries the bytes the caller packed) and
-// the host copies the NICs still make (Network::snapshot_bytes).
+// the host copies the NICs still make (Network::snapshot_bytes and
+// scatter_bytes). The plain relay sends each paquet on in the network
+// buffer it arrived in; its tests pin that buffer's way back to the pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -217,10 +221,17 @@ TEST(WireBuffers, StripedLaterBlockChangedBeforeEndPackingCrossesAsPacked) {
       << "no rail resent a paquet after the source was scribbled";
 }
 
+/// The bytes each network's NICs copied into packets (snapshots) and out
+/// of them (scatters), Myrinet first.
+struct HostCopies {
+  std::vector<std::uint64_t> snapshots;
+  std::vector<std::uint64_t> scatters;
+};
+
 /// Relays one 1 MiB Cheaper block from m0 to s0 (m1 only widens the
-/// Myrinet channel so that it announces messages) and returns the bytes
-/// each network's NICs copied into packets.
-std::vector<std::uint64_t> snapshots_of_one_relay(bool reliable) {
+/// Myrinet channel so that it announces messages) and returns the host
+/// copies its NICs made.
+HostCopies host_copies_of_one_relay(bool reliable) {
   VcOptions options;
   options.reliable.enabled = reliable;
   options.reliable.window = 16;
@@ -239,7 +250,8 @@ std::vector<std::uint64_t> snapshots_of_one_relay(bool reliable) {
   });
   rig.engine.run();
   EXPECT_EQ(out, payload);
-  return {rig.myri.snapshot_bytes(), rig.sci.snapshot_bytes()};
+  return {{rig.myri.snapshot_bytes(), rig.sci.snapshot_bytes()},
+          {rig.myri.scatter_bytes(), rig.sci.scatter_bytes()}};
 }
 
 TEST(WireBuffers, ReliableRelaySnapshotsOnlyItsFraming) {
@@ -249,20 +261,154 @@ TEST(WireBuffers, ReliableRelaySnapshotsOnlyItsFraming) {
   // reliable paquet (block header, fragments, end marker) crosses in the
   // buffer its sender filled.
   const std::uint64_t framing = sizeof(Preamble) + sizeof(GtmMsgHeader);
-  EXPECT_EQ(snapshots_of_one_relay(/*reliable=*/true),
+  EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/true).snapshots,
             (std::vector<std::uint64_t>{sizeof(AnnouncePacket) + framing,
                                         framing}));
 }
 
-TEST(WireBuffers, PlainRelaySnapshotsEveryPayloadByte) {
-  // The plain relay packs from user memory (origin) and from its
-  // zero-copy buffers (gateway): each NIC copies the whole stream — the
-  // payload, one block header and the end marker on top of the framing.
-  const std::uint64_t stream = sizeof(Preamble) + sizeof(GtmMsgHeader) +
-                               2 * sizeof(GtmBlockHeader) + (1 << 20);
-  EXPECT_EQ(snapshots_of_one_relay(/*reliable=*/false),
+TEST(WireBuffers, PlainRelayCopiesPayloadOnlyAtItsEnds) {
+  // The plain relay copies each payload byte twice on the host: the
+  // origin's NIC snapshots it from user memory and the final receiver's
+  // NIC scatters it into user memory. The gateway sends every fragment on
+  // in the Myrinet buffer it arrived in, so on the gateway's side of each
+  // hop only the framing is copied: the preamble, the GTM message header,
+  // one block header and the end marker.
+  const std::uint64_t framing = sizeof(Preamble) + sizeof(GtmMsgHeader) +
+                                2 * sizeof(GtmBlockHeader);
+  const std::uint64_t stream = framing + (1 << 20);
+  const HostCopies copies = host_copies_of_one_relay(/*reliable=*/false);
+  EXPECT_EQ(copies.snapshots,
             (std::vector<std::uint64_t>{sizeof(AnnouncePacket) + stream,
-                                        stream}));
+                                        framing}));
+  // The gateway's ingress scatters no payload byte; its announce is read
+  // into an owned buffer, not scattered.
+  EXPECT_EQ(copies.scatters, (std::vector<std::uint64_t>{framing, stream}));
+}
+
+/// Packets still queued at the NICs of `network`: each holds a buffer of
+/// the fabric's packet pool.
+std::size_t queued_packets(const net::Network& network) {
+  std::size_t packets = 0;
+  for (int i = 0; i < static_cast<int>(network.size()); ++i) {
+    packets += network.nic(i).queued();
+  }
+  return packets;
+}
+
+/// Buffers of the fabric's packet pool that are neither idle nor held by
+/// a queued packet.
+std::uint64_t buffers_out(const PaperRig& rig) {
+  const util::BufferPool& pool = rig.myri.buffer_pool();
+  return pool.takes() - pool.reuses() - pool.idle() -
+         queued_packets(rig.myri) - queued_packets(rig.sci);
+}
+
+TEST(WireBuffers, PlainRelayBuffersReturnToThePool) {
+  // The plain relay hands each paquet's network buffer from the ingress
+  // NIC to the egress NIC, across networks, so one pool serves both. In
+  // both directions, relayed inline (pipeline depth 1) and by a sender
+  // actor (depth 2), every buffer must be back once the run is over, and
+  // a second identical batch must make none.
+  for (const bool sci_first : {false, true}) {
+    for (const int depth : {1, 2}) {
+      SCOPED_TRACE(std::string(sci_first ? "SciToMyri" : "MyriToSci") +
+                   " depth " + std::to_string(depth));
+      VcOptions options;
+      options.pipeline_depth = depth;
+      PaperRig rig(options);
+      ASSERT_EQ(&rig.myri.buffer_pool(), &rig.sci.buffer_pool());
+      const NodeRank src = sci_first ? rig.sci_node() : rig.myri_node();
+      const NodeRank dst = sci_first ? rig.myri_node() : rig.sci_node();
+      util::Rng rng(65);
+      const std::vector<std::vector<std::byte>> batch = {rng.bytes(1 << 20),
+                                                         rng.bytes(100)};
+      const auto send_batch = [&] {
+        for (const std::vector<std::byte>& payload : batch) {
+          auto msg = rig.ep(src).begin_packing(dst);
+          msg.pack(payload);
+          msg.end_packing();
+        }
+      };
+      int intact = 0;
+      const auto receive_batch = [&] {
+        for (const std::vector<std::byte>& payload : batch) {
+          std::vector<std::byte> out(payload.size());
+          auto msg = rig.ep(dst).begin_unpacking();
+          msg.unpack(out);
+          msg.end_unpacking();
+          intact += out == payload ? 1 : 0;
+        }
+      };
+      const util::BufferPool& pool = rig.myri.buffer_pool();
+      std::uint64_t made_by_first = 0;
+      rig.engine.spawn("s", send_batch);
+      rig.engine.spawn("r", [&] {
+        receive_batch();
+        made_by_first = pool.takes() - pool.reuses();
+        rig.engine.spawn("s2", send_batch);
+        receive_batch();
+      });
+      rig.engine.run();
+      EXPECT_EQ(intact, 4);
+      EXPECT_GT(made_by_first, 0u);
+      EXPECT_EQ(pool.takes() - pool.reuses(), made_by_first);
+      EXPECT_EQ(buffers_out(rig), 0u);
+    }
+  }
+}
+
+TEST(WireBuffers, PlainRelayBuffersReturnWhenTheUpstreamDies) {
+  // The origin dies mid-message and every other actor unwinds, holding
+  // whatever pool buffers it held: the buffers must all come back. Each
+  // case holds `depth` buffers outside the NIC queues when the origin
+  // dies. Free-running, the gateway is receiving (and, with a sender
+  // actor, sending) a paquet. With its egress stalled by a brownout,
+  // inline the listener holds one adopted paquet inside its send; with a
+  // sender actor, that actor holds one and the next waits in the
+  // transfer's item queue.
+  for (const bool sci_first : {false, true}) {
+    for (const int depth : {1, 2}) {
+      for (const bool stalled : {false, true}) {
+        SCOPED_TRACE(std::string(sci_first ? "SciToMyri" : "MyriToSci") +
+                     " depth " + std::to_string(depth) +
+                     (stalled ? " stalled" : " free-running"));
+        VcOptions options;
+        options.pipeline_depth = depth;
+        PaperRig rig(options);
+        const NodeRank src = sci_first ? rig.sci_node() : rig.myri_node();
+        const NodeRank dst = sci_first ? rig.myri_node() : rig.sci_node();
+        if (stalled) {
+          // From 1 ms, once the gateway is sending fragments, every packet
+          // on the egress network stalls its sender for a second.
+          net::FaultPlan plan;
+          plan.degraded.push_back(
+              {.from = sim::milliseconds(1),
+               .extra_latency = sim::milliseconds(1000)});
+          (sci_first ? rig.myri : rig.sci).set_fault_plan(plan);
+        }
+        const std::vector<std::byte> payload = util::Rng(66).bytes(1 << 20);
+        std::uint64_t out_at_death = 0;
+        rig.engine.spawn("s", [&] {
+          auto msg = rig.ep(src).begin_packing(dst);
+          msg.pack(payload);
+          if (stalled) {
+            rig.engine.sleep_until(sim::milliseconds(20));
+          }
+          out_at_death = buffers_out(rig);
+          throw std::runtime_error("origin died mid-message");
+        });
+        rig.engine.spawn("r", [&] {
+          std::vector<std::byte> out(payload.size());
+          auto msg = rig.ep(dst).begin_unpacking();
+          msg.unpack(out);
+          msg.end_unpacking();
+        });
+        EXPECT_THROW(rig.engine.run(), std::runtime_error);
+        EXPECT_EQ(out_at_death, static_cast<std::uint64_t>(depth));
+        EXPECT_EQ(buffers_out(rig), 0u);
+      }
+    }
+  }
 }
 
 }  // namespace
