@@ -28,8 +28,6 @@ class PacxWorld {
   Domain& domain() { return *domain_; }
 
   NodeRank myri_node(int i = 0) const { return i; }
-  NodeRank gw_a() const { return gw_a_; }
-  NodeRank gw_b() const { return gw_b_; }
   NodeRank sci_node(int i = 0) const { return gw_b_ + 1 + i; }
 
   /// Sends from `src`'s actor toward `dst` through the relay overlay.

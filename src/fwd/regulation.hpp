@@ -153,8 +153,6 @@ class DrrQueue {
   std::optional<Item> dequeue();
 
   bool empty() const { return pending_ == 0; }
-  std::size_t backlog(int flow) const { return flow_at(flow).items.size(); }
-  std::size_t flow_count() const { return flows_.size(); }
   TrafficClass class_of(int flow) const { return flow_at(flow).cls; }
   double weight_of(int flow) const { return flow_at(flow).weight; }
   /// Per-visit deficit top-up of `flow`: quantum x weight, at least 1.
@@ -248,7 +246,6 @@ class FlowScheduler {
   std::uint64_t granted_bytes(int flow) const {
     return flow_at(flow).granted_bytes;
   }
-  std::size_t flow_count() const { return flows_.size(); }
 
  private:
   struct Flow {

@@ -42,13 +42,4 @@ Network& Fabric::network(int id) const {
   return *networks_[static_cast<std::size_t>(id)];
 }
 
-Network* Fabric::network_by_name(const std::string& name) const {
-  for (const auto& network : networks_) {
-    if (network->name() == name) {
-      return network.get();
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace mad::net

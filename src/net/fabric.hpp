@@ -21,9 +21,7 @@ class Fabric {
 
   Host& host(int id) const;
   Network& network(int id) const;
-  Network* network_by_name(const std::string& name) const;
 
-  std::size_t host_count() const { return hosts_.size(); }
   std::size_t network_count() const { return networks_.size(); }
   sim::Engine& engine() const { return engine_; }
 

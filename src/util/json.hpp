@@ -38,7 +38,6 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object;
 
   bool is_null() const { return kind == Kind::Null; }
-  bool is_bool() const { return kind == Kind::Bool; }
   bool is_number() const { return kind == Kind::Number; }
   bool is_string() const { return kind == Kind::String; }
   bool is_array() const { return kind == Kind::Array; }
