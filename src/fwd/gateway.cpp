@@ -204,8 +204,8 @@ struct ReplayQueue {
 
 /// Per (gateway, incoming network) relay state, reused across messages.
 ///
-/// Heap-owned (shared_ptr): the sender actor keeps using this state
-/// (free-buffer pool, regulator) after the listener actor's stack may
+/// Heap-owned (shared_ptr): the sender and hop relay actors keep using this
+/// state (free-buffer pool, regulator) after the listener actor's stack may
 /// already have unwound during engine shutdown, so stack ownership would be
 /// a use-after-free.
 class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
@@ -218,9 +218,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         engine_(vc.domain().engine()),
         free_buffers_(engine_, 0,
                       vc.name() + ".gwbuf." + std::to_string(self)),
-        regulator_(engine_, vc.options().regulation_rate),
-        flow_turn_(engine_,
-                   vc.name() + ".gwturn." + std::to_string(self)) {
+        regulator_(engine_, vc.options().regulation_rate) {
     for (int i = 0; i < vc.options().pipeline_depth; ++i) {
       free_buffers_.send(std::vector<std::byte>(vc.mtu()));
     }
@@ -240,26 +238,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
 
   Channel& in_channel() const { return in_channel_; }
 
-  /// Multi-flow forwarding: the accept loop dispatches each message to its
-  /// own actor instead of relaying inline (spawn_gateway_actors).
+  /// Multi-flow forwarding: the accept loop queues each message for its
+  /// upstream hop's relay actor instead of relaying inline.
   bool flow_mode() const { return flow_sched_ != nullptr; }
-
-  /// Arrival-order ticket for a message from upstream hop `from`. Messages
-  /// sharing an upstream hop share that hop's rx stream, so their relay
-  /// actors must read it strictly in arrival order; messages from distinct
-  /// hops interleave freely (independent connections).
-  std::uint64_t issue_ticket(NodeRank from) {
-    return flow_next_ticket_[from]++;
-  }
-  void await_turn(NodeRank from, std::uint64_t ticket) {
-    while (flow_serving_[from] != ticket) {
-      flow_turn_.wait();
-    }
-  }
-  void finish_turn(NodeRank from) {
-    ++flow_serving_[from];
-    flow_turn_.notify_all();
-  }
 
   /// Parses the head of an accepted stream and relays the message.
   void relay_stream(MessageReader& in) {
@@ -907,17 +888,15 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   sim::Mailbox<std::vector<std::byte>> free_buffers_;
   Regulator regulator_;
   // Multi-flow forwarding (VcOptions::flow): DRR egress arbiter, lazy
-  // (origin, class)→flow registry, the overload admission gate, and
-  // per-upstream-hop turn tickets that keep same-stream messages in
-  // arrival order while the dispatcher fans everything else out to
-  // concurrent relay actors.
+  // (origin, class)→flow registry and the overload admission gate.
   std::unique_ptr<FlowScheduler> flow_sched_;
   std::unique_ptr<AdmissionController> admission_;
   std::map<std::pair<NodeRank, int>, int> flow_ids_;
-  std::map<NodeRank, std::uint64_t> flow_next_ticket_;
-  std::map<NodeRank, std::uint64_t> flow_serving_;
-  sim::Condition flow_turn_;
 };
+
+/// Flow mode: the accepted messages of one upstream hop, in arrival order.
+/// The hop's relay actor runs while it is not empty, relaying the front.
+using HopQueue = std::deque<MessageReader>;
 
 }  // namespace
 
@@ -940,10 +919,13 @@ void spawn_gateway_actors(VirtualChannel& vc) {
         }
         engine.spawn(
             actor_name,
-            [&vc, rank, local, rail, actor_name] {
+            [&vc, &engine, rank, local, rail, actor_name] {
               auto relay =
                   std::make_shared<GatewayRelay>(vc, rank, local, rail);
-              sim::Engine& engine = vc.domain().engine();
+              // Flow mode: each upstream hop's queue. Owned by this stack
+              // and the hop's relay actor's, never by a closure, which the
+              // engine keeps past the channels the readers belong to.
+              std::map<NodeRank, std::shared_ptr<HopQueue>> hops;
               for (;;) {
                 relay->in_channel().wait_incoming();
                 MessageReader in = relay->in_channel().begin_unpacking();
@@ -952,35 +934,48 @@ void spawn_gateway_actors(VirtualChannel& vc) {
                   relay->relay_stream(in);
                   continue;
                 }
-                // Multi-flow dispatch: accept the message, hand it to a
-                // relay actor of its own, and go straight back to
-                // accepting — concurrent origins relay (and compete for
-                // egress via DRR) instead of serializing behind one
-                // store-and-forward. Messages sharing an upstream hop
-                // still read that hop's rx stream in arrival order via
-                // turn tickets. MessageReader is move-only and
-                // Engine::spawn needs a copyable closure, so the reader
-                // rides in a shared_ptr.
+                // Multi-flow dispatch: queue the message for the relay
+                // actor of its upstream hop and go straight back to
+                // accepting, so hops relay concurrently (competing for
+                // egress via DRR, by origin). A hop's one actor reads its
+                // rx stream in arrival order.
                 //
                 // Announce channels only: begin_unpacking consumes the
-                // announce packet, so the next wait_incoming blocks
-                // until a NEW message arrives. A two-member channel has
-                // no announce stream — its peek would see the pending
-                // message's paquets until the spawned actor drains
-                // them, and this loop would spin spawning an actor per
-                // peek. It also has exactly one upstream, whose
-                // messages serialize on the rx stream anyway, so the
-                // inline path above loses no concurrency there (egress
-                // still goes through the DRR scheduler by origin).
+                // announce packet, so the next wait_incoming blocks until
+                // a NEW message arrives. A two-member channel's peek would
+                // see the pending message's paquets until the relay actor
+                // drains them, and this loop would spin; its one upstream
+                // serializes on the rx stream anyway, so the inline path
+                // above loses no concurrency.
                 const NodeRank from = in.source();
-                const std::uint64_t ticket = relay->issue_ticket(from);
-                auto reader = std::make_shared<MessageReader>(std::move(in));
-                engine.spawn(actor_name + ".msg",
-                             [relay, reader, from, ticket] {
-                               relay->await_turn(from, ticket);
-                               relay->relay_stream(*reader);
-                               relay->finish_turn(from);
-                             });
+                std::shared_ptr<HopQueue>& hop = hops[from];
+                if (hop == nullptr) {
+                  hop = std::make_shared<HopQueue>();
+                }
+                hop->push_back(std::move(in));
+                if (hop->size() > 1) {
+                  continue;  // the hop's relay actor is running
+                }
+                // Not a daemon: like any relay in flight, it keeps the
+                // simulation alive until its queue is empty.
+                engine.spawn(
+                    actor_name + ".from" + std::to_string(from),
+                    [&engine, relay, weak = std::weak_ptr<HopQueue>(hop)] {
+                      const std::shared_ptr<HopQueue> hop = weak.lock();
+                      if (hop == nullptr) {
+                        return;  // the listener unwound first
+                      }
+                      for (;;) {
+                        relay->relay_stream(hop->front());
+                        hop->pop_front();
+                        if (hop->empty()) {
+                          break;
+                        }
+                        // Behind the actors readied meanwhile, as a freshly
+                        // woken actor would be.
+                        engine.yield();
+                      }
+                    });
               }
             },
             /*daemon=*/true);

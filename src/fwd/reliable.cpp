@@ -797,7 +797,7 @@ void ReliableReceiver::post_congestion_mark() {
 void ReliableReceiver::complete(std::uint32_t last_seq) {
   Connection& conn = in_channel_.connection_to(peer_);
   conn.rx_epoch_done = std::max(conn.rx_epoch_done, epoch_);
-  vc_.spawn_tail_acker(in_channel_, peer_, epoch_, last_seq);
+  vc_.queue_tail_acks(in_channel_, peer_, epoch_, last_seq);
 }
 
 // --------------------------------------------------------------- HopReader

@@ -413,9 +413,9 @@ class ReliableReceiver {
   /// Completes the stream once its end marker (paquet `last_seq`) was
   /// consumed. Boundary drains then re-ack its late retransmits (the sender
   /// may have lost our acks to a fault window) and the ghost filter keeps
-  /// its duplicated framing from reopening it; a tail acker keeps
-  /// re-advertising the final ack, so the sender cannot exhaust its retry
-  /// budget on a message this end already owns.
+  /// its duplicated framing from reopening it; the channel's tail-ack
+  /// daemon keeps re-advertising the final ack, so the sender cannot exhaust
+  /// its retry budget on a message this end already owns.
   void complete(std::uint32_t last_seq);
 
  private:

@@ -251,28 +251,36 @@ Preamble VirtualChannel::read_stream_head(MessageReader& reader,
   }
 }
 
-void VirtualChannel::spawn_tail_acker(Channel& channel, NodeRank peer,
-                                      std::uint32_t epoch,
-                                      std::uint32_t last_seq) {
+void VirtualChannel::queue_tail_acks(Channel& channel, NodeRank peer,
+                                     std::uint32_t epoch,
+                                     std::uint32_t last_seq) {
   const Connection& conn = channel.connection_to(peer);
-  net::Network& network = channel.network();
-  const std::uint64_t tag = conn.rx_tag;
-  const int self_nic = channel.tm().nic().index();
-  const int peer_nic = conn.peer_nic_index;
-  const sim::Time interval = options_.reliable.ack_timeout;
-  const int reposts = options_.reliable.max_attempts;
+  tail_acks_.push_back(
+      {&channel.network(), conn.rx_tag, channel.tm().nic().index(),
+       conn.peer_nic_index, epoch, last_seq,
+       domain_.engine().now() + options_.reliable.ack_timeout,
+       options_.reliable.max_attempts});
+  if (tail_acks_.size() > 1) {
+    return;  // the daemon is draining the FIFO
+  }
   domain_.engine().spawn(
-      name_ + ".tailack." + std::to_string(peer),
-      [this, &network, tag, self_nic, peer_nic, epoch, last_seq, interval,
-       reposts] {
+      name_ + ".tailack",
+      [this] {
         sim::Engine& eng = domain_.engine();
         // One repost surviving suppression is enough (the ack board
         // retains it and wakes the sender), so max_attempts reposts spaced
         // ack_timeout apart outlast any transient fault window the sender
         // itself is expected to ride out.
-        for (int i = 0; i < reposts; ++i) {
-          eng.sleep_for(interval);
-          network.post_ack(tag, self_nic, peer_nic, epoch, last_seq);
+        while (!tail_acks_.empty()) {
+          eng.sleep_until(tail_acks_.front().deadline);  // now, if due
+          TailAck ack = tail_acks_.front();
+          tail_acks_.pop_front();
+          ack.network->post_ack(ack.tag, ack.self_nic, ack.peer_nic,
+                                ack.epoch, ack.last_seq);
+          if (--ack.reposts_left > 0) {
+            ack.deadline += options_.reliable.ack_timeout;
+            tail_acks_.push_back(ack);
+          }
         }
       },
       /*daemon=*/true);

@@ -15,6 +15,7 @@
 // channels (src/fwd/gateway.cpp) with the pipelined retransmission engine.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -240,17 +241,16 @@ class VirtualChannel {
                             GtmStripeHeader* stripe = nullptr);
 
   /// Called by a receiver right after it consumed a reliable stream's end
-  /// marker: spawns a transient actor that re-posts the stream's final
-  /// cumulative ack a bounded number of times. A fault window can suppress
-  /// every ack of the stream's tail AFTER the receiver is done with it —
-  /// at which point nothing re-acks the sender's retransmissions (the next
-  /// boundary drain only runs when another message arrives, and the stuck
-  /// sender is exactly what prevents that), so the sender would burn its
-  /// whole retry budget, wrongly declare the hop dead, and replay a
-  /// delivered message. Re-posting is idempotent: the ack board keeps only
-  /// the max seq per epoch and drops posts of superseded epochs.
-  void spawn_tail_acker(Channel& channel, NodeRank peer, std::uint32_t epoch,
-                        std::uint32_t last_seq);
+  /// marker: queues max_attempts reposts of the stream's final cumulative
+  /// ack, ack_timeout apart, for the channel's one tail-ack daemon. A fault
+  /// window can suppress every ack of the stream's tail AFTER the receiver
+  /// is done with it — and nothing re-acks the sender's retransmissions
+  /// until another message arrives, which the stuck sender prevents — so
+  /// the sender would burn its retry budget, wrongly declare the hop dead,
+  /// and replay a delivered message. Re-posting is idempotent: the ack
+  /// board keeps only the max seq per epoch and drops superseded epochs.
+  void queue_tail_acks(Channel& channel, NodeRank peer, std::uint32_t epoch,
+                       std::uint32_t last_seq);
 
   /// Declares a node dead (reliable mode, after a hop exhausted its retry
   /// budget): removes it from the routing graph and recomputes all routes,
@@ -367,6 +367,18 @@ class VirtualChannel {
   // Nodes declared dead by the retry budget — a (reversible) superset
   // split from routing exclusion, which quarantines also use.
   std::set<NodeRank> dead_;
+  // Tail-ack reposts, due in FIFO order: each waits the same ack_timeout.
+  struct TailAck {
+    net::Network* network;
+    std::uint64_t tag;
+    int self_nic;
+    int peer_nic;
+    std::uint32_t epoch;
+    std::uint32_t last_seq;
+    sim::Time deadline;
+    int reposts_left;
+  };
+  std::deque<TailAck> tail_acks_;
   // Per rail, per local network (rail 0 is the paper's pair; rails >= 1
   // exist only when striping).
   std::vector<std::vector<ChannelId>> regular_ids_;

@@ -18,6 +18,7 @@ namespace {
 
 using testsupport::DisjointRailRig;
 using testsupport::DualGatewayRig;
+using testsupport::PaperRig;
 
 /// Reliable options with health monitoring tuned for short test runs:
 /// condemn fast (high loss gain), heal fast (short recovery half-life),
@@ -234,6 +235,101 @@ TEST(Churn, StripedTransferSurvivesBrownoutOnOneRail) {
   rig.engine.run();
   EXPECT_EQ(out, payload);
   EXPECT_GT(rig.myri_a.fault_injector()->stats().degraded_drops, 0u);
+}
+
+/// What one run of tail_ack_run saw.
+struct TailAckRun {
+  sim::Time first_end = -1;   // s0 consumed message 1's end marker
+  sim::Time second_end = -1;  // ... and message 2's
+  int intact = 0;
+  bool third = false;  // a message arrived after the two sent
+};
+
+/// Sends a 64 KB and a 4 KB reliable message m0 -> s0 through the paper
+/// rig's gateway. Its final hop runs on an announce channel (s1 makes the
+/// SCI cluster three nodes), where nothing reads the gateway's late
+/// retransmits of a finished stream until the next message arrives. From
+/// `acks_down_at` on, for `acks_down_for`, every ack s0 posts to the
+/// gateway is suppressed; the data direction stays up.
+TailAckRun tail_ack_run(PaperRig& rig, sim::Time acks_down_at,
+                        sim::Time acks_down_for) {
+  if (acks_down_at >= 0) {
+    net::FaultPlan plan;
+    // SCI NIC indices: gw=0, s0=1, s1=2.
+    plan.link_downs.push_back({acks_down_at, acks_down_at + acks_down_for,
+                               /*src=*/1, /*dst=*/0});
+    rig.sci.set_fault_plan(plan);
+  }
+  const std::vector<std::vector<std::byte>> payloads = {
+      util::Rng(41).bytes(64 * 1024), util::Rng(42).bytes(4 * 1024)};
+  TailAckRun run;
+  rig.engine.spawn("s", [&] {
+    for (const std::vector<std::byte>& payload : payloads) {
+      auto msg = rig.ep(rig.myri_node()).begin_packing(rig.sci_node());
+      msg.pack(util::ByteSpan(payload));
+      msg.end_packing();
+    }
+  });
+  rig.engine.spawn("r", [&] {
+    for (std::size_t m = 0; m < payloads.size(); ++m) {
+      std::vector<std::byte> out(payloads[m].size());
+      auto msg = rig.ep(rig.sci_node()).begin_unpacking();
+      msg.unpack(out);
+      msg.end_unpacking();
+      (m == 0 ? run.first_end : run.second_end) = rig.engine.now();
+      run.intact += out == payloads[m] ? 1 : 0;
+    }
+    run.third = rig.ep(rig.sci_node())
+                    .begin_unpacking_until(rig.engine.now() +
+                                           sim::milliseconds(500))
+                    .has_value();
+  });
+  rig.engine.run();
+  return run;
+}
+
+TEST(Churn, TailAckRepostsOutlastAnAckOutageAfterTheEndMarker) {
+  // An ack outage opens the instant s0 consumes message 1's end marker, so
+  // every ack of that stream's tail is lost, and s0 has nothing more to
+  // read that would re-ack the gateway's retransmits. Only the reposts of
+  // the stream's final ack, ack_timeout apart, can finish the gateway's
+  // hop: the third lands after the outage. Message 2 then crosses the
+  // same connection and completes while message 1's last reposts, now of
+  // a superseded epoch, are still due.
+  fwd::VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = true;
+  options.reliable.window = 4;
+  const sim::Time ack_timeout = options.reliable.ack_timeout;
+  sim::Time first_end = -1;
+  {
+    PaperRig fault_free(options, 1, 2);
+    first_end = tail_ack_run(fault_free, -1, 0).first_end;
+  }
+  ASSERT_GT(first_end, 0);
+
+  PaperRig rig(options, 1, 2);
+  const TailAckRun run =
+      tail_ack_run(rig, first_end, ack_timeout * 5 / 2);
+  // The schedule up to the outage is the fault-free one.
+  EXPECT_EQ(run.first_end, first_end);
+  EXPECT_EQ(run.intact, 2);
+  EXPECT_FALSE(run.third);
+  EXPECT_GT(run.second_end, first_end + 3 * ack_timeout);
+  EXPECT_LT(run.second_end,
+            first_end + options.reliable.max_attempts * ack_timeout);
+  EXPECT_GT(rig.sci.fault_injector()->stats().acks_suppressed, 0u);
+  // The gateway's egress finished both messages, and neither hop's
+  // sender failed over or declared its peer dead.
+  const fwd::GatewayStats& gw = rig.vc->gateway_stats(rig.gateway_rank);
+  EXPECT_EQ(gw.messages_forwarded, 2u);
+  for (const NodeRank sender : {rig.myri_node(), rig.gateway_rank}) {
+    const fwd::ReliabilityStats& r = rig.vc->gateway_stats(sender).reliability;
+    EXPECT_EQ(r.failovers, 0u) << "node " << sender;
+    EXPECT_EQ(r.peers_declared_dead, 0u) << "node " << sender;
+  }
+  EXPECT_FALSE(rig.vc->is_dead(rig.gateway_rank));
+  EXPECT_FALSE(rig.vc->is_dead(rig.sci_node()));
 }
 
 }  // namespace

@@ -478,6 +478,66 @@ TEST(Reliable, PaquetBuffersReturnAfterAFailover) {
   EXPECT_EQ(wire.idle() + queued, wire.takes() - wire.reuses());
 }
 
+TEST(Failures, ShutdownWithQueuedFlowReadersUnwindsCleanly) {
+  // Flow mode queues each accepted message for the relay actor of its
+  // upstream hop. Two origins share the gateway's Myrinet announce
+  // channel; the gateway's SCI egress is down, so each hop's actor stays
+  // inside its first message while the second, already accepted, waits
+  // in the hop's queue. An actor then fails and the engine unwinds: the
+  // queued readers must go with the actors' stacks, and every pooled
+  // buffer must come back.
+  fwd::VcOptions options = reliable_options();
+  options.reliable.window = 4;
+  options.flow.enabled = true;
+  PaperRig rig(options, /*myri_endpoints=*/2, /*sci_endpoints=*/1);
+  net::FaultPlan plan;
+  // SCI NIC indices: gw=0, s0=1.
+  plan.add_symmetric_link_down(0, sim::seconds(1), 0, 1);
+  rig.sci.set_fault_plan(plan);
+  const auto payload = util::Rng(27).bytes(4 * 1024);
+  std::vector<int> second_begun(2, 0);
+  for (int origin = 0; origin < 2; ++origin) {
+    rig.engine.spawn("s" + std::to_string(origin), [&, origin] {
+      for (int m = 0; m < 2; ++m) {
+        auto msg = rig.ep(rig.myri_node(origin)).begin_packing(rig.sci_node());
+        second_begun[static_cast<std::size_t>(origin)] = m;
+        msg.pack(payload);
+        msg.end_packing();
+      }
+    });
+  }
+  rig.engine.spawn("r", [&] {
+    std::vector<std::byte> out(payload.size());
+    auto msg = rig.ep(rig.sci_node()).begin_unpacking();
+    msg.unpack(out);
+    msg.end_unpacking();
+  });
+  rig.engine.spawn("fail", [&] {
+    // Well inside the gateway's retry budget toward s0.
+    rig.engine.sleep_for(sim::milliseconds(30));
+    throw std::runtime_error("application failure");
+  });
+  EXPECT_THROW(rig.engine.run(), std::runtime_error);
+  // Both second messages were announced, and the gateway read only the
+  // first message of each hop: the second ones were still queued.
+  EXPECT_EQ(second_begun, std::vector<int>({1, 1}));
+  const fwd::GatewayStats& gw = rig.vc->gateway_stats(rig.gateway_rank);
+  EXPECT_EQ(gw.paquets_forwarded, 2u);
+  EXPECT_EQ(gw.messages_forwarded, 0u);
+  const util::BufferPool& pool = rig.vc->buffer_pool();
+  EXPECT_GT(pool.takes(), 0u);
+  EXPECT_EQ(pool.idle(), pool.takes() - pool.reuses());
+  ASSERT_EQ(&rig.myri.buffer_pool(), &rig.sci.buffer_pool());
+  std::size_t queued = 0;
+  for (const net::Network* network : {&rig.myri, &rig.sci}) {
+    for (int i = 0; i < static_cast<int>(network->size()); ++i) {
+      queued += network->nic(i).queued();
+    }
+  }
+  const util::BufferPool& wire = rig.myri.buffer_pool();
+  EXPECT_EQ(wire.idle() + queued, wire.takes() - wire.reuses());
+}
+
 TEST(Failures, RoutingRebuildDuringPlainRelayLeavesMessageIntact) {
   // Regression test for route lifetime under concurrent table rebuilds:
   // while gw1 relays a plain (non-reliable) GTM message, another actor

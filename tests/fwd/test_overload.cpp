@@ -2,6 +2,7 @@
 // starvation freedom, and end-to-end admission rejection with sender
 // backoff-and-retry (ISSUE 8 tentpole).
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -318,6 +319,76 @@ TEST(Overload, ControlPassesAdmissionUnderZeroBulkBudget) {
   }
   // Nothing here runs long enough to arm the CoDel shed clock.
   EXPECT_EQ(control_rejects, 0u);
+}
+
+// --- Actor budget -----------------------------------------------------------
+
+/// Runs `messages` reliable 20 KB messages from each of three origins on
+/// one announce network through one flow-mode gateway, each origin to its
+/// own receiver, and returns the actor stacks the engine mapped. Checks
+/// that every message arrives once, from its origin, in that origin's
+/// order, with its bytes.
+std::uint64_t stacks_for_messages(int messages) {
+  const topo::TopoConfig config = topo::parse_topo_config(
+      "network myri0 BIP/Myrinet\nnetwork sci0 SISCI/SCI\n"
+      "node m0 myri0\nnode m1 myri0\nnode m2 myri0\n"
+      "node gw myri0 sci0\n"
+      "node s0 sci0\nnode s1 sci0\nnode s2 sci0\n");
+  VcOptions options = flow_options();
+  options.paquet_size = 8 * 1024;
+  options.reliable.window = 4;
+  harness::ConfigWorld world(config, options);
+  const auto payload = [](int origin, int m) {
+    return util::Rng(static_cast<std::uint64_t>(1000 * origin + m))
+        .bytes(20 * 1024);
+  };
+  std::vector<int> intact(3, 0);
+  for (int origin = 0; origin < 3; ++origin) {
+    const NodeRank src = world.rank_of("m" + std::to_string(origin));
+    const NodeRank dst = world.rank_of("s" + std::to_string(origin));
+    world.engine.spawn("tx" + std::to_string(origin),
+                       [&world, &payload, origin, messages, src, dst] {
+                         for (int m = 0; m < messages; ++m) {
+                           const auto bytes = payload(origin, m);
+                           auto msg = world.ep(src).begin_packing(dst);
+                           msg.pack(util::ByteSpan(bytes));
+                           msg.end_packing();
+                         }
+                       });
+    world.engine.spawn(
+        "rx" + std::to_string(origin),
+        [&world, &payload, &intact, origin, messages, src, dst] {
+          std::vector<std::byte> out(20 * 1024);
+          for (int m = 0; m < messages; ++m) {
+            auto msg = world.ep(dst).begin_unpacking();
+            EXPECT_EQ(msg.source(), src);
+            msg.unpack(out);
+            msg.end_unpacking();
+            intact[static_cast<std::size_t>(origin)] +=
+                out == payload(origin, m) ? 1 : 0;
+          }
+          // Nothing arrives twice.
+          EXPECT_FALSE(world.ep(dst)
+                           .begin_unpacking_until(world.engine.now() +
+                                                  sim::milliseconds(50))
+                           .has_value());
+        });
+  }
+  world.engine.run();
+  for (int origin = 0; origin < 3; ++origin) {
+    EXPECT_EQ(intact[static_cast<std::size_t>(origin)], messages)
+        << "origin " << origin;
+  }
+  return world.engine.stats().stacks_mapped;
+}
+
+TEST(FlowMode, StacksDoNotGrowWithMessageCount) {
+  // The gateway runs one relay actor per upstream hop and the channel one
+  // tail-ack daemon, so the actors alive at once, and with them the
+  // stacks mapped, do not depend on how many messages cross.
+  const std::uint64_t few = stacks_for_messages(4);
+  const std::uint64_t many = stacks_for_messages(12);
+  EXPECT_EQ(many, few);
 }
 
 }  // namespace
