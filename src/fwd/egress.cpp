@@ -94,21 +94,29 @@ void Egress::block_header(const GtmBlockHeader& header, bool one_sided) {
   }
 }
 
-void Egress::fragment(util::ByteSpan payload) {
+template <typename Data>
+void Egress::write_one_sided(Data data,
+                             const std::optional<RegionKey>& region) {
+  // Fragments bypass the writer and go out as RDMA-style writes into the
+  // next hop's registered region. Wire-compatible with the two-sided path
+  // — same NIC, same tag, same FIFO order, one packet per fragment — so
+  // the receiving GTM parses the stream unchanged. The block's last write
+  // carries the remote completion notification (the only receiver
+  // software of the whole block).
+  MAD_ASSERT(region.has_value(), "a one-sided fragment names no region");
+  const Connection& conn = channel_->connection_to(next_);
+  vc_.rdma_tm(channel_->tm().nic())
+      ->write(conn.peer_nic_index, conn.tx_tag, std::move(data), *region,
+              /*completion=*/fragments_left_ == 0);
+}
+
+void Egress::fragment(util::ByteSpan payload,
+                      std::optional<RegionKey> region) {
   --fragments_left_;
   if (sender_) {
     sender_->send_fragment(seq_++, payload, one_sided_);
   } else if (one_sided_) {
-    // Fragments bypass the writer and go out as RDMA-style writes into the
-    // next hop's registered region. Wire-compatible with the two-sided
-    // path — same NIC, same tag, same FIFO order, one packet per fragment
-    // — so the receiving GTM parses the stream unchanged. The block's last
-    // write carries the remote completion notification (the only receiver
-    // software of the whole block).
-    const Connection& conn = channel_->connection_to(next_);
-    vc_.rdma_tm(channel_->tm().nic())
-        ->write(conn.peer_nic_index, conn.tx_tag, payload,
-                /*completion=*/fragments_left_ == 0);
+    write_one_sided(payload, region);
   } else {
     // Express flushing makes every fragment its own packet on every BMM
     // shape, so the paquets a gateway sees are exactly the paquets the
@@ -117,11 +125,14 @@ void Egress::fragment(util::ByteSpan payload) {
   }
 }
 
-void Egress::fragment(util::Bytes paquet) {
-  MAD_ASSERT(!sender_ && !one_sided_,
-             "an owned fragment on a reliable or one-sided hop");
+void Egress::fragment(util::Bytes paquet, std::optional<RegionKey> region) {
+  MAD_ASSERT(!sender_, "an owned fragment on a reliable hop");
   --fragments_left_;
-  writer_->send_paquet(std::move(paquet));
+  if (one_sided_) {
+    write_one_sided(std::move(paquet), region);
+  } else {
+    writer_->send_paquet(std::move(paquet));
+  }
 }
 
 void Egress::block(const GtmBlockHeader& header, util::ByteSpan data) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "fwd/generic_tm.hpp"
+#include "fwd/mr_cache.hpp"
 #include "fwd/reliable.hpp"
 #include "topo/routing.hpp"
 #include "util/bytes.hpp"
@@ -105,12 +106,15 @@ class Egress {
   void block_header(const GtmBlockHeader& header, bool one_sided = false);
   /// One MTU fragment of the current block. A reliable hop keeps a view
   /// of `payload` until its window drains at end() (or the hop is
-  /// closed), so the bytes must stay unchanged that long.
-  void fragment(util::ByteSpan payload);
+  /// closed), so the bytes must stay unchanged that long. A one-sided
+  /// block on a plain hop writes it from `region`, which the pin-down
+  /// cache registers; a reliable hop names its own send-ring slots.
+  void fragment(util::ByteSpan payload,
+                std::optional<RegionKey> region = std::nullopt);
   /// One MTU fragment sent by ownership: `paquet`, a buffer of the out
-  /// network's packet pool, becomes the packet itself. Plain two-sided
-  /// hops only; the same paquet as fragment(ByteSpan) on the wire.
-  void fragment(util::Bytes paquet);
+  /// network's packet pool, becomes the packet itself. Plain hops only;
+  /// the same paquet as fragment(ByteSpan) on the wire.
+  void fragment(util::Bytes paquet, std::optional<RegionKey> region);
   /// A whole two-sided block: its header, then its fragments (same view
   /// rule as fragment()).
   void block(const GtmBlockHeader& header, util::ByteSpan data);
@@ -167,6 +171,10 @@ class Egress {
 
  private:
   bool reliable() const { return (header_.flags & kGtmFlagReliable) != 0; }
+  /// One-sided write of a plain hop's fragment `data`, a view or an owned
+  /// packet-pool buffer, from `region`.
+  template <typename Data>
+  void write_one_sided(Data data, const std::optional<RegionKey>& region);
 
   VirtualChannel& vc_;
   NodeRank self_;

@@ -79,9 +79,9 @@ class FlowGrant {
 /// fragment's payload sits in one of five places. Four follow the
 /// zero-copy matrix of §2.3:
 ///   * the network buffer the paquet arrived in, sent on as the outgoing
-///     packet (dynamic→dynamic, two-sided, neither side hybrid);
-///   * a recycled pipeline buffer (one-sided blocks, hybrid sides, and
-///     the non-zero-copy paths);
+///     packet (dynamic→dynamic, neither side hybrid);
+///   * a packet-pool buffer the paquet was received into (a hybrid side,
+///     and the non-zero-copy paths);
 ///   * an *outgoing* static buffer the paquet was received straight into
 ///     (dynamic→static and static→static);
 ///   * the *incoming* static buffer kept alive and sent from directly
@@ -105,17 +105,17 @@ struct RelayItem {
   Kind kind = Kind::End;
   GtmBlockHeader header;                  // BlockHeader
   std::uint32_t size = 0;                 // fragments: payload bytes
-  /// FragmentAdopted and FragmentDynamic: a slot of the plain relay's
-  /// pipeline budget (capacity = MTU), which holds the payload of a
-  /// FragmentDynamic only.
-  std::vector<std::byte> buffer;
+  /// FragmentAdopted and FragmentDynamic: the slot of the plain relay's
+  /// pipeline budget the fragment holds until it is sent.
+  int slot = -1;
   /// FragmentAdopted: the paquet's own network buffer, back to the
-  /// fabric's packet pool unless the egress sends it on.
-  std::optional<util::BufferLease<util::BufferPool>> paquet;
+  /// fabric's packet pool unless the egress sends it on. FragmentDynamic:
+  /// the packet-pool buffer the paquet was received into.
+  std::optional<util::BufferLease> paquet;
   net::StaticBufferPool::Ref static_out;  // FragmentStaticOut
   net::StaticBufferPool::Ref hold_in;     // FragmentHoldIn
   /// What the egress sends as a view (FragmentDynamic, FragmentHoldIn and
-  /// FragmentStored): of `buffer`, of `hold_in` or of the stored block.
+  /// FragmentStored): of `paquet`, of `hold_in` or of the stored block.
   util::ByteSpan payload;
   /// When the fragment entered a sender actor's queue: the admission
   /// ledger's sojourn base. Unset on every other path.
@@ -216,11 +216,13 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         rail_(rail),
         in_channel_(vc.rail_special_channel(in_local_net, rail, self)),
         engine_(vc.domain().engine()),
-        free_buffers_(engine_, 0,
-                      vc.name() + ".gwbuf." + std::to_string(self)),
+        region_owner_((static_cast<std::uint64_t>(self) << 32) |
+                      (static_cast<std::uint64_t>(in_local_net) << 16) |
+                      static_cast<std::uint64_t>(rail)),
+        free_slots_(engine_, 0, vc.name() + ".gwbuf." + std::to_string(self)),
         regulator_(engine_, vc.options().regulation_rate) {
-    for (int i = 0; i < vc.options().pipeline_depth; ++i) {
-      free_buffers_.send(std::vector<std::byte>(vc.mtu()));
+    for (int slot = 0; slot < vc.options().pipeline_depth; ++slot) {
+      free_slots_.send(slot);
     }
     if (vc.options().flow.enabled) {
       const std::uint64_t quantum = vc.options().flow.quantum != 0
@@ -476,8 +478,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         const sim::Time begin = relay.engine_.now();
         RelayItem item = stored
                              ? RelayItem::of(RelayItem::Kind::FragmentStored)
-                             : relay.receive_zero_copy(in, *out_tm, block,
-                                                       size);
+                             : relay.receive_zero_copy(in, *out_tm, size);
         if (stored) {
           util::Bytes& dst = t.blocks.back().fragments.emplace_back(
               relay.vc_.buffer_pool().take(size));
@@ -617,11 +618,11 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
               conn.peer_nic_index, conn.tx_tag, item.static_out);
         } else if (item.kind == RelayItem::Kind::FragmentAdopted) {
           // Zero-copy: the paquet leaves in the buffer it arrived in.
-          out.fragment(item.paquet->release());
+          out.fragment(item.paquet->release(), region(item));
         } else {
-          // Gather send from the pipeline buffer, the held incoming buffer
+          // Gather send from the received paquet, the held incoming buffer
           // or the stored block.
-          out.fragment(item.payload);
+          out.fragment(item.payload, region(item));
         }
       }
       // Hold the grant until the bundle's egress-wire occupancy has
@@ -643,13 +644,26 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       }
     }
     span("send", begin, bytes);
-    for (RelayItem& item : bundle) {
-      if (!item.buffer.empty()) {
-        MAD_ASSERT(item.buffer.size() == vc_.mtu(),
-                   "foreign buffer in gw pool");
-        free_buffers_.send(std::move(item.buffer));
+    for (const RelayItem& item : bundle) {
+      if (item.slot >= 0) {
+        free_slots_.send(item.slot);
       }
     }
+  }
+
+  /// The registered region a plain hop's one-sided write of `item` pins:
+  /// its pipeline slot, or the incoming static buffer it is sent from.
+  /// Stored fragments cross a reliable hop, whose sender names its own.
+  std::optional<RegionKey> region(const RelayItem& item) const {
+    if (item.slot >= 0) {
+      return RegionKey{RegionKey::Kind::PipelineSlot, region_owner_,
+                       static_cast<std::uint64_t>(item.slot), 0};
+    }
+    if (item.hold_in.valid()) {
+      return RegionKey{RegionKey::Kind::StaticBuffer, region_owner_,
+                       item.hold_in.slot(), 0};
+    }
+    return std::nullopt;
   }
 
   /// Resends the stored message on the freshly opened hop.
@@ -698,7 +712,6 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// §2.3 zero-copy path from the static/dynamic buffer modes of both
   /// sides.
   RelayItem receive_zero_copy(MessageReader& in, TransmissionModule& out_tm,
-                              const GtmBlockHeader& block,
                               std::uint32_t size) {
     TransmissionModule& in_tm = in_channel_.tm();
     const bool in_static = in_tm.model().rx_static();
@@ -732,13 +745,12 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     } else {
       // dynamic → dynamic (or zero-copy disabled): one slot of the
       // pipeline budget, waited for exactly as the paper's buffers are.
-      item.buffer = free_buffers_.recv();
+      item.slot = free_slots_.recv();
       if (!in_static && !out_static && !in_tm.model().hybrid() &&
-          !out_tm.model().hybrid() && !one_sided(out_tm, block)) {
+          !out_tm.model().hybrid()) {
         // The paquet goes on in the network buffer it arrived in: no
         // software copy at all (paper §2.3). A hybrid side would route
-        // small paquets through its protocol buffers, and a one-sided
-        // write keeps the pipeline buffer its pin-down cache knows.
+        // small paquets through its protocol buffers.
         item.kind = RelayItem::Kind::FragmentAdopted;
         item.paquet.emplace(in_tm.packet_pool(), in.take_paquet());
         MAD_ASSERT(item.paquet->size() == size,
@@ -748,9 +760,10 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       // Still copy-free for dynamic protocols — the NIC scatters into and
       // gathers out of this buffer directly.
       item.kind = RelayItem::Kind::FragmentDynamic;
-      in.unpack(util::MutByteSpan(item.buffer).first(size), SendMode::Cheaper,
+      item.paquet.emplace(in_tm.packet_pool(), size);
+      in.unpack(util::MutByteSpan(item.paquet->buffer()), SendMode::Cheaper,
                 RecvMode::Express);
-      item.payload = util::ByteSpan(item.buffer).first(size);
+      item.payload = util::ByteSpan(item.paquet->buffer());
       return item;
     }
     item.kind = RelayItem::Kind::FragmentStaticOut;
@@ -885,7 +898,10 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   int rail_;
   Channel& in_channel_;
   sim::Engine& engine_;
-  sim::Mailbox<std::vector<std::byte>> free_buffers_;
+  // The regions this relay registers are named after it (RegionKey).
+  std::uint64_t region_owner_;
+  // The pipeline budget: pipeline_depth slot ids, cycled in mailbox order.
+  sim::Mailbox<int> free_slots_;
   Regulator regulator_;
   // Multi-flow forwarding (VcOptions::flow): DRR egress arbiter, lazy
   // (origin, class)→flow registry and the overload admission gate.

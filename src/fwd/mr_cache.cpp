@@ -9,28 +9,23 @@ MrCache::MrCache(std::size_t capacity, std::string name)
   MAD_ASSERT(capacity_ >= 1, "registration cache needs capacity >= 1");
 }
 
-std::string MrCache::describe(const Key& key) const {
-  return name_ + ": region [0x" + [&] {
-    static const char* digits = "0123456789abcdef";
-    std::string hex;
-    std::uintptr_t v = key.addr;
-    do {
-      hex.insert(hex.begin(), digits[v & 0xF]);
-      v >>= 4;
-    } while (v != 0);
-    return hex;
-  }() + ", +" + std::to_string(key.len) + ")";
+std::string MrCache::describe(const RegionKey& key) const {
+  static const char* const kinds[] = {"pipeline slot", "static buffer",
+                                      "send ring", "receive region"};
+  return name_ + ": " + kinds[static_cast<int>(key.kind)] + " (owner " +
+         std::to_string(key.owner) + ", slot " + std::to_string(key.slot) +
+         ", " + std::to_string(key.len) + " bytes)";
 }
 
 void MrCache::make_room() {
   if (entries_.size() < capacity_ || lru_.empty()) {
-    // Under capacity, or everything retained is in flight / explicitly
-    // registered: in the latter case the cache grows past its bound
-    // (real pin-down caches do the same — an active DMA cannot be
-    // unpinned) and shrinks back as transfers complete.
+    // Under capacity, or everything retained is in flight: in the latter
+    // case the cache grows past its bound (real pin-down caches do the
+    // same — an active DMA cannot be unpinned) and shrinks back as
+    // transfers complete.
     return;
   }
-  const Key victim = lru_.front();
+  const RegionKey victim = lru_.front();
   auto it = entries_.find(victim);
   MAD_ASSERT(it != entries_.end(), name_ + ": LRU list out of sync");
   lru_.pop_front();
@@ -40,9 +35,8 @@ void MrCache::make_room() {
   ++stats_.evictions;
 }
 
-bool MrCache::acquire(std::uintptr_t addr, std::size_t len) {
-  MAD_ASSERT(len > 0, name_ + ": acquire of empty region");
-  const Key key{addr, len};
+bool MrCache::acquire(const RegionKey& key) {
+  MAD_ASSERT(key.len > 0, name_ + ": acquire of empty region");
   auto it = entries_.find(key);
   if (it != entries_.end() && !it->second.doomed) {
     Entry& e = it->second;
@@ -63,7 +57,6 @@ bool MrCache::acquire(std::uintptr_t addr, std::size_t len) {
       e.in_lru = false;
     }
     e.doomed = false;
-    e.explicit_reg = false;
     ++e.refs;
     ++stats_.misses;
     return false;
@@ -72,13 +65,12 @@ bool MrCache::acquire(std::uintptr_t addr, std::size_t len) {
   Entry e;
   e.refs = 1;
   entries_.emplace(key, e);
-  pinned_bytes_ += len;
+  pinned_bytes_ += key.len;
   ++stats_.misses;
   return false;
 }
 
-void MrCache::release(std::uintptr_t addr, std::size_t len) {
-  const Key key{addr, len};
+void MrCache::release(const RegionKey& key) {
   auto it = entries_.find(key);
   MAD_ASSERT(it != entries_.end(), describe(key) + " released but not held");
   Entry& e = it->second;
@@ -91,48 +83,13 @@ void MrCache::release(std::uintptr_t addr, std::size_t len) {
     drop(it);
     return;
   }
-  if (!e.explicit_reg) {
-    // Idle and retained: most recently used end of the eviction order.
-    lru_.push_back(key);
-    e.lru = std::prev(lru_.end());
-    e.in_lru = true;
-  }
+  // Idle and retained: most recently used end of the eviction order.
+  lru_.push_back(key);
+  e.lru = std::prev(lru_.end());
+  e.in_lru = true;
 }
 
-void MrCache::register_region(std::uintptr_t addr, std::size_t len) {
-  MAD_ASSERT(len > 0, name_ + ": register of empty region");
-  const Key key{addr, len};
-  auto it = entries_.find(key);
-  if (it != entries_.end() && !it->second.doomed) {
-    MAD_PANIC(describe(key) + " double-registered");
-  }
-  if (it != entries_.end()) {
-    // Re-register over a doomed in-flight entry: fresh mapping.
-    it->second.doomed = false;
-    it->second.explicit_reg = true;
-    return;
-  }
-  make_room();
-  Entry e;
-  e.explicit_reg = true;
-  entries_.emplace(key, e);
-  pinned_bytes_ += len;
-}
-
-void MrCache::deregister_region(std::uintptr_t addr, std::size_t len) {
-  const Key key{addr, len};
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    MAD_PANIC(describe(key) + " deregistered but never registered");
-  }
-  if (it->second.refs > 0) {
-    MAD_PANIC(describe(key) + " deregistered while in flight (refs=" +
-              std::to_string(it->second.refs) + ")");
-  }
-  drop(it);
-}
-
-void MrCache::drop(std::map<Key, Entry>::iterator it) {
+void MrCache::drop(std::map<RegionKey, Entry>::iterator it) {
   if (it->second.in_lru) {
     lru_.erase(it->second.lru);
   }
@@ -155,8 +112,8 @@ void MrCache::invalidate_all() {
   }
 }
 
-bool MrCache::contains(std::uintptr_t addr, std::size_t len) const {
-  const auto it = entries_.find(Key{addr, len});
+bool MrCache::contains(const RegionKey& key) const {
+  const auto it = entries_.find(key);
   return it != entries_.end() && !it->second.doomed;
 }
 

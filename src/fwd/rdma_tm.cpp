@@ -1,5 +1,7 @@
 #include "fwd/rdma_tm.hpp"
 
+#include <utility>
+
 #include "net/host.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
@@ -11,9 +13,6 @@ void RdmaOptions::validate() const {
   MAD_ASSERT(rendezvous_threshold >= 1,
              "rendezvous_threshold must be >= 1 byte");
   MAD_ASSERT(cache_capacity >= 1, "registration cache needs capacity >= 1");
-  MAD_ASSERT(page_size > 0, "pin page size must be positive");
-  MAD_ASSERT(pin_base_cost >= 0 && pin_page_cost >= 0,
-             "pin costs must be non-negative");
 }
 
 RdmaTm::RdmaTm(sim::Engine& engine, net::Nic& nic, const RdmaOptions& options,
@@ -25,46 +24,59 @@ RdmaTm::RdmaTm(sim::Engine& engine, net::Nic& nic, const RdmaOptions& options,
       cache_(options.cache_capacity, label_ + ".mr") {}
 
 sim::Time RdmaTm::pin_cost(std::size_t len) const {
-  const std::uint64_t pages =
-      (len + options_.page_size - 1) / options_.page_size;
-  return options_.pin_base_cost +
-         static_cast<sim::Time>(pages) * options_.pin_page_cost;
+  const std::size_t pages = (len + kPinPageSize - 1) / kPinPageSize;
+  return kPinBaseCost + static_cast<sim::Time>(pages) * kPinPageCost;
 }
 
-bool RdmaTm::acquire_charged(const void* addr, std::size_t len) {
-  const bool hit = cache_.acquire(addr, len);
+bool RdmaTm::acquire_charged(const RegionKey& region) {
+  const bool hit = cache_.acquire(region);
   sim::MetricsRegistry* metrics = nic_.network().metrics();
   if (metrics != nullptr && metrics->enabled()) {
     metrics->counter(hit ? "rdma.mr_hits" : "rdma.mr_misses", label_).add();
   }
   if (!hit) {
     // The pin syscall runs on this actor's CPU.
-    engine_.sleep_for(pin_cost(len));
+    engine_.sleep_for(pin_cost(region.len));
   }
   return hit;
 }
 
-RdmaTm::Pin::Pin(RdmaTm& tm, const void* addr, std::size_t len)
-    : cache_(tm.cache_), addr_(addr), len_(len) {
-  hit_ = tm.acquire_charged(addr, len);
+RdmaTm::Pin::Pin(RdmaTm& tm, const RegionKey& region)
+    : cache_(tm.cache_), region_(region) {
+  hit_ = tm.acquire_charged(region);
 }
 
-RdmaTm::Pin::~Pin() { cache_.release(addr_, len_); }
+RdmaTm::Pin::~Pin() { cache_.release(region_); }
 
 void RdmaTm::write(int dst_nic_index, std::uint64_t tag, util::ByteSpan data,
-                   bool completion) {
+                   RegionKey region, bool completion) {
   MAD_ASSERT(!data.empty(), label_ + ": one-sided write of empty span");
+  region.len = data.size();
   // The source stays pinned for the whole flow: Nic::send blocks this
   // actor until the last byte left the host bus.
-  Pin pin(*this, data.data(), data.size());
+  const Pin pin(*this, region);
   nic_.send(dst_nic_index, tag, data,
             net::SendOptions{/*one_sided=*/true, completion});
+  count_write(data.size());
+}
+
+void RdmaTm::write(int dst_nic_index, std::uint64_t tag, util::Bytes packet,
+                   RegionKey region, bool completion) {
+  MAD_ASSERT(!packet.empty(), label_ + ": one-sided write of empty buffer");
+  region.len = packet.size();
+  const Pin pin(*this, region);
+  nic_.send(dst_nic_index, tag, std::move(packet),
+            net::SendOptions{/*one_sided=*/true, completion});
+  count_write(region.len);
+}
+
+void RdmaTm::count_write(std::size_t bytes) {
   ++writes_;
-  bytes_written_ += data.size();
+  bytes_written_ += bytes;
   sim::MetricsRegistry* metrics = nic_.network().metrics();
   if (metrics != nullptr && metrics->enabled()) {
     metrics->counter("rdma.writes", label_).add();
-    metrics->counter("rdma.bytes", label_).add(data.size());
+    metrics->counter("rdma.bytes", label_).add(bytes);
   }
 }
 
@@ -81,12 +93,9 @@ bool RdmaTm::rendezvous(RdmaTm& remote, std::uint64_t remote_key,
                     peer.wire_latency + local.rx_host_overhead);
   // The remote side looks its receive region up in its own pin-down
   // cache; a miss pins it while this actor waits for the reply.
-  const bool hit = remote.acquire_charged(
-      reinterpret_cast<const void*>(static_cast<std::uintptr_t>(remote_key)),
-      len);
-  remote.cache_.release(
-      reinterpret_cast<const void*>(static_cast<std::uintptr_t>(remote_key)),
-      len);
+  const RegionKey region{RegionKey::Kind::ReceiveRegion, remote_key, 0, len};
+  const bool hit = remote.acquire_charged(region);
+  remote.cache_.release(region);
   ++rendezvous_count_;
   if (hit) {
     ++rendezvous_hits_;

@@ -8,20 +8,22 @@
 // writes directly into the destination's pre-registered memory with
 // bus-master DMA on both host buses, and the destination CPU sees only a
 // completion notification. Registration is expensive, so a pin-down cache
-// (fwd/mr_cache.hpp) amortizes it across the gateway's recycled buffers.
+// (fwd/mr_cache.hpp) amortizes it across the buffers the gateway and the
+// reliable senders recycle, each named by its simulated region.
 //
 // An RdmaTm wraps one NIC with:
-//   * pin()        — registration lookup through the LRU cache, charging
-//                    the simulated pin cost (base + per-page) on a miss;
-//   * write()      — queue-pair-style one-sided write: pins the local
-//                    source, then pushes the fragment as a single
+//   * Pin          — registration lookup of a region through the LRU
+//                    cache, charging the simulated pin cost (base +
+//                    per-page) on a miss;
+//   * write()      — queue-pair-style one-sided write: pins the source
+//                    region, then pushes the fragment as a single
 //                    net::SendOptions{one_sided} packet (same tag and
 //                    FIFO order as the two-sided path, so framing around
-//                    it is untouched);
+//                    it is untouched), from a view or by ownership;
 //   * rendezvous() — the control handshake that has the REMOTE side
-//                    register its receive region (keyed by the wire tag):
-//                    one control RTT, plus the remote pin cost when the
-//                    remote cache misses;
+//                    register its receive region (keyed by the sender's
+//                    tx tag): one control RTT, plus the remote pin cost
+//                    when the remote cache misses;
 //   * invalidate() — NIC crash / channel teardown: all registrations die
 //                    with the adapter state.
 #pragma once
@@ -49,16 +51,17 @@ struct RdmaOptions {
   std::uint32_t rendezvous_threshold = 32 * 1024;
   /// Registered regions the pin-down cache retains per NIC.
   std::size_t cache_capacity = 64;
-  /// Registration cost model: pinning costs base + ceil(len/page) * page
-  /// (syscall entry plus per-page table walk — the shape Tezuka et al.
-  /// measured).
-  sim::Time pin_base_cost = sim::microseconds(20);
-  sim::Time pin_page_cost = sim::microseconds(1);
-  std::uint32_t page_size = 4096;
 
   /// Panics loudly on inconsistent settings.
   void validate() const;
 };
+
+/// Registration cost model: pinning costs base + ceil(len/page) * page
+/// cost (syscall entry plus per-page table walk — the shape Tezuka et al.
+/// measured).
+inline constexpr sim::Time kPinBaseCost = sim::microseconds(20);
+inline constexpr sim::Time kPinPageCost = sim::microseconds(1);
+inline constexpr std::size_t kPinPageSize = 4096;
 
 class RdmaTm {
  public:
@@ -74,7 +77,7 @@ class RdmaTm {
   /// the cache (charging pin cost on a miss), released on destruction.
   class Pin {
    public:
-    Pin(RdmaTm& tm, const void* addr, std::size_t len);
+    Pin(RdmaTm& tm, const RegionKey& region);
     ~Pin();
     Pin(const Pin&) = delete;
     Pin& operator=(const Pin&) = delete;
@@ -82,21 +85,25 @@ class RdmaTm {
 
    private:
     MrCache& cache_;
-    const void* addr_;
-    std::size_t len_;
+    RegionKey region_;
     bool hit_;
   };
 
-  /// One-sided write of `data` to the peer NIC: pins the source span,
-  /// then sends it as a single one-sided packet. `completion` marks the
-  /// last fragment of a block — the remote completion notification the
-  /// destination actor pays receive software for.
+  /// One-sided write of `data`, which lives in `region` (of data.size()
+  /// bytes), to the peer NIC: pins the region, then sends the bytes as a
+  /// single one-sided packet. `completion` marks the last fragment of a
+  /// block — the remote completion notification the destination actor
+  /// pays receive software for.
   void write(int dst_nic_index, std::uint64_t tag, util::ByteSpan data,
-             bool completion);
+             RegionKey region, bool completion);
+  /// The same write of `packet`, a buffer of the network's packet pool,
+  /// sent by ownership (net::Nic::send's adopting form).
+  void write(int dst_nic_index, std::uint64_t tag, util::Bytes packet,
+             RegionKey region, bool completion);
 
   /// Rendezvous with the destination NIC's RdmaTm for a block of `len`
-  /// bytes landing under `remote_key` (the wire tag doubles as the remote
-  /// region's identity — the receive buffers behind one tag are stable).
+  /// bytes landing under `remote_key`, the sender's tx tag (the receive
+  /// buffers behind one tag are stable, so the tag names the region).
   /// Charges the control round trip; on a remote-cache miss this actor
   /// additionally waits out the remote side's pin cost. Returns true when
   /// the remote registration was already cached.
@@ -115,7 +122,9 @@ class RdmaTm {
   sim::Time pin_cost(std::size_t len) const;
   /// Cache lookup + miss-cost charging shared by local pins and the
   /// remote side of a rendezvous.
-  bool acquire_charged(const void* addr, std::size_t len);
+  bool acquire_charged(const RegionKey& region);
+  /// Counts one write of `bytes`.
+  void count_write(std::size_t bytes);
 
   sim::Engine& engine_;
   net::Nic& nic_;

@@ -38,6 +38,9 @@ enum class TrafficClass : std::uint8_t { Control = 0, Latency = 1, Bulk = 2 };
 
 inline constexpr int kTrafficClassCount = 3;
 
+/// The class of an origin FlowOptions::classes does not name.
+inline constexpr TrafficClass kDefaultTrafficClass = TrafficClass::Bulk;
+
 const char* traffic_class_name(TrafficClass cls);
 
 /// Decodes the wire byte carried in GtmMsgHeader::traffic_class. Message

@@ -28,8 +28,6 @@ void ReliableOptions::validate() const {
   MAD_ASSERT(window >= 1, "reliable window must hold at least one paquet");
   MAD_ASSERT(max_ack_timeout >= ack_timeout,
              "reliable max_ack_timeout must be >= ack_timeout");
-  MAD_ASSERT(retransmit_jitter >= 0.0 && retransmit_jitter <= 1.0,
-             "reliable retransmit_jitter must be within [0, 1]");
 }
 
 sim::Time backed_off_timeout(sim::Time timeout, double backoff,
@@ -187,21 +185,24 @@ void ReliableSender::transmit(InFlight& p) {
       out_.pack(util::ByteSpan(blob), SendMode::Safer, RecvMode::Express);
     }
   }
-  if (rdma_ == nullptr) {
-    // Filled straight into a packet buffer, which the NIC adopts.
-    util::Bytes wire = network_->buffer_pool().take(p.payload().size() +
-                                                    kGtmTrailerBytes);
-    fill(p, wire);
-    out_.send_paquet(std::move(wire));
-  } else if (p.one_sided) {
+  // Filled straight into a packet buffer, which the NIC adopts.
+  util::Bytes wire = network_->buffer_pool().take(p.payload().size() +
+                                                  kGtmTrailerBytes);
+  fill(p, wire);
+  if (p.one_sided) {
     // One-sided with completion: the receiver is notified of (and acks)
     // every paquet, but the payload crosses both host buses as DMA from
-    // the registered wire buffer. Retransmits reuse the same buffer, so
-    // the pin-down cache hit is guaranteed.
-    rdma_->write(conn_->peer_nic_index, conn_->tx_tag,
-                 util::ByteSpan(p.wire), /*completion=*/true);
+    // slot seq % window of this connection's registered send ring. A
+    // retransmit re-sends from the same slot.
+    const RegionKey slot{
+        RegionKey::Kind::SendRing, conn_->tx_tag,
+        (static_cast<std::uint64_t>(conn_->peer_nic_index) << 32) |
+            (p.seq % window_),
+        0};
+    rdma_->write(conn_->peer_nic_index, conn_->tx_tag, std::move(wire), slot,
+                 /*completion=*/true);
   } else {
-    out_.pack(util::ByteSpan(p.wire), SendMode::Cheaper, RecvMode::Express);
+    out_.send_paquet(std::move(wire));
   }
   p.sent_at = engine_->now();
   p.deadline = p.sent_at + p.rto;
@@ -285,16 +286,14 @@ void ReliableSender::expire(InFlight& p) {
   if (window_ > 1) {
     backed_off_rto_ = std::max(backed_off_rto_, p.rto);
   }
-  if (opts.retransmit_jitter > 0.0) {
-    // Desynchronize from periodic faults: a pure doubling chain repeats the
-    // same phase against any fault period that divides its steps, so a
-    // retransmit that once landed in a flap's down-window would land in
-    // every later one too. Jitter stays under the max_ack_timeout ceiling.
-    const auto extra = static_cast<sim::Time>(
-        static_cast<double>(p.rto) * opts.retransmit_jitter *
-        jitter_rng_.next_double());
-    p.rto = std::min(p.rto + extra, opts.max_ack_timeout);
-  }
+  // Desynchronize from periodic faults: a pure doubling chain repeats the
+  // same phase against any fault period that divides its steps, so a
+  // retransmit that once landed in a flap's down-window would land in every
+  // later one too. Jitter stays under the max_ack_timeout ceiling.
+  const auto extra = static_cast<sim::Time>(
+      static_cast<double>(p.rto) * kRetransmitJitter *
+      jitter_rng_.next_double());
+  p.rto = std::min(p.rto + extra, opts.max_ack_timeout);
   ++p.attempts;
   p.retransmitted = true;
   transmit(p);
@@ -335,10 +334,6 @@ void ReliableSender::enqueue(InFlight p) {
   MAD_ASSERT(inflight_.empty() || p.seq == inflight_.back().seq + 1,
              "reliable window fed out of sequence");
   make_room();
-  if (rdma_ != nullptr) {
-    p.wire = wire_arena_.take(p.payload().size() + kGtmTrailerBytes);
-    fill(p, p.wire);
-  }
   p.rto = initial_rto();
   inflight_.push_back(std::move(p));
   transmit(inflight_.back());
@@ -536,7 +531,6 @@ void ReliableSender::drain_to(std::size_t target) {
         sample_ack(front);
       }
       ++acked;
-      wire_arena_.give(std::move(front.wire));  // empty unless RDMA-capable
       inflight_.pop_front();
       on_ack_growth();
     }

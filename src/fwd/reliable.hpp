@@ -46,7 +46,6 @@
 #include "fwd/generic_tm.hpp"
 #include "mad/types.hpp"
 #include "sim/time.hpp"
-#include "util/arena.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -101,18 +100,18 @@ struct ReliableOptions {
   /// exponential chain from overflowing Time and bounds how long a retry
   /// can stall failover detection.
   sim::Time max_ack_timeout = sim::seconds(2);
-  /// Fraction of each backed-off deadline added as deterministic
-  /// pseudo-random jitter (uniform in [0, jitter·rto), seeded per sender).
-  /// Without it the backoff chain is strictly periodic, and against a
-  /// periodic fault (a flapping link whose period divides the backoff
-  /// steps) every retransmission can phase-lock into the down-windows and
-  /// exhaust the retry budget on a hop that is up more than half the time.
-  /// 0 disables jitter and restores the exact PR-1/PR-5 deadline sequence.
-  double retransmit_jitter = 0.25;
 
   /// Panics on inconsistent settings (called by the VirtualChannel ctor).
   void validate() const;
 };
+
+/// Fraction of each backed-off deadline added as deterministic
+/// pseudo-random jitter (uniform in [0, jitter·rto), seeded per sender).
+/// Without it the backoff chain is strictly periodic, and against a
+/// periodic fault (a flapping link whose period divides the backoff steps)
+/// every retransmission can phase-lock into the down-windows and exhaust
+/// the retry budget on a hop that is up more than half the time.
+inline constexpr double kRetransmitJitter = 0.25;
 
 /// Applies one backoff step to `timeout`, clamping to `cap`. The multiply
 /// happens in double; any overflow, inf or NaN lands on the cap instead of
@@ -216,24 +215,22 @@ class ReliableSender {
   std::size_t effective_window() const;
 
  private:
-  /// One paquet of the window. It keeps no wire buffer of its own (but
-  /// see `wire`): every transmission fills a fresh buffer of the network's
-  /// packet pool and hands it to the writer, which hands it to the NIC.
-  /// The first fill copies the payload and checksums it in one pass
-  /// (gtm_copy_checksum) and seals the trailer; a retransmit copies the
-  /// payload again and appends the sealed trailer. So the payload must
-  /// read the same until the paquet leaves the window: a fragment is a
-  /// view of memory the caller keeps that long (a Safer or Later block's
-  /// snapshot, a Cheaper block's user memory, which is unchanged until
-  /// end_packing, or a gateway's stored fragment), a header is a copy.
+  /// One paquet of the window. It keeps no wire buffer of its own: every
+  /// transmission, one-sided or not, fills a fresh buffer of the network's
+  /// packet pool and hands it on by ownership (to the writer, or to the
+  /// RdmaTm, which pins the send-ring slot it models). The first fill
+  /// copies the payload and checksums it in one pass (gtm_copy_checksum)
+  /// and seals the trailer; a retransmit copies the payload again and
+  /// appends the sealed trailer. So the payload must read the same until
+  /// the paquet leaves the window: a fragment is a view of memory the
+  /// caller keeps that long (a Safer or Later block's snapshot, a Cheaper
+  /// block's user memory, which is unchanged until end_packing, or a
+  /// gateway's stored fragment), a header is a copy.
   struct InFlight {
     std::uint32_t seq = 0;
     util::ByteSpan fragment;               // when `header` is unset
     std::optional<GtmBlockHeader> header;  // block header or end marker
     std::optional<GtmPaquetTrailer> trailer;  // sealed by the first fill
-    /// RDMA-capable senders only: payload + trailer in a buffer of
-    /// wire_arena_, filled once and re-sent as is.
-    util::Bytes wire;
     sim::Time tx_begin = 0;  // last attempt start (rel.ack_us base)
     sim::Time sent_at = 0;   // last attempt pack-complete (RTO base)
     sim::Time deadline = 0;
@@ -307,19 +304,6 @@ class ReliableSender {
   /// or hybrid buffers). send(..., one_sided=true) silently degrades to
   /// the two-sided path when null.
   RdmaTm* rdma_ = nullptr;
-  // An RDMA-capable sender's wire buffers (InFlight::wire), reused best
-  // fit: the pin-down cache keys on buffer addresses, so every reuse —
-  // including a retransmit, which re-sends the very buffer pinned for the
-  // first attempt — hits, and a tiny block-header paquet does not claim
-  // (and re-key) an MTU-sized registered fragment buffer. Its two-sided
-  // paquets (headers, end markers, blocks under the rendezvous
-  // threshold) cycle through the arena too, although only one-sided
-  // writes pin: which retired buffer a one-sided fragment reuses, and so
-  // whether its pin hits, depends on every buffer the arena has handed
-  // out. Sending them through the adopting path instead changes which
-  // pins hit and moves the pinned one-way times of the RDMA rows of
-  // GatewayRelayMatrix and OriginEgressMatrix (fwd/test_gateway.cpp).
-  util::BufferArena wire_arena_;
   std::deque<InFlight> inflight_;
   // Duplicate-cumulative-ack tracking (fast retransmit, window > 1 only).
   // The ack board counts a duplicate only when a cum post re-acks the

@@ -18,6 +18,10 @@ namespace mad::fwd {
 
 namespace {
 
+/// Per-rail credit window, in chunks: how many chunks pack() may hand a
+/// rail before blocking on that rail's progress.
+constexpr std::uint32_t kRailCreditChunks = 4;
+
 std::vector<std::uint32_t> shares_of(const std::vector<RailPlan>& plans) {
   std::vector<std::uint32_t> shares;
   shares.reserve(plans.size());
@@ -163,7 +167,7 @@ Striper::Striper(VirtualChannel& vc, NodeRank src, NodeRank dst,
   rails_.reserve(plans.size());
   for (std::size_t r = 0; r < plans.size(); ++r) {
     rails_.push_back(std::make_unique<Rail>(
-        engine, std::move(plans[r]), vc.options().rail_credit_chunks,
+        engine, std::move(plans[r]), kRailCreditChunks,
         vc.name() + ".rail" + std::to_string(r) + "." + std::to_string(src)));
   }
   for (std::size_t r = 0; r < rails_.size(); ++r) {

@@ -53,8 +53,6 @@ sim::Time FlowOptions::reject_delay(int attempts, std::uint64_t seed) const {
 void VcOptions::validate() const {
   MAD_ASSERT(pipeline_depth >= 1, "pipeline depth must be >= 1");
   MAD_ASSERT(max_rails >= 1, "max_rails must be >= 1");
-  MAD_ASSERT(rail_credit_chunks >= 1,
-             "rail credit window must hold at least one chunk");
   if (reliable.enabled) {
     reliable.validate();
   }
@@ -141,7 +139,7 @@ VirtualChannel::VirtualChannel(Domain& domain, std::string name,
 
 VirtualChannel::~VirtualChannel() {
   // Channel teardown deregisters everything the channel pinned.
-  for (auto& [nic, tm] : rdma_tms_) {
+  for (auto& [id, tm] : rdma_tms_) {
     tm->invalidate();
   }
 }
@@ -299,7 +297,8 @@ void VirtualChannel::mark_dead(NodeRank rank) {
     if (!domain_.has_nic(rank, *network)) {
       continue;
     }
-    const auto it = rdma_tms_.find(&domain_.nic_of(rank, *network));
+    const auto it = rdma_tms_.find(
+        {network->id(), domain_.nic_of(rank, *network).index()});
     if (it != rdma_tms_.end()) {
       it->second->invalidate();
     }
@@ -330,10 +329,11 @@ RdmaTm* VirtualChannel::rdma_tm(net::Nic& nic) const {
   if (!options_.rdma.enabled) {
     return nullptr;
   }
-  auto it = rdma_tms_.find(&nic);
+  const std::pair<int, int> key{nic.network().id(), nic.index()};
+  auto it = rdma_tms_.find(key);
   if (it == rdma_tms_.end()) {
     it = rdma_tms_
-             .emplace(&nic, std::make_unique<RdmaTm>(
+             .emplace(key, std::make_unique<RdmaTm>(
                                 domain_.engine(), nic, options_.rdma,
                                 name_ + ".rdma." + nic.network().name() +
                                     ".nic" + std::to_string(nic.index())))
@@ -344,7 +344,7 @@ RdmaTm* VirtualChannel::rdma_tm(net::Nic& nic) const {
 
 RdmaTotals VirtualChannel::rdma_totals() const {
   RdmaTotals totals;
-  for (const auto& [nic, tm] : rdma_tms_) {
+  for (const auto& [id, tm] : rdma_tms_) {
     const MrCacheStats& s = tm->cache().stats();
     totals.cache.hits += s.hits;
     totals.cache.misses += s.misses;

@@ -63,12 +63,11 @@ struct FlowOptions {
   /// Per-origin scheduling weights, indexed by origin node rank; nodes
   /// beyond the vector (or with a 0 entry) default to weight 1.
   std::vector<double> weights;
-  /// TrafficClass every writer stamps into its messages unless overridden
-  /// per origin below. Gateways arbitrate classes strictly (control before
-  /// latency before bulk, fwd/regulation.hpp) and shed in reverse order.
-  TrafficClass default_class = TrafficClass::Bulk;
-  /// Per-origin class overrides, indexed by origin node rank; origins
-  /// beyond the vector use `default_class`.
+  /// Per-origin TrafficClass, indexed by origin node rank, which every
+  /// writer stamps into its messages; origins beyond the vector use
+  /// kDefaultTrafficClass. Gateways arbitrate classes strictly (control
+  /// before latency before bulk, fwd/regulation.hpp) and shed in reverse
+  /// order.
   std::vector<TrafficClass> classes;
   /// Gateway admission control: per-class budgets plus the CoDel-style
   /// sojourn shedding policy. Disabled by default — flows then rely on
@@ -91,7 +90,7 @@ struct FlowOptions {
     if (origin >= 0 && static_cast<std::size_t>(origin) < classes.size()) {
       return classes[static_cast<std::size_t>(origin)];
     }
-    return default_class;
+    return kDefaultTrafficClass;
   }
 
   /// Panics on inconsistent settings (called by VcOptions::validate).
@@ -133,9 +132,6 @@ struct VcOptions {
   /// each other); sequential transfers and different destinations are
   /// unrestricted.
   int max_rails = 1;
-  /// Per-rail credit window, in chunks: how many chunks pack() may hand a
-  /// rail before blocking on that rail's progress.
-  std::uint32_t rail_credit_chunks = 4;
   /// Overrides the MTU-derived per-rail shares (paquets per round-robin
   /// round) when non-empty — the "measured rate" weighting knob. Entries
   /// beyond the actual rail count are ignored; missing entries default
@@ -385,9 +381,10 @@ class VirtualChannel {
   std::vector<std::vector<ChannelId>> special_ids_;
   std::map<NodeRank, std::unique_ptr<VcEndpoint>> endpoints_;
   mutable std::map<NodeRank, GatewayStats> gateway_stats_;
-  // One RdmaTm per NIC that ever sent one-sided, lazily created (mutable:
-  // creation is caching, not observable state).
-  mutable std::map<const net::Nic*, std::unique_ptr<RdmaTm>> rdma_tms_;
+  // One RdmaTm per NIC that ever sent one-sided, keyed by (network id, NIC
+  // index) and lazily created (mutable: creation is caching, not
+  // observable state).
+  mutable std::map<std::pair<int, int>, std::unique_ptr<RdmaTm>> rdma_tms_;
 };
 
 /// One message arriving at an endpoint, parked after its preamble. The

@@ -48,6 +48,8 @@ class StaticBufferPool {
     std::size_t capacity() const;
     void set_used(std::size_t used);
     std::size_t used() const { return used_; }
+    /// Which of the pool's buffers this is.
+    std::size_t slot() const { return slot_; }
     /// Early release (idempotent).
     void release();
 

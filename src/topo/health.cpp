@@ -9,6 +9,9 @@ namespace mad::topo {
 
 namespace {
 
+/// EWMA gain for SRTT samples (matches the reliable layer's 1/8).
+constexpr double kRttAlpha = 0.125;
+
 /// 2^(-elapsed / half_life); 1.0 when half_life is zero or elapsed is not
 /// positive.
 double decay_factor(sim::Time elapsed, sim::Time half_life) {
@@ -24,8 +27,7 @@ double decay_factor(sim::Time elapsed, sim::Time half_life) {
 void HealthOptions::validate() const {
   const auto unit = [](double v) { return v >= 0.0 && v <= 1.0; };
   MAD_ASSERT(check_interval > 0, "health check interval must be positive");
-  MAD_ASSERT(loss_alpha > 0.0 && loss_alpha <= 1.0 && rtt_alpha > 0.0 &&
-                 rtt_alpha <= 1.0,
+  MAD_ASSERT(loss_alpha > 0.0 && loss_alpha <= 1.0,
              "health EWMA gains must be in (0, 1]");
   MAD_ASSERT(rtt_inflation >= 1.0, "rtt_inflation must be at least 1");
   MAD_ASSERT(unit(down_score) && unit(up_score) && down_score < up_score,
@@ -72,7 +74,7 @@ void HealthMonitor::record_ack(NodeId from, NodeId to, sim::Time now,
       edge.srtt_us = rtt_us;
       edge.base_rtt_us = rtt_us;
     } else {
-      edge.srtt_us += options_.rtt_alpha * (rtt_us - edge.srtt_us);
+      edge.srtt_us += kRttAlpha * (rtt_us - edge.srtt_us);
       edge.base_rtt_us = std::min(edge.base_rtt_us, rtt_us);
     }
   }

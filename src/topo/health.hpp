@@ -47,8 +47,6 @@ struct HealthOptions {
   sim::Time check_interval = sim::milliseconds(2);
   /// EWMA gain for loss events (higher = faster to condemn).
   double loss_alpha = 0.2;
-  /// EWMA gain for SRTT samples (matches the reliable layer's 1/8).
-  double rtt_alpha = 0.125;
   /// SRTT may inflate this many times over the best observed RTT before
   /// the timeliness factor starts to bite.
   double rtt_inflation = 4.0;

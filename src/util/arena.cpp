@@ -31,32 +31,4 @@ void BufferPool::grow(std::size_t capacity) {
   capacity_ = std::max(capacity_, capacity);
 }
 
-Bytes BufferArena::take(std::size_t size) {
-  ++takes_;
-  auto best = free_.end();
-  for (auto it = free_.begin(); it != free_.end(); ++it) {
-    if (it->capacity() >= size &&
-        (best == free_.end() || it->capacity() < best->capacity())) {
-      best = it;
-    }
-  }
-  if (best != free_.end()) {
-    ++reuses_;
-    Bytes buffer = std::move(*best);
-    free_.erase(best);
-    buffer.resize(size);  // within capacity: the address stays put
-    return buffer;
-  }
-  Bytes buffer;
-  buffer.resize(size);
-  return buffer;
-}
-
-void BufferArena::give(Bytes buffer) {
-  if (buffer.capacity() == 0) {
-    return;
-  }
-  free_.push_back(std::move(buffer));
-}
-
 }  // namespace mad::util

@@ -9,7 +9,7 @@
 // benchmark put malloc/free of per-paquet scratch among the top remaining
 // costs once scheduling itself was fixed; these arenas remove it.
 //
-// Three shapes:
+// Two shapes:
 //   * Arena<T>      — plain LIFO freelist of T objects. take() hands back a
 //                     retired object (with whatever capacity its members
 //                     kept) or default-constructs one.
@@ -18,9 +18,6 @@
 //                     path (wire packets, one pool per fabric, which
 //                     reliable senders fill, receivers park and the plain
 //                     relay forwards; the gateway's stored fragments).
-//   * BufferArena   — size-aware best-fit recycler for byte buffers, kept
-//                     for the RDMA senders, whose pin-down cache keys on
-//                     buffer addresses.
 //
 // None is thread-safe; under the simulation engine exactly one actor
 // runs at a time, which is the only concurrency these see.
@@ -91,41 +88,17 @@ class BufferPool {
   std::size_t capacity_;
 };
 
-/// Best-fit recycler for byte buffers. Best fit so a tiny block-header
-/// paquet does not claim an MTU-sized buffer (which matters when the
-/// caller pins buffer addresses, e.g. the RDMA registration cache keys on
-/// them).
-class BufferArena {
- public:
-  /// A buffer of exactly `size` bytes; reuses the smallest retired buffer
-  /// whose capacity fits (so the address stays put across the resize).
-  Bytes take(std::size_t size);
-
-  /// Retires a buffer for reuse. Empty buffers are dropped.
-  void give(Bytes buffer);
-
-  std::size_t idle() const { return free_.size(); }
-  std::uint64_t takes() const { return takes_; }
-  std::uint64_t reuses() const { return reuses_; }
-
- private:
-  std::vector<Bytes> free_;
-  std::uint64_t takes_ = 0;
-  std::uint64_t reuses_ = 0;
-};
-
-/// RAII scratch buffer: taken from a BufferPool or BufferArena (or handed
-/// over) on construction, retired on destruction unless release() handed
-/// it on first. Safe across actor blocking points — each lease owns its
-/// buffer outright, concurrent leases simply draw distinct buffers — and
-/// movable, so a queued item can own one.
-template <typename Pool>
+/// RAII scratch buffer: taken from a BufferPool (or handed over) on
+/// construction, retired on destruction unless release() handed it on
+/// first. Safe across actor blocking points — each lease owns its buffer
+/// outright, concurrent leases simply draw distinct buffers — and movable,
+/// so a queued item can own one.
 class BufferLease {
  public:
-  BufferLease(Pool& pool, std::size_t size)
+  BufferLease(BufferPool& pool, std::size_t size)
       : pool_(&pool), buffer_(pool.take(size)) {}
   /// Leases `buffer`, which `pool` made and the caller hands over.
-  BufferLease(Pool& pool, Bytes buffer)
+  BufferLease(BufferPool& pool, Bytes buffer)
       : pool_(&pool), buffer_(std::move(buffer)) {}
   ~BufferLease() {
     if (pool_ != nullptr) {
@@ -149,7 +122,7 @@ class BufferLease {
   std::size_t size() const { return buffer_.size(); }
 
  private:
-  Pool* pool_;
+  BufferPool* pool_;
   Bytes buffer_;
 };
 

@@ -451,15 +451,15 @@ INSTANTIATE_TEST_SUITE_P(
         RelayCase{"SciToMyri", RelayTopo::SciToMyri, false,
                   {3470710, 2270989, 5814642, 5814642, 3386959, 3386959}},
         RelayCase{"SciToMyriRdma", RelayTopo::SciToMyri, true,
-                  {3610710, 2276853, 5924482, 5924482, 3376318, 3376318}},
+                  {3610710, 2276853, 5924482, 5924482, 3396770, 3396770}},
         RelayCase{"MyriToSci", RelayTopo::MyriToSci, false,
                   {3605781, 2722616, 5711417, 5711417, 3387347, 3387347}},
         RelayCase{"MyriToSciRdma", RelayTopo::MyriToSci, true,
-                  {3601291, 2516266, 5718095, 5718095, 3385938, 3385938}},
+                  {3601291, 2516266, 5718095, 5718095, 3406981, 3406981}},
         RelayCase{"Chain", RelayTopo::TwoGatewayChain, false,
                   {3876739, 3046700, 10448503, 10448503, 4874968, 4874968}},
         RelayCase{"ChainRdma", RelayTopo::TwoGatewayChain, true,
-                  {3872249, 2802784, 10455181, 10455181, 4909447, 4909447}}),
+                  {3872249, 2802784, 10455181, 10455181, 4929899, 4929899}}),
     [](const ::testing::TestParamInfo<RelayCase>& info) {
       return std::string(info.param.name);
     });
@@ -568,7 +568,7 @@ INSTANTIATE_TEST_SUITE_P(
                    {{{1516021, 0, 0, 0},
                      {2464960, 1, 8, 97000},
                      {5731351, 1, 8, 97000},
-                     {3395060, 1, 8, 97000},
+                     {3416103, 1, 8, 97000},
                      {1907978, 2, 8, 97000},
                      {3653106, 2, 8, 97000}}}}),
     [](const ::testing::TestParamInfo<OriginCase>& info) {

@@ -112,7 +112,7 @@ TEST(Rdma, RendezvousOncePerQualifyingBlockAndCachedOnRepeat) {
   // after the first hits the remote pin-down cache...
   EXPECT_EQ(totals.rendezvous_hits,
             static_cast<std::uint64_t>(kMessages - 1));
-  // ...and the gateway's recycled pipeline buffers hit the local one.
+  // ...and the gateway's recycled pipeline slots hit the local one.
   EXPECT_GT(totals.cache.hits, totals.cache.misses);
 }
 
@@ -128,7 +128,7 @@ TEST(Rdma, BlocksBelowThresholdStayEager) {
 
 TEST(Rdma, CapacityPressureEvictsButStaysCorrect) {
   // A one-entry cache thrashes on the relay's alternating pipeline
-  // buffers — misses and evictions pile up, the payload stays intact.
+  // slots — misses and evictions pile up, the payload stays intact.
   VcOptions options = rdma_options();
   options.rdma.cache_capacity = 1;
   PaperRig rig(options);
@@ -139,10 +139,10 @@ TEST(Rdma, CapacityPressureEvictsButStaysCorrect) {
 }
 
 TEST(Rdma, ReliableOneSidedSurvivesLoss) {
-  // Reliable mode rides the same one-sided path (writes with completion,
-  // registered retransmit buffers): a lossy SCI hop is healed by
-  // retransmits that re-send the very buffer that was pinned for the
-  // first attempt.
+  // Reliable mode rides the same one-sided path (writes with completion
+  // from a registered send ring): a lossy SCI hop is healed by
+  // retransmits that re-send from the ring slot pinned for the first
+  // attempt.
   VcOptions options = rdma_options();
   options.reliable.enabled = true;
   PaperRig rig(options);
@@ -155,8 +155,8 @@ TEST(Rdma, ReliableOneSidedSurvivesLoss) {
   EXPECT_GT(totals.writes, 0u);
   const GatewayStats& gw = rig.vc->gateway_stats(rig.gateway_rank);
   EXPECT_GE(gw.reliability.retransmits, 1u);
-  // Retransmits reuse the registered wire buffer: no retransmit ever
-  // re-pins, so hits strictly dominate.
+  // A retransmit re-sends from the slot its first attempt pinned, and
+  // later paquets cycle through the same ring slots, so pins hit.
   EXPECT_GT(totals.cache.hits, 0u);
 }
 
@@ -164,7 +164,7 @@ TEST(Rdma, GatewayCrashInvalidatesRegistrations) {
   // gw1 crashes mid-transfer: failover delivers via gw2, and every
   // registration cached on gw1's adapters is invalidated with it.
   // window > 1 selects the cut-through relay, so gw1 has live SCI-side
-  // registrations (pinned wire buffers) when the crash lands — the
+  // registrations (pinned send-ring slots) when the crash lands — the
   // store-and-forward relay would still be receiving upstream.
   VcOptions options = rdma_options();
   options.reliable.enabled = true;
@@ -182,6 +182,82 @@ TEST(Rdma, GatewayCrashInvalidatesRegistrations) {
   const RdmaTotals totals = rig.vc->rdma_totals();
   EXPECT_GE(totals.cache.invalidations, 1u);
   EXPECT_GT(totals.writes, 0u);
+}
+
+/// What one run of the heap-layout scenario produced.
+struct HeapProbe {
+  std::vector<sim::Time> delivered;
+  RdmaTotals rdma;
+  sim::Engine::Stats engine;
+};
+
+/// Six 512 KB messages Myrinet → SCI through a reliable one-sided relay
+/// (window 8, 32 KB paquets). With `perturb` set the sender allocates and
+/// holds sixteen paquet-sized buffers after each message, which moves
+/// every later heap allocation.
+HeapProbe heap_probe(bool perturb) {
+  VcOptions options = rdma_options();
+  options.reliable.enabled = true;
+  options.reliable.window = 8;
+  options.paquet_size = 32 * 1024;
+  PaperRig rig(options);
+  constexpr std::size_t kBytes = 512 * 1024;
+  constexpr int kMessages = 6;
+  util::Rng rng(3);
+  const auto payload = rng.bytes(kBytes);
+  std::vector<std::vector<std::byte>> held;
+  HeapProbe probe;
+  rig.engine.spawn("s", [&] {
+    for (int i = 0; i < kMessages; ++i) {
+      auto msg = rig.ep(rig.myri_node()).begin_packing(rig.sci_node());
+      msg.pack(payload);
+      msg.end_packing();
+      for (int b = 0; perturb && b < 16; ++b) {
+        held.emplace_back(options.paquet_size);
+      }
+    }
+  });
+  rig.engine.spawn("r", [&] {
+    std::vector<std::byte> out(kBytes);
+    for (int i = 0; i < kMessages; ++i) {
+      auto msg = rig.ep(rig.sci_node()).begin_unpacking();
+      msg.unpack(out);
+      msg.end_unpacking();
+      EXPECT_EQ(out, payload);
+      probe.delivered.push_back(rig.engine.now());
+    }
+  });
+  rig.engine.run();
+  probe.rdma = rig.vc->rdma_totals();
+  probe.engine = rig.engine.stats();
+  return probe;
+}
+
+TEST(Rdma, SameScenarioSameResultWhateverTheHeap) {
+  // Registrations key on simulated regions, so neither the allocator nor
+  // what else the process holds can decide whether a pin hits and what
+  // it costs in virtual time.
+  const HeapProbe first = heap_probe(false);
+  EXPECT_GT(first.rdma.writes, 0u);
+  EXPECT_GT(first.rdma.cache.hits, 0u);
+  for (const bool perturb : {true, false}) {
+    SCOPED_TRACE(perturb ? "perturbed heap" : "rerun");
+    const HeapProbe again = heap_probe(perturb);
+    EXPECT_EQ(again.delivered, first.delivered);
+    EXPECT_EQ(again.rdma.cache.hits, first.rdma.cache.hits);
+    EXPECT_EQ(again.rdma.cache.misses, first.rdma.cache.misses);
+    EXPECT_EQ(again.rdma.cache.evictions, first.rdma.cache.evictions);
+    EXPECT_EQ(again.rdma.writes, first.rdma.writes);
+    EXPECT_EQ(again.rdma.rendezvous, first.rdma.rendezvous);
+    EXPECT_EQ(again.rdma.rendezvous_hits, first.rdma.rendezvous_hits);
+    EXPECT_EQ(again.engine.switches, first.engine.switches);
+    EXPECT_EQ(again.engine.timer_fires, first.engine.timer_fires);
+    EXPECT_EQ(again.engine.notifies, first.engine.notifies);
+    EXPECT_EQ(again.engine.noop_notifies, first.engine.noop_notifies);
+    EXPECT_EQ(again.engine.direct_handoffs, first.engine.direct_handoffs);
+    EXPECT_EQ(again.engine.scheduler_rounds, first.engine.scheduler_rounds);
+    EXPECT_EQ(again.engine.stacks_mapped, first.engine.stacks_mapped);
+  }
 }
 
 }  // namespace

@@ -33,51 +33,19 @@ TEST(Arena, LifoOrder) {
   EXPECT_EQ(arena.idle(), 0u);
 }
 
-TEST(BufferArena, ReusesBestFitAndKeepsAddressStable) {
-  BufferArena arena;
-  Bytes small = arena.take(64);
-  Bytes big = arena.take(4096);
-  const std::byte* big_addr = big.data();
-  arena.give(std::move(big));
-  arena.give(std::move(small));
-  EXPECT_EQ(arena.idle(), 2u);
-
-  // A 32-byte request must draw the 64-byte buffer, not re-key the big
-  // one (address stability is what the RDMA registration cache needs).
-  const Bytes tiny = arena.take(32);
-  EXPECT_LT(tiny.capacity(), 4096u);
-  const Bytes large = arena.take(2048);
-  EXPECT_EQ(large.data(), big_addr);  // resized within capacity, same spot
-  EXPECT_EQ(arena.reuses(), 2u);
-}
-
-TEST(BufferArena, AllocatesWhenNothingFits) {
-  BufferArena arena;
-  arena.give(Bytes(16));
-  const Bytes buf = arena.take(1024);
-  EXPECT_EQ(buf.size(), 1024u);
-  EXPECT_EQ(arena.reuses(), 0u);
-  EXPECT_EQ(arena.idle(), 1u);  // the 16-byte one is still there
-}
-
-TEST(BufferArena, DropsEmptyBuffers) {
-  BufferArena arena;
-  arena.give({});
-  EXPECT_EQ(arena.idle(), 0u);
-}
-
 TEST(BufferLease, ReturnsBufferOnDestruction) {
-  BufferArena arena;
+  BufferPool pool(512);
   const std::byte* addr = nullptr;
   {
-    BufferLease lease(arena, 256);
+    BufferLease lease(pool, 256);
     EXPECT_EQ(lease.size(), 256u);
     addr = lease.data();
-    EXPECT_EQ(arena.idle(), 0u);
+    EXPECT_EQ(pool.idle(), 0u);
   }
-  EXPECT_EQ(arena.idle(), 1u);
-  BufferLease again(arena, 128);
+  EXPECT_EQ(pool.idle(), 1u);
+  BufferLease again(pool, 128);
   EXPECT_EQ(again.data(), addr);  // recycled the retired buffer
+  EXPECT_EQ(pool.reuses(), 1u);
 }
 
 }  // namespace
