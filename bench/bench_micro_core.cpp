@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "fwd/generic_tm.hpp"
@@ -170,6 +171,34 @@ void BM_PaquetCopyChecksum(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PaquetCopyChecksum)->Arg(8 * 1024)->Arg(128 * 1024);
+
+// A reliable gateway's egress fill of a stored fragment: a memcpy into the
+// wire buffer plus a trailer sealed from the digest its ingress
+// verification computed (Arg 1), against the fused copy-and-checksum pass
+// it would otherwise run (Arg 0). Report only.
+void BM_GatewayEgressFill(benchmark::State& state) {
+  const std::size_t size = static_cast<std::size_t>(state.range(0));
+  const bool sealed = state.range(1) != 0;
+  const std::vector<std::byte> payload = util::Rng(1).bytes(size);
+  const std::uint64_t digest = fwd::gtm_digest(payload);
+  std::vector<std::byte> wire(size);
+  std::uint32_t seq = 0;
+  benchmark::DoNotOptimize(wire.data());
+  for (auto _ : state) {
+    if (sealed) {
+      std::memcpy(wire.data(), payload.data(), size);
+      benchmark::DoNotOptimize(fwd::gtm_seal(digest, ++seq, 1));
+    } else {
+      benchmark::DoNotOptimize(
+          fwd::gtm_copy_checksum(wire, payload, ++seq, 1));
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GatewayEgressFill)
+    ->ArgNames({"bytes", "sealed"})
+    ->ArgsProduct({{8 * 1024, 128 * 1024}, {0, 1}});
 
 void BM_NativeMessage(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

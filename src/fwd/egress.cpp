@@ -110,11 +110,11 @@ void Egress::write_one_sided(Data data,
               /*completion=*/fragments_left_ == 0);
 }
 
-void Egress::fragment(util::ByteSpan payload,
-                      std::optional<RegionKey> region) {
+void Egress::fragment(util::ByteSpan payload, std::optional<RegionKey> region,
+                      std::optional<std::uint64_t> digest) {
   --fragments_left_;
   if (sender_) {
-    sender_->send_fragment(seq_++, payload, one_sided_);
+    sender_->send_fragment(seq_++, payload, one_sided_, digest);
   } else if (one_sided_) {
     write_one_sided(payload, region);
   } else {

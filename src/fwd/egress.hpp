@@ -50,6 +50,15 @@ struct Setback {
   bool ok() const { return kind == Kind::None; }
 };
 
+/// One fragment a gateway relay stored as it arrived: a buffer of the
+/// channel's paquet pool, and the payload digest (gtm_digest) its ingress
+/// verification computed, from which every egress transmission of it,
+/// replays included, seals its trailer.
+struct StoredFragment {
+  util::Bytes bytes;
+  std::uint64_t digest = 0;
+};
+
 /// A block a sender keeps for replay after a failover.
 struct StoredBlock {
   /// A view of a caller's buffer, which stays unchanged until the message
@@ -74,9 +83,9 @@ struct StoredBlock {
   GtmBlockHeader header;
   std::vector<std::byte> owned;  // empty for a view
   util::ByteSpan data;
-  /// One buffer of the channel's paquet pool per MTU fragment, in order;
-  /// whoever stored them gives them back.
-  std::vector<util::Bytes> fragments;
+  /// One stored fragment per MTU fragment, in order; whoever stored them
+  /// gives their buffers back.
+  std::vector<StoredFragment> fragments;
 };
 
 class Egress {
@@ -106,11 +115,14 @@ class Egress {
   void block_header(const GtmBlockHeader& header, bool one_sided = false);
   /// One MTU fragment of the current block. A reliable hop keeps a view
   /// of `payload` until its window drains at end() (or the hop is
-  /// closed), so the bytes must stay unchanged that long. A one-sided
-  /// block on a plain hop writes it from `region`, which the pin-down
-  /// cache registers; a reliable hop names its own send-ring slots.
+  /// closed), so the bytes must stay unchanged that long, and seals its
+  /// trailers from `digest` when given (ReliableSender::send_fragment). A
+  /// one-sided block on a plain hop writes it from `region`, which the
+  /// pin-down cache registers; a reliable hop names its own send-ring
+  /// slots.
   void fragment(util::ByteSpan payload,
-                std::optional<RegionKey> region = std::nullopt);
+                std::optional<RegionKey> region = std::nullopt,
+                std::optional<std::uint64_t> digest = std::nullopt);
   /// One MTU fragment sent by ownership: `paquet`, a buffer of the out
   /// network's packet pool, becomes the packet itself. Plain hops only;
   /// the same paquet as fragment(ByteSpan) on the wire.

@@ -117,6 +117,9 @@ struct RelayItem {
   /// What the egress sends as a view (FragmentDynamic, FragmentHoldIn and
   /// FragmentStored): of `paquet`, of `hold_in` or of the stored block.
   util::ByteSpan payload;
+  /// FragmentStored: the stored fragment's digest, which the egress seals
+  /// its trailers from.
+  std::optional<std::uint64_t> digest;
   /// When the fragment entered a sender actor's queue: the admission
   /// ledger's sojourn base. Unset on every other path.
   std::optional<sim::Time> queued_at;
@@ -149,8 +152,8 @@ struct Transfer {
         done(engine, name + ".done") {}
   ~Transfer() {
     for (StoredBlock& block : blocks) {
-      for (util::Bytes& fragment : block.fragments) {
-        pool.give(std::move(fragment));
+      for (StoredFragment& fragment : block.fragments) {
+        pool.give(std::move(fragment.bytes));
       }
     }
   }
@@ -162,10 +165,11 @@ struct Transfer {
   GtmMsgHeader hdr;
   TrafficClass cls{};
   int flow = -1;
-  /// A reliable relay stores every block, one pooled buffer per fragment:
-  /// the upstream hop is acked as soon as a paquet lands and cannot be
-  /// asked again, so a failed egress replays the message from here. Spans
-  /// into the fragments stay valid while the listener appends.
+  /// A reliable relay stores every block, one pooled buffer per fragment
+  /// with its digest: the upstream hop is acked as soon as a paquet lands
+  /// and cannot be asked again, so a failed egress replays the message
+  /// from here. Spans into the fragments stay valid while the listener
+  /// appends.
   std::deque<StoredBlock> blocks;
   sim::Mailbox<RelayItem> items;  // listener → sender actor
   sim::Condition done;
@@ -184,11 +188,12 @@ struct ReplayQueue {
       MAD_ASSERT(block.fragments.size() ==
                      fragment_count(block.header.size, mtu),
                  "stored block is missing fragments");
-      for (const util::Bytes& fragment : block.fragments) {
+      for (const StoredFragment& fragment : block.fragments) {
         RelayItem& item = items.emplace_back(
             RelayItem::of(RelayItem::Kind::FragmentStored));
-        item.size = static_cast<std::uint32_t>(fragment.size());
-        item.payload = util::ByteSpan(fragment);
+        item.size = static_cast<std::uint32_t>(fragment.bytes.size());
+        item.payload = util::ByteSpan(fragment.bytes);
+        item.digest = fragment.digest;
       }
     }
     items.push_back(RelayItem::of(RelayItem::Kind::End));
@@ -480,10 +485,11 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
                              ? RelayItem::of(RelayItem::Kind::FragmentStored)
                              : relay.receive_zero_copy(in, *out_tm, size);
         if (stored) {
-          util::Bytes& dst = t.blocks.back().fragments.emplace_back(
-              relay.vc_.buffer_pool().take(size));
-          hop.fragment(dst);
-          item.payload = util::ByteSpan(dst);
+          StoredFragment& dst = t.blocks.back().fragments.emplace_back();
+          dst.bytes = relay.vc_.buffer_pool().take(size);
+          dst.digest = *hop.fragment(dst.bytes);
+          item.payload = util::ByteSpan(dst.bytes);
+          item.digest = dst.digest;
         }
         item.size = size;
         relay.span("recv", begin, size);
@@ -621,8 +627,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
           out.fragment(item.paquet->release(), region(item));
         } else {
           // Gather send from the received paquet, the held incoming buffer
-          // or the stored block.
-          out.fragment(item.payload, region(item));
+          // or the stored block (sealed from its digest).
+          out.fragment(item.payload, region(item), item.digest);
         }
       }
       // Hold the grant until the bundle's egress-wire occupancy has

@@ -45,21 +45,25 @@ std::uint64_t finalize(std::uint64_t h) {
   return h;
 }
 
+std::uint64_t g_checksum_bytes = 0;
+
 // Four independent lanes take one 8-byte word each per 32-byte stripe, so
 // their multiply chains overlap. The leftover words, the zero-padded byte
-// tail, the length and (seq, epoch) are then folded into the combined
-// state one `mix` each. Every step from a payload byte to the result is
-// injective in that byte with everything else fixed, so any change
-// confined to one byte of the payload, or to seq or epoch, changes the
-// checksum — the fault injector's corruption model (one byte XOR 1..255).
+// tail and the length are then folded into the combined state one `mix`
+// each: that state is the payload's digest. Sealing mixes (seq, epoch)
+// into the digest and finalizes. Every step from a payload byte to the
+// checksum is injective in that byte with everything else fixed, so any
+// change confined to one byte of the payload, or to seq or epoch, changes
+// the checksum — the fault injector's corruption model (one byte XOR
+// 1..255).
 //
 // This is the one checksum loop. With `kCopy` it also stores every word it
-// loads to `dst`, so a copy and its checksum are one pass over the bytes
+// loads to `dst`, so a copy and its digest are one pass over the bytes
 // (the integrated copy-and-checksum of classic TCP stacks).
 template <bool kCopy>
-std::uint64_t checksum_pass(std::byte* dst, const std::byte* p,
-                            std::size_t size, std::uint32_t seq,
-                            std::uint32_t epoch) {
+std::uint64_t digest_pass(std::byte* dst, const std::byte* p,
+                          std::size_t size) {
+  g_checksum_bytes += size;
   std::array<std::uint64_t, kLanes> lane = {kPrime1 + kPrime2, kPrime2, 0,
                                             0 - kPrime1};
   std::size_t at = 0;
@@ -92,23 +96,35 @@ std::uint64_t checksum_pass(std::byte* dst, const std::byte* p,
     }
     h = mix(h, tail);
   }
-  h = mix(h, size);
-  h = mix(h, (static_cast<std::uint64_t>(epoch) << 32) | seq);
-  return finalize(h);
+  return mix(h, size);
 }
 
 }  // namespace
 
+std::uint64_t gtm_digest(util::ByteSpan payload) {
+  return digest_pass<false>(nullptr, payload.data(), payload.size());
+}
+
+std::uint64_t gtm_copy_digest(util::MutByteSpan dst, util::ByteSpan src) {
+  MAD_ASSERT(dst.size() == src.size(), "gtm_copy_digest: size mismatch");
+  return digest_pass<true>(dst.data(), src.data(), src.size());
+}
+
+std::uint64_t gtm_seal(std::uint64_t digest, std::uint32_t seq,
+                       std::uint32_t epoch) {
+  return finalize(mix(digest, (static_cast<std::uint64_t>(epoch) << 32) | seq));
+}
+
+std::uint64_t& gtm_checksum_bytes() { return g_checksum_bytes; }
+
 std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
                                   std::uint32_t epoch) {
-  return checksum_pass<false>(nullptr, payload.data(), payload.size(), seq,
-                              epoch);
+  return gtm_seal(gtm_digest(payload), seq, epoch);
 }
 
 std::uint64_t gtm_copy_checksum(util::MutByteSpan dst, util::ByteSpan src,
                                 std::uint32_t seq, std::uint32_t epoch) {
-  MAD_ASSERT(dst.size() == src.size(), "gtm_copy_checksum: size mismatch");
-  return checksum_pass<true>(dst.data(), src.data(), src.size(), seq, epoch);
+  return gtm_seal(gtm_copy_digest(dst, src), seq, epoch);
 }
 
 GtmPaquetTrailer make_paquet_trailer(util::ByteSpan payload, std::uint32_t seq,

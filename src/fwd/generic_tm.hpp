@@ -111,6 +111,24 @@ static_assert(kGtmTrailerBytes == 16);
 static_assert(sizeof(Preamble) < kGtmTrailerBytes,
               "the preamble must be smaller than any reliable paquet");
 
+/// The checksum of a paquet factors into a digest of its payload, one pass
+/// over the bytes, and an O(1) seal of that digest with the trailer's
+/// (seq, epoch). A sender that already holds a payload's digest (a gateway
+/// relaying what it verified) seals each transmission without reading the
+/// payload again.
+std::uint64_t gtm_digest(util::ByteSpan payload);
+/// Copies `src` to `dst` (same size, not overlapping) and returns
+/// gtm_digest(src), in one pass over the bytes.
+std::uint64_t gtm_copy_digest(util::MutByteSpan dst, util::ByteSpan src);
+/// The trailer checksum of a payload whose digest is `digest`.
+std::uint64_t gtm_seal(std::uint64_t digest, std::uint32_t seq,
+                       std::uint32_t epoch);
+/// Bytes passed through the digest loop in this process, by every function
+/// here that reads a payload (the simulation runs one actor at a time, so
+/// a plain counter). Tests read and reset it like mad::copy_stats().
+std::uint64_t& gtm_checksum_bytes();
+
+/// gtm_seal(gtm_digest(payload), seq, epoch).
 std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
                                   std::uint32_t epoch);
 /// Copies `src` to `dst` (same size, not overlapping) and returns

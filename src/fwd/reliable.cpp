@@ -210,15 +210,14 @@ void ReliableSender::transmit(InFlight& p) {
 
 void ReliableSender::fill(InFlight& p, util::MutByteSpan wire) {
   const util::ByteSpan payload = p.payload();
-  if (!p.trailer) {
-    p.trailer = GtmPaquetTrailer{
-        p.seq, epoch_,
-        gtm_copy_checksum(wire.first(payload.size()), payload, p.seq,
-                          epoch_)};
+  if (!p.digest) {
+    p.digest = gtm_copy_digest(wire.first(payload.size()), payload);
   } else if (!payload.empty()) {
     std::memcpy(wire.data(), payload.data(), payload.size());
   }
-  std::memcpy(wire.data() + payload.size(), &*p.trailer, kGtmTrailerBytes);
+  const GtmPaquetTrailer trailer{p.seq, epoch_,
+                                 gtm_seal(*p.digest, p.seq, epoch_)};
+  std::memcpy(wire.data() + payload.size(), &trailer, kGtmTrailerBytes);
 }
 
 void ReliableSender::sample_ack(InFlight& p) {
@@ -322,10 +321,12 @@ void ReliableSender::send_header(std::uint32_t seq,
 }
 
 void ReliableSender::send_fragment(std::uint32_t seq, util::ByteSpan payload,
-                                   bool one_sided) {
+                                   bool one_sided,
+                                   std::optional<std::uint64_t> digest) {
   InFlight p;
   p.seq = seq;
   p.fragment = payload;
+  p.digest = digest;
   p.one_sided = one_sided && rdma_ != nullptr;
   enqueue(std::move(p));
 }
@@ -615,12 +616,13 @@ ReliableReceiver::ReliableReceiver(VirtualChannel& vc, NodeRank self,
 ReliableReceiver::~ReliableReceiver() {
   util::BufferPool& pool = in_channel_.network().buffer_pool();
   for (auto& [seq, parked] : reorder_) {
-    pool.give(std::move(parked));
+    pool.give(std::move(parked.body));
   }
 }
 
-void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
-                            util::MutByteSpan payload_dst) {
+std::uint64_t ReliableReceiver::recv(MessageReader& in,
+                                     std::uint32_t expected_seq,
+                                     util::MutByteSpan payload_dst) {
   MAD_ASSERT(expected_seq == next_,
              "reliable GTM stream desync: caller expects seq " +
                  std::to_string(expected_seq) + ", receiver is at " +
@@ -631,18 +633,21 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
   sim::Engine& engine = vc_.domain().engine();
 
   if (const auto it = reorder_.find(next_); it != reorder_.end()) {
-    // Already received out of order: serve from the reorder buffer.
-    MAD_ASSERT(it->second.size() == payload_dst.size(),
+    // Already received out of order: serve from the reorder buffer,
+    // with the digest its verification computed.
+    Parked& parked = it->second;
+    MAD_ASSERT(parked.body.size() == payload_dst.size(),
                "reliable paquet payload of " +
-                   std::to_string(it->second.size()) + " bytes, expected " +
+                   std::to_string(parked.body.size()) + " bytes, expected " +
                    std::to_string(payload_dst.size()));
     if (!payload_dst.empty()) {
-      counted_copy(payload_dst, util::ByteSpan(it->second));
+      counted_copy(payload_dst, util::ByteSpan(parked.body));
     }
-    pool.give(std::move(it->second));
+    const std::uint64_t digest = parked.digest;
+    pool.give(std::move(parked.body));
     reorder_.erase(it);
     ++next_;
-    return;
+    return digest;
   }
   MAD_ASSERT(next_ == cum_next_, "reliable reorder buffer desync");
 
@@ -671,22 +676,21 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
     // Verify the trailer. When its fields, as they arrived, name this
     // epoch's in-order paquet and the body fits the caller's buffer, the
     // verification pass also writes the body there (the only place a
-    // verified in-order body goes); every other paquet is only
-    // checksummed. A corrupt one leaves junk in `payload_dst`, which the
-    // retransmission overwrites before this call returns.
+    // verified in-order body goes); every other paquet is only digested.
+    // A corrupt one leaves junk in `payload_dst`, which the retransmission
+    // overwrites before this call returns.
     const util::ByteSpan wire(arrived);
     std::optional<GtmPaquetTrailer> verified = wire_trailer(wire);
+    std::uint64_t digest = 0;
     if (verified) {
       const util::ByteSpan body = wire.first(wire_size - kGtmTrailerBytes);
       const bool in_place = verified->epoch == epoch_ &&
                             verified->seq == cum_next_ &&
                             body.size() == payload_dst.size();
-      const std::uint64_t checksum =
-          in_place ? gtm_copy_checksum(payload_dst, body, verified->seq,
-                                       verified->epoch)
-                   : gtm_paquet_checksum(body, verified->seq,
-                                         verified->epoch);
-      if (checksum != verified->checksum) {
+      digest = in_place ? gtm_copy_digest(payload_dst, body)
+                        : gtm_digest(body);
+      if (gtm_seal(digest, verified->seq, verified->epoch) !=
+          verified->checksum) {
         verified.reset();
       }
     }
@@ -758,7 +762,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
       }
       network.post_ack(conn.rx_tag, self_nic_, conn.peer_nic_index, epoch_,
                        cum_next_ - 1);
-      return;
+      return digest;
     }
     // Out of order: park it and tell the sender with a selective ack plus
     // a duplicate cumulative ack (the fast-retransmit signal).
@@ -768,7 +772,7 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
                    std::to_string(cum_next_));
     // The network buffer itself is parked, trimmed to the body.
     arrived.resize(body_size);
-    reorder_.emplace(trailer.seq, std::move(arrived));
+    reorder_.emplace(trailer.seq, Parked{std::move(arrived), digest});
     network.post_sack(conn.rx_tag, self_nic_, conn.peer_nic_index, epoch_,
                       trailer.seq);
     if (cum_next_ > 0) {
@@ -815,12 +819,12 @@ GtmBlockHeader HopReader::block_header() {
   return header;
 }
 
-void HopReader::fragment(util::MutByteSpan dst) {
+std::optional<std::uint64_t> HopReader::fragment(util::MutByteSpan dst) {
   if (rel_) {
-    rel_->recv(reader_, seq_++, dst);
-  } else {
-    reader_.unpack(dst, SendMode::Cheaper, RecvMode::Express);
+    return rel_->recv(reader_, seq_++, dst);
   }
+  reader_.unpack(dst, SendMode::Cheaper, RecvMode::Express);
+  return std::nullopt;
 }
 
 void HopReader::block(util::MutByteSpan dst, SendMode smode, RecvMode rmode) {

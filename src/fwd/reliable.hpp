@@ -194,8 +194,11 @@ class ReliableSender {
   /// the paquet — and every retransmission of it — crosses as a one-sided
   /// write with completion (fwd/rdma_tm.hpp): the receiver still sees and
   /// acks every paquet, but the data moves as DMA on both host buses.
+  /// `digest`, when known, must be gtm_digest(payload): every transmission
+  /// is then a plain copy under a trailer sealed from it.
   void send_fragment(std::uint32_t seq, util::ByteSpan payload,
-                     bool one_sided = false);
+                     bool one_sided = false,
+                     std::optional<std::uint64_t> digest = std::nullopt);
 
   /// Blocks until every in-flight paquet is acknowledged.
   void flush();
@@ -218,19 +221,22 @@ class ReliableSender {
   /// One paquet of the window. It keeps no wire buffer of its own: every
   /// transmission, one-sided or not, fills a fresh buffer of the network's
   /// packet pool and hands it on by ownership (to the writer, or to the
-  /// RdmaTm, which pins the send-ring slot it models). The first fill
-  /// copies the payload and checksums it in one pass (gtm_copy_checksum)
-  /// and seals the trailer; a retransmit copies the payload again and
-  /// appends the sealed trailer. So the payload must read the same until
-  /// the paquet leaves the window: a fragment is a view of memory the
-  /// caller keeps that long (a Safer or Later block's snapshot, a Cheaper
-  /// block's user memory, which is unchanged until end_packing, or a
-  /// gateway's stored fragment), a header is a copy.
+  /// RdmaTm, which pins the send-ring slot it models). Each fill copies the
+  /// payload and appends a trailer sealed from the payload's digest. Only a
+  /// paquet enqueued without a digest reads its payload through the
+  /// checksum loop, once: its first fill copies and digests in one pass
+  /// (gtm_copy_digest). A gateway's stored fragment comes with the digest
+  /// its ingress verification computed, so every fill of it is a memcpy.
+  /// The payload must read the same until the paquet leaves the window: a
+  /// fragment is a view of memory the caller keeps that long (a Safer or
+  /// Later block's snapshot, a Cheaper block's user memory, which is
+  /// unchanged until end_packing, or a gateway's stored fragment), a
+  /// header is a copy.
   struct InFlight {
     std::uint32_t seq = 0;
     util::ByteSpan fragment;               // when `header` is unset
     std::optional<GtmBlockHeader> header;  // block header or end marker
-    std::optional<GtmPaquetTrailer> trailer;  // sealed by the first fill
+    std::optional<std::uint64_t> digest;   // of payload(), once known
     sim::Time tx_begin = 0;  // last attempt start (rel.ack_us base)
     sim::Time sent_at = 0;   // last attempt pack-complete (RTO base)
     sim::Time deadline = 0;
@@ -248,8 +254,9 @@ class ReliableSender {
 
   /// Appends `p` to the window (after making room) and transmits it.
   void enqueue(InFlight p);
-  /// Writes `p`'s payload and trailer to `wire` (payload size + trailer),
-  /// sealing the trailer on the first call.
+  /// Writes `p`'s payload and its sealed trailer to `wire` (payload size +
+  /// trailer), digesting the payload on the way when `p` has no digest
+  /// yet.
   void fill(InFlight& p, util::MutByteSpan wire);
   void transmit(InFlight& p);
   /// Blocks until at most `target` paquets remain in flight.
@@ -379,14 +386,16 @@ class ReliableReceiver {
 
   /// Receives reliable paquet `expected_seq` (must be the successor of the
   /// previous recv) into `payload_dst` (size must match the original
-  /// payload exactly) and acknowledges it. Each wire paquet is verified in
-  /// the network buffer it arrived in (MessageReader::take_paquet). One
-  /// whose trailer names it as this in-order paquet is verified and
-  /// written to `payload_dst` in one pass; until recv returns,
-  /// `payload_dst` may hold the bytes of a corrupt copy that failed
-  /// verification. An out-of-order paquet is parked in its own buffer.
-  void recv(MessageReader& in, std::uint32_t expected_seq,
-            util::MutByteSpan payload_dst);
+  /// payload exactly), acknowledges it and returns its payload's digest
+  /// (gtm_digest). Each wire paquet is verified in the network buffer it
+  /// arrived in (MessageReader::take_paquet). One whose trailer names it
+  /// as this in-order paquet is verified and written to `payload_dst` in
+  /// one pass; until recv returns, `payload_dst` may hold the bytes of a
+  /// corrupt copy that failed verification. An out-of-order paquet is
+  /// parked in its own buffer with the digest its verification computed,
+  /// and served later without another pass through the checksum loop.
+  std::uint64_t recv(MessageReader& in, std::uint32_t expected_seq,
+                     util::MutByteSpan payload_dst);
 
   /// Posts an ECN-style congestion mark back to this hop's sender (same
   /// ack-board path and fault handling as a cumulative ack). The gateway
@@ -414,9 +423,13 @@ class ReliableReceiver {
   std::size_t window_;
   std::uint32_t next_ = 0;      // next seq to hand to the caller
   std::uint32_t cum_next_ = 0;  // first seq not yet received in order
-  // Parked out-of-order paquets, each trimmed to its body in the network
-  // buffer it arrived in.
-  std::map<std::uint32_t, util::Bytes> reorder_;
+  // A verified out-of-order paquet: its body, trimmed in the network
+  // buffer it arrived in, and the body's digest.
+  struct Parked {
+    util::Bytes body;
+    std::uint64_t digest = 0;
+  };
+  std::map<std::uint32_t, Parked> reorder_;
 };
 
 /// Reads one hop message's GTM elements in stream order — block headers,
@@ -433,7 +446,9 @@ class HopReader {
             Channel& channel, const GtmMsgHeader& header, bool detect_dead);
 
   GtmBlockHeader block_header();
-  void fragment(util::MutByteSpan dst);
+  /// One MTU fragment into `dst`; on a reliable stream, returns the
+  /// digest its verification computed (ReliableReceiver::recv).
+  std::optional<std::uint64_t> fragment(util::MutByteSpan dst);
   /// Every fragment of a block of `dst`'s size.
   void fragments(util::MutByteSpan dst);
   /// One application block into `dst`: its self-description must match

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <ostream>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "fwd/egress.hpp"
+#include "harness/scenario.hpp"
 #include "net/fault.hpp"
 #include "net/nic.hpp"
 #include "support/coc_rig.hpp"
@@ -299,6 +303,210 @@ TEST(Reliable, SurvivesCorruptionAndDuplication) {
             0u);
   EXPECT_GT(total.corrupt_drops, 0u);
   EXPECT_GT(total.dup_drops, 0u);
+}
+
+// ------------------------------------------------- faults past the gateway
+//
+// A reliable gateway seals every egress trailer from the digest its
+// ingress verification computed. Corruption and duplication injected only
+// on the network past the gateway test those seals: a wrongly sealed
+// trailer fails the next receiver's check on every attempt, so it would
+// show up as more corrupt drops than corrupted packets, and as an
+// "unreachable" panic once the hop's retry budget ran out.
+
+/// Corruption and duplication of every packet of faultable size (not the
+/// framing, not the block headers).
+net::FaultPlan corrupt_and_duplicate() {
+  net::FaultPlan plan;
+  plan.seed = 8;
+  plan.corrupt_rate = 0.06;
+  plan.duplicate_rate = 0.06;
+  return plan;
+}
+
+/// What the receiver of relay_messages saw.
+struct Delivery {
+  int intact = 0;  // messages unpacked in order with the bytes packed
+  int extra = 0;   // messages that arrived after the last one sent
+};
+
+/// Sends `messages` distinct messages of `bytes` from `src` to `dst`. The
+/// receiver unpacks them, then waits a virtual second for a stray copy;
+/// meanwhile every relay finishes.
+template <typename Rig>
+Delivery relay_messages(Rig& rig, NodeRank src, NodeRank dst, int messages,
+                        std::size_t bytes) {
+  const auto payload = [bytes](int m) {
+    return util::Rng(40 + static_cast<std::uint64_t>(m)).bytes(bytes);
+  };
+  Delivery delivery;
+  rig.engine.spawn("s", [&] {
+    for (int m = 0; m < messages; ++m) {
+      const std::vector<std::byte> bytes_out = payload(m);
+      auto msg = rig.ep(src).begin_packing(dst);
+      msg.pack(bytes_out);
+      msg.end_packing();
+    }
+  });
+  rig.engine.spawn("r", [&] {
+    for (int m = 0; m < messages; ++m) {
+      std::vector<std::byte> out(bytes);
+      auto msg = rig.ep(dst).begin_unpacking();
+      msg.unpack(out);
+      msg.end_unpacking();
+      delivery.intact += out == payload(m) ? 1 : 0;
+    }
+    if (rig.ep(dst).begin_unpacking_until(rig.engine.now() +
+                                          sim::seconds(1))) {
+      ++delivery.extra;
+    }
+  });
+  rig.engine.run();
+  return delivery;
+}
+
+/// The drop and dead-peer counters of ranks [0, nodes), summed.
+fwd::ReliabilityStats total_reliability(const VirtualChannel& vc,
+                                        NodeRank nodes) {
+  fwd::ReliabilityStats total;
+  for (NodeRank rank = 0; rank < nodes; ++rank) {
+    const fwd::ReliabilityStats& r = vc.gateway_stats(rank).reliability;
+    total.dup_drops += r.dup_drops;
+    total.corrupt_drops += r.corrupt_drops;
+    total.peers_declared_dead += r.peers_declared_dead;
+  }
+  return total;
+}
+
+/// The messages every gateway of ranks [0, nodes) relayed, summed.
+std::uint64_t total_forwarded(const VirtualChannel& vc, NodeRank nodes) {
+  std::uint64_t total = 0;
+  for (NodeRank rank = 0; rank < nodes; ++rank) {
+    total += vc.gateway_stats(rank).messages_forwarded;
+  }
+  return total;
+}
+
+enum class EgressPath { StoreThenSend, CutThrough, Striped, FlowAdmission };
+
+struct EgressFaultCase {
+  const char* name;
+  EgressPath path;
+};
+
+void PrintTo(const EgressFaultCase& c, std::ostream* os) { *os << c.name; }
+
+class EgressHopFaults : public ::testing::TestWithParam<EgressFaultCase> {};
+
+TEST_P(EgressHopFaults, EveryCorruptionCostsOneDrop) {
+  // Four 256 KB messages, Myrinet to SCI, with faults on SCI only: the
+  // gateway's ingress is clean, so every paquet the final receiver drops
+  // as corrupt is one the injector corrupted on the egress hop.
+  constexpr int kMessages = 4;
+  constexpr std::size_t kBytes = 256 * 1024;
+  const EgressFaultCase& c = GetParam();
+  fwd::VcOptions options = reliable_options();
+  options.reliable.window = c.path == EgressPath::StoreThenSend ? 1 : 16;
+  if (c.path == EgressPath::FlowAdmission) {
+    options.flow.enabled = true;
+    options.flow.admission.enabled = true;
+  }
+  Delivery delivery;
+  std::uint64_t corrupted = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t forwarded = 0;
+  std::uint64_t rails = 1;
+  fwd::ReliabilityStats total;
+  if (c.path == EgressPath::Striped) {
+    options.max_rails = 2;
+    rails = 2;
+    testsupport::DisjointRailRig rig(options);
+    rig.sci.set_fault_plan(corrupt_and_duplicate());
+    delivery = relay_messages(rig, 0, 3, kMessages, kBytes);
+    corrupted = rig.sci.fault_injector()->stats().corrupted;
+    duplicated = rig.sci.fault_injector()->stats().duplicated;
+    // m0 also owns two NICs, so it counts as a gateway that relays nothing.
+    forwarded = total_forwarded(*rig.vc, 4);
+    total = total_reliability(*rig.vc, 4);
+  } else {
+    PaperRig rig(options);
+    rig.sci.set_fault_plan(corrupt_and_duplicate());
+    delivery = relay_messages(rig, rig.myri_node(), rig.sci_node(),
+                              kMessages, kBytes);
+    corrupted = rig.sci.fault_injector()->stats().corrupted;
+    duplicated = rig.sci.fault_injector()->stats().duplicated;
+    forwarded = total_forwarded(*rig.vc, 3);
+    total = total_reliability(*rig.vc, 3);
+  }
+  EXPECT_EQ(delivery.intact, kMessages);
+  EXPECT_EQ(delivery.extra, 0);
+  EXPECT_EQ(forwarded, kMessages * rails);
+  EXPECT_GT(corrupted, 0u) << "nothing corrupted: the test proves nothing";
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_EQ(total.corrupt_drops, corrupted);
+  EXPECT_GT(total.dup_drops, 0u);
+  EXPECT_EQ(total.peers_declared_dead, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, EgressHopFaults,
+    ::testing::Values(
+        EgressFaultCase{"StoreThenSend", EgressPath::StoreThenSend},
+        EgressFaultCase{"CutThrough", EgressPath::CutThrough},
+        EgressFaultCase{"Striped", EgressPath::Striped},
+        EgressFaultCase{"FlowAdmission", EgressPath::FlowAdmission}),
+    [](const ::testing::TestParamInfo<EgressFaultCase>& info) {
+      return std::string(info.param.name);
+    });
+
+/// m0 -myri0- gw1 -sci0- {gw2, gw3} -myri1- e0: gw1's egress hop goes to
+/// gw2, with gw3 as its alternate.
+constexpr const char* kEgressFailoverConfig = R"(
+network myri0 BIP/Myrinet
+network sci0  SISCI/SCI
+network myri1 BIP/Myrinet
+node m0  myri0
+node gw1 myri0 sci0
+node gw2 sci0 myri1
+node gw3 sci0 myri1
+node e0  myri1
+)";
+
+TEST(Reliable, EgressHopFailoverResealsTheStoredFragments) {
+  // gw2 crashes mid-message, so gw1's egress hop exhausts its retry budget
+  // and gw1 replays its stored fragments to gw3 on a fresh epoch: every
+  // replayed trailer is sealed from a stored digest under that epoch. The
+  // last hop also corrupts and duplicates, and e0 drops only what was
+  // corrupted.
+  fwd::VcOptions options = reliable_options();
+  options.reliable.window = 16;
+  harness::ConfigWorld world(topo::parse_topo_config(kEgressFailoverConfig),
+                             options);
+  const NodeRank gw1 = world.rank_of("gw1");
+  const NodeRank gw2 = world.rank_of("gw2");
+  const NodeRank e0 = world.rank_of("e0");
+  net::Network& sci = *world.networks[1];
+  net::Network& last = *world.networks[2];
+  const sim::Time crash_at = sim::milliseconds(6);
+  net::FaultPlan sci_plan;
+  sci_plan.crashes.push_back(
+      {static_cast<int>(world.domain->nic_of(gw2, sci).index()), crash_at});
+  sci.set_fault_plan(sci_plan);
+  net::FaultPlan last_plan = corrupt_and_duplicate();
+  last_plan.crashes.push_back(
+      {static_cast<int>(world.domain->nic_of(gw2, last).index()), crash_at});
+  last.set_fault_plan(last_plan);
+  const Delivery delivery =
+      relay_messages(world, world.rank_of("m0"), e0, 1, 1 << 20);
+  EXPECT_EQ(delivery.intact, 1);
+  EXPECT_EQ(delivery.extra, 0);
+  const fwd::ReliabilityStats& relay = world.vc->gateway_stats(gw1).reliability;
+  EXPECT_EQ(relay.failovers, 1u);
+  EXPECT_EQ(relay.peers_declared_dead, 1u);
+  EXPECT_TRUE(world.vc->is_dead(gw2));
+  const fwd::ReliabilityStats total = total_reliability(*world.vc, 5);
+  EXPECT_GT(last.fault_injector()->stats().corrupted, 0u);
+  EXPECT_EQ(total.corrupt_drops, last.fault_injector()->stats().corrupted);
 }
 
 TEST(Reliable, PaquetBuffersReturnToTheirPools) {

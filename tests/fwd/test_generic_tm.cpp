@@ -261,5 +261,66 @@ TEST(GenericTm, CopyChecksumEqualsChecksumAndCopies) {
   }
 }
 
+TEST(GenericTm, SealOfDigestIsTheChecksum) {
+  // The checksum factors into a payload digest and an O(1) seal with
+  // (seq, epoch): a gateway seals its egress trailers from the digest its
+  // ingress verification computed. At every size and alignment the
+  // sealed digest is the checksum, and the copying digest copies every
+  // byte, writes nothing on either side of the destination and returns
+  // the plain digest.
+  constexpr std::size_t kLargest = 128 * 1024 + 13;
+  constexpr std::size_t kGuard = 16;
+  constexpr std::byte kFill{0x5A};
+  std::vector<std::size_t> sizes;
+  for (std::size_t size = 0; size <= 257; ++size) {
+    sizes.push_back(size);
+  }
+  sizes.push_back(8 * 1024);
+  sizes.push_back(kLargest);
+  const std::vector<std::byte> source = util::Rng(10).bytes(kLargest + 7);
+  std::vector<std::byte> dest(kGuard + 7 + kLargest + kGuard);
+  std::uint32_t seq = 0;
+  for (const std::size_t size : sizes) {
+    for (std::size_t src_at = 0; src_at < 8; ++src_at) {
+      for (std::size_t dst_at = 0; dst_at < 8; ++dst_at) {
+        ++seq;
+        const std::uint32_t epoch = seq * 2654435761u;
+        const util::ByteSpan src(source.data() + src_at, size);
+        const util::MutByteSpan dst(dest.data() + kGuard + dst_at, size);
+        std::fill(dst.data() - kGuard, dst.data(), kFill);
+        std::fill(dst.data() + size, dst.data() + size + kGuard, kFill);
+        const std::uint64_t digest = gtm_digest(src);
+        ASSERT_EQ(gtm_seal(digest, seq, epoch),
+                  gtm_paquet_checksum(src, seq, epoch))
+            << "size " << size << " src+" << src_at;
+        ASSERT_EQ(gtm_copy_digest(dst, src), digest)
+            << "size " << size << " src+" << src_at << " dst+" << dst_at;
+        ASSERT_TRUE(std::equal(src.begin(), src.end(), dst.begin()))
+            << "size " << size << " src+" << src_at << " dst+" << dst_at;
+        for (std::size_t i = 1; i <= kGuard; ++i) {
+          ASSERT_EQ(*(dst.data() - i), kFill)
+              << "wrote before the destination: size " << size;
+          ASSERT_EQ(*(dst.data() + size + i - 1), kFill)
+              << "wrote past the destination: size " << size;
+        }
+      }
+    }
+  }
+}
+
+TEST(GenericTm, ChecksumBytesCountEveryDigestedByte) {
+  // The kernel-bytes counter counts each byte a digest pass reads, once,
+  // whichever entry point ran it; a seal reads no payload.
+  const std::vector<std::byte> payload = util::Rng(12).bytes(1000);
+  std::vector<std::byte> copy(payload.size());
+  const std::uint64_t before = gtm_checksum_bytes();
+  const std::uint64_t digest = gtm_digest(payload);
+  gtm_copy_digest(copy, payload);
+  gtm_paquet_checksum(payload, 1, 2);
+  gtm_copy_checksum(copy, payload, 1, 2);
+  gtm_seal(digest, 3, 4);
+  EXPECT_EQ(gtm_checksum_bytes() - before, 4 * payload.size());
+}
+
 }  // namespace
 }  // namespace mad::fwd

@@ -222,15 +222,17 @@ TEST(WireBuffers, StripedLaterBlockChangedBeforeEndPackingCrossesAsPacked) {
 }
 
 /// The bytes each network's NICs copied into packets (snapshots) and out
-/// of them (scatters), Myrinet first.
+/// of them (scatters), Myrinet first, and the bytes the run passed through
+/// the checksum loop.
 struct HostCopies {
   std::vector<std::uint64_t> snapshots;
   std::vector<std::uint64_t> scatters;
+  std::uint64_t checksummed = 0;
 };
 
 /// Relays one 1 MiB Cheaper block from m0 to s0 (m1 only widens the
 /// Myrinet channel so that it announces messages) and returns the host
-/// copies its NICs made.
+/// copies its NICs made and the bytes it checksummed.
 HostCopies host_copies_of_one_relay(bool reliable) {
   VcOptions options;
   options.reliable.enabled = reliable;
@@ -248,10 +250,12 @@ HostCopies host_copies_of_one_relay(bool reliable) {
     msg.unpack(out);
     msg.end_unpacking();
   });
+  const std::uint64_t checksummed_before = gtm_checksum_bytes();
   rig.engine.run();
   EXPECT_EQ(out, payload);
   return {{rig.myri.snapshot_bytes(), rig.sci.snapshot_bytes()},
-          {rig.myri.scatter_bytes(), rig.sci.scatter_bytes()}};
+          {rig.myri.scatter_bytes(), rig.sci.scatter_bytes()},
+          gtm_checksum_bytes() - checksummed_before};
 }
 
 TEST(WireBuffers, ReliableRelaySnapshotsOnlyItsFraming) {
@@ -264,6 +268,24 @@ TEST(WireBuffers, ReliableRelaySnapshotsOnlyItsFraming) {
   EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/true).snapshots,
             (std::vector<std::uint64_t>{sizeof(AnnouncePacket) + framing,
                                         framing}));
+}
+
+TEST(WireBuffers, ReliableRelayChecksumsEachPayloadByteThrice) {
+  // Without faults nothing is resent, so each reliable paquet meets the
+  // checksum loop where it is first filled and where it is verified. A
+  // payload fragment does so three times: the origin fills it, the
+  // gateway verifies it into its stored fragment, the final receiver
+  // verifies it into user memory. The gateway's egress seals its trailers
+  // from the digest its ingress computed, so its fill is a plain copy.
+  // The block header and the end marker are filled and verified on each
+  // hop: four passes each. The stream-head parse on each hop also tests
+  // the GTM message header as a possible late data paquet, digesting what
+  // would be its body. The plain relay checksums nothing.
+  const std::uint64_t headers = 2 * sizeof(GtmBlockHeader);
+  const std::uint64_t head_probe = sizeof(GtmMsgHeader) - kGtmTrailerBytes;
+  EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/true).checksummed,
+            3 * (std::uint64_t{1} << 20) + 4 * headers + 2 * head_probe);
+  EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/false).checksummed, 0u);
 }
 
 TEST(WireBuffers, PlainRelayCopiesPayloadOnlyAtItsEnds) {
