@@ -198,7 +198,7 @@ void Egress::recover(Setback setback, const std::function<Setback()>& replay,
         // count, with deterministic jitter so lockstep rejectees
         // desynchronize) and replay on a fresh epoch. The tx lock was
         // released above, so the sleep blocks no other writer.
-        const sim::Time delay = vc_.options().flow.reject_delay(
+        const sim::Time delay = FlowOptions::reject_delay(
             rejects_, reject_seed_ ^ static_cast<std::uint64_t>(rejects_));
         ++rejects_;
         metrics.add("flow.reject_retries", node_label);

@@ -230,12 +230,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       free_slots_.send(slot);
     }
     if (vc.options().flow.enabled) {
-      const std::uint64_t quantum = vc.options().flow.quantum != 0
-                                        ? vc.options().flow.quantum
-                                        : vc.mtu();
+      // DRR quantum: one route-MTU paquet per visit.
       flow_sched_ = std::make_unique<FlowScheduler>(
-          engine_, quantum,
-          vc.name() + ".gwflow." + std::to_string(self));
+          engine_, vc.mtu(), vc.name() + ".gwflow." + std::to_string(self));
       if (vc.options().flow.admission.enabled) {
         admission_ =
             std::make_unique<AdmissionController>(vc.options().flow.admission);

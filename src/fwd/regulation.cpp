@@ -171,21 +171,16 @@ AdmissionController::Verdict AdmissionController::admit(TrafficClass cls,
   const std::size_t i = traffic_class_index(cls);
   if (new_flow && opts_.flow_budget[i] != 0 &&
       s.flows >= opts_.flow_budget[i]) {
-    ++s.rejects;
     return Verdict::RejectFlow;
   }
   if (should_shed(cls)) {
-    ++s.rejects;
-    ++s.sheds;
     return Verdict::RejectShed;
   }
   if (opts_.message_budget[i] != 0 &&
       s.queued_messages >= opts_.message_budget[i]) {
-    ++s.rejects;
     return Verdict::RejectBudget;
   }
   if (opts_.byte_budget[i] != 0 && s.queued_bytes >= opts_.byte_budget[i]) {
-    ++s.rejects;
     return Verdict::RejectBudget;
   }
   return Verdict::Admit;

@@ -357,8 +357,6 @@ class AdmissionController {
   }
   std::uint32_t flows(TrafficClass cls) const { return state(cls).flows; }
   bool shedding(TrafficClass cls) const { return state(cls).shedding; }
-  std::uint64_t rejects(TrafficClass cls) const { return state(cls).rejects; }
-  std::uint64_t sheds(TrafficClass cls) const { return state(cls).sheds; }
 
  private:
   struct ClassState {
@@ -368,8 +366,6 @@ class AdmissionController {
     bool above_target = false;   // sojourns have not dipped below target
     sim::Time above_since = 0;   // when the current above-target run began
     bool shedding = false;
-    std::uint64_t rejects = 0;   // all rejecting verdicts
-    std::uint64_t sheds = 0;     // the RejectShed subset
   };
 
   ClassState& state(TrafficClass cls) {

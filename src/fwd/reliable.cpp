@@ -19,15 +19,19 @@
 
 namespace mad::fwd {
 
+namespace {
+
+/// Deadline multiplier per retry (exponential backoff).
+constexpr double kTimeoutBackoff = 2.0;
+
+}  // namespace
+
 void ReliableOptions::validate() const {
   MAD_ASSERT(ack_timeout > 0, "reliable mode needs a positive ack timeout");
-  MAD_ASSERT(timeout_backoff >= 1.0,
-             "reliable timeout_backoff must be >= 1 (a shrinking retransmit "
-             "deadline never converges)");
   MAD_ASSERT(max_attempts >= 1, "reliable mode needs at least one attempt");
   MAD_ASSERT(window >= 1, "reliable window must hold at least one paquet");
-  MAD_ASSERT(max_ack_timeout >= ack_timeout,
-             "reliable max_ack_timeout must be >= ack_timeout");
+  MAD_ASSERT(ack_timeout <= kMaxAckTimeout,
+             "reliable ack_timeout must be <= kMaxAckTimeout");
 }
 
 sim::Time backed_off_timeout(sim::Time timeout, double backoff,
@@ -152,7 +156,7 @@ sim::Time ReliableSender::initial_rto() const {
   // A pending backoff (timer fired, no valid sample since) floors the
   // fresh-paquet deadline too, not just the retransmitted paquet's.
   return std::clamp(std::max(rto, backed_off_rto_), opts.ack_timeout,
-                    opts.max_ack_timeout);
+                    kMaxAckTimeout);
 }
 
 void ReliableSender::set_framing(const Preamble& preamble,
@@ -280,19 +284,18 @@ void ReliableSender::expire(InFlight& p) {
                              std::to_string(p.seq) + " attempt=" +
                              std::to_string(p.attempts + 1));
   }
-  p.rto = backed_off_timeout(p.rto, opts.timeout_backoff,
-                             opts.max_ack_timeout);
+  p.rto = backed_off_timeout(p.rto, kTimeoutBackoff, kMaxAckTimeout);
   if (window_ > 1) {
     backed_off_rto_ = std::max(backed_off_rto_, p.rto);
   }
   // Desynchronize from periodic faults: a pure doubling chain repeats the
   // same phase against any fault period that divides its steps, so a
   // retransmit that once landed in a flap's down-window would land in every
-  // later one too. Jitter stays under the max_ack_timeout ceiling.
+  // later one too. Jitter stays under the kMaxAckTimeout ceiling.
   const auto extra = static_cast<sim::Time>(
       static_cast<double>(p.rto) * kRetransmitJitter *
       jitter_rng_.next_double());
-  p.rto = std::min(p.rto + extra, opts.max_ack_timeout);
+  p.rto = std::min(p.rto + extra, kMaxAckTimeout);
   ++p.attempts;
   p.retransmitted = true;
   transmit(p);

@@ -79,8 +79,6 @@ struct ReliableOptions {
   /// 64–128 KB paquets a round trip is 1–4 ms of virtual time; a
   /// sub-millisecond default would retransmit constantly.
   sim::Time ack_timeout = sim::milliseconds(5);
-  /// Deadline multiplier per retry (exponential backoff).
-  double timeout_backoff = 2.0;
   /// Attempts (including the first) before the hop is declared dead.
   int max_attempts = 6;
   /// Paquets a sender may keep in flight per hop before blocking. 1 is
@@ -96,10 +94,6 @@ struct ReliableOptions {
   /// stays deep while the path actually sustains it. Off by default; the
   /// static-window event sequences are unchanged.
   bool adaptive = false;
-  /// Hard ceiling on any backed-off retransmit deadline. Keeps the
-  /// exponential chain from overflowing Time and bounds how long a retry
-  /// can stall failover detection.
-  sim::Time max_ack_timeout = sim::seconds(2);
 
   /// Panics on inconsistent settings (called by the VirtualChannel ctor).
   void validate() const;
@@ -112,6 +106,11 @@ struct ReliableOptions {
 /// every retransmission can phase-lock into the down-windows and exhaust
 /// the retry budget on a hop that is up more than half the time.
 inline constexpr double kRetransmitJitter = 0.25;
+
+/// Hard ceiling on any backed-off retransmit deadline, and on
+/// `ack_timeout`. Keeps the exponential chain from overflowing Time and
+/// bounds how long a retry can stall failover detection.
+inline constexpr sim::Time kMaxAckTimeout = sim::seconds(2);
 
 /// Applies one backoff step to `timeout`, clamping to `cap`. The multiply
 /// happens in double; any overflow, inf or NaN lands on the cap instead of
@@ -154,7 +153,7 @@ struct PeerDied {
 /// rejected this epoch's message (net::AckRegistry::post_reject). Unlike
 /// HopFailure nothing is condemned: the hop is healthy, the gateway is
 /// overloaded. The writer abandons the epoch and replays the whole message
-/// after an exponential backoff (VcOptions::flow reject_backoff knobs).
+/// after an exponential backoff (FlowOptions::reject_delay).
 struct FlowRejected {
   NodeRank gateway = -1;
 };

@@ -88,7 +88,7 @@ std::vector<RailPlan> plan_rails(const VirtualChannel& vc, NodeRank src,
     plans.push_back(RailPlan{routes[r], share});
   }
   // Graceful rail degradation: demote a sick rail's share in proportion to
-  // its route health and drop it entirely below rail_drop_score. Dropping
+  // its route health and drop it entirely below kRailDropScore. Dropping
   // to a single rail returns that one plan — the caller then sends
   // unstriped, which is exactly the degraded mode we want.
   if (const topo::HealthMonitor* health = vc.health()) {
@@ -98,7 +98,7 @@ std::vector<RailPlan> plan_rails(const VirtualChannel& vc, NodeRank src,
     kept.reserve(plans.size());
     for (std::size_t r = 0; r < plans.size(); ++r) {
       const double score = health->route_score(src, plans[r].route, now);
-      if (score < health->options().rail_drop_score) {
+      if (score < topo::kRailDropScore) {
         metrics.add("health.rails_dropped",
                     rail_label(src, r));
         continue;

@@ -16,6 +16,16 @@
 
 namespace mad::fwd {
 
+namespace {
+
+/// Admission-reject backoff (FlowOptions::reject_delay): first delay,
+/// growth per consecutive reject, and ceiling before jitter.
+constexpr sim::Time kRejectBackoff = sim::milliseconds(2);
+constexpr double kRejectBackoffFactor = 2.0;
+constexpr sim::Time kRejectBackoffCap = sim::milliseconds(100);
+
+}  // namespace
+
 void FlowOptions::validate(bool reliable_enabled) const {
   if (!enabled) {
     return;
@@ -31,18 +41,13 @@ void FlowOptions::validate(bool reliable_enabled) const {
     MAD_ASSERT(w >= 0.0, "flow weights must be >= 0 (0 = default)");
   }
   admission.validate();
-  MAD_ASSERT(reject_backoff > 0, "flow reject_backoff must be positive");
-  MAD_ASSERT(reject_backoff_factor >= 1.0,
-             "flow reject_backoff_factor must be >= 1");
-  MAD_ASSERT(reject_backoff_cap >= reject_backoff,
-             "flow reject_backoff_cap must be >= reject_backoff");
 }
 
-sim::Time FlowOptions::reject_delay(int attempts, std::uint64_t seed) const {
-  double delay = static_cast<double>(reject_backoff);
-  const double cap = static_cast<double>(reject_backoff_cap);
+sim::Time FlowOptions::reject_delay(int attempts, std::uint64_t seed) {
+  double delay = static_cast<double>(kRejectBackoff);
+  const double cap = static_cast<double>(kRejectBackoffCap);
   for (int i = 0; i < attempts && delay < cap; ++i) {
-    delay *= reject_backoff_factor;
+    delay *= kRejectBackoffFactor;
   }
   delay = std::min(delay, cap);
   util::Rng jitter(seed);

@@ -50,8 +50,6 @@ namespace mad::fwd {
 /// and the event sequences of every existing test.
 struct FlowOptions {
   bool enabled = false;
-  /// DRR quantum in bytes per visit; 0 = auto (one route-MTU paquet).
-  std::uint64_t quantum = 0;
   /// Per-flow relay queue depth (paquets buffered between a flow's
   /// ingress and its scheduled egress). The queue is a bounded mailbox:
   /// a full queue blocks the flow's ingress reader, which stalls its
@@ -73,17 +71,13 @@ struct FlowOptions {
   /// sojourn shedding policy. Disabled by default — flows then rely on
   /// plain blocking backpressure, exactly the PR 7 behaviour.
   AdmissionOptions admission;
-  /// Sender backoff after a FlowRejected admission verdict: base delay,
-  /// multiplied by `reject_backoff_factor` per consecutive rejection of
-  /// the same message, capped at `reject_backoff_cap`, with deterministic
-  /// ±25% jitter so synchronized rejectees do not retry in lockstep.
-  sim::Time reject_backoff = sim::milliseconds(2);
-  double reject_backoff_factor = 2.0;
-  sim::Time reject_backoff_cap = sim::milliseconds(100);
 
-  /// The backoff before retry number `attempts` + 1 of a rejected message,
-  /// its jitter drawn from `seed`.
-  sim::Time reject_delay(int attempts, std::uint64_t seed) const;
+  /// The sender's backoff before retry number `attempts` + 1 of a message
+  /// that drew a FlowRejected admission verdict: kRejectBackoff, multiplied
+  /// by kRejectBackoffFactor per consecutive rejection of the same message,
+  /// capped at kRejectBackoffCap, plus deterministic jitter of up to 25%
+  /// drawn from `seed` so synchronized rejectees do not retry in lockstep.
+  static sim::Time reject_delay(int attempts, std::uint64_t seed);
 
   /// Class used for messages originating at `origin`.
   TrafficClass class_of(NodeRank origin) const {

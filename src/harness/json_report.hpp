@@ -1,9 +1,9 @@
 // Machine-readable bench reports (BENCH_<name>.json).
 //
-// Every figure bench prints a human table plus "csv," mirror lines;
-// JsonReport collects the same tables — plus the metrics registry and the
-// reliable-mode counters when the bench uses them — into one JSON document
-// written as BENCH_<name>.json in the working directory. EXPERIMENTS.md
+// Every figure bench prints a human table; JsonReport collects the same
+// tables — plus the metrics registry and the reliable-mode counters when
+// the bench uses them — into one JSON document written as
+// BENCH_<name>.json in the working directory. EXPERIMENTS.md
 // documents the regeneration workflow; tests parse the output back with
 // util::parse_json, so there is no Python in the loop.
 #pragma once

@@ -36,19 +36,6 @@ void ReportTable::print() const {
     }
     std::printf("\n");
   }
-  // CSV mirror.
-  std::printf("csv,%s", row_header_.c_str());
-  for (const auto& name : series_) {
-    std::printf(",%s", name.c_str());
-  }
-  std::printf("\n");
-  for (const auto& row : rows_) {
-    std::printf("csv,%s", row.label.c_str());
-    for (const double value : row.values) {
-      std::printf(",%.4f", value);
-    }
-    std::printf("\n");
-  }
   std::fflush(stdout);
 }
 
@@ -93,10 +80,6 @@ void print_reliability(const fwd::VirtualChannel& vc) {
     for (const ReliabilityField& field : kReliabilityFields) {
       std::printf(" %12llu",
                   static_cast<unsigned long long>(r.*field.member));
-    }
-    std::printf("\ncsv,reliability,%s", label);
-    for (const ReliabilityField& field : kReliabilityFields) {
-      std::printf(",%llu", static_cast<unsigned long long>(r.*field.member));
     }
     std::printf("\n");
   };

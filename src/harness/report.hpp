@@ -1,9 +1,9 @@
-// Table/CSV output for the bench binaries.
+// Table output for the bench binaries.
 //
-// Every figure bench prints (a) a human-readable fixed-width table shaped
-// like the paper's plot — one row per message size, one column per series
-// (paquet size, direction, system...) — and (b) the same data as CSV lines
-// prefixed with "csv," for scripting.
+// Every figure bench prints a human-readable fixed-width table shaped like
+// the paper's plot — one row per message size, one column per series
+// (paquet size, direction, system...). The machine-readable record is the
+// bench's BENCH_<name>.json (harness/json_report.hpp).
 #pragma once
 
 #include <array>
@@ -31,7 +31,7 @@ class ReportTable {
 
   void add_row(const std::string& label, const std::vector<double>& values);
 
-  /// Prints the table followed by CSV lines to stdout.
+  /// Prints the table to stdout.
   void print() const;
 
   // Accessors for machine-readable emitters (JsonReport).
@@ -67,9 +67,8 @@ extern const std::array<ReliabilityField, 12> kReliabilityFields;
 fwd::ReliabilityStats reliability_totals(const fwd::VirtualChannel& vc);
 
 /// Per-member reliable-mode counters of `vc` (every kReliabilityFields
-/// column) as a fixed-width table plus "csv," mirror lines; all-zero
-/// members are skipped, a "total" row (== reliability_totals) always
-/// prints.
+/// column) as a fixed-width table; all-zero members are skipped, a
+/// "total" row (== reliability_totals) always prints.
 void print_reliability(const fwd::VirtualChannel& vc);
 
 }  // namespace mad::harness

@@ -8,19 +8,17 @@
 namespace mad {
 
 namespace {
-double g_copy_rate = 100e6;
+
+/// Sustained software memcpy rate of the modelled node in bytes/s (PII-450
+/// through PC100 SDRAM ≈ 100 MB/s — comparable to the PCI reception rate,
+/// exactly the paper's observation).
+constexpr double kCopyRate = 100e6;
+
 }  // namespace
 
 CopyStats& copy_stats() {
   static CopyStats stats;
   return stats;
-}
-
-double copy_rate() { return g_copy_rate; }
-
-void set_copy_rate(double bytes_per_second) {
-  MAD_ASSERT(bytes_per_second > 0, "copy rate must be positive");
-  g_copy_rate = bytes_per_second;
 }
 
 void counted_copy(util::MutByteSpan dst, util::ByteSpan src, CopyPath path) {
@@ -39,7 +37,7 @@ void count_copy(std::size_t bytes, CopyPath path) {
   stats.path_bytes[static_cast<std::size_t>(path)] += bytes;
   // The CPU is busy for the duration of the copy.
   if (sim::Engine* engine = sim::Engine::current()) {
-    engine->sleep_for(sim::transfer_time(bytes, g_copy_rate));
+    engine->sleep_for(sim::transfer_time(bytes, kCopyRate));
   }
 }
 

@@ -50,18 +50,13 @@ struct CopyStats {
 CopyStats& copy_stats();
 
 /// memcpy + accounting + virtual-time cost: when called from a simulation
-/// actor the copy charges bytes/copy_rate() of CPU time — the paper notes
-/// a copy "can take as much time as the reception of a message".
+/// actor the copy charges bytes/kCopyRate (100 MB/s, copy_stats.cpp) of
+/// CPU time — the paper notes a copy "can take as much time as the
+/// reception of a message".
 void counted_copy(util::MutByteSpan dst, util::ByteSpan src,
                   CopyPath path = CopyPath::Staged);
 
 /// Accounts (and charges time for) a copy performed by other means.
 void count_copy(std::size_t bytes, CopyPath path = CopyPath::Staged);
-
-/// Sustained software memcpy rate of the modelled node (PII-450 through
-/// PC100 SDRAM ≈ 100 MB/s — comparable to the PCI reception rate, exactly
-/// the paper's observation).
-double copy_rate();
-void set_copy_rate(double bytes_per_second);
 
 }  // namespace mad

@@ -22,24 +22,22 @@ double decay_factor(sim::Time elapsed, sim::Time half_life) {
                    static_cast<double>(half_life));
 }
 
+/// Integer edge cost of `score`: 1 at score 1, kMaxEdgeCost at score 0.
+std::uint32_t quantize(double score) {
+  const double deficit = std::clamp(1.0 - score, 0.0, 1.0);
+  return 1 + static_cast<std::uint32_t>(std::lround(
+                 static_cast<double>(kMaxEdgeCost - 1) * deficit));
+}
+
 }  // namespace
 
 void HealthOptions::validate() const {
-  const auto unit = [](double v) { return v >= 0.0 && v <= 1.0; };
   MAD_ASSERT(check_interval > 0, "health check interval must be positive");
   MAD_ASSERT(loss_alpha > 0.0 && loss_alpha <= 1.0,
-             "health EWMA gains must be in (0, 1]");
-  MAD_ASSERT(rtt_inflation >= 1.0, "rtt_inflation must be at least 1");
-  MAD_ASSERT(unit(down_score) && unit(up_score) && down_score < up_score,
-             "hysteresis needs 0 <= down_score < up_score <= 1");
-  MAD_ASSERT(unit(rail_drop_score), "rail_drop_score must be in [0, 1]");
-  MAD_ASSERT(flap_penalty > 0.0, "flap_penalty must be positive");
-  MAD_ASSERT(reuse_threshold > 0.0 && suppress_threshold > reuse_threshold,
-             "damping needs 0 < reuse_threshold < suppress_threshold");
+             "health loss_alpha must be in (0, 1]");
   MAD_ASSERT(penalty_half_life > 0 && score_recovery_half_life > 0,
              "health half-lives must be positive");
   MAD_ASSERT(hold_down >= 0, "hold_down must be non-negative");
-  MAD_ASSERT(max_edge_cost >= 1, "max_edge_cost must be at least 1");
 }
 
 HealthMonitor::HealthMonitor(HealthOptions options)
@@ -93,8 +91,8 @@ double HealthMonitor::score_of(const EdgeState& edge, sim::Time now) const {
   const EdgeState h = healed(edge, now);
   double timeliness = 1.0;
   if (h.have_rtt && h.srtt_us > 0.0) {
-    timeliness = std::clamp(
-        options_.rtt_inflation * h.base_rtt_us / h.srtt_us, 0.0, 1.0);
+    timeliness =
+        std::clamp(kRttInflation * h.base_rtt_us / h.srtt_us, 0.0, 1.0);
   }
   return (1.0 - h.loss_ewma) * timeliness;
 }
@@ -129,10 +127,10 @@ bool HealthMonitor::node_healthy(NodeId node, sim::Time now) {
   NodeState& state = nodes_[node];
   const double score = node_score(node, now);
   if (state.unhealthy) {
-    if (score >= options_.up_score) {
+    if (score >= kUpScore) {
       state.unhealthy = false;
     }
-  } else if (score < options_.down_score) {
+  } else if (score < kDownScore) {
     state.unhealthy = true;
   }
   return !state.unhealthy;
@@ -156,7 +154,7 @@ bool HealthMonitor::suppressed(NodeId node, sim::Time now) {
   }
   NodeState& state = it->second;
   if (state.suppressed &&
-      decayed_penalty(state, now) < options_.reuse_threshold) {
+      decayed_penalty(state, now) < kReuseThreshold) {
     state.suppressed = false;
   }
   return state.suppressed;
@@ -164,9 +162,9 @@ bool HealthMonitor::suppressed(NodeId node, sim::Time now) {
 
 void HealthMonitor::note_excluded(NodeId node, sim::Time now) {
   NodeState& state = nodes_[node];
-  state.penalty = decayed_penalty(state, now) + options_.flap_penalty;
+  state.penalty = decayed_penalty(state, now) + kFlapPenalty;
   state.penalty_updated = now;
-  if (state.penalty >= options_.suppress_threshold) {
+  if (state.penalty >= kSuppressThreshold) {
     state.suppressed = true;
   }
   state.unhealthy = true;
@@ -206,12 +204,6 @@ bool HealthMonitor::may_readmit(NodeId node, sim::Time now) {
     return false;
   }
   return !suppressed(node, now);
-}
-
-std::uint32_t HealthMonitor::quantize(double score) const {
-  const double deficit = std::clamp(1.0 - score, 0.0, 1.0);
-  return 1 + static_cast<std::uint32_t>(std::lround(
-                 static_cast<double>(options_.max_edge_cost - 1) * deficit));
 }
 
 void HealthMonitor::advance(sim::Time now) {

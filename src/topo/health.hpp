@@ -6,7 +6,7 @@
 // HealthMonitor folds those per-(sender, receiver) signals into an edge
 // score in [0, 1]:
 //
-//   score = (1 - loss_ewma) * clamp(rtt_inflation * base_rtt / srtt, 0, 1)
+//   score = (1 - loss_ewma) * clamp(kRttInflation * base_rtt / srtt, 0, 1)
 //
 // so a lossless edge at nominal latency scores 1.0, a brownout (inflated
 // SRTT, elevated loss) decays toward 0, and an idle edge heals back toward
@@ -15,17 +15,17 @@
 // that simply stopped carrying traffic.
 //
 // A node's health is the worst of its inbound edges, mapped through sticky
-// hysteresis (down_score/up_score) to avoid oscillating at one threshold.
+// hysteresis (kDownScore/kUpScore) to avoid oscillating at one threshold.
 // Exclusions feed BGP-style flap damping: each exclusion adds
-// `flap_penalty` to the node's penalty, penalties decay exponentially with
+// kFlapPenalty to the node's penalty, penalties decay exponentially with
 // `penalty_half_life`, and a node whose penalty crosses
-// `suppress_threshold` stays suppressed — ineligible for readmission — until
-// the penalty decays below `reuse_threshold`. A link flapping faster than
+// kSuppressThreshold stays suppressed — ineligible for readmission — until
+// the penalty decays below kReuseThreshold. A link flapping faster than
 // the damping can decay therefore stays out of the route table until it
 // genuinely calms down.
 //
 // The monitor is also an EdgeCostProvider: advance() quantizes scores into
-// integer edge costs (1 = perfect, max_edge_cost = dead-ish) that
+// integer edge costs (1 = perfect, kMaxEdgeCost = dead-ish) that
 // topo::Routing uses for quality-weighted shortest paths. All methods take
 // the current virtual time explicitly; the monitor owns no engine and is
 // driven by the VirtualChannel's health actor.
@@ -40,6 +40,23 @@
 
 namespace mad::topo {
 
+/// SRTT may inflate this many times over the best observed RTT before the
+/// timeliness factor starts to bite.
+inline constexpr double kRttInflation = 4.0;
+/// Hysteresis: a node goes unhealthy below kDownScore and must climb back
+/// above kUpScore to count healthy again.
+inline constexpr double kDownScore = 0.35;
+inline constexpr double kUpScore = 0.7;
+/// Stripe rails whose route scores below this are dropped from the plan.
+inline constexpr double kRailDropScore = 0.45;
+/// Flap damping: penalty added per exclusion, and the suppress/reuse
+/// thresholds of the accumulated penalty.
+inline constexpr double kFlapPenalty = 1.0;
+inline constexpr double kSuppressThreshold = 2.5;
+inline constexpr double kReuseThreshold = 1.0;
+/// Cost of a score-0 edge; score-1 edges always cost 1.
+inline constexpr std::uint32_t kMaxEdgeCost = 8;
+
 struct HealthOptions {
   bool enabled = false;
   /// Cadence of the VirtualChannel health actor (quarantine/readmit/cost
@@ -47,28 +64,13 @@ struct HealthOptions {
   sim::Time check_interval = sim::milliseconds(2);
   /// EWMA gain for loss events (higher = faster to condemn).
   double loss_alpha = 0.2;
-  /// SRTT may inflate this many times over the best observed RTT before
-  /// the timeliness factor starts to bite.
-  double rtt_inflation = 4.0;
-  /// Hysteresis: a node goes unhealthy below down_score and must climb
-  /// back above up_score to count healthy again.
-  double down_score = 0.35;
-  double up_score = 0.7;
-  /// Stripe rails whose route scores below this are dropped from the plan.
-  double rail_drop_score = 0.45;
-  /// Flap damping: penalty added per exclusion, suppress/reuse thresholds
-  /// and the exponential decay half-life of the accumulated penalty.
-  double flap_penalty = 1.0;
-  double suppress_threshold = 2.5;
-  double reuse_threshold = 1.0;
+  /// Exponential decay half-life of the accumulated flap penalty.
   sim::Time penalty_half_life = sim::milliseconds(400);
   /// Minimum quarantine before a trial readmission.
   sim::Time hold_down = sim::milliseconds(5);
   /// Idle-healing half-life: with no new samples, an edge's deficit
   /// (1 - score) halves every this long.
   sim::Time score_recovery_half_life = sim::milliseconds(50);
-  /// Cost of a score-0 edge; score-1 edges always cost 1.
-  std::uint32_t max_edge_cost = 8;
 
   /// Panics on out-of-range settings.
   void validate() const;
@@ -77,8 +79,6 @@ struct HealthOptions {
 class HealthMonitor final : public EdgeCostProvider {
  public:
   explicit HealthMonitor(HealthOptions options);
-
-  const HealthOptions& options() const { return options_; }
 
   /// A hop (from -> to) acknowledged cleanly; rtt_us > 0 carries a fresh
   /// RTT sample, rtt_us <= 0 records the loss-free event alone (Karn's
@@ -98,12 +98,12 @@ class HealthMonitor final : public EdgeCostProvider {
   /// Worst sampled edge score along `route` starting at `src`.
   double route_score(NodeId src, const Route& route, sim::Time now) const;
 
-  /// Sticky hysteresis over node_score: flips unhealthy below down_score,
-  /// healthy again only above up_score (mutates the latch).
+  /// Sticky hysteresis over node_score: flips unhealthy below kDownScore,
+  /// healthy again only above kUpScore (mutates the latch).
   bool node_healthy(NodeId node, sim::Time now);
 
   /// Flap-damping state. penalty() decays lazily; suppressed() clears
-  /// itself once the penalty falls below reuse_threshold.
+  /// itself once the penalty falls below kReuseThreshold.
   double penalty(NodeId node, sim::Time now) const;
   bool suppressed(NodeId node, sim::Time now);
 
@@ -150,7 +150,6 @@ class HealthMonitor final : public EdgeCostProvider {
   EdgeState healed(const EdgeState& edge, sim::Time now) const;
   double score_of(const EdgeState& edge, sim::Time now) const;
   double decayed_penalty(const NodeState& node, sim::Time now) const;
-  std::uint32_t quantize(double score) const;
 
   HealthOptions options_;
   std::map<EdgeKey, EdgeState> edges_;

@@ -101,9 +101,6 @@ TEST(Churn, FastFlappingGatewayIsDampedIntoSuppression) {
   // exclusion; the accumulated penalty must cross the suppress threshold
   // and keep gw1 out of the route table even during its up-windows.
   fwd::VcOptions options = churn_options();
-  options.health.flap_penalty = 1.0;
-  options.health.suppress_threshold = 2.5;
-  options.health.reuse_threshold = 1.0;
   options.health.penalty_half_life = sim::milliseconds(400);
   DualGatewayRig rig(options);
   rig.fabric.metrics().enable();
@@ -123,10 +120,10 @@ TEST(Churn, FastFlappingGatewayIsDampedIntoSuppression) {
   topo::HealthMonitor* health = rig.vc->health();
   ASSERT_NE(health, nullptr);
   const sim::Time end = rig.engine.now();
-  // The penalty crossed suppress_threshold at some point (that is what
-  // suppressed() latching onto reuse_threshold proves); by end-of-run it
+  // The penalty crossed kSuppressThreshold at some point (that is what
+  // suppressed() latching onto kReuseThreshold proves); by end-of-run it
   // has only partially decayed.
-  EXPECT_GT(health->penalty(1, end), options.health.reuse_threshold);
+  EXPECT_GT(health->penalty(1, end), topo::kReuseThreshold);
   EXPECT_TRUE(health->suppressed(1, end));
   // Damping holds the flapper out of the table; traffic runs via gw2.
   EXPECT_TRUE(rig.vc->routing().excluded(1));
@@ -164,7 +161,7 @@ TEST(Churn, SeededChaosSweepZeroDeliveryErrors) {
 }
 
 TEST(Churn, PlanRailsDropsRailBelowHealthThreshold) {
-  // Rail demotion: a rail whose route scores below rail_drop_score is
+  // Rail demotion: a rail whose route scores below kRailDropScore is
   // dropped from the stripe plan entirely; striping degrades to the
   // surviving rail (the caller then sends unstriped).
   fwd::VcOptions options;
@@ -175,7 +172,7 @@ TEST(Churn, PlanRailsDropsRailBelowHealthThreshold) {
   ASSERT_NE(health, nullptr);
   ASSERT_EQ(fwd::plan_rails(*rig.vc, 0, 3, 2).size(), 2u);
   // Condemn the m0 -> gw1 edge (rail 0's first hop) well below the
-  // default rail_drop_score of 0.45.
+  // kRailDropScore of 0.45.
   for (int i = 0; i < 20; ++i) {
     health->record_loss(0, 1, 0);
   }

@@ -1,6 +1,7 @@
 // Overload-safe gateway: option-combination validation, strict-priority
 // starvation freedom, and end-to-end admission rejection with sender
 // backoff-and-retry (ISSUE 8 tentpole).
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -53,18 +54,6 @@ TEST(VcOptionsValidate, FlowModeAloneIsAccepted) {
   flow_options().validate();
 }
 
-TEST(VcOptionsValidate, BadRejectBackoffRejected) {
-  VcOptions options = flow_options();
-  options.flow.reject_backoff = 0;
-  EXPECT_THROW(options.validate(), util::PanicError);
-  options.flow.reject_backoff = sim::milliseconds(2);
-  options.flow.reject_backoff_factor = 0.5;
-  EXPECT_THROW(options.validate(), util::PanicError);
-  options.flow.reject_backoff_factor = 2.0;
-  options.flow.reject_backoff_cap = sim::milliseconds(1);  // below base
-  EXPECT_THROW(options.validate(), util::PanicError);
-}
-
 TEST(VcOptionsValidate, ConstructorRunsValidation) {
   // The checks fire at world construction, not first use.
   const topo::TopoConfig config = topo::parse_topo_config(
@@ -74,6 +63,32 @@ TEST(VcOptionsValidate, ConstructorRunsValidation) {
   options.max_rails = 2;
   EXPECT_THROW(harness::ConfigWorld world(config, options),
                util::PanicError);
+}
+
+// --- Admission-reject backoff ----------------------------------------------
+
+TEST(RejectBackoff, ScheduleIsPinned) {
+  // A rejected message waits 2 ms doubled per consecutive reject, capped
+  // at 100 ms, plus seeded jitter of less than a quarter of that.
+  const FlowOptions flow;
+  const std::uint64_t seeds[] = {1, 0x5eed};
+  const sim::Time pinned[2][9] = {
+      {2351460, 4702921, 9405843, 18811687, 37623374, 75246749, 117573045,
+       117573045, 117573045},
+      {2467193, 4934386, 9868772, 19737545, 39475090, 78950181, 123359658,
+       123359658, 123359658},
+  };
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (int k = 0; k <= 8; ++k) {
+      const sim::Time base =
+          std::min(sim::milliseconds(2) << k, sim::milliseconds(100));
+      const sim::Time delay = flow.reject_delay(k, seeds[s]);
+      EXPECT_EQ(delay, pinned[s][k]) << "seed " << seeds[s] << " k " << k;
+      EXPECT_GE(delay, base) << "seed " << seeds[s] << " k " << k;
+      EXPECT_LT(delay, base + base / 4) << "seed " << seeds[s] << " k " << k;
+      EXPECT_EQ(flow.reject_delay(k, seeds[s]), delay);
+    }
+  }
 }
 
 // --- End-to-end overload behavior ------------------------------------------

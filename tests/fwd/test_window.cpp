@@ -361,13 +361,7 @@ TEST(WindowOptions, InvalidReliableOptionsRejected) {
   {
     fwd::VcOptions o;
     o.reliable.enabled = true;
-    o.reliable.timeout_backoff = 0.5;  // a shrinking deadline never converges
-    EXPECT_THROW(PaperRig rig(o), util::PanicError);
-  }
-  {
-    fwd::VcOptions o;
-    o.reliable.enabled = true;
-    o.reliable.max_ack_timeout = o.reliable.ack_timeout - 1;
+    o.reliable.ack_timeout = kMaxAckTimeout + 1;
     EXPECT_THROW(PaperRig rig(o), util::PanicError);
   }
   {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "util/hexdump.hpp"
 #include "util/log.hpp"
 #include "util/panic.hpp"
 
@@ -37,24 +36,6 @@ TEST(Log, LevelNames) {
   EXPECT_STREQ(log_level_name(LogLevel::Off), "off");
   EXPECT_STREQ(log_level_name(LogLevel::Error), "error");
   EXPECT_STREQ(log_level_name(LogLevel::Trace), "trace");
-}
-
-TEST(Hexdump, FormatsAsciiGutter) {
-  const char* text = "Hello, Madeleine!";
-  const auto* bytes = reinterpret_cast<const std::byte*>(text);
-  const std::string dump = hexdump(std::span(bytes, 17));
-  EXPECT_NE(dump.find("48 65 6c 6c 6f"), std::string::npos);
-  EXPECT_NE(dump.find("Hello, Madeleine"), std::string::npos);
-}
-
-TEST(Hexdump, TruncatesLongInput) {
-  std::vector<std::byte> big(1024, std::byte{0xab});
-  const std::string dump = hexdump(big, 64);
-  EXPECT_NE(dump.find("more bytes"), std::string::npos);
-}
-
-TEST(Hexdump, EmptyInputIsEmpty) {
-  EXPECT_TRUE(hexdump({}).empty());
 }
 
 }  // namespace
