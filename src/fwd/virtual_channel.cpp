@@ -11,7 +11,6 @@
 #include "net/fabric.hpp"
 #include "net/link.hpp"
 #include "sim/metrics.hpp"
-#include "util/log.hpp"
 #include "util/panic.hpp"
 
 namespace mad::fwd {

@@ -129,15 +129,6 @@ util::Bytes DynamicAggregRx::take_paquet() {
   return tm_.take_packet(route_.tag);
 }
 
-std::optional<util::Bytes> DynamicAggregRx::take_paquet_until(
-    sim::Time deadline) {
-  MAD_ASSERT(pending_.empty(), "take_paquet with partial-packet state pending");
-  if (!tm_.peek_packet_until(route_.tag, deadline).has_value()) {
-    return std::nullopt;
-  }
-  return tm_.take_packet(route_.tag);
-}
-
 // ---------------------------------------------------------------- hybrid
 
 HybridTx::HybridTx(TransmissionModule& tm, TxRoute route,
@@ -211,14 +202,6 @@ util::Bytes HybridRx::take_paquet() {
     return copy_to_pool(tm_, tm_.recv_packet_static(route_.tag));
   }
   return tm_.take_packet(route_.tag);
-}
-
-std::optional<util::Bytes> HybridRx::take_paquet_until(sim::Time deadline) {
-  rdma_.flush();
-  if (!tm_.peek_packet_until(route_.tag, deadline).has_value()) {
-    return std::nullopt;
-  }
-  return take_paquet();
 }
 
 // ----------------------------------------------------------------- static tx
@@ -306,15 +289,6 @@ void StaticRx::finish() {
 util::Bytes StaticRx::take_paquet() {
   MAD_ASSERT(!current_.valid(),
              "take_paquet with partial-buffer state pending");
-  return copy_to_pool(tm_, tm_.recv_packet_static(route_.tag));
-}
-
-std::optional<util::Bytes> StaticRx::take_paquet_until(sim::Time deadline) {
-  MAD_ASSERT(!current_.valid(),
-             "take_paquet with partial-buffer state pending");
-  if (!tm_.peek_packet_until(route_.tag, deadline).has_value()) {
-    return std::nullopt;
-  }
   return copy_to_pool(tm_, tm_.recv_packet_static(route_.tag));
 }
 

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "mad/buffer.hpp"
@@ -61,11 +60,6 @@ class BmmRx {
   /// between Express boundaries, when the shape holds no partial-packet
   /// state.
   virtual util::Bytes take_paquet() = 0;
-  /// Timed take_paquet: nullopt when no packet arrives by `deadline`. The
-  /// sliding-window receiver polls with this so it can notice a dead
-  /// sender instead of blocking forever.
-  virtual std::optional<util::Bytes> take_paquet_until(
-      sim::Time deadline) = 0;
 };
 
 /// Where a Tx sends to / an Rx receives from.
@@ -109,7 +103,6 @@ class DynamicAggregRx final : public BmmRx {
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
   util::Bytes take_paquet() override;
-  std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
   void flush();
 
  private:
@@ -151,7 +144,6 @@ class HybridRx final : public BmmRx {
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
   util::Bytes take_paquet() override;
-  std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
 
  private:
   TransmissionModule& tm_;
@@ -184,7 +176,6 @@ class StaticRx final : public BmmRx {
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode) override;
   void finish() override;
   util::Bytes take_paquet() override;
-  std::optional<util::Bytes> take_paquet_until(sim::Time deadline) override;
 
  private:
   TransmissionModule& tm_;

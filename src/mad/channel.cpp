@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "mad/message.hpp"
 #include "mad/session.hpp"
@@ -39,10 +40,10 @@ Connection& Channel::connection_to(NodeRank peer) {
     conn.peer_nic_index = domain_.nic_of(peer, network_, adapter_).index();
     conn.tx_tag = channel_tag(id_, static_cast<std::uint32_t>(self_));
     conn.rx_tag = channel_tag(id_, static_cast<std::uint32_t>(peer));
-    conn.tx_free = std::make_shared<sim::Condition>(
+    conn.tx_lock = std::make_unique<sim::Lock>(
         domain_.engine(), name_ + ".conn" + std::to_string(self_) + "-" +
                               std::to_string(peer) + ".tx_free");
-    it = connections_.emplace(peer, conn).first;
+    it = connections_.emplace(peer, std::move(conn)).first;
   }
   return it->second;
 }

@@ -20,15 +20,6 @@ class Domain;
 class MessageWriter;
 class MessageReader;
 
-/// Per-endpoint traffic counters (messages/bytes are user payload, not
-/// wire overhead).
-struct ChannelStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-};
-
 class Channel {
  public:
   Channel(Domain& domain, ChannelId id, std::string name,
@@ -43,9 +34,6 @@ class Channel {
   NodeRank rank() const { return self_; }
   const std::vector<NodeRank>& members() const { return members_; }
   Domain& domain() const { return domain_; }
-
-  const ChannelStats& stats() const { return stats_; }
-  ChannelStats& mutable_stats() { return stats_; }
 
   TransmissionModule& tm() { return tm_; }
   const ProtocolModule& pmm() const { return pmm_; }
@@ -98,7 +86,6 @@ class Channel {
   TransmissionModule tm_;
   const ProtocolModule& pmm_;
   std::map<NodeRank, Connection> connections_;
-  ChannelStats stats_;
 };
 
 }  // namespace mad

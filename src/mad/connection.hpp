@@ -63,19 +63,7 @@ struct Connection {
   /// this peer at a time. Matters on gateways, where the forwarding actor
   /// and the application can both open messages on the same regular
   /// channel — interleaving their packets would corrupt both streams.
-  bool tx_busy = false;
-  std::shared_ptr<sim::Condition> tx_free;
-
-  void lock_tx() {
-    while (tx_busy) {
-      tx_free->wait();
-    }
-    tx_busy = true;
-  }
-  void unlock_tx() {
-    tx_busy = false;
-    tx_free->notify_one();
-  }
+  std::unique_ptr<sim::Lock> tx_lock;
 };
 
 }  // namespace mad

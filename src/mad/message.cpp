@@ -15,7 +15,7 @@ MessageWriter::MessageWriter(Channel& channel, NodeRank dst)
   // Hold the connection for the whole message: concurrent writers toward
   // the same peer (gateway forwarding actor + application) must not
   // interleave packets.
-  conn.lock_tx();
+  conn.tx_lock->lock();
   connection_ = &conn;
   if (channel.uses_announce()) {
     announce_seq_ = ++conn.tx_announce_next;
@@ -69,10 +69,7 @@ void MessageWriter::end_packing() {
   MAD_ASSERT(!ended_, "end_packing called twice");
   bmm_->finish();
   ended_ = true;
-  connection_->unlock_tx();
-  ChannelStats& stats = channel_->mutable_stats();
-  ++stats.messages_sent;
-  stats.bytes_sent += payload_bytes_;
+  connection_->tx_lock->unlock();
   if (sim::MetricsRegistry* metrics = channel_->network().metrics();
       metrics != nullptr && metrics->enabled()) {
     const std::string labels =
@@ -119,20 +116,17 @@ util::Bytes MessageReader::take_paquet() {
 std::optional<util::Bytes> MessageReader::take_paquet_until(
     sim::Time deadline) {
   MAD_ASSERT(!ended_, "take_paquet after end_unpacking");
-  std::optional<util::Bytes> paquet = bmm_->take_paquet_until(deadline);
-  if (paquet.has_value()) {
-    payload_bytes_ += paquet->size();
+  const std::uint64_t tag = channel_->connection_to(src_).rx_tag;
+  if (!channel_->tm().peek_packet_until(tag, deadline).has_value()) {
+    return std::nullopt;
   }
-  return paquet;
+  return take_paquet();
 }
 
 void MessageReader::end_unpacking() {
   MAD_ASSERT(!ended_, "end_unpacking called twice");
   bmm_->finish();
   ended_ = true;
-  ChannelStats& stats = channel_->mutable_stats();
-  ++stats.messages_received;
-  stats.bytes_received += payload_bytes_;
   if (sim::MetricsRegistry* metrics = channel_->network().metrics();
       metrics != nullptr && metrics->enabled()) {
     const std::string labels =

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "mad/bmm.hpp"
 #include "mad/types.hpp"
@@ -99,7 +100,8 @@ class MessageReader {
   util::Bytes take_paquet();
 
   /// Timed take_paquet: nullopt when no packet arrives by `deadline`
-  /// (sliding-window receivers poll so a dead sender is noticed).
+  /// (sliding-window receivers poll so a dead sender is noticed). Waits on
+  /// the connection's rx tag, then takes the packet in the shape's way.
   std::optional<util::Bytes> take_paquet_until(sim::Time deadline);
 
   /// Finalizes extraction (mad_end_unpacking): all Cheaper blocks are

@@ -17,7 +17,6 @@ Network& Fabric::add_network(std::string name, NicModelParams model) {
   packets_.grow(model.max_packet);
   networks_.push_back(std::make_unique<Network>(
       engine_, id, std::move(name), std::move(model), packets_));
-  networks_.back()->set_packet_log(&packet_log_);
   networks_.back()->set_metrics(&metrics_);
   networks_.back()->set_trace(trace_);
   return *networks_.back();

@@ -25,13 +25,8 @@ class Fabric {
   std::size_t network_count() const { return networks_.size(); }
   sim::Engine& engine() const { return engine_; }
 
-  /// Fabric-wide packet sniffer (disabled by default; enable() to record
-  /// every NIC send across all networks).
-  PacketLog& packet_log() { return packet_log_; }
-
   /// Fabric-wide counters and latency histograms (disabled by default;
-  /// enable() to record). Distributed by pointer to every network and bus,
-  /// like the packet log.
+  /// enable() to record). Distributed by pointer to every network and bus.
   sim::MetricsRegistry& metrics() { return metrics_; }
   const sim::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -50,7 +45,6 @@ class Fabric {
   util::BufferPool packets_{0};
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Network>> networks_;
-  PacketLog packet_log_;
   sim::MetricsRegistry metrics_;
   sim::TraceSink* trace_ = nullptr;
 };

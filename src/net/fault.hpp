@@ -35,7 +35,9 @@ class MetricsRegistry;
 
 namespace mad::net {
 
-/// Outcome of the injector's per-packet decision, recorded in the PacketLog.
+/// Outcome of the injector's per-packet decision: counted in FaultStats,
+/// traced as a `pkt.fault` instant and labelled on the `net.packets`
+/// counter.
 enum class FaultAction : std::uint8_t {
   Deliver,
   Drop,       // packet vanishes on the wire

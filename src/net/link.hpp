@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/fault.hpp"
-#include "net/packet_log.hpp"
 #include "net/params.hpp"
 #include "sim/engine.hpp"
 #include "util/arena.hpp"
@@ -58,10 +57,6 @@ class Network {
   /// `start`; returns the departure and completion instants.
   WireReservation reserve_wire(int src, int dst, std::uint64_t bytes,
                                sim::Time start);
-
-  /// Wire sniffer shared by all networks of the fabric (set by Fabric).
-  PacketLog* packet_log() const { return packet_log_; }
-  void set_packet_log(PacketLog* log) { packet_log_ = log; }
 
   /// Fabric-wide metrics registry and trace sink (set by Fabric; may be
   /// null on hand-built networks). NICs and the protocol layers above
@@ -135,7 +130,6 @@ class Network {
                    std::uint32_t epoch);
 
  private:
-  PacketLog* packet_log_ = nullptr;
   sim::MetricsRegistry* metrics_ = nullptr;
   sim::TraceSink* trace_ = nullptr;
   sim::Engine& engine_;

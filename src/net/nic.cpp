@@ -6,7 +6,6 @@
 #include "net/host.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
-#include "util/log.hpp"
 #include "util/panic.hpp"
 
 namespace mad::net {
@@ -80,7 +79,7 @@ void Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
   engine_.sleep_for(model().tx_host_overhead);
 
   // The NIC's single transmit engine: one packet on the bus at a time.
-  EngineGuard engine_guard(tx_engine_);
+  sim::Lock::Guard engine_guard(tx_engine_);
 
   Nic& dst_nic = network_.nic(dst_index);
   FaultInjector* injector = network_.fault_injector();
@@ -107,11 +106,6 @@ void Nic::transmit(int dst_index, std::uint64_t tag, std::size_t n,
   }
 
   const sim::Time flow_start = engine_.now();
-  if (PacketLog* log = network_.packet_log();
-      log != nullptr && log->enabled()) {
-    log->record({flow_start, network_.id(), network_.name(), index_,
-                 dst_index, tag, static_cast<std::uint32_t>(n), fault});
-  }
   if (sim::TraceSink* trace = network_.trace();
       trace != nullptr && trace->enabled()) {
     const std::string detail = "nic" + std::to_string(index_) + "->nic" +
@@ -265,7 +259,7 @@ WirePacket Nic::consume(std::uint64_t tag) {
   }
   {
     // One receive engine per NIC as well.
-    EngineGuard engine_guard(rx_engine_);
+    sim::Lock::Guard engine_guard(rx_engine_);
     host_.bus().transfer(packet.one_sided ? PciOp::Dma : model().rx_op,
                          payload.size());
   }

@@ -175,40 +175,6 @@ class Nic {
     sim::Condition cond;
   };
 
-  /// One DMA/PIO engine per direction: a NIC moves one packet at a time
-  /// across the host bus. Concurrent actors using the same adapter
-  /// serialize here (which is why adding a second adapter — multi-rail —
-  /// actually buys bandwidth).
-  struct EngineLock {
-    EngineLock(sim::Engine& engine, const std::string& name)
-        : cond(engine, name) {}
-    bool busy = false;
-    sim::Condition cond;
-
-    void lock() {
-      while (busy) {
-        cond.wait();
-      }
-      busy = true;
-    }
-    void unlock() {
-      busy = false;
-      cond.notify_one();
-    }
-  };
-
-  /// RAII guard for EngineLock.
-  class EngineGuard {
-   public:
-    explicit EngineGuard(EngineLock& lock) : lock_(lock) { lock_.lock(); }
-    ~EngineGuard() { lock_.unlock(); }
-    EngineGuard(const EngineGuard&) = delete;
-    EngineGuard& operator=(const EngineGuard&) = delete;
-
-   private:
-    EngineLock& lock_;
-  };
-
   TagQueue& tag_queue(std::uint64_t tag);
   /// The body shared by every send of an `n`-byte packet: calls
   /// `payload()` at flow start for the packet's buffer, one of
@@ -228,8 +194,12 @@ class Nic {
   std::size_t queued_total_ = 0;  // across all tags (NIC buffer occupancy)
   sim::Condition rx_space_;       // signalled when a packet is consumed
   sim::Condition tx_done_;
-  EngineLock tx_engine_;
-  EngineLock rx_engine_;
+  /// One DMA/PIO engine per direction: a NIC moves one packet at a time
+  /// across the host bus. Concurrent actors using the same adapter
+  /// serialize here (which is why adding a second adapter — multi-rail —
+  /// actually buys bandwidth).
+  sim::Lock tx_engine_;
+  sim::Lock rx_engine_;
   std::unique_ptr<StaticBufferPool> tx_pool_;
   std::unique_ptr<StaticBufferPool> rx_pool_;
   std::uint64_t packets_sent_ = 0;

@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <string>
+#include <utility>
 
 #include "sim/engine.hpp"
 
@@ -43,6 +44,41 @@ class Condition {
   Engine& engine_;
   std::string name_;
   std::deque<ActorId> waiters_;
+};
+
+/// Virtual-time lock: a busy flag plus the Condition its waiters queue on,
+/// so waiters take it in FIFO order.
+class Lock {
+ public:
+  /// `name` is the condition's, as deadlock diagnostics print it.
+  Lock(Engine& engine, std::string name) : free_(engine, std::move(name)) {}
+
+  void lock() {
+    while (busy_) {
+      free_.wait();
+    }
+    busy_ = true;
+  }
+  void unlock() {
+    busy_ = false;
+    free_.notify_one();
+  }
+
+  /// Holds the lock for one scope.
+  class Guard {
+   public:
+    explicit Guard(Lock& lock) : lock_(lock) { lock_.lock(); }
+    ~Guard() { lock_.unlock(); }
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+
+   private:
+    Lock& lock_;
+  };
+
+ private:
+  bool busy_ = false;
+  Condition free_;
 };
 
 }  // namespace mad::sim

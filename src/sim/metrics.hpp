@@ -2,10 +2,10 @@
 //
 // A MetricsRegistry holds monotonic counters and log-bucketed latency
 // histograms keyed by (name, labels). The Fabric owns one registry and
-// hands a pointer to every network, bus and (through them) protocol layer —
-// mirroring the PacketLog wiring — so instrumentation points all feed one
-// place. Disabled by default: enabled() is the single branch hot paths pay;
-// label strings are only built once a caller has checked it.
+// hands a pointer to every network, bus and (through them) protocol layer,
+// so instrumentation points all feed one place. Disabled by default:
+// enabled() is the single branch hot paths pay; label strings are only
+// built once a caller has checked it.
 //
 // Labels are a single pre-formatted string ("gateway=1,phase=recv",
 // "channel=vc.reg.myri0,direction=tx") — deterministic map keys, no label

@@ -1,9 +1,10 @@
 // Multi-rail: several adapters per network per node ("Madeleine is able
 // to ... manage multiple network adapters (NIC) for each of these
-// protocols", paper §2.1.2), plus channel statistics.
+// protocols", paper §2.1.2), plus the channel counters.
 #include <gtest/gtest.h>
 
 #include "mad/madeleine.hpp"
+#include "sim/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace mad {
@@ -129,8 +130,9 @@ TEST(MultiAdapter, TwoRailsBeatOneOnAggregateBandwidth) {
   EXPECT_LT(sim::to_seconds(dual), 0.75 * sim::to_seconds(single));
 }
 
-TEST(ChannelStats, CountsMessagesAndBytes) {
+TEST(ChannelMetrics, CountsMessagesAndBytes) {
   DualRailRig rig;
+  rig.fabric.metrics().enable();
   const ChannelId ch = rig.domain->create_channel("main", rig.network, 0);
   util::Rng rng(2);
   const auto payload = rng.bytes(5'000);
@@ -150,14 +152,17 @@ TEST(ChannelStats, CountsMessagesAndBytes) {
     }
   });
   rig.engine.run();
-  const ChannelStats& tx = rig.domain->endpoint(ch, 0).stats();
-  const ChannelStats& rx = rig.domain->endpoint(ch, 1).stats();
-  EXPECT_EQ(tx.messages_sent, 3u);
-  EXPECT_EQ(tx.bytes_sent, 15'000u);
-  EXPECT_EQ(tx.messages_received, 0u);
-  EXPECT_EQ(rx.messages_received, 3u);
-  EXPECT_EQ(rx.bytes_received, 15'000u);
-  EXPECT_EQ(rx.bytes_sent, 0u);
+  // Both endpoints share the channel name, so each direction is one
+  // counter pair: the sender's messages under tx, the receiver's under rx.
+  sim::MetricsRegistry& metrics = rig.fabric.metrics();
+  EXPECT_EQ(metrics.counter("chan.messages", "channel=main,direction=tx").value,
+            3u);
+  EXPECT_EQ(metrics.counter("chan.bytes", "channel=main,direction=tx").value,
+            15'000u);
+  EXPECT_EQ(metrics.counter("chan.messages", "channel=main,direction=rx").value,
+            3u);
+  EXPECT_EQ(metrics.counter("chan.bytes", "channel=main,direction=rx").value,
+            15'000u);
 }
 
 TEST(ChannelTimedWait, TimesOutWhenIdle) {

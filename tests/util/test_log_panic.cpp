@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "util/log.hpp"
 #include "util/panic.hpp"
 
 namespace mad::util {
@@ -23,19 +22,6 @@ TEST(Panic, AssertPassesOnTrue) {
 
 TEST(Panic, AssertThrowsOnFalse) {
   EXPECT_THROW(MAD_ASSERT(false, "nope"), PanicError);
-}
-
-TEST(Log, LevelRoundTrip) {
-  const auto saved = log_level();
-  set_log_level(LogLevel::Debug);
-  EXPECT_EQ(log_level(), LogLevel::Debug);
-  set_log_level(saved);
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_STREQ(log_level_name(LogLevel::Off), "off");
-  EXPECT_STREQ(log_level_name(LogLevel::Error), "error");
-  EXPECT_STREQ(log_level_name(LogLevel::Trace), "trace");
 }
 
 }  // namespace
