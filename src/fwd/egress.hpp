@@ -26,6 +26,7 @@
 #include "fwd/mr_cache.hpp"
 #include "fwd/reliable.hpp"
 #include "topo/routing.hpp"
+#include "util/arena.hpp"
 #include "util/bytes.hpp"
 
 namespace mad::fwd {
@@ -50,12 +51,13 @@ struct Setback {
   bool ok() const { return kind == Kind::None; }
 };
 
-/// One fragment a gateway relay stored as it arrived: a buffer of the
-/// channel's paquet pool, and the payload digest (gtm_digest) its ingress
-/// verification computed, from which every egress transmission of it,
-/// replays included, seals its trailer.
+/// One fragment a gateway relay stored as it arrived: the paquet's body,
+/// kept in the network buffer it arrived in (verified in place, trimmed of
+/// its trailer, back to the fabric's packet pool when the fragment goes),
+/// and the digest (gtm_digest) that verification computed, from which
+/// every egress transmission of it, replays included, seals its trailer.
 struct StoredFragment {
-  util::Bytes bytes;
+  util::BufferLease body;
   std::uint64_t digest = 0;
 };
 
@@ -83,8 +85,7 @@ struct StoredBlock {
   GtmBlockHeader header;
   std::vector<std::byte> owned;  // empty for a view
   util::ByteSpan data;
-  /// One stored fragment per MTU fragment, in order; whoever stored them
-  /// gives their buffers back.
+  /// One stored fragment per MTU fragment, in order.
   std::vector<StoredFragment> fragments;
 };
 

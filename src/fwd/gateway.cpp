@@ -86,8 +86,8 @@ class FlowGrant {
 ///     (dynamic→static and static→static);
 ///   * the *incoming* static buffer kept alive and sent from directly
 ///     (static→dynamic).
-/// The fifth is a reliable relay's stored copy of the block, which it
-/// keeps for failover replay.
+/// The fifth is a reliable relay's stored fragment, kept for failover
+/// replay in the network buffer the paquet arrived in.
 struct RelayItem {
   enum class Kind {
     BlockHeader,
@@ -145,31 +145,19 @@ struct RelayItem {
 /// destroyed, after the channels, and an egress still open then would
 /// close its hop message on a dead channel.
 struct Transfer {
-  Transfer(sim::Engine& engine, util::BufferPool& pool, std::size_t capacity,
-           const std::string& name)
-      : pool(pool),
-        items(engine, capacity, name),
-        done(engine, name + ".done") {}
-  ~Transfer() {
-    for (StoredBlock& block : blocks) {
-      for (StoredFragment& fragment : block.fragments) {
-        pool.give(std::move(fragment.bytes));
-      }
-    }
-  }
+  Transfer(sim::Engine& engine, std::size_t capacity, const std::string& name)
+      : items(engine, capacity, name), done(engine, name + ".done") {}
   Transfer(const Transfer&) = delete;
   Transfer& operator=(const Transfer&) = delete;
-
-  util::BufferPool& pool;  // the channel's, for the stored fragments
 
   GtmMsgHeader hdr;
   TrafficClass cls{};
   int flow = -1;
-  /// A reliable relay stores every block, one pooled buffer per fragment
-  /// with its digest: the upstream hop is acked as soon as a paquet lands
-  /// and cannot be asked again, so a failed egress replays the message
-  /// from here. Spans into the fragments stay valid while the listener
-  /// appends.
+  /// A reliable relay stores every block, each fragment in the network
+  /// buffer it arrived in, with its digest: the upstream hop is acked as
+  /// soon as a paquet lands and cannot be asked again, so a failed egress
+  /// replays the message from here. Spans into the fragments stay valid
+  /// while the listener appends.
   std::deque<StoredBlock> blocks;
   sim::Mailbox<RelayItem> items;  // listener → sender actor
   sim::Condition done;
@@ -191,8 +179,8 @@ struct ReplayQueue {
       for (const StoredFragment& fragment : block.fragments) {
         RelayItem& item = items.emplace_back(
             RelayItem::of(RelayItem::Kind::FragmentStored));
-        item.size = static_cast<std::uint32_t>(fragment.bytes.size());
-        item.payload = util::ByteSpan(fragment.bytes);
+        item.size = static_cast<std::uint32_t>(fragment.body.size());
+        item.payload = util::ByteSpan(fragment.body.buffer());
         item.digest = fragment.digest;
       }
     }
@@ -354,8 +342,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
           std::max(1.0, flow_sched_->weight_of(flow)));
     }
     auto t = std::make_shared<Transfer>(
-        engine_, vc_.buffer_pool(), capacity,
-        vc_.name() + ".gwitems." + std::to_string(self_));
+        engine_, capacity, vc_.name() + ".gwitems." + std::to_string(self_));
     t->hdr = hdr;
     t->cls = cls;
     t->flow = flow;
@@ -482,11 +469,19 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
                              ? RelayItem::of(RelayItem::Kind::FragmentStored)
                              : relay.receive_zero_copy(in, *out_tm, size);
         if (stored) {
-          StoredFragment& dst = t.blocks.back().fragments.emplace_back();
-          dst.bytes = relay.vc_.buffer_pool().take(size);
-          dst.digest = *hop.fragment(dst.bytes);
-          item.payload = util::ByteSpan(dst.bytes);
-          item.digest = dst.digest;
+          // Verified in place and kept in its network buffer. The fragment
+          // is stored only once the receive returns, so an upstream that
+          // dies meanwhile leaves no empty one behind.
+          util::Bytes body;
+          const std::uint64_t digest = hop.fragment(body);
+          MAD_ASSERT(body.size() == size, "paquet/fragment size mismatch");
+          const StoredFragment& dst =
+              t.blocks.back().fragments.emplace_back(StoredFragment{
+                  util::BufferLease(relay.in_channel_.tm().packet_pool(),
+                                    std::move(body)),
+                  digest});
+          item.payload = util::ByteSpan(dst.body.buffer());
+          item.digest = digest;
         }
         item.size = size;
         relay.span("recv", begin, size);
@@ -582,8 +577,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     // so one grant moves a weight-proportional batch. The head fragment
     // always goes, even oversized.
     std::uint64_t bytes = head.size;
-    std::vector<RelayItem> bundle;
-    bundle.push_back(std::move(head));
+    // The fragments bundled behind the head; a lone head allocates nothing.
+    std::vector<RelayItem> rest;
     if (flow_sched_ != nullptr) {
       const std::uint64_t allowance = flow_sched_->allowance(t.flow);
       for (const RelayItem* next = items.peek();
@@ -591,20 +586,24 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
            bytes + next->size <= allowance;
            next = items.peek()) {
         bytes += next->size;
-        bundle.push_back(items.recv());
+        rest.push_back(items.recv());
       }
     }
+    const auto each = [&](auto&& step) {
+      step(head);
+      for (RelayItem& item : rest) {
+        step(item);
+      }
+    };
     // Leaving the item queue IS the dequeue the admission ledger tracks —
     // account before make_room, which can throw (a HopFailure here must
     // not leak the bundle's bytes against the class budget).
-    for (const RelayItem& item : bundle) {
-      note_dequeue(t.cls, item);
-    }
+    each([&](const RelayItem& item) { note_dequeue(t.cls, item); });
     // Drain the window first so the DRR grant below covers only the wire
     // occupancy of the bundle, never an ack round trip — a flow waiting
     // out its window must not hold the egress against every other flow.
     if (ReliableSender* snd = out.sender()) {
-      snd->make_room(bundle.size());
+      snd->make_room(1 + rest.size());
     }
     const sim::Time begin = engine_.now();
     {
@@ -612,7 +611,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       // Occupancy clock starts when the grant is held, not when we began
       // waiting for it.
       const sim::Time granted_at = engine_.now();
-      for (RelayItem& item : bundle) {
+      each([&](RelayItem& item) {
         if (item.kind == RelayItem::Kind::FragmentStaticOut) {
           // Zero-copy: the paquet was received straight into this outgoing
           // static buffer; hand it to the TM, bypassing the BMM copy-in.
@@ -627,7 +626,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
           // or the stored block (sealed from its digest).
           out.fragment(item.payload, region(item), item.digest);
         }
-      }
+      });
       // Hold the grant until the bundle's egress-wire occupancy has
       // elapsed since granted_at. The simulator models wires per (src,
       // dst) pair, but a real adapter serializes its egress port — and
@@ -647,11 +646,11 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       }
     }
     span("send", begin, bytes);
-    for (const RelayItem& item : bundle) {
+    each([&](const RelayItem& item) {
       if (item.slot >= 0) {
         free_slots_.send(item.slot);
       }
-    }
+    });
   }
 
   /// The registered region a plain hop's one-sided write of `item` pins:

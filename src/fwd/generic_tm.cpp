@@ -46,6 +46,7 @@ std::uint64_t finalize(std::uint64_t h) {
 }
 
 std::uint64_t g_checksum_bytes = 0;
+std::uint64_t g_copy_bytes = 0;
 
 // Four independent lanes take one 8-byte word each per 32-byte stripe, so
 // their multiply chains overlap. The leftover words, the zero-padded byte
@@ -64,6 +65,9 @@ template <bool kCopy>
 std::uint64_t digest_pass(std::byte* dst, const std::byte* p,
                           std::size_t size) {
   g_checksum_bytes += size;
+  if constexpr (kCopy) {
+    g_copy_bytes += size;
+  }
   std::array<std::uint64_t, kLanes> lane = {kPrime1 + kPrime2, kPrime2, 0,
                                             0 - kPrime1};
   std::size_t at = 0;
@@ -116,6 +120,8 @@ std::uint64_t gtm_seal(std::uint64_t digest, std::uint32_t seq,
 }
 
 std::uint64_t& gtm_checksum_bytes() { return g_checksum_bytes; }
+
+std::uint64_t& gtm_copy_bytes() { return g_copy_bytes; }
 
 std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,
                                   std::uint32_t epoch) {

@@ -127,6 +127,9 @@ std::uint64_t gtm_seal(std::uint64_t digest, std::uint32_t seq,
 /// here that reads a payload (the simulation runs one actor at a time, so
 /// a plain counter). Tests read and reset it like mad::copy_stats().
 std::uint64_t& gtm_checksum_bytes();
+/// Of those, the bytes the digest loop also stored (gtm_copy_digest and
+/// the functions built on it).
+std::uint64_t& gtm_copy_bytes();
 
 /// gtm_seal(gtm_digest(payload), seq, epoch).
 std::uint64_t gtm_paquet_checksum(util::ByteSpan payload, std::uint32_t seq,

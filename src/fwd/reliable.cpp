@@ -15,6 +15,7 @@
 #include "net/fabric.hpp"
 #include "net/link.hpp"
 #include "sim/metrics.hpp"
+#include "util/arena.hpp"
 #include "util/panic.hpp"
 
 namespace mad::fwd {
@@ -626,6 +627,26 @@ ReliableReceiver::~ReliableReceiver() {
 std::uint64_t ReliableReceiver::recv(MessageReader& in,
                                      std::uint32_t expected_seq,
                                      util::MutByteSpan payload_dst) {
+  Verified paquet = receive(in, expected_seq, payload_dst);
+  MAD_ASSERT(paquet.body.size() == payload_dst.size(),
+             "reliable paquet payload of " +
+                 std::to_string(paquet.body.size()) + " bytes, expected " +
+                 std::to_string(payload_dst.size()));
+  in_channel_.network().buffer_pool().give(std::move(paquet.body));
+  return paquet.digest;
+}
+
+std::uint64_t ReliableReceiver::recv(MessageReader& in,
+                                     std::uint32_t expected_seq,
+                                     util::Bytes& body) {
+  Verified paquet = receive(in, expected_seq, std::nullopt);
+  body = std::move(paquet.body);
+  return paquet.digest;
+}
+
+ReliableReceiver::Verified ReliableReceiver::receive(
+    MessageReader& in, std::uint32_t expected_seq,
+    std::optional<util::MutByteSpan> copy_to) {
   MAD_ASSERT(expected_seq == next_,
              "reliable GTM stream desync: caller expects seq " +
                  std::to_string(expected_seq) + ", receiver is at " +
@@ -638,19 +659,18 @@ std::uint64_t ReliableReceiver::recv(MessageReader& in,
   if (const auto it = reorder_.find(next_); it != reorder_.end()) {
     // Already received out of order: serve from the reorder buffer,
     // with the digest its verification computed.
-    Parked& parked = it->second;
-    MAD_ASSERT(parked.body.size() == payload_dst.size(),
-               "reliable paquet payload of " +
-                   std::to_string(parked.body.size()) + " bytes, expected " +
-                   std::to_string(payload_dst.size()));
-    if (!payload_dst.empty()) {
-      counted_copy(payload_dst, util::ByteSpan(parked.body));
+    Verified& parked = it->second;
+    if (!parked.body.empty()) {
+      if (copy_to) {
+        counted_copy(*copy_to, util::ByteSpan(parked.body));
+      } else {
+        count_copy(parked.body.size());
+      }
     }
-    const std::uint64_t digest = parked.digest;
-    pool.give(std::move(parked.body));
+    Verified served = std::move(parked);
     reorder_.erase(it);
     ++next_;
-    return digest;
+    return served;
   }
   MAD_ASSERT(next_ == cum_next_, "reliable reorder buffer desync");
 
@@ -677,21 +697,19 @@ std::uint64_t ReliableReceiver::recv(MessageReader& in,
     }
     const std::size_t wire_size = arrived.size();
     // Verify the trailer. When its fields, as they arrived, name this
-    // epoch's in-order paquet and the body fits the caller's buffer, the
-    // verification pass also writes the body there (the only place a
-    // verified in-order body goes); every other paquet is only digested.
-    // A corrupt one leaves junk in `payload_dst`, which the retransmission
-    // overwrites before this call returns.
+    // epoch's in-order paquet and the body fits `copy_to`, the
+    // verification pass also writes the body there; every other paquet is
+    // only digested. A corrupt one leaves junk in `copy_to`, which the
+    // retransmission overwrites before this call returns.
     const util::ByteSpan wire(arrived);
     std::optional<GtmPaquetTrailer> verified = wire_trailer(wire);
     std::uint64_t digest = 0;
     if (verified) {
       const util::ByteSpan body = wire.first(wire_size - kGtmTrailerBytes);
-      const bool in_place = verified->epoch == epoch_ &&
+      const bool in_place = copy_to && verified->epoch == epoch_ &&
                             verified->seq == cum_next_ &&
-                            body.size() == payload_dst.size();
-      digest = in_place ? gtm_copy_digest(payload_dst, body)
-                        : gtm_digest(body);
+                            body.size() == copy_to->size();
+      digest = in_place ? gtm_copy_digest(*copy_to, body) : gtm_digest(body);
       if (gtm_seal(digest, verified->seq, verified->epoch) !=
           verified->checksum) {
         verified.reset();
@@ -747,17 +765,16 @@ std::uint64_t ReliableReceiver::recv(MessageReader& in,
       pool.give(std::move(arrived));
       continue;
     }
+    // The network buffer itself is kept, trimmed to the body.
+    arrived.resize(body_size);
     if (trailer.seq == cum_next_) {
-      // In order: the verification pass already wrote the body to the
-      // caller's buffer. It is charged as the staged copy it models.
-      MAD_ASSERT(body_size == payload_dst.size(),
-                 "reliable paquet payload of " + std::to_string(body_size) +
-                     " bytes, expected " +
-                     std::to_string(payload_dst.size()));
-      if (!payload_dst.empty()) {
-        count_copy(payload_dst.size());
+      // In order: a copying receive's verification pass already wrote the
+      // body. Either form is charged as the staged copy it models; the
+      // lease gives the buffer back should the charge unwind.
+      util::BufferLease body(pool, std::move(arrived));
+      if (body_size > 0) {
+        count_copy(body_size);
       }
-      pool.give(std::move(arrived));
       ++cum_next_;
       ++next_;
       while (reorder_.contains(cum_next_)) {
@@ -765,7 +782,7 @@ std::uint64_t ReliableReceiver::recv(MessageReader& in,
       }
       network.post_ack(conn.rx_tag, self_nic_, conn.peer_nic_index, epoch_,
                        cum_next_ - 1);
-      return digest;
+      return {body.release(), digest};
     }
     // Out of order: park it and tell the sender with a selective ack plus
     // a duplicate cumulative ack (the fast-retransmit signal).
@@ -773,9 +790,7 @@ std::uint64_t ReliableReceiver::recv(MessageReader& in,
                "reliable GTM stream desync: got seq " +
                    std::to_string(trailer.seq) + " beyond the window at " +
                    std::to_string(cum_next_));
-    // The network buffer itself is parked, trimmed to the body.
-    arrived.resize(body_size);
-    reorder_.emplace(trailer.seq, Parked{std::move(arrived), digest});
+    reorder_.emplace(trailer.seq, Verified{std::move(arrived), digest});
     network.post_sack(conn.rx_tag, self_nic_, conn.peer_nic_index, epoch_,
                       trailer.seq);
     if (cum_next_ > 0) {
@@ -828,6 +843,11 @@ std::optional<std::uint64_t> HopReader::fragment(util::MutByteSpan dst) {
   }
   reader_.unpack(dst, SendMode::Cheaper, RecvMode::Express);
   return std::nullopt;
+}
+
+std::uint64_t HopReader::fragment(util::Bytes& body) {
+  MAD_ASSERT(rel_ != nullptr, "adopting a fragment of a plain stream");
+  return rel_->recv(reader_, seq_++, body);
 }
 
 void HopReader::block(util::MutByteSpan dst, SendMode smode, RecvMode rmode) {

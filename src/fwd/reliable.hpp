@@ -395,6 +395,14 @@ class ReliableReceiver {
   /// and served later without another pass through the checksum loop.
   std::uint64_t recv(MessageReader& in, std::uint32_t expected_seq,
                      util::MutByteSpan payload_dst);
+  /// The adopting form of recv, for a receiver that keeps what it
+  /// receives (the gateway's stored fragments): every paquet is only
+  /// digested, in place, and the verified body is handed over to `body`,
+  /// trimmed in the network buffer it arrived in. That buffer belongs to
+  /// the fabric's packet pool, and the caller gives it back. Its virtual
+  /// copy charge is the copying form's, so both forms take the same time.
+  std::uint64_t recv(MessageReader& in, std::uint32_t expected_seq,
+                     util::Bytes& body);
 
   /// Posts an ECN-style congestion mark back to this hop's sender (same
   /// ack-board path and fault handling as a cumulative ack). The gateway
@@ -420,15 +428,21 @@ class ReliableReceiver {
   int self_nic_;
   std::string node_label_;
   std::size_t window_;
-  std::uint32_t next_ = 0;      // next seq to hand to the caller
-  std::uint32_t cum_next_ = 0;  // first seq not yet received in order
-  // A verified out-of-order paquet: its body, trimmed in the network
-  // buffer it arrived in, and the body's digest.
-  struct Parked {
+  /// A verified paquet: its body, trimmed in the network buffer it
+  /// arrived in, and the body's digest.
+  struct Verified {
     util::Bytes body;
     std::uint64_t digest = 0;
   };
-  std::map<std::uint32_t, Parked> reorder_;
+  /// Both forms of recv: receives, verifies and acknowledges paquet
+  /// `expected_seq` and returns it. With `copy_to` set (the copying form)
+  /// its body is also written there.
+  Verified receive(MessageReader& in, std::uint32_t expected_seq,
+                   std::optional<util::MutByteSpan> copy_to);
+
+  std::uint32_t next_ = 0;      // next seq to hand to the caller
+  std::uint32_t cum_next_ = 0;  // first seq not yet received in order
+  std::map<std::uint32_t, Verified> reorder_;  // verified out-of-order paquets
 };
 
 /// Reads one hop message's GTM elements in stream order — block headers,
@@ -448,6 +462,9 @@ class HopReader {
   /// One MTU fragment into `dst`; on a reliable stream, returns the
   /// digest its verification computed (ReliableReceiver::recv).
   std::optional<std::uint64_t> fragment(util::MutByteSpan dst);
+  /// One MTU fragment of a reliable stream, adopted into `body` with no
+  /// copy (the adopting ReliableReceiver::recv); returns its digest.
+  std::uint64_t fragment(util::Bytes& body);
   /// Every fragment of a block of `dst`'s size.
   void fragments(util::MutByteSpan dst);
   /// One application block into `dst`: its self-description must match

@@ -11,6 +11,7 @@
 #include "net/fabric.hpp"
 #include "net/link.hpp"
 #include "sim/metrics.hpp"
+#include "util/arena.hpp"
 #include "util/panic.hpp"
 
 namespace mad::fwd {
@@ -92,7 +93,6 @@ VirtualChannel::VirtualChannel(Domain& domain, std::string name,
     // crosses every hop unfragmented.
     mtu_ -= kGtmTrailerBytes;
   }
-  buffers_ = util::BufferPool(mtu_);
 
   // Topology over *local* network ids (positions in networks_).
   topology_ = std::make_unique<topo::Topology>(domain_.node_count());

@@ -33,7 +33,6 @@
 #include "sim/trace.hpp"
 #include "topo/health.hpp"
 #include "topo/routing.hpp"
-#include "util/arena.hpp"
 
 namespace mad::fwd {
 
@@ -206,11 +205,6 @@ class VirtualChannel {
   /// the wire MTU, so payload + trailer still fits every hop.
   std::uint32_t mtu() const { return mtu_; }
   bool reliable() const { return options_.reliable.enabled; }
-  /// The reliable gateway relay's stored fragments, at capacity mtu();
-  /// each relay gives its own back when it ends. (Paquets on the wire use
-  /// the fabric's packet pool, net::Network::buffer_pool.)
-  util::BufferPool& buffer_pool() { return buffers_; }
-  const util::BufferPool& buffer_pool() const { return buffers_; }
   const topo::Routing& routing() const { return *routing_; }
   const topo::Topology& topology() const { return *topology_; }
 
@@ -350,7 +344,6 @@ class VirtualChannel {
   std::vector<net::Network*> networks_;
   VcOptions options_;
   std::uint32_t mtu_ = 0;
-  util::BufferPool buffers_{0};  // sized once mtu_ is known
   std::unique_ptr<topo::Topology> topology_;
   std::unique_ptr<topo::Routing> routing_;
   std::unique_ptr<topo::HealthMonitor> health_;

@@ -13,11 +13,12 @@
 //   * Arena<T>      — plain LIFO freelist of T objects. take() hands back a
 //                     retired object (with whatever capacity its members
 //                     kept) or default-constructs one.
-//   * BufferPool    — uniform-capacity LIFO pool of util::Bytes, built on
-//                     Arena: every paquet-sized buffer of the forwarding
-//                     path (wire packets, one pool per fabric, which
-//                     reliable senders fill, receivers park and the plain
-//                     relay forwards; the gateway's stored fragments).
+//   * BufferPool    — LIFO pool of util::Bytes in power-of-two size
+//                     classes, one freelist per class: every paquet-sized
+//                     buffer of the forwarding path (wire packets, one
+//                     pool per fabric, which reliable senders fill,
+//                     receivers park, the plain relay forwards and the
+//                     reliable gateway keeps as its stored fragments).
 //
 // None is thread-safe; under the simulation engine exactly one actor
 // runs at a time, which is the only concurrency these see.
@@ -60,32 +61,47 @@ class Arena {
   std::uint64_t reuses_ = 0;
 };
 
-/// Uniform-capacity LIFO pool of byte buffers. Every buffer is reserved
-/// at the pool's capacity when it is first made, so any retired buffer
-/// serves any request: nothing is searched, dropped or regrown, and the
-/// pool retains at most the peak number of buffers live at once. Buffers
-/// are util::Bytes, so neither making nor reusing one zero-fills it.
+/// LIFO pool of byte buffers in power-of-two size classes, from kMinClass
+/// up to the pool's capacity rounded up to a power of two. A buffer is
+/// reserved at its class's size when it is first made, and take(size)
+/// serves from the smallest class that holds `size`: a 4 KB ping does not
+/// pin a buffer sized for the largest packet of the fabric. give() files a
+/// buffer by its capacity, so a buffer trimmed after it was taken (a
+/// paquet body kept without its trailer) still goes back to its class.
+/// Nothing is searched, dropped or regrown, and each class retains at most
+/// the peak number of its buffers live at once. Buffers are util::Bytes,
+/// so neither making nor reusing one zero-fills it.
 class BufferPool {
  public:
-  explicit BufferPool(std::size_t capacity) : capacity_(capacity) {}
+  /// The smallest size class (one page).
+  static constexpr std::size_t kMinClass = 4096;
+
+  explicit BufferPool(std::size_t capacity);
 
   /// A buffer of `size` (at most capacity()) bytes of unspecified content.
   Bytes take(std::size_t size);
-  /// Retires a buffer this pool made.
+  /// Retires a buffer this pool made: its capacity must be one of the
+  /// pool's classes.
   void give(Bytes buffer);
-  /// Raises the capacity to at least `capacity` (never lowers it). No
-  /// buffer may be out: one made smaller could not come back. Idle ones
-  /// grow when next taken.
+  /// Raises the capacity to at least `capacity` (never lowers it), adding
+  /// the classes up to it. No buffer may be out.
   void grow(std::size_t capacity);
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t idle() const { return arena_.idle(); }
-  std::uint64_t takes() const { return arena_.takes(); }
-  std::uint64_t reuses() const { return arena_.reuses(); }
+  /// Totals over every class.
+  std::size_t idle() const { return idle_; }
+  std::uint64_t takes() const { return takes_; }
+  std::uint64_t reuses() const { return reuses_; }
 
  private:
-  Arena<Bytes> arena_;
+  /// Index of the smallest class that holds `size` bytes.
+  static std::size_t class_of(std::size_t size);
+
+  std::vector<std::vector<Bytes>> free_;  // free_[c]: kMinClass << c bytes
   std::size_t capacity_;
+  std::size_t idle_ = 0;
+  std::uint64_t takes_ = 0;
+  std::uint64_t reuses_ = 0;
 };
 
 /// RAII scratch buffer: taken from a BufferPool (or handed over) on

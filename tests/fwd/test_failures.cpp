@@ -509,6 +509,85 @@ TEST(Reliable, EgressHopFailoverResealsTheStoredFragments) {
   EXPECT_EQ(total.corrupt_drops, last.fault_injector()->stats().corrupted);
 }
 
+/// Buffers of the packet pool that `networks` share (the fabric's) that
+/// are neither idle nor held by a packet still queued at one of their
+/// NICs.
+std::int64_t fabric_buffers_out(const std::vector<net::Network*>& networks) {
+  const util::BufferPool& pool = networks.front()->buffer_pool();
+  auto out = static_cast<std::int64_t>(pool.takes() - pool.reuses()) -
+             static_cast<std::int64_t>(pool.idle());
+  for (const net::Network* network : networks) {
+    EXPECT_EQ(&network->buffer_pool(), &pool);
+    for (int i = 0; i < static_cast<int>(network->size()); ++i) {
+      out -= static_cast<std::int64_t>(network->nic(i).queued());
+    }
+  }
+  return out;
+}
+
+TEST(Reliable, StoredFragmentsReturnToTheFabricPool) {
+  // A reliable gateway keeps each fragment in the network buffer it
+  // arrived in, a buffer of the fabric's packet pool, until its egress is
+  // done with the message. On every way a gateway stores fragments, each
+  // buffer must be idle again after the run, or held by a queued packet.
+  constexpr std::size_t kBytes = 1 << 18;
+  {
+    SCOPED_TRACE("store-then-send (window 1)");
+    PaperRig rig(reliable_options());
+    const Delivery delivery =
+        relay_messages(rig, rig.myri_node(), rig.sci_node(), 2, kBytes);
+    EXPECT_EQ(delivery.intact, 2);
+    EXPECT_EQ(total_forwarded(*rig.vc, 3), 2u);
+    EXPECT_EQ(fabric_buffers_out({&rig.myri, &rig.sci}), 0);
+  }
+  {
+    SCOPED_TRACE("cut-through (window 16)");
+    fwd::VcOptions options = reliable_options();
+    options.reliable.window = 16;
+    PaperRig rig(options);
+    const Delivery delivery =
+        relay_messages(rig, rig.myri_node(), rig.sci_node(), 2, kBytes);
+    EXPECT_EQ(delivery.intact, 2);
+    EXPECT_EQ(total_forwarded(*rig.vc, 3), 2u);
+    EXPECT_EQ(fabric_buffers_out({&rig.myri, &rig.sci}), 0);
+  }
+  {
+    SCOPED_TRACE("striped relay");
+    fwd::VcOptions options = reliable_options();
+    options.max_rails = 2;
+    testsupport::DisjointRailRig rig(options);
+    const Delivery delivery = relay_messages(rig, 0, 3, 2, kBytes);
+    EXPECT_EQ(delivery.intact, 2);
+    // Each message crosses both gateways, one rail each.
+    EXPECT_EQ(total_forwarded(*rig.vc, 4), 4u);
+    EXPECT_EQ(fabric_buffers_out({&rig.myri_a, &rig.myri_b, &rig.sci}), 0);
+  }
+  {
+    SCOPED_TRACE("gateway failover mid-message");
+    // gw2 crashes mid-message: gw1 replays its stored fragments to gw3.
+    fwd::VcOptions options = reliable_options();
+    options.reliable.window = 16;
+    harness::ConfigWorld world(topo::parse_topo_config(kEgressFailoverConfig),
+                               options);
+    const NodeRank gw1 = world.rank_of("gw1");
+    const NodeRank gw2 = world.rank_of("gw2");
+    const sim::Time crash_at = sim::milliseconds(6);
+    for (net::Network* network : {world.networks[1], world.networks[2]}) {
+      net::FaultPlan plan;
+      plan.crashes.push_back(
+          {static_cast<int>(world.domain->nic_of(gw2, *network).index()),
+           crash_at});
+      network->set_fault_plan(plan);
+    }
+    const Delivery delivery =
+        relay_messages(world, world.rank_of("m0"), world.rank_of("e0"), 1,
+                       1 << 20);
+    EXPECT_EQ(delivery.intact, 1);
+    EXPECT_EQ(world.vc->gateway_stats(gw1).reliability.failovers, 1u);
+    EXPECT_EQ(fabric_buffers_out(world.networks), 0);
+  }
+}
+
 TEST(Reliable, PaquetBuffersReturnToTheirPools) {
   // A window-16 relay under drop, corruption and duplication runs every
   // pooled paquet buffer: wire packets (every reliable paquet and
@@ -528,11 +607,11 @@ TEST(Reliable, PaquetBuffersReturnToTheirPools) {
     rig.myri.set_fault_plan(plan);
     rig.sci.set_fault_plan(plan);
   };
-  // The channel's pool, and the fabric's packet pool, which both networks
-  // share (a pool listed once per network would be counted twice).
+  // The fabric's packet pool, which both networks share (a pool listed
+  // once per network would be counted twice) and which the gateway's
+  // stored fragments come from.
   ASSERT_EQ(&rig.myri.buffer_pool(), &rig.sci.buffer_pool());
-  const std::vector<const util::BufferPool*> pools = {&rig.vc->buffer_pool(),
-                                                      &rig.myri.buffer_pool()};
+  const std::vector<const util::BufferPool*> pools = {&rig.myri.buffer_pool()};
   const auto made = [&] {
     std::vector<std::uint64_t> counts;
     for (const util::BufferPool* pool : pools) {
@@ -594,8 +673,7 @@ TEST(Reliable, PaquetBuffersReturnToTheirPools) {
     }
     return packets;
   };
-  const std::vector<std::size_t> held = {
-      0, queued(rig.myri) + queued(rig.sci)};
+  const std::vector<std::size_t> held = {queued(rig.myri) + queued(rig.sci)};
   const std::vector<std::uint64_t> made_by_both = made();
   for (std::size_t i = 0; i < pools.size(); ++i) {
     EXPECT_GT(made_by_both[i], 0u) << "pool " << i;
@@ -642,9 +720,9 @@ TEST(Reliable, GatewayCrashFailsOverToAlternate) {
 
 TEST(Reliable, PaquetBuffersReturnAfterAFailover) {
   // A window-16 origin loses its gateway with paquets in flight: the
-  // packets sent toward the crashed gateway go back to their network's
-  // pool (dropped, or consumed by nobody and still queued), and the
-  // stored fragments the crashed relay held go back to the channel's.
+  // packets sent toward the crashed gateway go back to the fabric's pool
+  // (dropped, or consumed by nobody and still queued), and so do the
+  // stored fragments the crashed relay held.
   fwd::VcOptions options = reliable_options();
   options.reliable.window = 16;
   DualGatewayRig rig(options);
@@ -670,20 +748,18 @@ TEST(Reliable, PaquetBuffersReturnAfterAFailover) {
   rig.engine.run();
   EXPECT_EQ(out, payload);
   EXPECT_GE(rig.vc->gateway_stats(0).reliability.failovers, 1u);
-  const util::BufferPool& pool = rig.vc->buffer_pool();
-  EXPECT_GT(pool.takes(), 0u);
-  EXPECT_EQ(pool.idle(), pool.takes() - pool.reuses());
   // Both networks share the fabric's packet pool: count it once, against
   // the packets queued on either network.
   ASSERT_EQ(&rig.myri.buffer_pool(), &rig.sci.buffer_pool());
+  const util::BufferPool& pool = rig.myri.buffer_pool();
+  EXPECT_GT(pool.takes(), 0u);
   std::size_t queued = 0;
   for (const net::Network* network : {&rig.myri, &rig.sci}) {
     for (int i = 0; i < static_cast<int>(network->size()); ++i) {
       queued += network->nic(i).queued();
     }
   }
-  const util::BufferPool& wire = rig.myri.buffer_pool();
-  EXPECT_EQ(wire.idle() + queued, wire.takes() - wire.reuses());
+  EXPECT_EQ(pool.idle() + queued, pool.takes() - pool.reuses());
 }
 
 TEST(Failures, ShutdownWithQueuedFlowReadersUnwindsCleanly) {
@@ -732,18 +808,16 @@ TEST(Failures, ShutdownWithQueuedFlowReadersUnwindsCleanly) {
   const fwd::GatewayStats& gw = rig.vc->gateway_stats(rig.gateway_rank);
   EXPECT_EQ(gw.paquets_forwarded, 2u);
   EXPECT_EQ(gw.messages_forwarded, 0u);
-  const util::BufferPool& pool = rig.vc->buffer_pool();
-  EXPECT_GT(pool.takes(), 0u);
-  EXPECT_EQ(pool.idle(), pool.takes() - pool.reuses());
   ASSERT_EQ(&rig.myri.buffer_pool(), &rig.sci.buffer_pool());
+  const util::BufferPool& pool = rig.myri.buffer_pool();
+  EXPECT_GT(pool.takes(), 0u);
   std::size_t queued = 0;
   for (const net::Network* network : {&rig.myri, &rig.sci}) {
     for (int i = 0; i < static_cast<int>(network->size()); ++i) {
       queued += network->nic(i).queued();
     }
   }
-  const util::BufferPool& wire = rig.myri.buffer_pool();
-  EXPECT_EQ(wire.idle() + queued, wire.takes() - wire.reuses());
+  EXPECT_EQ(pool.idle() + queued, pool.takes() - pool.reuses());
 }
 
 TEST(Failures, RoutingRebuildDuringPlainRelayLeavesMessageIntact) {

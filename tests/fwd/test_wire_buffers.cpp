@@ -222,12 +222,13 @@ TEST(WireBuffers, StripedLaterBlockChangedBeforeEndPackingCrossesAsPacked) {
 }
 
 /// The bytes each network's NICs copied into packets (snapshots) and out
-/// of them (scatters), Myrinet first, and the bytes the run passed through
-/// the checksum loop.
+/// of them (scatters), Myrinet first, the bytes the run passed through
+/// the checksum loop, and those of them the loop also copied.
 struct HostCopies {
   std::vector<std::uint64_t> snapshots;
   std::vector<std::uint64_t> scatters;
   std::uint64_t checksummed = 0;
+  std::uint64_t checksum_copied = 0;
 };
 
 /// Relays one 1 MiB Cheaper block from m0 to s0 (m1 only widens the
@@ -251,11 +252,13 @@ HostCopies host_copies_of_one_relay(bool reliable) {
     msg.end_unpacking();
   });
   const std::uint64_t checksummed_before = gtm_checksum_bytes();
+  const std::uint64_t copied_before = gtm_copy_bytes();
   rig.engine.run();
   EXPECT_EQ(out, payload);
   return {{rig.myri.snapshot_bytes(), rig.sci.snapshot_bytes()},
           {rig.myri.scatter_bytes(), rig.sci.scatter_bytes()},
-          gtm_checksum_bytes() - checksummed_before};
+          gtm_checksum_bytes() - checksummed_before,
+          gtm_copy_bytes() - copied_before};
 }
 
 TEST(WireBuffers, ReliableRelaySnapshotsOnlyItsFraming) {
@@ -286,6 +289,20 @@ TEST(WireBuffers, ReliableRelayChecksumsEachPayloadByteThrice) {
   EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/true).checksummed,
             3 * (std::uint64_t{1} << 20) + 4 * headers + 2 * head_probe);
   EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/false).checksummed, 0u);
+}
+
+TEST(WireBuffers, ReliableRelayGatewayVerifiesInPlace) {
+  // Of the three checksum passes over a payload byte, two also copy it:
+  // the origin's fill and the final receiver's verification into user
+  // memory. The gateway verifies each paquet in the network buffer it
+  // arrived in and keeps that buffer as its stored fragment, so its pass
+  // only reads. The block header and the end marker are copied by each
+  // fill and each verification: four times each. The stream-head probe
+  // only reads.
+  const std::uint64_t headers = 2 * sizeof(GtmBlockHeader);
+  EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/true).checksum_copied,
+            2 * (std::uint64_t{1} << 20) + 4 * headers);
+  EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/false).checksum_copied, 0u);
 }
 
 TEST(WireBuffers, PlainRelayCopiesPayloadOnlyAtItsEnds) {
