@@ -73,7 +73,7 @@ void Egress::block_header(const GtmBlockHeader& header, bool one_sided) {
   one_sided_ = one_sided;
   fragments_left_ = fragment_count(header.size, vc_.mtu());
   // The plain writer runs the rendezvous before the block header (so on a
-  // gateway's sender actor the handshake overlaps the listener's next
+  // gateway's send actor the handshake overlaps the listener's next
   // receive like any other egress cost); the reliable sender runs it after
   // its windowed header paquet. Block headers travel as reliable paquets
   // of their own: a lost header would desynchronize the stream silently.

@@ -9,21 +9,21 @@
 // toward the final destination — the paper's two-gateway disambiguation).
 // Zero-copy paths follow §2.3.
 //
-// Every message crosses one relay loop: an ingress yields relay items
-// (block headers, fragments, the end marker), the egress sends them, and a
-// start policy derived from the options decides who runs the egress —
-// inline on the listener (unreliable, pipeline_depth 1), after the whole
-// message is stored (reliable, window 1 or striped), or on a sender actor
-// behind a mailbox (otherwise) that retransmits paquet k while the listener
-// receives paquet k+1: the paper's two-threads/two-buffers scheme. A
-// reliable relay keeps every block; after a failed egress the egress's
-// failover loop replays them through the same relay loop on a freshly
-// picked route.
+// Every message crosses one relay path, the paper's two threads sharing
+// the gateway's buffers: the actor that receives it (the listener, or in
+// flow mode its upstream hop's relay actor) hands its relay items (block
+// headers, fragments, the end marker) through a mailbox to its one send
+// actor, which runs the egress; paquet k leaves while paquet k+1 arrives,
+// within the pipeline budget. Store-then-send (reliable, window 1 or
+// striped) hands a message over at its end marker. A reliable relay keeps
+// every block; after a failed egress the receiving actor's failover loop
+// replays them on a freshly picked route.
 #include "fwd/gateway.hpp"
 
 #include <algorithm>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -105,8 +105,8 @@ struct RelayItem {
   Kind kind = Kind::End;
   GtmBlockHeader header;                  // BlockHeader
   std::uint32_t size = 0;                 // fragments: payload bytes
-  /// FragmentAdopted and FragmentDynamic: the slot of the plain relay's
-  /// pipeline budget the fragment holds until it is sent.
+  /// The slot of the plain relay's pipeline budget the fragment holds
+  /// until it is sent (FragmentAdopted, FragmentDynamic; any at depth 1).
   int slot = -1;
   /// FragmentAdopted: the paquet's own network buffer, back to the
   /// fabric's packet pool unless the egress sends it on. FragmentDynamic:
@@ -120,8 +120,8 @@ struct RelayItem {
   /// FragmentStored: the stored fragment's digest, which the egress seals
   /// its trailers from.
   std::optional<std::uint64_t> digest;
-  /// When the fragment entered a sender actor's queue: the admission
-  /// ledger's sojourn base. Unset on every other path.
+  /// When the fragment entered a cut-through send actor's queue: the
+  /// admission ledger's sojourn base. Unset on every other path.
   std::optional<sim::Time> queued_at;
 
   static RelayItem of(Kind kind, const GtmBlockHeader& header = {}) {
@@ -130,25 +130,28 @@ struct RelayItem {
     item.header = header;
     return item;
   }
+  static RelayItem stored(const StoredFragment& fragment) {
+    RelayItem item = of(Kind::FragmentStored);
+    item.size = static_cast<std::uint32_t>(fragment.body.size());
+    item.payload = util::ByteSpan(fragment.body.buffer());
+    item.digest = fragment.digest;
+    return item;
+  }
   bool fragment() const {
     return kind != Kind::BlockHeader && kind != Kind::End &&
            kind != Kind::Abort;
   }
 };
 
-/// One message crossing the gateway, shared by its listener and its sender
-/// actor. Heap-owned: during engine shutdown the listener may unwind (and
-/// its stack frame be reused) while the sender is still parked inside
-/// items.recv(); stack-allocating this state was a use-after-free (see the
-/// regression in tests/fwd/test_failures.cpp). Only the two actors' stacks
-/// own it, never an actor's closure: the engine keeps closures until it is
-/// destroyed, after the channels, and an egress still open then would
-/// close its hop message on a dead channel.
+/// One message crossing the gateway, shared by the actor that receives it
+/// and its send actor. Owned by the two actors' stacks (and the send
+/// actor's inbox) only: at engine shutdown either may unwind first while
+/// the other still uses it (stack allocation was a use-after-free, see
+/// tests/fwd/test_failures.cpp), and the engine keeps actor bodies past
+/// the channels, where an egress still open would close its hop message.
 struct Transfer {
   Transfer(sim::Engine& engine, std::size_t capacity, const std::string& name)
       : items(engine, capacity, name), done(engine, name + ".done") {}
-  Transfer(const Transfer&) = delete;
-  Transfer& operator=(const Transfer&) = delete;
 
   GtmMsgHeader hdr;
   TrafficClass cls{};
@@ -157,47 +160,76 @@ struct Transfer {
   /// buffer it arrived in, with its digest: the upstream hop is acked as
   /// soon as a paquet lands and cannot be asked again, so a failed egress
   /// replays the message from here. Spans into the fragments stay valid
-  /// while the listener appends.
+  /// while the receiving actor appends.
   std::deque<StoredBlock> blocks;
-  sim::Mailbox<RelayItem> items;  // listener → sender actor
-  sim::Condition done;
-  bool finished = false;
+  sim::Mailbox<RelayItem> items;  // receiving actor → send actor
   std::optional<Egress> egress;
-  Setback outcome;  // of the sender actor's attempt
+  /// The send actor's attempt, set when it is over, with a notify of done.
+  std::optional<Setback> outcome;
+  sim::Condition done;
 };
 
-/// A stored message laid out as relay items, read like the sender actor's
-/// mailbox.
-struct ReplayQueue {
-  ReplayQueue(const std::deque<StoredBlock>& blocks, std::uint32_t mtu) {
-    for (const StoredBlock& block : blocks) {
-      items.push_back(
-          RelayItem::of(RelayItem::Kind::BlockHeader, block.header));
-      MAD_ASSERT(block.fragments.size() ==
-                     fragment_count(block.header.size, mtu),
-                 "stored block is missing fragments");
-      for (const StoredFragment& fragment : block.fragments) {
-        RelayItem& item = items.emplace_back(
-            RelayItem::of(RelayItem::Kind::FragmentStored));
-        item.size = static_cast<std::uint32_t>(fragment.body.size());
-        item.payload = util::ByteSpan(fragment.body.buffer());
-        item.digest = fragment.digest;
+/// A persistent daemon actor, spawned with the first work item handed to
+/// it, that runs `run` on each in turn: a send actor, or in flow mode an
+/// upstream hop's relay actor. An item carries the token its hand-over
+/// took (Engine::KeepAlive), dropped with it. Owned by the handing actor's
+/// stack and its own, never by an actor's body, which the engine keeps
+/// past the channels the work uses.
+template <typename Work>
+class Worker : public std::enable_shared_from_this<Worker<Work>> {
+ public:
+  Worker(sim::Engine& engine, std::string name,
+         std::function<void(Work&)> run)
+      : engine_(engine),
+        name_(std::move(name)),
+        run_(std::move(run)),
+        inbox_(engine, 0, name_) {}
+
+  void hand(Work work) {
+    if (!actor_.valid()) {
+      actor_ = engine_.spawn(
+          name_,
+          [weak = this->weak_from_this()] {
+            // Its owner unwinds first at engine shutdown.
+            if (const auto self = weak.lock()) {
+              self->serve();
+            }
+          },
+          /*daemon=*/true);
+    }
+    inbox_.send({sim::Engine::KeepAlive(engine_, actor_), std::move(work)});
+  }
+
+ private:
+  struct Item {
+    sim::Engine::KeepAlive alive;
+    Work work;  // dropped before the token
+  };
+
+  void serve() {
+    for (;;) {
+      {
+        Item item = inbox_.recv();
+        run_(item.work);
+      }
+      if (!inbox_.empty()) {
+        engine_.yield();  // behind the actors readied meanwhile, like a spawn
       }
     }
-    items.push_back(RelayItem::of(RelayItem::Kind::End));
-  }
-  RelayItem recv() { return std::move(items[next++]); }
-  const RelayItem* peek() const {
-    return next < items.size() ? &items[next] : nullptr;
   }
 
-  std::vector<RelayItem> items;
-  std::size_t next = 0;
+  sim::Engine& engine_;
+  std::string name_;
+  std::function<void(Work&)> run_;
+  sim::ActorHandle actor_;
+  sim::Mailbox<Item> inbox_;
 };
+
+using Sender = Worker<std::shared_ptr<Transfer>>;
 
 /// Per (gateway, incoming network) relay state, reused across messages.
 ///
-/// Heap-owned (shared_ptr): the sender and hop relay actors keep using this
+/// Heap-owned (shared_ptr): the send and hop relay actors keep using this
 /// state (free-buffer pool, regulator) after the listener actor's stack may
 /// already have unwound during engine shutdown, so stack ownership would be
 /// a use-after-free.
@@ -230,12 +262,23 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
 
   Channel& in_channel() const { return in_channel_; }
 
-  /// Multi-flow forwarding: the accept loop queues each message for its
-  /// upstream hop's relay actor instead of relaying inline.
-  bool flow_mode() const { return flow_sched_ != nullptr; }
+  /// A receiving actor's send actor: it opens each message's egress and
+  /// pumps its items while the receiving actor waits for the outcome.
+  std::shared_ptr<Sender> make_sender(std::string name) {
+    return std::make_shared<Sender>(
+        engine_, std::move(name),
+        [self = shared_from_this(),
+         bundle = std::make_shared<std::vector<RelayItem>>()](
+            std::shared_ptr<Transfer>& t) {
+          t->egress->open();
+          t->outcome = self->pump(t->items, *t, *bundle);
+          t->done.notify_all();
+        });
+  }
 
-  /// Parses the head of an accepted stream and relays the message.
-  void relay_stream(MessageReader& in) {
+  /// Parses the head of an accepted stream and relays the message through
+  /// `sender`, the calling actor's send actor.
+  void relay_stream(MessageReader& in, Sender& sender) {
     try {
       std::optional<GtmMsgHeader> header;
       // Reliable boundary parse: skips late retransmits and ghost framing
@@ -245,7 +288,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
                          : read_preamble(in);
       MAD_ASSERT(preamble.forwarded != 0,
                  "native message on a special channel");
-      relay_message(std::move(in), header);
+      relay_message(std::move(in), header, sender);
     } catch (const PeerDied&) {
       // A cut-through relay abandoned a stream whose upstream (or this
       // gateway itself) died mid-message. The origin replays on a
@@ -254,7 +297,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   }
 
  private:
-  void relay_message(MessageReader in, std::optional<GtmMsgHeader> pre_hdr) {
+  void relay_message(MessageReader in, std::optional<GtmMsgHeader> pre_hdr,
+                     Sender& sender) {
     // In reliable mode the accept loop already parsed the header (its epoch
     // feeds the ghost filter in read_stream_head).
     const GtmMsgHeader hdr = pre_hdr ? *pre_hdr : read_msg_header(in);
@@ -286,7 +330,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       admission_->on_message_admitted(cls);
     }
     try {
-      relay(in, hdr, stripe, cls);
+      relay(in, hdr, stripe, cls, sender);
     } catch (...) {
       if (admitted) {
         admission_->on_message_done(cls);
@@ -300,43 +344,33 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     ++vc_.mutable_gateway_stats(self_).messages_forwarded;
   }
 
-  /// The relay loop: ingress → (mailbox) → egress, under the start policy
-  /// the options select (ARCHITECTURE.md §5 has the table).
-  ///
-  /// Store-then-send (reliable, window 1 or striped — a striped rail's
-  /// reassembly protocol assumes a rail appears downstream all-or-nothing)
-  /// is strictly two-phase. Phase 1 receives (and acks) the whole message
-  /// into owned blocks; the upstream hop is then done with it, so a
-  /// downstream failure never has to propagate back. Phase 2 resends it
-  /// reliably, declaring dead hops to the routing table and retrying over
-  /// the surviving routes. A reliable sender actor cuts through instead,
-  /// still storing every block for the same replay. Known limitation: if
-  /// THIS gateway crashes after the upstream acks completed but before
-  /// downstream delivery, the message is lost (end-to-end acks would be
-  /// needed to close that window).
+  /// The relay path (ARCHITECTURE.md §5): ingress → send actor → egress,
+  /// then the failover loop here. Store-then-send (reliable, window 1 or
+  /// striped, whose reassembly assumes a rail appears downstream
+  /// all-or-nothing) first receives and acks the whole message. Known
+  /// limitation: if THIS gateway crashes after the upstream acks completed
+  /// but before downstream delivery, the message is lost.
   void relay(MessageReader& in, const GtmMsgHeader& hdr,
-             const std::optional<GtmStripeHeader>& stripe, TrafficClass cls) {
+             const std::optional<GtmStripeHeader>& stripe, TrafficClass cls,
+             Sender& sender) {
     const VcOptions& options = vc_.options();
     const bool reliable = (hdr.flags & kGtmFlagReliable) != 0;
-    const auto origin = static_cast<NodeRank>(hdr.origin);
-    const int flow = flow_id_for(origin, cls);
-    // Sender-actor queue bound. Unreliable: pipeline_depth - 1 items plus
-    // the paquet being received reproduce the paper's buffer budget.
-    // Reliable: unbounded by default — every fragment is stored for replay
-    // anyway, so cut-through depth costs no extra memory and the listener
-    // must never block behind a sender that is busy retransmitting (or
-    // already failed). In flow mode it is bounded at flow.queue_limit
-    // instead — a full queue blocks this flow's listener, which stalls its
-    // hop acks and backpressures the origin's window, while the sender
-    // keeps draining even after a HopFailure so the bound cannot deadlock
-    // the pair. DRR buffer sizing: a weight-w flow drains w quanta per
-    // scheduler round, so both its queue bound and its mark point scale
-    // with the weight — otherwise a heavy flow's visits go underfilled and
-    // its surplus leaks to the light flows.
+    const bool store_first =
+        reliable && (options.reliable.window == 1 || stripe);
+    const int flow = flow_id_for(static_cast<NodeRank>(hdr.origin), cls);
+    // Item queue bound. Unreliable: pipeline_depth - 1 items plus the
+    // paquet being received reproduce the paper's buffer budget. Reliable:
+    // unbounded — every fragment is stored anyway, and the receiver must
+    // never block behind a send actor that is retransmitting (or failed).
+    // In flow mode a cut-through queue is bounded at flow.queue_limit x the
+    // flow's weight (a weight-w flow drains w quanta per DRR round, so its
+    // mark point scales too): a full queue stalls this flow's hop acks and
+    // backpressures the origin's window, while the send actor keeps
+    // draining even after a HopFailure, so the bound cannot deadlock.
     std::size_t capacity = 0;
     if (!reliable) {
       capacity = static_cast<std::size_t>(options.pipeline_depth - 1);
-    } else if (flow_sched_ != nullptr) {
+    } else if (flow_sched_ != nullptr && !store_first) {
       capacity = static_cast<std::size_t>(
           static_cast<double>(options.flow.queue_limit) *
           std::max(1.0, flow_sched_->weight_of(flow)));
@@ -349,11 +383,10 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     Egress& egress = t->egress.emplace(
         vc_, self_, hdr, stripe, rail_, static_cast<std::uint64_t>(self_)
                                             << 40);
-    // A reliable delivery stands down quietly once this gateway's own NIC
-    // crashed after the delivery began, even if it has recovered since:
-    // declaring healthy peers dead off its suppressed acks would be wrong,
-    // and the downstream copy may already exist. The delivery begins at
-    // the first check.
+    // A reliable delivery begun at the first check stands down quietly once
+    // this gateway's own NIC crashed, even if it has recovered since: its
+    // suppressed acks must not condemn healthy peers, and the downstream
+    // copy may already exist.
     std::optional<sim::Time> since;
     const auto stand_down = [&] {
       if (!since) {
@@ -361,173 +394,113 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       }
       return vc_.node_crashed_within(self_, *since);
     };
-
-    if (reliable && (options.reliable.window == 1 || stripe)) {
-      // Store-then-send.
-      Ingress ingress(*this, in, *t, nullptr);
-      while (ingress.recv().kind != RelayItem::Kind::End) {
+    if (!store_first) {
+      egress.pick_route();
+      sender.hand(t);
+    }
+    // detect_dead: an upstream that dies (or is rerouted away) mid-stream
+    // abandons its half-sent message, and a blocking receiver would wait
+    // on the rest of it forever.
+    HopReader hop(vc_, self_, in, in_channel_, hdr, /*detect_dead=*/true);
+    try {
+      for (GtmBlockHeader bh = hop.block_header(); bh.end_of_message == 0;
+           bh = hop.block_header()) {
+        const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
+        if (reliable) {
+          t->blocks.emplace_back(bh).fragments.reserve(fragments);
+        }
+        t->items.send(RelayItem::of(RelayItem::Kind::BlockHeader, bh));
+        for (std::uint64_t i = 0; i < fragments; ++i) {
+          RelayItem item = receive_fragment(
+              in, hop, *t, fragment_size(bh.size, vc_.mtu(), i));
+          const std::uint32_t size = item.size;
+          if (!store_first) {
+            item.queued_at = engine_.now();
+          }
+          t->items.send(std::move(item));
+          if (!store_first) {
+            note_queued(*t, hop.receiver(), size);
+          }
+        }
       }
+      hop.finish();
+      t->items.send(RelayItem::of(RelayItem::Kind::End));
+    } catch (const PeerDied&) {
+      // Upstream died (or this gateway's own NIC crashed) mid-stream:
+      // abandon the partial relay once the send actor has stopped — the
+      // origin replays on a surviving route, and downstream readers adopt
+      // the replayed stream.
+      if (!store_first) {
+        t->items.send(RelayItem::of(RelayItem::Kind::Abort));
+        while (!t->outcome) {
+          t->done.wait();
+        }
+      }
+      throw;
+    }
+    if (store_first) {
       if (stand_down()) {
         return;
       }
       egress.pick_route();
-      egress.open();
-      const Setback setback = replay(*t);
-      if (!setback.ok() && !stand_down()) {
-        egress.recover(setback, [&] { return replay(*t); }, stand_down);
-      }
-      return;
+      sender.hand(t);
     }
-    egress.pick_route();
-    TransmissionModule& out_tm = egress.channel().tm();
-    if (!reliable && options.pipeline_depth == 1) {
-      // Inline: the listener sends each item as soon as it has it.
-      egress.open();
-      Ingress ingress(*this, in, *t, &out_tm);
-      pump(ingress, *t);
-      return;
-    }
-    // Sender actor.
-    engine_.spawn(vc_.name() + ".gwsend." + std::to_string(self_),
-                  [self = shared_from_this(),
-                   weak = std::weak_ptr<Transfer>(t)] {
-                    // The listener holds the transfer until this actor
-                    // finishes, or unwinds first at engine shutdown.
-                    const std::shared_ptr<Transfer> t = weak.lock();
-                    if (t == nullptr) {
-                      return;
-                    }
-                    t->egress->open();
-                    t->outcome = self->pump(t->items, *t);
-                    t->finished = true;
-                    t->done.notify_all();
-                  });
-    Ingress ingress(*this, in, *t, &out_tm);
-    std::optional<PeerDied> upstream_died;
-    try {
-      for (bool more = true; more;) {
-        RelayItem item = ingress.recv();
-        more = item.kind != RelayItem::Kind::End;
-        const bool fragment = item.fragment();
-        const std::uint32_t size = item.size;
-        if (fragment) {
-          item.queued_at = engine_.now();
-        }
-        t->items.send(std::move(item));
-        if (fragment) {
-          note_queued(*t, ingress.hop.receiver(), size);
-        }
-      }
-    } catch (const PeerDied& dead) {
-      upstream_died = dead;
-      t->items.send(RelayItem::of(RelayItem::Kind::Abort));
-    }
-    while (!t->finished) {
+    while (!t->outcome) {
       t->done.wait();
     }
-    if (upstream_died) {
-      // Upstream died (or this gateway's own NIC crashed) mid-stream:
-      // abandon the partial relay — the origin replays on a surviving
-      // route, and downstream readers adopt the replayed stream.
-      throw *upstream_died;
-    }
-    if (t->outcome.ok() || vc_.node_crashed(self_)) {
+    // Store-then-send began its delivery at the hand-over; a cut-through
+    // one begins it once the failover loop has booked the setback, at its
+    // first check.
+    if (t->outcome->ok() ||
+        (store_first ? stand_down() : vc_.node_crashed(self_))) {
       return;
     }
-    // A downstream admission refusal backs off before the replay (which
-    // keeps retrying, and backing off, until the next gateway admits it);
-    // a dead hop is declared first. Here the delivery that may stand down
-    // begins once that is booked, at the failover loop's first check.
-    egress.recover(t->outcome, [&] { return replay(*t); }, stand_down);
+    std::vector<RelayItem> bundle;
+    egress.recover(*t->outcome, [&] { return replay(*t, bundle); },
+                   stand_down);
   }
 
-  /// The receiving half of the relay loop: yields the upstream hop message
-  /// as relay items. A plain ingress receives each paquet along the §2.3
-  /// zero-copy matrix toward the egress TM; a reliable one acks it and
-  /// stores it into the message's blocks.
-  struct Ingress {
-    Ingress(GatewayRelay& relay, MessageReader& in, Transfer& t,
-            TransmissionModule* out_tm)
-        : relay(relay),
-          in(in),
-          t(t),
-          out_tm(out_tm),
-          // detect_dead: an upstream that dies (or is rerouted away)
-          // mid-stream abandons its half-sent message, and a blocking
-          // receiver would wait on the rest of it forever.
-          hop(relay.vc_, relay.self_, in, relay.in_channel_, t.hdr,
-              /*detect_dead=*/true),
-          stored(hop.receiver() != nullptr) {}
+  /// Receives the next fragment, of `size` bytes, of `t`: along the §2.3
+  /// zero-copy matrix toward the egress TM, or, reliable, into `t`'s blocks.
+  RelayItem receive_fragment(MessageReader& in, HopReader& hop, Transfer& t,
+                             std::uint32_t size) {
+    regulator_.pace(size);
+    const sim::Time begin = engine_.now();
+    RelayItem item =
+        hop.receiver() == nullptr
+            ? receive_zero_copy(in, t.egress->channel().tm(), size)
+            : RelayItem::stored(store_fragment(hop, t, size));
+    span("recv", begin, size);
+    GatewayStats& stats = vc_.mutable_gateway_stats(self_);
+    ++stats.paquets_forwarded;
+    stats.bytes_forwarded += size;
+    // The software cost of handing the buffer to the sender thread
+    // (measured ≈40 µs per switch on the paper's testbed, §3.3.1).
+    const sim::Time switch_begin = engine_.now();
+    engine_.sleep_for(vc_.options().gateway_sw_overhead);
+    span("switch", switch_begin);
+    return item;
+  }
 
-    RelayItem recv() {
-      const std::uint32_t mtu = relay.vc_.mtu();
-      if (fragment < fragments) {
-        const std::uint32_t size = fragment_size(block.size, mtu, fragment++);
-        relay.regulator_.pace(size);
-        const sim::Time begin = relay.engine_.now();
-        RelayItem item = stored
-                             ? RelayItem::of(RelayItem::Kind::FragmentStored)
-                             : relay.receive_zero_copy(in, *out_tm, size);
-        if (stored) {
-          // Verified in place and kept in its network buffer. The fragment
-          // is stored only once the receive returns, so an upstream that
-          // dies meanwhile leaves no empty one behind.
-          util::Bytes body;
-          const std::uint64_t digest = hop.fragment(body);
-          MAD_ASSERT(body.size() == size, "paquet/fragment size mismatch");
-          const StoredFragment& dst =
-              t.blocks.back().fragments.emplace_back(StoredFragment{
-                  util::BufferLease(relay.in_channel_.tm().packet_pool(),
-                                    std::move(body)),
-                  digest});
-          item.payload = util::ByteSpan(dst.body.buffer());
-          item.digest = digest;
-        }
-        item.size = size;
-        relay.span("recv", begin, size);
-        GatewayStats& stats = relay.vc_.mutable_gateway_stats(relay.self_);
-        ++stats.paquets_forwarded;
-        stats.bytes_forwarded += size;
-        // The software cost of handing the buffer to the sender thread
-        // (measured ≈40 µs per switch on the paper's testbed, §3.3.1).
-        const sim::Time switch_begin = relay.engine_.now();
-        relay.engine_.sleep_for(relay.vc_.options().gateway_sw_overhead);
-        relay.span("switch", switch_begin);
-        return item;
-      }
-      const GtmBlockHeader bh = hop.block_header();
-      if (bh.end_of_message != 0) {
-        hop.finish();
-        return RelayItem::of(RelayItem::Kind::End);
-      }
-      block = bh;
-      fragment = 0;
-      fragments = fragment_count(bh.size, mtu);
-      if (stored) {
-        t.blocks.emplace_back(bh).fragments.reserve(fragments);
-      }
-      return RelayItem::of(RelayItem::Kind::BlockHeader, bh);
-    }
-    /// Items are received on demand: nothing is ever queued to bundle.
-    const RelayItem* peek() const { return nullptr; }
-
-    GatewayRelay& relay;
-    MessageReader& in;
-    Transfer& t;
-    TransmissionModule* out_tm;  // plain relays
-    HopReader hop;
-    bool stored;  // reliable relays store every block for replay
-    GtmBlockHeader block{};
-    std::uint64_t fragment = 0;
-    std::uint64_t fragments = 0;
-  };
+  /// Receives a reliable fragment, verified in place, into `t`'s last block
+  /// in its network buffer. Stored only once the receive returns, so an
+  /// upstream that dies meanwhile leaves no empty fragment behind.
+  const StoredFragment& store_fragment(HopReader& hop, Transfer& t,
+                                       std::uint32_t size) {
+    util::Bytes body;
+    const std::uint64_t digest = hop.fragment(body);
+    MAD_ASSERT(body.size() == size, "paquet/fragment size mismatch");
+    return t.blocks.back().fragments.emplace_back(StoredFragment{
+        util::BufferLease(in_channel_.tm().packet_pool(), std::move(body)),
+        digest});
+  }
 
   /// The egress loop: sends items until the end marker (or an abort), then
   /// closes the hop message. After a HopFailure or a downstream rejection
   /// it keeps draining, so a bounded (flow mode) item queue cannot wedge
-  /// the listener; the stored copy replays afterwards.
-  template <typename Source>
-  Setback pump(Source& items, Transfer& t) {
+  /// the receiver; the stored copy replays afterwards.
+  Setback pump(sim::Mailbox<RelayItem>& items, Transfer& t,
+               std::vector<RelayItem>& bundle) {
     Egress& out = *t.egress;
     Setback setback;
     for (bool running = true; running;) {
@@ -543,12 +516,19 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       }
       setback = Egress::attempt([&] {
         if (item.kind == RelayItem::Kind::BlockHeader) {
+          // One-sided when rdma is on, the out TM keeps dynamic buffers (a
+          // static or hybrid TM routes received paquets through protocol
+          // buffers the remote write model cannot target) and the block is
+          // at/above the rendezvous threshold.
+          const RdmaOptions& rdma = vc_.options().rdma;
+          const net::NicModelParams& m = out.channel().tm().model();
           out.block_header(item.header,
-                         one_sided(out.channel().tm(), item.header));
+                           rdma.enabled && !m.tx_static() && !m.hybrid() &&
+                               item.header.size >= rdma.rendezvous_threshold);
         } else if (item.kind == RelayItem::Kind::End) {
           out.end();
         } else if (item.fragment()) {
-          send_bundle(out, items, std::move(item), t);
+          send_bundle(out, items, std::move(item), t, bundle);
         }
       });
     }
@@ -556,29 +536,16 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     return setback;
   }
 
-  /// One-sided block cut: rdma is on, the out TM keeps dynamic buffers (a
-  /// static or hybrid TM routes received paquets through protocol buffers
-  /// the remote write model cannot target) and the block is at/above the
-  /// rendezvous threshold (smaller blocks stay eager/two-sided).
-  bool one_sided(const TransmissionModule& out_tm,
-                 const GtmBlockHeader& bh) const {
-    const RdmaOptions& rdma = vc_.options().rdma;
-    const net::NicModelParams& m = out_tm.model();
-    return rdma.enabled && !m.tx_static() && !m.hybrid() &&
-           bh.size >= rdma.rendezvous_threshold;
-  }
-
-  /// Sends `head` and, in flow mode, the fragments queued behind it.
-  template <typename Source>
-  void send_bundle(Egress& out, Source& items, RelayItem head,
-                   const Transfer& t) {
+  /// Sends `head` and, in flow mode, the fragments queued behind it,
+  /// gathered in the scratch vector `rest`.
+  void send_bundle(Egress& out, sim::Mailbox<RelayItem>& items, RelayItem head,
+                   const Transfer& t, std::vector<RelayItem>& rest) {
     // Deficit-round-robin, egress side: bundle the fragments already
     // queued — up to this flow's per-visit allowance (quantum x weight) —
     // so one grant moves a weight-proportional batch. The head fragment
     // always goes, even oversized.
     std::uint64_t bytes = head.size;
-    // The fragments bundled behind the head; a lone head allocates nothing.
-    std::vector<RelayItem> rest;
+    rest.clear();
     if (flow_sched_ != nullptr) {
       const std::uint64_t allowance = flow_sched_->allowance(t.flow);
       for (const RelayItem* next = items.peek();
@@ -657,21 +624,28 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// its pipeline slot, or the incoming static buffer it is sent from.
   /// Stored fragments cross a reliable hop, whose sender names its own.
   std::optional<RegionKey> region(const RelayItem& item) const {
-    if (item.slot >= 0) {
-      return RegionKey{RegionKey::Kind::PipelineSlot, region_owner_,
-                       static_cast<std::uint64_t>(item.slot), 0};
-    }
     if (item.hold_in.valid()) {
       return RegionKey{RegionKey::Kind::StaticBuffer, region_owner_,
                        item.hold_in.slot(), 0};
+    }
+    if (item.slot >= 0) {
+      return RegionKey{RegionKey::Kind::PipelineSlot, region_owner_,
+                       static_cast<std::uint64_t>(item.slot), 0};
     }
     return std::nullopt;
   }
 
   /// Resends the stored message on the freshly opened hop.
-  Setback replay(Transfer& t) {
-    ReplayQueue queue(t.blocks, vc_.mtu());
-    return pump(queue, t);
+  Setback replay(Transfer& t, std::vector<RelayItem>& bundle) {
+    sim::Mailbox<RelayItem> queue(engine_, 0, vc_.name() + ".gwreplay");
+    for (const StoredBlock& block : t.blocks) {
+      queue.send(RelayItem::of(RelayItem::Kind::BlockHeader, block.header));
+      for (const StoredFragment& fragment : block.fragments) {
+        queue.send(RelayItem::stored(fragment));
+      }
+    }
+    queue.send(RelayItem::of(RelayItem::Kind::End));
+    return pump(queue, t, bundle);
   }
 
   /// Refuses an over-budget (or shed) message at the admission gate. The
@@ -720,6 +694,15 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     const bool out_static = out_tm.model().tx_static();
     const bool zero_copy = vc_.options().zero_copy;
     RelayItem item;
+    item.size = size;
+    // The pipeline budget, waited for exactly as the paper's buffers are.
+    // A dynamic paquet's slot is the buffer it crosses in. At depth 1 the
+    // one slot holds every paquet until it has left, so no paquet k+1 is
+    // received while the send actor sends paquet k.
+    if ((!in_static && !out_static) || !zero_copy ||
+        vc_.options().pipeline_depth == 1) {
+      item.slot = free_slots_.recv();
+    }
     if (in_static && zero_copy) {
       // Consume the paquet's protocol buffer directly (the GTM discipline
       // guarantees one express paquet == one static buffer).
@@ -745,9 +728,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       in.unpack(item.static_out.span().first(size), SendMode::Cheaper,
                 RecvMode::Express);
     } else {
-      // dynamic → dynamic (or zero-copy disabled): one slot of the
-      // pipeline budget, waited for exactly as the paper's buffers are.
-      item.slot = free_slots_.recv();
+      // dynamic → dynamic (or zero-copy disabled).
       if (!in_static && !out_static && !in_tm.model().hybrid() &&
           !out_tm.model().hybrid()) {
         // The paquet goes on in the network buffer it arrived in: no
@@ -834,9 +815,10 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
            ",class=" + std::string(traffic_class_name(cls));
   }
 
-  /// Queue accounting for one fragment a sender actor's mailbox just took
-  /// (store-then-send and replay never build a standing egress queue, so
-  /// they are governed by the message budgets alone). The admission byte
+  /// Queue accounting for one fragment a send actor's mailbox just took
+  /// (a store-then-send queue fills before its send actor starts and a
+  /// replay reads the stored blocks, so neither builds a standing egress
+  /// queue: they are governed by the message budgets alone). The admission byte
   /// ledger counts it; in flow mode the depth histogram samples the queue,
   /// and once the flow's queue reaches its threshold an ECN-style mark goes
   /// to the upstream sender — the egress scheduler is serving other flows
@@ -912,10 +894,6 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   std::map<std::pair<NodeRank, int>, int> flow_ids_;
 };
 
-/// Flow mode: the accepted messages of one upstream hop, in arrival order.
-/// The hop's relay actor runs while it is not empty, relaying the front.
-using HopQueue = std::deque<MessageReader>;
-
 }  // namespace
 
 void spawn_gateway_actors(VirtualChannel& vc) {
@@ -940,60 +918,39 @@ void spawn_gateway_actors(VirtualChannel& vc) {
             [&vc, &engine, rank, local, rail, actor_name] {
               auto relay =
                   std::make_shared<GatewayRelay>(vc, rank, local, rail);
-              // Flow mode: each upstream hop's queue. Owned by this stack
-              // and the hop's relay actor's, never by a closure, which the
-              // engine keeps past the channels the readers belong to.
-              std::map<NodeRank, std::shared_ptr<HopQueue>> hops;
+              const auto sender = relay->make_sender(actor_name + ".send");
+              // Flow mode: each upstream hop's relay actor.
+              std::map<NodeRank, std::shared_ptr<Worker<MessageReader>>> hops;
               for (;;) {
                 relay->in_channel().wait_incoming();
                 MessageReader in = relay->in_channel().begin_unpacking();
-                if (!relay->flow_mode() ||
+                if (!vc.options().flow.enabled ||
                     !relay->in_channel().uses_announce()) {
-                  relay->relay_stream(in);
+                  relay->relay_stream(in, *sender);
                   continue;
                 }
-                // Multi-flow dispatch: queue the message for the relay
-                // actor of its upstream hop and go straight back to
-                // accepting, so hops relay concurrently (competing for
-                // egress via DRR, by origin). A hop's one actor reads its
-                // rx stream in arrival order.
-                //
-                // Announce channels only: begin_unpacking consumes the
-                // announce packet, so the next wait_incoming blocks until
-                // a NEW message arrives. A two-member channel's peek would
-                // see the pending message's paquets until the relay actor
-                // drains them, and this loop would spin; its one upstream
-                // serializes on the rx stream anyway, so the inline path
-                // above loses no concurrency.
+                // Multi-flow dispatch: hand the message to its upstream
+                // hop's relay actor, which reads the hop's rx stream in
+                // arrival order, and go straight back to accepting, so hops
+                // relay concurrently (competing for egress via DRR, by
+                // origin). Announce channels only: begin_unpacking consumes
+                // the announce packet, whereas a two-member channel's peek
+                // would see the pending message until the relay actor
+                // drains it, and this loop would spin (its one upstream
+                // serializes on the rx stream anyway).
                 const NodeRank from = in.source();
-                std::shared_ptr<HopQueue>& hop = hops[from];
+                auto& hop = hops[from];
                 if (hop == nullptr) {
-                  hop = std::make_shared<HopQueue>();
+                  const std::string name =
+                      actor_name + ".from" + std::to_string(from);
+                  hop = std::make_shared<Worker<MessageReader>>(
+                      engine, name,
+                      [relay, sender = relay->make_sender(name + ".send")](
+                          MessageReader& hop_in) {
+                        relay->relay_stream(hop_in, *sender);
+                      });
                 }
-                hop->push_back(std::move(in));
-                if (hop->size() > 1) {
-                  continue;  // the hop's relay actor is running
-                }
-                // Not a daemon: like any relay in flight, it keeps the
-                // simulation alive until its queue is empty.
-                engine.spawn(
-                    actor_name + ".from" + std::to_string(from),
-                    [&engine, relay, weak = std::weak_ptr<HopQueue>(hop)] {
-                      const std::shared_ptr<HopQueue> hop = weak.lock();
-                      if (hop == nullptr) {
-                        return;  // the listener unwound first
-                      }
-                      for (;;) {
-                        relay->relay_stream(hop->front());
-                        hop->pop_front();
-                        if (hop->empty()) {
-                          break;
-                        }
-                        // Behind the actors readied meanwhile, as a freshly
-                        // woken actor would be.
-                        engine.yield();
-                      }
-                    });
+                hop->hand(std::move(in));
               }
             },
             /*daemon=*/true);

@@ -71,6 +71,7 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
   a->id = id;
   a->name = std::move(name);
   a->daemon = daemon;
+  a->rank = ranks_++;
   a->body = std::move(body);
   if (free_stacks_.empty()) {
     a->stack.reset(map_stack());
@@ -174,6 +175,7 @@ Engine::Stats Engine::stats() const {
   s.noop_notifies = noop_notifies_;
   s.direct_handoffs = direct_handoffs_;
   s.scheduler_rounds = scheduler_rounds_;
+  s.spawns = actors_.size();
   s.stacks_mapped = stacks_mapped_;
   return s;
 }
@@ -199,6 +201,12 @@ Engine::ActorState& Engine::actor(ActorId id) {
   return *actors_[static_cast<std::size_t>(id)];
 }
 
+Engine::KeepAlive::KeepAlive(Engine& engine, ActorHandle worker)
+    : engine_(&engine) {
+  ++engine.live_non_daemons_;
+  engine.actor(worker.id()).rank = engine.ranks_++;
+}
+
 void Engine::make_ready(ActorState& a, WakeReason reason) {
   MAD_ASSERT(a.status == Status::Blocked, "make_ready on non-blocked actor");
   cancel_timer(a);
@@ -219,7 +227,7 @@ void Engine::make_ready(ActorState& a, WakeReason reason) {
 
 void Engine::arm_timer(ActorState& a, Time deadline) {
   MAD_ASSERT(!timers_.armed(a.id), "timer already armed");
-  timers_.arm(deadline, a.id);
+  timers_.arm(deadline, a.id, a.rank);
 }
 
 void Engine::cancel_timer(ActorState& a) {

@@ -36,8 +36,7 @@ class Engine;
 class Condition;
 class TraceSink;
 
-/// Identifies an actor within its engine; also the deterministic tie-breaker
-/// for simultaneous timer wakeups.
+/// Identifies an actor within its engine.
 using ActorId = int;
 
 /// Why a blocking wait returned.
@@ -90,9 +89,33 @@ class Engine {
   ActorHandle spawn(std::string name, std::function<void()> body,
                     bool daemon = false);
 
-  /// Runs the simulation until all non-daemon actors finish. Rethrows the
-  /// first actor exception, throws DeadlockError on deadlock, and throws
-  /// std::runtime_error if the clock passes the configured horizon.
+  /// A hand-over token, taken where a daemon hands work to a daemon
+  /// `worker` instead of spawning a non-daemon one, and dropped where that
+  /// one would have finished. While held, run() goes on as if one more
+  /// non-daemon actor were alive, and from its taking the worker ranks in
+  /// timer ties as if freshly spawned, so the run proceeds and stops as
+  /// with a spawned worker. Dropped with the frame of an actor unwound at
+  /// shutdown, it never holds shutdown up. Must not outlive its engine.
+  class KeepAlive {
+   public:
+    KeepAlive(Engine& engine, ActorHandle worker);
+    KeepAlive(KeepAlive&& other) noexcept
+        : engine_(std::exchange(other.engine_, nullptr)) {}
+    KeepAlive& operator=(KeepAlive&&) = delete;
+    ~KeepAlive() {
+      if (engine_ != nullptr) {
+        --engine_->live_non_daemons_;
+      }
+    }
+
+   private:
+    Engine* engine_;
+  };
+
+  /// Runs the simulation until all non-daemon actors finish and no
+  /// KeepAlive is held. Rethrows the first actor exception, throws
+  /// DeadlockError on deadlock, and throws std::runtime_error if the clock
+  /// passes the configured horizon.
   void run();
 
   /// Current virtual time.
@@ -150,6 +173,7 @@ class Engine {
     std::uint64_t noop_notifies = 0;     // notifies skipped (no waiters)
     std::uint64_t direct_handoffs = 0;   // actor->actor switches bypassing run()
     std::uint64_t scheduler_rounds = 0;  // times control returned to run()
+    std::uint64_t spawns = 0;            // actors ever spawned
     std::uint64_t stacks_mapped = 0;     // actor stacks mapped; finished
                                          // actors' stacks are reused
   };
@@ -212,8 +236,9 @@ class Engine {
   std::uint64_t direct_handoffs_ = 0;
   std::uint64_t scheduler_rounds_ = 0;
   std::uint64_t stacks_mapped_ = 0;
+  std::int64_t ranks_ = 0;  // handed out at each spawn and KeepAlive
   std::vector<void*> free_stacks_;  // of finished actors; ~Engine unmaps
-  std::size_t live_non_daemons_ = 0;
+  std::size_t live_non_daemons_ = 0;  // and KeepAlive tokens
   std::exception_ptr first_error_;
   std::exception_ptr engine_error_;
 };

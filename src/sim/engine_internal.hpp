@@ -35,6 +35,7 @@ struct Engine::ActorState {
   ActorId id = -1;
   std::string name;
   bool daemon = false;
+  std::int64_t rank = 0;  // simultaneous timers fire in ascending rank
   Status status = Status::Created;
   std::function<void()> body;
   std::unique_ptr<void, UnmapStack> stack;  // guard page below it

@@ -23,7 +23,7 @@ bool TimerQueue::armed(int id) const {
          arms_[static_cast<std::size_t>(id)].armed;
 }
 
-void TimerQueue::arm(Time deadline, int id) {
+void TimerQueue::arm(Time deadline, int id, std::int64_t rank) {
   MAD_ASSERT(id >= 0, "timer for a negative actor id");
   MAD_ASSERT(deadline >= last_, "timer armed before the last fired deadline");
   if (static_cast<std::size_t>(id) >= arms_.size()) {
@@ -35,7 +35,7 @@ void TimerQueue::arm(Time deadline, int id) {
   // earlier lazily-cancelled arms, even bit-identical rearms.
   ++a.gen;
   a.armed = true;
-  heap_.push_back({deadline, id, a.gen});
+  heap_.push_back({deadline, id, a.gen, rank < 0 ? id : rank});
   std::push_heap(heap_.begin(), heap_.end(), MinOnTop{});
   ++size_;
 }

@@ -9,8 +9,9 @@
 // stale entries outnumber live ones 2:1 the heap is rebuilt without them,
 // so memory stays bounded.
 //
-// Determinism contract: expiry order is exactly ascending (deadline,
-// ActorId). Generations never take part in the ordering.
+// Determinism contract: expiry order is exactly ascending (deadline, rank),
+// the engine's rank of the actor (by default its id). Generations never
+// take part in the ordering.
 #pragma once
 
 #include <cstddef>
@@ -27,15 +28,18 @@ class TimerQueue {
     Time deadline = 0;
     int id = -1;
     std::uint32_t gen = 0;  // arm generation; identifies the live arm
+    std::int64_t rank = 0;  // tie-break among equal deadlines
 
     friend bool operator<(const Entry& a, const Entry& b) {
-      return a.deadline != b.deadline ? a.deadline < b.deadline : a.id < b.id;
+      return a.deadline != b.deadline ? a.deadline < b.deadline
+                                      : a.rank < b.rank;
     }
   };
 
   /// Arms a timer for actor `id` (>= 0, one pending timer per id) at
-  /// `deadline`, which may not precede the last deadline popped.
-  void arm(Time deadline, int id);
+  /// `deadline`, which may not precede the last deadline popped, ranked
+  /// `rank` among equal deadlines (-1: by id; ranks must be distinct).
+  void arm(Time deadline, int id, std::int64_t rank = -1);
 
   /// Cancels actor `id`'s pending timer. Must be armed. O(1) amortized.
   void cancel(int id);

@@ -300,14 +300,14 @@ TEST(GatewayConcurrency, TwoSimultaneousStreamsThroughOneGateway) {
 
 // ---- Relay matrix -------------------------------------------------------
 //
-// The gateway picks how a message crosses it from the options alone: inline
-// (unreliable, depth 1), a sender actor behind the buffer pool (unreliable,
-// depth >= 2), store-then-send (reliable, window 1) or a reliable sender
-// actor (window > 1), the reliable ones with and without flow mode. Every
-// row relays the same three-block message over the same route. The bytes
-// and the gateway counters must not depend on the row, and each row's
-// one-way virtual time is pinned: the simulator is deterministic, so any
-// change in the relay's event order shows up here as a moved number.
+// Every message crosses the gateway on one path, its listener handing it to
+// a send actor; the options set the pipeline budget (unreliable, depth 1
+// or 3), when the send actor starts (reliable: store-then-send at window
+// 1, cut-through at window 8) and flow mode. Every row relays the same
+// three-block message over the same route. The bytes and the gateway
+// counters must not depend on the row, and each row's one-way virtual time
+// is pinned: the simulator is deterministic, so any change in the relay's
+// event order shows up here as a moved number.
 
 struct RelayRow {
   const char* name;
@@ -449,17 +449,17 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, GatewayRelayMatrix,
     ::testing::Values(
         RelayCase{"SciToMyri", RelayTopo::SciToMyri, false,
-                  {3470710, 2270989, 5814642, 5814642, 3386959, 3386959}},
+                  {3411415, 2270989, 5814642, 5814642, 3386959, 3386959}},
         RelayCase{"SciToMyriRdma", RelayTopo::SciToMyri, true,
-                  {3610710, 2276853, 5924482, 5924482, 3396770, 3396770}},
+                  {3457415, 2276853, 5924482, 5924482, 3396770, 3396770}},
         RelayCase{"MyriToSci", RelayTopo::MyriToSci, false,
-                  {3605781, 2722616, 5711417, 5711417, 3387347, 3387347}},
+                  {3561583, 2722616, 5711417, 5711417, 3387347, 3387347}},
         RelayCase{"MyriToSciRdma", RelayTopo::MyriToSci, true,
-                  {3601291, 2516266, 5718095, 5718095, 3406981, 3406981}},
+                  {3498360, 2516266, 5718095, 5718095, 3406981, 3406981}},
         RelayCase{"Chain", RelayTopo::TwoGatewayChain, false,
-                  {3876739, 3046700, 10448503, 10448503, 4874968, 4874968}},
+                  {3840213, 3046700, 10448503, 10448503, 4874968, 4874968}},
         RelayCase{"ChainRdma", RelayTopo::TwoGatewayChain, true,
-                  {3872249, 2802784, 10455181, 10455181, 4929899, 4929899}}),
+                  {3776990, 2802784, 10455181, 10455181, 4929899, 4929899}}),
     [](const ::testing::TestParamInfo<RelayCase>& info) {
       return std::string(info.param.name);
     });

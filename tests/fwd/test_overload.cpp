@@ -12,6 +12,7 @@
 #include "fwd/regulation.hpp"
 #include "fwd/virtual_channel.hpp"
 #include "harness/scenario.hpp"
+#include "sim/engine.hpp"
 #include "sim/time.hpp"
 #include "topo/config_parse.hpp"
 #include "util/panic.hpp"
@@ -338,20 +339,23 @@ TEST(Overload, ControlPassesAdmissionUnderZeroBulkBudget) {
 
 // --- Actor budget -----------------------------------------------------------
 
-/// Runs `messages` reliable 20 KB messages from each of three origins on
-/// one announce network through one flow-mode gateway, each origin to its
-/// own receiver, and returns the actor stacks the engine mapped. Checks
-/// that every message arrives once, from its origin, in that origin's
-/// order, with its bytes.
-std::uint64_t stacks_for_messages(int messages) {
+struct ActorBudget {
+  std::uint64_t stacks = 0;  // Engine::Stats::stacks_mapped
+  std::uint64_t spawns = 0;  // Engine::Stats::spawns
+};
+
+/// Runs `messages` 20 KB messages from each of three origins on one
+/// announce network through one gateway relaying under `options`, each
+/// origin to its own receiver, and returns the actor stacks the engine
+/// mapped and the actors it spawned. Checks that every message arrives
+/// once, from its origin, in that origin's order, with its bytes.
+ActorBudget actors_for_messages(VcOptions options, int messages) {
   const topo::TopoConfig config = topo::parse_topo_config(
       "network myri0 BIP/Myrinet\nnetwork sci0 SISCI/SCI\n"
       "node m0 myri0\nnode m1 myri0\nnode m2 myri0\n"
       "node gw myri0 sci0\n"
       "node s0 sci0\nnode s1 sci0\nnode s2 sci0\n");
-  VcOptions options = flow_options();
   options.paquet_size = 8 * 1024;
-  options.reliable.window = 4;
   harness::ConfigWorld world(config, options);
   const auto payload = [](int origin, int m) {
     return util::Rng(static_cast<std::uint64_t>(1000 * origin + m))
@@ -394,16 +398,39 @@ std::uint64_t stacks_for_messages(int messages) {
     EXPECT_EQ(intact[static_cast<std::size_t>(origin)], messages)
         << "origin " << origin;
   }
-  return world.engine.stats().stacks_mapped;
+  const sim::Engine::Stats stats = world.engine.stats();
+  return {stats.stacks_mapped, stats.spawns};
+}
+
+/// Checks that neither the actors spawned nor the stacks mapped depend on
+/// how many messages cross.
+void expect_fixed_actor_budget(const VcOptions& options) {
+  const ActorBudget few = actors_for_messages(options, 4);
+  const ActorBudget many = actors_for_messages(options, 12);
+  EXPECT_EQ(many.stacks, few.stacks);
+  EXPECT_EQ(many.spawns, few.spawns);
 }
 
 TEST(FlowMode, StacksDoNotGrowWithMessageCount) {
-  // The gateway runs one relay actor per upstream hop and the channel one
-  // tail-ack daemon, so the actors alive at once, and with them the
-  // stacks mapped, do not depend on how many messages cross.
-  const std::uint64_t few = stacks_for_messages(4);
-  const std::uint64_t many = stacks_for_messages(12);
-  EXPECT_EQ(many, few);
+  // The gateway runs one relay actor and one send actor per upstream hop
+  // and the channel one tail-ack daemon.
+  VcOptions options = flow_options();
+  options.reliable.window = 4;
+  expect_fixed_actor_budget(options);
+}
+
+TEST(GatewayActors, PlainRelaySpawnsDoNotGrowWithMessageCount) {
+  // The listener and its one send actor relay every message.
+  VcOptions options;
+  ASSERT_EQ(options.pipeline_depth, 2);
+  expect_fixed_actor_budget(options);
+}
+
+TEST(GatewayActors, ReliableRelaySpawnsDoNotGrowWithMessageCount) {
+  VcOptions options;
+  options.reliable.enabled = true;
+  options.reliable.window = 8;
+  expect_fixed_actor_budget(options);
 }
 
 }  // namespace

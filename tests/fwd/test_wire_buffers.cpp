@@ -345,9 +345,8 @@ std::uint64_t buffers_out(const PaperRig& rig) {
 TEST(WireBuffers, PlainRelayBuffersReturnToThePool) {
   // The plain relay hands each paquet's network buffer from the ingress
   // NIC to the egress NIC, across networks, so one pool serves both. In
-  // both directions, relayed inline (pipeline depth 1) and by a sender
-  // actor (depth 2), every buffer must be back once the run is over, and
-  // a second identical batch must make none.
+  // both directions, at pipeline depth 1 and 2, every buffer must be back
+  // once the run is over, and a second identical batch must make none.
   for (const bool sci_first : {false, true}) {
     for (const int depth : {1, 2}) {
       SCOPED_TRACE(std::string(sci_first ? "SciToMyri" : "MyriToSci") +
@@ -400,11 +399,10 @@ TEST(WireBuffers, PlainRelayBuffersReturnWhenTheUpstreamDies) {
   // The origin dies mid-message and every other actor unwinds, holding
   // whatever pool buffers it held: the buffers must all come back. Each
   // case holds `depth` buffers outside the NIC queues when the origin
-  // dies. Free-running, the gateway is receiving (and, with a sender
-  // actor, sending) a paquet. With its egress stalled by a brownout,
-  // inline the listener holds one adopted paquet inside its send; with a
-  // sender actor, that actor holds one and the next waits in the
-  // transfer's item queue.
+  // dies. Free-running, the gateway is receiving a paquet (and, at depth
+  // 2, sending the one before). With its egress stalled by a brownout,
+  // the send actor holds one adopted paquet inside its send (and, at
+  // depth 2, the next waits in the transfer's item queue).
   for (const bool sci_first : {false, true}) {
     for (const int depth : {1, 2}) {
       for (const bool stalled : {false, true}) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/condition.hpp"
+#include "sim/mailbox.hpp"
 #include "util/panic.hpp"
 
 namespace mad::sim {
@@ -207,6 +208,147 @@ TEST(Engine, DaemonBlockedForeverIsUnwound) {
   eng.spawn("main", [] {});
   eng.run();
   EXPECT_TRUE(unwound);
+}
+
+TEST(Engine, KeepAliveKeepsTheRunGoing) {
+  Engine eng;
+  Time worker_done = -1;
+  int ticks = 0;
+  ActorHandle worker;
+  worker = eng.spawn(
+      "worker",
+      [&] {
+        const Engine::KeepAlive alive(eng, worker);
+        eng.sleep_for(microseconds(50));
+        worker_done = eng.now();
+      },
+      /*daemon=*/true);
+  eng.spawn(
+      "ticker",
+      [&] {
+        for (;;) {
+          eng.sleep_for(microseconds(7));
+          ++ticks;
+        }
+      },
+      /*daemon=*/true);
+  eng.spawn("main", [&] { eng.sleep_for(microseconds(10)); });
+  eng.run();
+  EXPECT_EQ(worker_done, microseconds(50));
+  EXPECT_EQ(eng.now(), microseconds(50));
+  EXPECT_EQ(ticks, 7);  // 7 .. 49 µs; unwound at 50 µs
+  EXPECT_EQ(eng.stats().spawns, 3u);
+}
+
+TEST(Engine, ReleasingTheLastKeepAliveStopsTheRunAtThatInstant) {
+  // The gateway's hand-over: a non-daemon hands work to a daemon worker
+  // with a token and finishes; the worker drops the token with the work.
+  Engine eng;
+  Mailbox<Engine::KeepAlive> inbox(eng, 0, "inbox");
+  bool worker_unwound = false;
+  bool ticker_unwound = false;
+  int ticks = 0;
+  ActorHandle worker;
+  worker = eng.spawn(
+      "worker",
+      [&] {
+        try {
+          {
+            const Engine::KeepAlive alive = inbox.recv();
+            eng.sleep_for(microseconds(30));
+          }
+          eng.sleep_for(microseconds(100));
+        } catch (const StopSimulation&) {
+          worker_unwound = true;
+          throw;
+        }
+      },
+      /*daemon=*/true);
+  eng.spawn(
+      "ticker",
+      [&] {
+        try {
+          for (;;) {
+            eng.sleep_for(microseconds(7));
+            ++ticks;
+          }
+        } catch (const StopSimulation&) {
+          ticker_unwound = true;
+          throw;
+        }
+      },
+      /*daemon=*/true);
+  eng.spawn("main", [&] { inbox.send(Engine::KeepAlive(eng, worker)); });
+  eng.run();
+  EXPECT_EQ(eng.now(), microseconds(30));
+  EXPECT_TRUE(worker_unwound);
+  EXPECT_TRUE(ticker_unwound);
+  EXPECT_EQ(ticks, 4);  // 7 .. 28 µs
+}
+
+TEST(Engine, KeepAliveOnAnUnwoundStackDoesNotHoldShutdown) {
+  Engine eng;
+  Condition never(eng, "never");
+  bool unwound = false;
+  ActorHandle worker;
+  worker = eng.spawn(
+      "worker",
+      [&] {
+        const Engine::KeepAlive alive(eng, worker);
+        try {
+          never.wait();
+        } catch (const StopSimulation&) {
+          unwound = true;
+          throw;
+        }
+      },
+      /*daemon=*/true);
+  eng.spawn("main", [&] {
+    eng.sleep_for(microseconds(5));
+    throw std::runtime_error("main failed");
+  });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_TRUE(unwound);
+  EXPECT_EQ(eng.now(), microseconds(5));
+}
+
+TEST(Engine, KeepAliveHeldByABlockedDaemonIsADeadlock) {
+  Engine eng;
+  Condition never(eng, "never");
+  ActorHandle worker;
+  worker = eng.spawn(
+      "worker",
+      [&] {
+        const Engine::KeepAlive alive(eng, worker);
+        never.wait();
+      },
+      /*daemon=*/true);
+  eng.spawn("main", [] {});
+  EXPECT_THROW(eng.run(), DeadlockError);
+}
+
+TEST(Engine, KeepAliveRanksTheWorkerAsFreshlySpawnedInTimerTies) {
+  // Simultaneous timers fire in spawn order, and a worker handed work
+  // ranks behind every actor spawned before the hand-over.
+  Engine eng;
+  Mailbox<Engine::KeepAlive> inbox(eng, 0, "inbox");
+  std::vector<std::string> order;
+  ActorHandle worker;
+  worker = eng.spawn(
+      "worker",
+      [&] {
+        const Engine::KeepAlive alive = inbox.recv();
+        eng.sleep_until(microseconds(10));
+        order.emplace_back("worker");
+      },
+      /*daemon=*/true);
+  eng.spawn("peer", [&] {
+    eng.sleep_until(microseconds(10));
+    order.emplace_back("peer");
+  });
+  eng.spawn("main", [&] { inbox.send(Engine::KeepAlive(eng, worker)); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"peer", "worker"}));
 }
 
 TEST(Engine, TimeHorizonAborts) {
