@@ -143,15 +143,35 @@ struct RelayItem {
   }
 };
 
-/// One message crossing the gateway, shared by the actor that receives it
-/// and its send actor. Owned by the two actors' stacks (and the send
-/// actor's inbox) only: at engine shutdown either may unwind first while
-/// the other still uses it (stack allocation was a use-after-free, see
-/// tests/fwd/test_failures.cpp), and the engine keeps actor bodies past
-/// the channels, where an egress still open would close its hop message.
+/// The message crossing the gateway, shared by the actor that receives it
+/// and its send actor. A receiving actor has one message in flight at a
+/// time, so it keeps one Transfer and reuses it for each. Owned by the two
+/// actors' stacks (and the send actor's inbox) only: at engine shutdown
+/// either may unwind first while the other still uses it (stack
+/// allocation was a use-after-free, see tests/fwd/test_failures.cpp), and
+/// the engine keeps actor bodies past the channels, where an egress still
+/// open would close its hop message.
 struct Transfer {
-  Transfer(sim::Engine& engine, std::size_t capacity, const std::string& name)
-      : items(engine, capacity, name), done(engine, name + ".done") {}
+  Transfer(sim::Engine& engine, const std::string& name)
+      : items(engine, 0, name), done(engine, name + ".done") {}
+
+  /// Readies the transfer for the next message, whose item queue holds at
+  /// most `capacity` items (0 = unbounded).
+  void begin(const GtmMsgHeader& header, TrafficClass traffic_class,
+             int flow_id, std::size_t capacity) {
+    hdr = header;
+    cls = traffic_class;
+    flow = flow_id;
+    items.set_capacity(capacity);
+    outcome.reset();
+  }
+  /// Once the message is over: gives back its stored fragments, drops the
+  /// items a store-then-send relay never handed over and closes the egress.
+  void end() {
+    items.clear();
+    blocks.clear();
+    egress.reset();
+  }
 
   GtmMsgHeader hdr;
   TrafficClass cls{};
@@ -262,6 +282,12 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
 
   Channel& in_channel() const { return in_channel_; }
 
+  /// A receiving actor's transfer, reused for each message it relays.
+  std::shared_ptr<Transfer> make_transfer() const {
+    return std::make_shared<Transfer>(
+        engine_, vc_.name() + ".gwitems." + std::to_string(self_));
+  }
+
   /// A receiving actor's send actor: it opens each message's egress and
   /// pumps its items while the receiving actor waits for the outcome.
   std::shared_ptr<Sender> make_sender(std::string name) {
@@ -277,8 +303,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   }
 
   /// Parses the head of an accepted stream and relays the message through
-  /// `sender`, the calling actor's send actor.
-  void relay_stream(MessageReader& in, Sender& sender) {
+  /// `sender`, the calling actor's send actor, in `t`, its transfer.
+  void relay_stream(MessageReader& in, Sender& sender,
+                    const std::shared_ptr<Transfer>& t) {
     try {
       std::optional<GtmMsgHeader> header;
       // Reliable boundary parse: skips late retransmits and ghost framing
@@ -288,7 +315,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
                          : read_preamble(in);
       MAD_ASSERT(preamble.forwarded != 0,
                  "native message on a special channel");
-      relay_message(std::move(in), header, sender);
+      relay_message(std::move(in), header, sender, t);
     } catch (const PeerDied&) {
       // A cut-through relay abandoned a stream whose upstream (or this
       // gateway itself) died mid-message. The origin replays on a
@@ -298,7 +325,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
 
  private:
   void relay_message(MessageReader in, std::optional<GtmMsgHeader> pre_hdr,
-                     Sender& sender) {
+                     Sender& sender, const std::shared_ptr<Transfer>& t) {
     // In reliable mode the accept loop already parsed the header (its epoch
     // feeds the ghost filter in read_stream_head).
     const GtmMsgHeader hdr = pre_hdr ? *pre_hdr : read_msg_header(in);
@@ -330,7 +357,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       admission_->on_message_admitted(cls);
     }
     try {
-      relay(in, hdr, stripe, cls, sender);
+      relay(in, hdr, stripe, cls, sender, t);
     } catch (...) {
       if (admitted) {
         admission_->on_message_done(cls);
@@ -352,7 +379,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// but before downstream delivery, the message is lost.
   void relay(MessageReader& in, const GtmMsgHeader& hdr,
              const std::optional<GtmStripeHeader>& stripe, TrafficClass cls,
-             Sender& sender) {
+             Sender& sender, const std::shared_ptr<Transfer>& t) {
     const VcOptions& options = vc_.options();
     const bool reliable = (hdr.flags & kGtmFlagReliable) != 0;
     const bool store_first =
@@ -375,11 +402,19 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
           static_cast<double>(options.flow.queue_limit) *
           std::max(1.0, flow_sched_->weight_of(flow)));
     }
-    auto t = std::make_shared<Transfer>(
-        engine_, capacity, vc_.name() + ".gwitems." + std::to_string(self_));
-    t->hdr = hdr;
-    t->cls = cls;
-    t->flow = flow;
+    t->begin(hdr, cls, flow, capacity);
+    // Every exit from here, a throw included, ends the message, once the
+    // send actor is done with it (at engine shutdown one still pumping
+    // keeps it).
+    struct EndTransfer {
+      Transfer& t;
+      bool handed = false;
+      ~EndTransfer() {
+        if (!handed || t.outcome) {
+          t.end();
+        }
+      }
+    } ending{*t};
     Egress& egress = t->egress.emplace(
         vc_, self_, hdr, stripe, rail_, static_cast<std::uint64_t>(self_)
                                             << 40);
@@ -397,6 +432,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     if (!store_first) {
       egress.pick_route();
       sender.hand(t);
+      ending.handed = true;
     }
     // detect_dead: an upstream that dies (or is rerouted away) mid-stream
     // abandons its half-sent message, and a blocking receiver would wait
@@ -444,6 +480,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       }
       egress.pick_route();
       sender.hand(t);
+      ending.handed = true;
     }
     while (!t->outcome) {
       t->done.wait();
@@ -919,6 +956,7 @@ void spawn_gateway_actors(VirtualChannel& vc) {
               auto relay =
                   std::make_shared<GatewayRelay>(vc, rank, local, rail);
               const auto sender = relay->make_sender(actor_name + ".send");
+              const auto transfer = relay->make_transfer();
               // Flow mode: each upstream hop's relay actor.
               std::map<NodeRank, std::shared_ptr<Worker<MessageReader>>> hops;
               for (;;) {
@@ -926,7 +964,7 @@ void spawn_gateway_actors(VirtualChannel& vc) {
                 MessageReader in = relay->in_channel().begin_unpacking();
                 if (!vc.options().flow.enabled ||
                     !relay->in_channel().uses_announce()) {
-                  relay->relay_stream(in, *sender);
+                  relay->relay_stream(in, *sender, transfer);
                   continue;
                 }
                 // Multi-flow dispatch: hand the message to its upstream
@@ -945,9 +983,10 @@ void spawn_gateway_actors(VirtualChannel& vc) {
                       actor_name + ".from" + std::to_string(from);
                   hop = std::make_shared<Worker<MessageReader>>(
                       engine, name,
-                      [relay, sender = relay->make_sender(name + ".send")](
+                      [relay, sender = relay->make_sender(name + ".send"),
+                       transfer = relay->make_transfer()](
                           MessageReader& hop_in) {
-                        relay->relay_stream(hop_in, *sender);
+                        relay->relay_stream(hop_in, *sender, transfer);
                       });
                 }
                 hop->hand(std::move(in));

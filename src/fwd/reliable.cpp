@@ -586,7 +586,15 @@ void ReliableSender::drain_to(std::size_t target) {
         timer_seq_ = p.seq;
         p.deadline = now + p.rto;
       }
-      if (p.deadline <= now) {
+      if (p.deadline <= now && view.last_hold > p.deadline - p.rto) {
+        // The receiver held the stream unread during this period (a
+        // striped rail waiting for its rail 0): it is alive, and the
+        // paquet waits to be read. Re-arm the timer without a resend, a
+        // backoff or a charge to the retry budget, as TCP's persist timer
+        // does.
+        p.deadline = now + p.rto;
+        wake = std::min(wake, p.deadline);
+      } else if (p.deadline <= now) {
         expire(p);
         transmitted = true;
       } else {
@@ -614,6 +622,8 @@ ReliableReceiver::ReliableReceiver(VirtualChannel& vc, NodeRank self,
       epoch_(epoch),
       detect_dead_(detect_dead),
       self_nic_(in_channel.tm().nic().index()),
+      charge_delivery_(in_channel.tm().model().rx_static() ||
+                       in_channel.tm().model().hybrid()),
       node_label_("node=" + std::to_string(self)),
       window_(static_cast<std::size_t>(vc.options().reliable.window)) {}
 
@@ -658,14 +668,11 @@ ReliableReceiver::Verified ReliableReceiver::receive(
 
   if (const auto it = reorder_.find(next_); it != reorder_.end()) {
     // Already received out of order: serve from the reorder buffer,
-    // with the digest its verification computed.
+    // with the digest its verification computed. The copying form copies
+    // it out; the adopting form takes the buffer as it is.
     Verified& parked = it->second;
-    if (!parked.body.empty()) {
-      if (copy_to) {
-        counted_copy(*copy_to, util::ByteSpan(parked.body));
-      } else {
-        count_copy(parked.body.size());
-      }
+    if (copy_to && !parked.body.empty()) {
+      counted_copy(*copy_to, util::ByteSpan(parked.body));
     }
     Verified served = std::move(parked);
     reorder_.erase(it);
@@ -769,10 +776,12 @@ ReliableReceiver::Verified ReliableReceiver::receive(
     arrived.resize(body_size);
     if (trailer.seq == cum_next_) {
       // In order: a copying receive's verification pass already wrote the
-      // body. Either form is charged as the staged copy it models; the
-      // lease gives the buffer back should the charge unwind.
+      // body, and is charged as the copy it made unless the NIC places
+      // paquets in user memory itself. The adopting form keeps the buffer
+      // and copies nothing. The lease gives the buffer back should the
+      // charge unwind.
       util::BufferLease body(pool, std::move(arrived));
-      if (body_size > 0) {
+      if (copy_to && charge_delivery_ && body_size > 0) {
         count_copy(body_size);
       }
       ++cum_next_;

@@ -390,17 +390,20 @@ class ReliableReceiver {
   /// arrived in (MessageReader::take_paquet). One whose trailer names it
   /// as this in-order paquet is verified and written to `payload_dst` in
   /// one pass; until recv returns, `payload_dst` may hold the bytes of a
-  /// corrupt copy that failed verification. An out-of-order paquet is
-  /// parked in its own buffer with the digest its verification computed,
-  /// and served later without another pass through the checksum loop.
+  /// corrupt copy that failed verification. That pass is charged as a
+  /// copy only on a static-buffer or hybrid NIC: a dynamic-buffer NIC
+  /// places an in-order paquet in user memory itself. An out-of-order
+  /// paquet is parked in its own buffer with the digest its verification
+  /// computed, and served later by a charged copy, without another pass
+  /// through the checksum loop.
   std::uint64_t recv(MessageReader& in, std::uint32_t expected_seq,
                      util::MutByteSpan payload_dst);
   /// The adopting form of recv, for a receiver that keeps what it
   /// receives (the gateway's stored fragments): every paquet is only
   /// digested, in place, and the verified body is handed over to `body`,
   /// trimmed in the network buffer it arrived in. That buffer belongs to
-  /// the fabric's packet pool, and the caller gives it back. Its virtual
-  /// copy charge is the copying form's, so both forms take the same time.
+  /// the fabric's packet pool, and the caller gives it back. Nothing is
+  /// copied, so nothing is charged.
   std::uint64_t recv(MessageReader& in, std::uint32_t expected_seq,
                      util::Bytes& body);
 
@@ -426,6 +429,9 @@ class ReliableReceiver {
   std::uint32_t epoch_;
   bool detect_dead_;
   int self_nic_;
+  /// Whether delivery into the caller's span is a software copy: the
+  /// receiving NIC has static or hybrid receive buffers.
+  bool charge_delivery_;
   std::string node_label_;
   std::size_t window_;
   /// A verified paquet: its body, trimmed in the network buffer it

@@ -443,7 +443,8 @@ void Reassembler::end_unpacking() {
   // owning VcMessageReader to close.
   for (StripeIncoming& inc : owned_) {
     inc.reader.end_unpacking();
-    inc.done->notify_all();
+    inc.park->done = true;
+    inc.park->changed.notify_all();
   }
 }
 

@@ -587,12 +587,29 @@ void VirtualChannel::spawn_pollers() {
                            "non-striped message on a stripe channel");
                 MAD_ASSERT(stripe.rail == static_cast<std::uint16_t>(rail),
                            "rail delivered on the wrong stripe channel");
-                auto done = std::make_shared<sim::Condition>(
-                    eng, stripe_name + ".done");
+                const Connection& conn =
+                    stripe_channel.connection_to(reader.source());
+                auto park =
+                    std::make_shared<RailPark>(eng, stripe_name + ".done");
                 ep->stripe_inbox().send(StripeIncoming{
                     std::move(reader), preamble, header, stripe,
-                    &stripe_channel, done});
-                done->wait();
+                    &stripe_channel, park});
+                // A reassembler claims its rails only once rail 0 has
+                // arrived, and a reliable rail is acked only as it is
+                // read: until then the rail is held, so its sender does
+                // not condemn this node for the wait. A hold covers one
+                // ack_timeout, the shortest retransmit timer.
+                while (!park->done) {
+                  if (options_.reliable.enabled && !park->claimed) {
+                    stripe_channel.network().post_hold(
+                        conn.rx_tag, stripe_channel.tm().nic().index(),
+                        conn.peer_nic_index, header.epoch);
+                    park->changed.wait_until(eng.now() +
+                                             options_.reliable.ack_timeout);
+                  } else {
+                    park->changed.wait();
+                  }
+                }
               }
             },
             /*daemon=*/true);
@@ -651,13 +668,16 @@ VcEndpoint::VcEndpoint(VirtualChannel& vc, NodeRank rank)
 StripeIncoming VcEndpoint::collect_rail(std::uint32_t origin,
                                         std::uint32_t stripe_id,
                                         std::uint16_t rail) {
-  return *claim(
+  StripeIncoming inc = *claim(
       stripe_pending_,
       [&] { return std::optional<StripeIncoming>(stripe_inbox_.recv()); },
       [&](const StripeIncoming& inc) {
         return inc.preamble.origin == origin &&
                inc.stripe.stripe_id == stripe_id && inc.stripe.rail == rail;
       });
+  inc.park->claimed = true;
+  inc.park->changed.notify_all();
+  return inc;
 }
 
 std::optional<VcIncoming> VcEndpoint::collect_replacement(

@@ -388,6 +388,17 @@ struct VcIncoming {
   std::shared_ptr<sim::Condition> done;
 };
 
+/// A parked rail's state, shared with the polling actor that parked it:
+/// its reassembler claims it, then reads it to the end. `changed` is
+/// notified at each step.
+struct RailPark {
+  RailPark(sim::Engine& engine, const std::string& name)
+      : changed(engine, name) {}
+  bool claimed = false;
+  bool done = false;
+  sim::Condition changed;
+};
+
 /// One striped rail (rail >= 1) arriving on a stripe channel, parked by
 /// its polling actor with all three bootstrap headers already read, so
 /// the reassembler can match it to its transfer by (origin, stripe_id,
@@ -398,7 +409,7 @@ struct StripeIncoming {
   GtmMsgHeader header;
   GtmStripeHeader stripe;
   Channel* channel = nullptr;
-  std::shared_ptr<sim::Condition> done;
+  std::shared_ptr<RailPark> park;
 };
 
 class VcEndpoint {

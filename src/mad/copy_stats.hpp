@@ -4,8 +4,13 @@
 // about *software* copies performed by the library — copies into static
 // protocol buffers, SAFER staging copies, gateway regrouping. Hardware
 // transfers (NIC DMA placement, wire movement) are not copies in this
-// sense. Every software copy in the mad/ and fwd/ layers goes through
-// counted_copy()/counted_copy_out() so tests can assert zero-copy paths.
+// sense. Every software copy in the mad/ and fwd/ layers is charged where
+// it happens, and only there, so tests can assert zero-copy paths: through
+// counted_copy(), or through count_copy() beside a copy made by other
+// means (the fused copy-and-digest of fwd/generic_tm.hpp). A paquet a
+// gateway keeps in the buffer it arrived in is charged nothing, and so is
+// the host pass that stands for a dynamic-buffer NIC placing a paquet in
+// user memory.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +61,8 @@ CopyStats& copy_stats();
 void counted_copy(util::MutByteSpan dst, util::ByteSpan src,
                   CopyPath path = CopyPath::Staged);
 
-/// Accounts (and charges time for) a copy performed by other means.
+/// Accounts (and charges time for) a copy performed by other means; call
+/// it beside that copy.
 void count_copy(std::size_t bytes, CopyPath path = CopyPath::Staged);
 
 }  // namespace mad

@@ -237,6 +237,8 @@ void AckRegistry::Stream::reset_epoch_state() {
   marks_seen = 0;
   reject_times.clear();
   rejects_seen = 0;
+  hold_times.clear();
+  last_hold = -1;
   sacks.clear();
 }
 
@@ -308,6 +310,20 @@ void AckRegistry::post_reject(std::uint64_t tag, int receiver_nic,
   }
   s.reject_times.push_back(visible);
   s.cond->notify_all();
+}
+
+void AckRegistry::post_hold(std::uint64_t tag, int receiver_nic,
+                            std::uint32_t epoch, sim::Time visible) {
+  Stream& s = stream(tag, receiver_nic);
+  if (s.any && epoch < s.epoch) {
+    return;  // a hold of a superseded stream says nothing about this one
+  }
+  if (!s.any || epoch > s.epoch) {
+    s.any = true;
+    s.epoch = epoch;
+    s.reset_epoch_state();
+  }
+  s.hold_times.push_back(visible);
 }
 
 void AckRegistry::post_sack(std::uint64_t tag, int receiver_nic,
@@ -400,6 +416,12 @@ AckView AckRegistry::view(std::uint64_t tag, int receiver_nic,
   if (!s.reject_times.empty()) {
     v.next_visible = std::min(v.next_visible, s.reject_times.front());
   }
+  // A hold wakes no sender: it only matters once a timer expires.
+  while (!s.hold_times.empty() && s.hold_times.front() <= now) {
+    s.last_hold = s.hold_times.front();
+    s.hold_times.pop_front();
+  }
+  v.last_hold = s.last_hold;
   for (const auto& [sack_seq, sack_visible] : s.sacks) {
     if (sack_visible <= now) {
       v.sacks.push_back(sack_seq);

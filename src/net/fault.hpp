@@ -208,6 +208,9 @@ struct AckView {
   /// refused the stream's message outright (overload); the sender should
   /// abandon the epoch and retry the whole message after a backoff.
   std::uint64_t rejects = 0;
+  /// When the latest hold (post_hold) of this epoch became visible, -1
+  /// when none has.
+  sim::Time last_hold = -1;
   std::vector<std::uint32_t> sacks;  // selective acks above cum_seq
   sim::Time next_visible = sim::kForever;
 };
@@ -256,6 +259,15 @@ class AckRegistry {
   void post_reject(std::uint64_t tag, int receiver_nic, std::uint32_t epoch,
                    sim::Time visible);
 
+  /// Records a hold on the stream: the receiver has accepted the epoch's
+  /// stream but does not read it yet, so the paquets it has not acked are
+  /// waiting, not lost. A receiver repeats it while it holds the stream;
+  /// the sender re-arms a retransmit timer that expires under a hold
+  /// instead of spending its retry budget. Same visibility latency and
+  /// epoch-reset rules as marks.
+  void post_hold(std::uint64_t tag, int receiver_nic, std::uint32_t epoch,
+                 sim::Time visible);
+
   /// Blocks until an ack for (epoch, >= seq) is visible or `deadline`
   /// passes; returns false on timeout. A satisfying ack already posted at
   /// the deadline (visibility latency still running) counts as success —
@@ -302,6 +314,8 @@ class AckRegistry {
     std::uint64_t marks_seen = 0;
     std::deque<sim::Time> reject_times;
     std::uint64_t rejects_seen = 0;
+    std::deque<sim::Time> hold_times;
+    sim::Time last_hold = -1;
     std::map<std::uint32_t, sim::Time> sacks;  // seq -> visibility
     std::unique_ptr<sim::Condition> cond;
 

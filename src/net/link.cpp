@@ -60,6 +60,19 @@ void Network::post_reject(std::uint64_t tag, int receiver_nic, int sender_nic,
   acks_.post_reject(tag, receiver_nic, epoch, now + model_.wire_latency);
 }
 
+void Network::post_hold(std::uint64_t tag, int receiver_nic, int sender_nic,
+                        std::uint32_t epoch) {
+  const sim::Time now = engine_.now();
+  if (injector_ != nullptr &&
+      (injector_->nic_down(receiver_nic, now) ||
+       injector_->nic_down(sender_nic, now) ||
+       injector_->link_down(receiver_nic, sender_nic, now))) {
+    injector_->count_ack_suppressed();
+    return;
+  }
+  acks_.post_hold(tag, receiver_nic, epoch, now + model_.wire_latency);
+}
+
 void Network::post_sack(std::uint64_t tag, int receiver_nic, int sender_nic,
                         std::uint32_t epoch, std::uint32_t seq) {
   const sim::Time now = engine_.now();

@@ -129,6 +129,11 @@ class Network {
   void post_reject(std::uint64_t tag, int receiver_nic, int sender_nic,
                    std::uint32_t epoch);
 
+  /// Same fault handling for a hold (the receiver accepted the stream but
+  /// does not read it yet; see AckRegistry::post_hold).
+  void post_hold(std::uint64_t tag, int receiver_nic, int sender_nic,
+                 std::uint32_t epoch);
+
  private:
   sim::MetricsRegistry* metrics_ = nullptr;
   sim::TraceSink* trace_ = nullptr;

@@ -79,7 +79,7 @@ TEST(Churn, BrownoutQuarantinesThenReadmitsGateway) {
   DualGatewayRig rig(churn_options());
   rig.fabric.metrics().enable();
   net::FaultPlan plan;
-  plan.degraded.push_back({sim::milliseconds(2), sim::milliseconds(12),
+  plan.degraded.push_back({sim::milliseconds(3), sim::milliseconds(12),
                            /*src=*/0, /*dst=*/1, /*period=*/0,
                            /*bidirectional=*/false, /*extra_latency=*/0,
                            /*drop_rate=*/0.7});

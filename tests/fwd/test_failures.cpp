@@ -599,7 +599,7 @@ TEST(Reliable, PaquetBuffersReturnToTheirPools) {
   options.reliable.window = 16;
   PaperRig rig(options);
   net::FaultPlan plan;
-  plan.seed = 5;
+  plan.seed = 6;
   plan.drop_rate = 0.04;
   plan.corrupt_rate = 0.04;
   plan.duplicate_rate = 0.04;

@@ -17,6 +17,7 @@
 
 #include "fwd/generic_tm.hpp"
 #include "mad/connection.hpp"
+#include "mad/copy_stats.hpp"
 #include "net/fault.hpp"
 #include "sim/trace.hpp"
 #include "support/coc_rig.hpp"
@@ -223,12 +224,14 @@ TEST(WireBuffers, StripedLaterBlockChangedBeforeEndPackingCrossesAsPacked) {
 
 /// The bytes each network's NICs copied into packets (snapshots) and out
 /// of them (scatters), Myrinet first, the bytes the run passed through
-/// the checksum loop, and those of them the loop also copied.
+/// the checksum loop, those of them the loop also copied, and the bytes
+/// charged virtual copy time (mad::copy_stats).
 struct HostCopies {
   std::vector<std::uint64_t> snapshots;
   std::vector<std::uint64_t> scatters;
   std::uint64_t checksummed = 0;
   std::uint64_t checksum_copied = 0;
+  std::uint64_t charged = 0;
 };
 
 /// Relays one 1 MiB Cheaper block from m0 to s0 (m1 only widens the
@@ -253,12 +256,14 @@ HostCopies host_copies_of_one_relay(bool reliable) {
   });
   const std::uint64_t checksummed_before = gtm_checksum_bytes();
   const std::uint64_t copied_before = gtm_copy_bytes();
+  const std::uint64_t charged_before = copy_stats().bytes;
   rig.engine.run();
   EXPECT_EQ(out, payload);
   return {{rig.myri.snapshot_bytes(), rig.sci.snapshot_bytes()},
           {rig.myri.scatter_bytes(), rig.sci.scatter_bytes()},
           gtm_checksum_bytes() - checksummed_before,
-          gtm_copy_bytes() - copied_before};
+          gtm_copy_bytes() - copied_before,
+          copy_stats().bytes - charged_before};
 }
 
 TEST(WireBuffers, ReliableRelaySnapshotsOnlyItsFraming) {
@@ -305,6 +310,67 @@ TEST(WireBuffers, ReliableRelayGatewayVerifiesInPlace) {
   EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/false).checksum_copied, 0u);
 }
 
+TEST(WireBuffers, ReliableRelayChargesNoPayloadCopy) {
+  // Without faults every reliable paquet arrives in order. The gateway
+  // keeps each in the buffer it arrived in, and the final receiver is on
+  // SCI, a dynamic-buffer NIC that places an in-order paquet in user
+  // memory itself: its verification pass writes the body there on the
+  // host, but that stands for the NIC's placement and is not charged. No
+  // payload byte is charged virtual copy time; the charged bytes are the
+  // Safer snapshots of each hop's framing (preamble and GTM message
+  // header).
+  const std::uint64_t framing = sizeof(Preamble) + sizeof(GtmMsgHeader);
+  EXPECT_EQ(host_copies_of_one_relay(/*reliable=*/true).charged, 2 * framing);
+}
+
+TEST(WireBuffers, StaticFinalReceiverKeepsItsCopyCharge) {
+  // On a static-buffer NIC (TCP/FEth) a reliable paquet lands in a
+  // protocol buffer, the static shape copies it into a packet buffer, and
+  // the receiver's verification writes it to user memory in the same
+  // pass. Both are real copies, and each is charged; so is the gateway's
+  // copy of each paquet into FEth's send buffers. The gateway's Myrinet
+  // side charges nothing. Each hop copies and charges its framing once per
+  // static side.
+  VcOptions options;
+  options.reliable.enabled = true;
+  options.reliable.window = 16;
+  // A 64 KB paquet holds the FEth wire for almost 6 ms: a deadline long
+  // enough for a queued window keeps retransmissions out of the count.
+  options.reliable.ack_timeout = sim::milliseconds(50);
+  testsupport::TwoNetRig rig(net::bip_myrinet(), net::tcp_fast_ethernet(),
+                             options);
+  const std::vector<std::byte> payload = util::Rng(66).bytes(kBlock);
+  std::vector<std::byte> out(payload.size());
+  rig.engine.spawn("s", [&] {
+    auto msg = rig.ep(0).begin_packing(2);
+    msg.pack(payload);
+    msg.end_packing();
+  });
+  rig.engine.spawn("r", [&] {
+    auto msg = rig.ep(2).begin_unpacking();
+    msg.unpack(out);
+    msg.end_unpacking();
+  });
+  const std::uint64_t charged_before = copy_stats().bytes;
+  rig.engine.run();
+  EXPECT_EQ(out, payload);
+  const std::uint64_t fragments = fragment_count(kBlock, rig.vc->mtu());
+  const std::uint64_t framing = sizeof(Preamble) + sizeof(GtmMsgHeader);
+  const std::uint64_t headers = 2 * sizeof(GtmBlockHeader);
+  // The reliable paquets of the FEth hop, trailers included.
+  const std::uint64_t wire =
+      kBlock + headers + (fragments + 2) * kGtmTrailerBytes;
+  for (NodeRank rank = 0; rank < 2; ++rank) {
+    EXPECT_EQ(rig.vc->gateway_stats(rank).reliability.retransmits, 0u);
+  }
+  // Framing: the origin's Safer snapshots, the gateway's FEth send buffers
+  // and the receiver's unpack from FEth receive buffers. Paquets: the
+  // gateway's send buffers and the receiver's packet buffers hold whole
+  // wire paquets; user memory and the header structs get their bodies.
+  EXPECT_EQ(copy_stats().bytes - charged_before,
+            3 * framing + 2 * wire + kBlock + headers);
+}
+
 TEST(WireBuffers, PlainRelayCopiesPayloadOnlyAtItsEnds) {
   // The plain relay copies each payload byte twice on the host: the
   // origin's NIC snapshots it from user memory and the final receiver's
@@ -340,6 +406,87 @@ std::uint64_t buffers_out(const PaperRig& rig) {
   const util::BufferPool& pool = rig.myri.buffer_pool();
   return pool.takes() - pool.reuses() - pool.idle() -
          queued_packets(rig.myri) - queued_packets(rig.sci);
+}
+
+TEST(WireBuffers, ReliableReceiveSurvivesFinalHopFaults) {
+  // Seeded drops, duplicates and corruptions on the final network of an
+  // 8 KB SCI -> Myrinet relay at window 16: the final receiver verifies
+  // each paquet in the buffer it arrived in, and must drop, re-ack or park
+  // each corrupt, duplicate or out-of-order one (a parked paquet is later
+  // copied out, and charged). Every multi-block message, Cheaper and
+  // Express blocks mixed, arrives once with the bytes packed, and every
+  // buffer of the fabric's pool is back once the run is over.
+  VcOptions options;
+  options.paquet_size = 8 * 1024;
+  options.reliable.enabled = true;
+  options.reliable.window = 16;
+  PaperRig rig(options);
+  net::FaultPlan plan;
+  plan.seed = 9;
+  plan.drop_rate = 0.04;
+  plan.duplicate_rate = 0.04;
+  plan.corrupt_rate = 0.04;
+  rig.myri.set_fault_plan(plan);
+  struct Block {
+    std::size_t size;
+    RecvMode mode;
+  };
+  // A sub-fragment Express block, a many-fragment Cheaper one, an Express
+  // block just over one fragment, a one-byte Cheaper block.
+  const std::vector<Block> blocks = {{100, RecvMode::Express},
+                                     {200 * 1024, RecvMode::Cheaper},
+                                     {8 * 1024, RecvMode::Express},
+                                     {1, RecvMode::Cheaper}};
+  constexpr int kMessages = 4;
+  const auto bytes_of = [](int message, std::size_t block, std::size_t size) {
+    return util::Rng(70 + 10 * static_cast<std::uint64_t>(message) + block)
+        .bytes(size);
+  };
+  const NodeRank src = rig.sci_node();
+  const NodeRank dst = rig.myri_node();
+  rig.engine.spawn("s", [&] {
+    for (int m = 0; m < kMessages; ++m) {
+      std::vector<std::vector<std::byte>> kept;
+      auto msg = rig.ep(src).begin_packing(dst);
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        kept.push_back(bytes_of(m, b, blocks[b].size));
+        msg.pack(kept.back(), SendMode::Cheaper, blocks[b].mode);
+      }
+      msg.end_packing();
+    }
+  });
+  int intact = 0;
+  int extra = 0;
+  rig.engine.spawn("r", [&] {
+    for (int m = 0; m < kMessages; ++m) {
+      auto msg = rig.ep(dst).begin_unpacking();
+      bool same = true;
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        std::vector<std::byte> got(blocks[b].size);
+        msg.unpack(got, SendMode::Cheaper, blocks[b].mode);
+        same = same && got == bytes_of(m, b, blocks[b].size);
+      }
+      msg.end_unpacking();
+      intact += same ? 1 : 0;
+    }
+    // A stray second copy of any message would arrive within a second.
+    if (rig.ep(dst).begin_unpacking_until(rig.engine.now() +
+                                          sim::seconds(1))) {
+      ++extra;
+    }
+  });
+  rig.engine.run();
+  EXPECT_EQ(intact, kMessages);
+  EXPECT_EQ(extra, 0);
+  // Every fault reached the final receiver, and the gateway's
+  // sender recovered from parked paquets behind a hole.
+  const ReliabilityStats& rx = rig.vc->gateway_stats(dst).reliability;
+  EXPECT_GT(rx.corrupt_drops, 0u);
+  EXPECT_GT(rx.dup_drops, 0u);
+  const ReliabilityStats& gw =
+      rig.vc->gateway_stats(rig.gateway_rank).reliability;
+  EXPECT_GT(gw.fast_retransmits, 0u);
+  EXPECT_EQ(buffers_out(rig), 0u);
 }
 
 TEST(WireBuffers, PlainRelayBuffersReturnToThePool) {

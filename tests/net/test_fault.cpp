@@ -521,6 +521,30 @@ TEST(AckRegistry, ViewOnSackOnlyStreamHasNoCumulativeMark) {
   eng.run();
 }
 
+TEST(AckRegistry, HoldIsSeenOnceVisibleAndForgottenWithItsEpoch) {
+  sim::Engine eng;
+  AckRegistry acks(eng, "acks");
+  eng.spawn("t", [&] {
+    EXPECT_EQ(acks.view(7, 1, 1).last_hold, -1);
+    acks.post_hold(7, 1, /*epoch=*/1, sim::microseconds(10));
+    acks.post_hold(7, 1, /*epoch=*/1, sim::microseconds(30));
+    EXPECT_EQ(acks.view(7, 1, 1).last_hold, -1);  // latency still running
+    eng.sleep_until(sim::microseconds(20));
+    const AckView view = acks.view(7, 1, 1);
+    EXPECT_EQ(view.last_hold, sim::microseconds(10));
+    // A hold is no ack: it neither covers a seq nor wakes the sender.
+    EXPECT_FALSE(view.has_cum);
+    EXPECT_EQ(view.next_visible, sim::kForever);
+    EXPECT_EQ(acks.posted_cover_time(7, 1, 1, 0), sim::kForever);
+    eng.sleep_until(sim::microseconds(30));
+    EXPECT_EQ(acks.view(7, 1, 1).last_hold, sim::microseconds(30));
+    // A fresh epoch's stream starts unheld.
+    acks.post(7, 1, /*epoch=*/2, /*seq=*/0, sim::microseconds(30));
+    EXPECT_EQ(acks.view(7, 1, 2).last_hold, -1);
+  });
+  eng.run();
+}
+
 TEST(FaultNetwork, PostAckSuppressedWhileReceiverCrashed) {
   sim::Engine eng;
   FaultPlan plan;
