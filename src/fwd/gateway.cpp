@@ -14,9 +14,9 @@
 // flow mode its upstream hop's relay actor) hands its relay items (block
 // headers, fragments, the end marker) through a mailbox to its one send
 // actor, which runs the egress; paquet k leaves while paquet k+1 arrives,
-// within the pipeline budget. Store-then-send (reliable, window 1 or
-// striped) hands a message over at its end marker. A reliable relay keeps
-// every block; after a failed egress the receiving actor's failover loop
+// within the pipeline budget. Store-then-send (a reliable striped rail)
+// hands a message over at its end marker. A reliable relay keeps every
+// block; after a failed egress the receiving actor's failover loop
 // replays them on a freshly picked route.
 #include "fwd/gateway.hpp"
 
@@ -344,12 +344,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     const bool admitted =
         (hdr.flags & kGtmFlagReliable) != 0 && admission_ != nullptr;
     if (admitted) {
-      const bool new_flow =
-          flow_ids_.find({static_cast<NodeRank>(hdr.origin),
-                          static_cast<int>(traffic_class_index(cls))}) ==
-          flow_ids_.end();
-      const AdmissionController::Verdict verdict =
-          admission_->admit(cls, new_flow);
+      const AdmissionController::Verdict verdict = admission_->admit(cls);
       if (verdict != AdmissionController::Verdict::Admit) {
         reject_message(in, hdr, cls, verdict);
         return;
@@ -372,8 +367,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   }
 
   /// The relay path (ARCHITECTURE.md §5): ingress → send actor → egress,
-  /// then the failover loop here. Store-then-send (reliable, window 1 or
-  /// striped, whose reassembly assumes a rail appears downstream
+  /// then the failover loop here. Store-then-send (a reliable striped
+  /// rail, whose reassembly assumes a rail appears downstream
   /// all-or-nothing) first receives and acks the whole message. Known
   /// limitation: if THIS gateway crashes after the upstream acks completed
   /// but before downstream delivery, the message is lost.
@@ -382,8 +377,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
              Sender& sender, const std::shared_ptr<Transfer>& t) {
     const VcOptions& options = vc_.options();
     const bool reliable = (hdr.flags & kGtmFlagReliable) != 0;
-    const bool store_first =
-        reliable && (options.reliable.window == 1 || stripe);
+    const bool store_first = reliable && stripe;
     const int flow = flow_id_for(static_cast<NodeRank>(hdr.origin), cls);
     // Item queue bound. Unreliable: pipeline_depth - 1 items plus the
     // paquet being received reproduce the paper's buffer budget. Reliable:
@@ -836,9 +830,6 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         static_cast<std::int64_t>(traffic_class_index(cls));
     const int id = flow_sched_->add_flow(weight, cls, sched_key);
     flow_ids_.emplace(key, id);
-    if (admission_ != nullptr) {
-      admission_->on_flow_registered(cls);
-    }
     return id;
   }
 

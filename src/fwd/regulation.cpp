@@ -149,13 +149,7 @@ void FlowScheduler::pump() {
   granted_cond_.notify_all();
 }
 
-void AdmissionOptions::validate() const {
-  MAD_ASSERT(shed_target > 0, "admission shed_target must be positive");
-  MAD_ASSERT(shed_interval > 0, "admission shed_interval must be positive");
-}
-
-AdmissionController::Verdict AdmissionController::admit(TrafficClass cls,
-                                                        bool new_flow) {
+AdmissionController::Verdict AdmissionController::admit(TrafficClass cls) {
   // Control is never rejected: it degrades to plain blocking backpressure,
   // so announces/acks/health traffic stay admitted while data is shed.
   if (cls == TrafficClass::Control) {
@@ -169,10 +163,6 @@ AdmissionController::Verdict AdmissionController::admit(TrafficClass cls,
   reopen_if_drained(TrafficClass::Latency);
   ClassState& s = state(cls);
   const std::size_t i = traffic_class_index(cls);
-  if (new_flow && opts_.flow_budget[i] != 0 &&
-      s.flows >= opts_.flow_budget[i]) {
-    return Verdict::RejectFlow;
-  }
   if (should_shed(cls)) {
     return Verdict::RejectShed;
   }
@@ -194,7 +184,7 @@ sim::Time AdmissionController::on_dequeue(TrafficClass cls,
   MAD_ASSERT(s.queued_bytes >= bytes, "admission byte accounting underflow");
   s.queued_bytes -= bytes;
   const sim::Time sojourn = now > enqueued_at ? now - enqueued_at : 0;
-  if (sojourn < opts_.shed_target) {
+  if (sojourn < kShedTarget) {
     // One sample under target proves the standing queue drained: reopen.
     s.above_target = false;
     s.shedding = false;
@@ -202,7 +192,7 @@ sim::Time AdmissionController::on_dequeue(TrafficClass cls,
     if (!s.above_target) {
       s.above_target = true;
       s.above_since = now;
-    } else if (!s.shedding && now - s.above_since >= opts_.shed_interval) {
+    } else if (!s.shedding && now - s.above_since >= kShedInterval) {
       s.shedding = true;
     }
   }

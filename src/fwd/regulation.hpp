@@ -278,24 +278,21 @@ class FlowScheduler {
   sim::Condition granted_cond_;
 };
 
-/// Budgets and shedding knobs for the gateway admission controller.
-/// Budgets are per class and 0 means unlimited. `shed_target` /
-/// `shed_interval` drive the CoDel-style sojourn policy: once a class's
-/// dequeue sojourn has stayed at or above the target for a full interval,
-/// the class sheds (rejects new messages) until a sojourn sample drops
-/// back below the target.
+/// CoDel-style sojourn policy of the gateway admission controller: once a
+/// class's dequeue sojourn has stayed at or above kShedTarget for a full
+/// kShedInterval, the class sheds (rejects new messages) until a sojourn
+/// sample drops back below the target.
+inline constexpr sim::Time kShedTarget = sim::milliseconds(20);
+inline constexpr sim::Time kShedInterval = sim::milliseconds(100);
+
+/// Budgets for the gateway admission controller, per class; 0 means
+/// unlimited.
 struct AdmissionOptions {
   bool enabled = false;
   /// Max queued payload bytes per class before new messages are rejected.
   std::array<std::uint64_t, kTrafficClassCount> byte_budget{};
   /// Max concurrently-relayed messages per class.
   std::array<std::uint32_t, kTrafficClassCount> message_budget{};
-  /// Max registered flows per class; checked at flow registration.
-  std::array<std::uint32_t, kTrafficClassCount> flow_budget{};
-  sim::Time shed_target = sim::milliseconds(20);
-  sim::Time shed_interval = sim::milliseconds(100);
-
-  void validate() const;
 };
 
 /// Overload gatekeeper for the gateway (pure state machine, virtual time
@@ -311,26 +308,19 @@ struct AdmissionOptions {
 /// load is always stripped from the bottom of the priority order first.
 class AdmissionController {
  public:
-  explicit AdmissionController(const AdmissionOptions& opts) : opts_(opts) {
-    opts_.validate();
-  }
+  explicit AdmissionController(const AdmissionOptions& opts) : opts_(opts) {}
 
   enum class Verdict : std::uint8_t {
     Admit,
     RejectBudget,  // byte or message budget exhausted
     RejectShed,    // CoDel sojourn policy is shedding this class
-    RejectFlow,    // per-class flow budget exhausted (registration time)
   };
 
-  /// Verdict for one arriving message. `new_flow` marks the first message
-  /// of an unregistered (origin, class) flow, which additionally checks
-  /// the flow budget. Budgets admit strictly below the line: an enqueue
-  /// that lands exactly at budget makes the *next* admission reject.
-  Verdict admit(TrafficClass cls, bool new_flow);
+  /// Verdict for one arriving message. Budgets admit strictly below the
+  /// line: an enqueue that lands exactly at budget makes the *next*
+  /// admission reject.
+  Verdict admit(TrafficClass cls);
 
-  void on_flow_registered(TrafficClass cls) {
-    ++state(cls).flows;
-  }
   void on_message_admitted(TrafficClass cls) {
     ++state(cls).queued_messages;
   }
@@ -355,14 +345,12 @@ class AdmissionController {
   std::uint32_t queued_messages(TrafficClass cls) const {
     return state(cls).queued_messages;
   }
-  std::uint32_t flows(TrafficClass cls) const { return state(cls).flows; }
   bool shedding(TrafficClass cls) const { return state(cls).shedding; }
 
  private:
   struct ClassState {
     std::uint64_t queued_bytes = 0;
     std::uint32_t queued_messages = 0;
-    std::uint32_t flows = 0;
     bool above_target = false;   // sojourns have not dipped below target
     sim::Time above_since = 0;   // when the current above-target run began
     bool shedding = false;

@@ -147,10 +147,6 @@ void ReliableSender::on_ack_growth() {
 
 sim::Time ReliableSender::initial_rto() const {
   const ReliableOptions& opts = vc_.options().reliable;
-  if (window_ <= 1) {
-    // Stop-and-wait keeps the PR-1 fixed first-attempt deadline exactly.
-    return opts.ack_timeout;
-  }
   const auto rto = have_rtt_ ? static_cast<sim::Time>(
                                    (srtt_us_ + 4.0 * rttvar_us_) * 1000.0)
                              : opts.ack_timeout;
@@ -232,7 +228,7 @@ void ReliableSender::sample_ack(InFlight& p) {
   // Karn's rule: a retransmitted paquet's ack is ambiguous, no RTT sample.
   const double rtt_us =
       p.retransmitted ? -1.0 : sim::to_microseconds(now - p.sent_at);
-  if (window_ > 1 && rtt_us > 0.0) {
+  if (rtt_us > 0.0) {
     backed_off_rto_ = 0;  // Karn-valid sample: backoff episode over
     if (min_rtt_us_ <= 0.0 || rtt_us < min_rtt_us_) {
       min_rtt_us_ = rtt_us;
@@ -248,8 +244,7 @@ void ReliableSender::sample_ack(InFlight& p) {
     }
     metrics_->observe_us("rel.rtt_us", node_label_, rtt_us);
   }
-  // Every completed round trip is a loss-free health sample for the hop;
-  // stop-and-wait feeds no adaptive RTO but its RTTs are just as valid.
+  // Every completed round trip is a loss-free health sample for the hop.
   if (topo::HealthMonitor* health = vc_.health()) {
     health->record_ack(self_, peer_, now, rtt_us);
   }
@@ -286,9 +281,7 @@ void ReliableSender::expire(InFlight& p) {
                              std::to_string(p.attempts + 1));
   }
   p.rto = backed_off_timeout(p.rto, kTimeoutBackoff, kMaxAckTimeout);
-  if (window_ > 1) {
-    backed_off_rto_ = std::max(backed_off_rto_, p.rto);
-  }
+  backed_off_rto_ = std::max(backed_off_rto_, p.rto);
   // Desynchronize from periodic faults: a pure doubling chain repeats the
   // same phase against any fault period that divides its steps, so a
   // retransmit that once landed in a flap's down-window would land in every
@@ -367,9 +360,6 @@ sim::Time ReliableSender::ack_cover(std::uint32_t seq) const {
 ReliableSender::FrontLoss ReliableSender::front_loss(sim::Time now,
                                                      sim::Time& resend_at) {
   resend_at = sim::kForever;
-  if (window_ <= 1) {
-    return FrontLoss::None;  // stop-and-wait recovers by timer only
-  }
   InFlight& front = inflight_.front();
   // Three duplicate cumulative acks mean the receiver keeps re-acking the
   // same prefix. The burst is spent on this verdict either way.

@@ -18,11 +18,6 @@
 // gateway relay translate into route invalidation + failover (or a
 // diagnosable "unreachable" panic when no alternate gateway exists).
 //
-// window = 1 reproduces the PR-1 stop-and-wait protocol exactly: one
-// paquet in flight, fixed ack_timeout base, no RTT adaptation, no fast
-// retransmit — the same virtual-time event sequence, retransmit counts and
-// traces as the original implementation.
-//
 // Only the preamble, the GTM message header and the channel announce stay
 // outside this framing: they bootstrap the per-hop stream. A framing
 // paquet lost to a *transient* fault window (not a dead hop) would
@@ -81,8 +76,7 @@ struct ReliableOptions {
   sim::Time ack_timeout = sim::milliseconds(5);
   /// Attempts (including the first) before the hop is declared dead.
   int max_attempts = 6;
-  /// Paquets a sender may keep in flight per hop before blocking. 1 is
-  /// stop-and-wait; larger windows pipeline the ack round trip. With
+  /// Paquets a sender may keep in flight per hop before blocking. With
   /// `adaptive` set this is the CAP, not the operating point.
   int window = 1;
   /// Congestion-reactive window (AIMD): the sender starts at one paquet,
@@ -311,7 +305,7 @@ class ReliableSender {
   /// the two-sided path when null.
   RdmaTm* rdma_ = nullptr;
   std::deque<InFlight> inflight_;
-  // Duplicate-cumulative-ack tracking (fast retransmit, window > 1 only).
+  // Duplicate-cumulative-ack tracking (fast retransmit).
   // The ack board counts a duplicate only when a cum post re-acks the
   // *current* frontier without advancing it (AckView::dup_posts), so a late
   // re-ack of an older seq — a retransmitted paquet the receiver already
@@ -342,7 +336,7 @@ class ReliableSender {
   // re-armed whenever the window advances past it.
   bool have_timer_ = false;
   std::uint32_t timer_seq_ = 0;
-  // Adaptive RTO state (window > 1 only).
+  // Adaptive RTO state.
   bool have_rtt_ = false;
   double srtt_us_ = 0.0;
   double rttvar_us_ = 0.0;

@@ -40,7 +40,6 @@ void FlowOptions::validate(bool reliable_enabled) const {
   for (const double w : weights) {
     MAD_ASSERT(w >= 0.0, "flow weights must be >= 0 (0 = default)");
   }
-  admission.validate();
 }
 
 sim::Time FlowOptions::reject_delay(int attempts, std::uint64_t seed) {
@@ -859,12 +858,11 @@ void VcMessageReader::ensure_reassembler() {
 
 HopReader& VcMessageReader::hop() {
   if (hop_ == nullptr) {
-    // window = 1 keeps the PR-1 blocking receive (no liveness polling);
-    // only the windowed protocol streams partial messages through
-    // gateways, so only it can strand a reader on a dead upstream hop.
+    // Gateways stream partial messages, so a dead upstream hop can strand
+    // this reader mid-message: poll for liveness.
     hop_ = std::make_unique<HopReader>(
         *vc_, self_, incoming_->reader, *incoming_->channel, gtm_header_,
-        /*detect_dead=*/vc_->options().reliable.window > 1);
+        /*detect_dead=*/true);
   }
   return *hop_;
 }

@@ -549,7 +549,7 @@ class VcMessageReader {
   // The hop stream's reader (with its window receiver when reliable),
   // created lazily at the first unpack for the same movability reason.
   HopReader& hop();
-  // Reliable window > 1 only: the upstream gateway died mid-stream.
+  // Reliable only: the upstream gateway died mid-stream.
   // Abandons the current real-channel stream and waits for the origin's
   // replayed message on the failover route, skipping the blocks this
   // reader already consumed.

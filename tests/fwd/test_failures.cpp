@@ -532,7 +532,7 @@ TEST(Reliable, StoredFragmentsReturnToTheFabricPool) {
   // buffer must be idle again after the run, or held by a queued packet.
   constexpr std::size_t kBytes = 1 << 18;
   {
-    SCOPED_TRACE("store-then-send (window 1)");
+    SCOPED_TRACE("cut-through (window 1)");
     PaperRig rig(reliable_options());
     const Delivery delivery =
         relay_messages(rig, rig.myri_node(), rig.sci_node(), 2, kBytes);
@@ -864,7 +864,8 @@ TEST(Failures, RoutingRebuildDuringPlainRelayLeavesMessageIntact) {
 
 TEST(Reliable, SoleGatewayCrashRaisesUnreachable) {
   // Only one gateway exists: crashing it mid-message must surface a
-  // diagnosable "unreachable" error at the sender — never a hang.
+  // diagnosable "unreachable" error at the sender and at the receiver,
+  // which already holds the head of the message — never a hang.
   PaperRig rig(reliable_options());
   const sim::Time crash_at = sim::milliseconds(4);
   net::FaultPlan myri_plan;
@@ -886,15 +887,26 @@ TEST(Reliable, SoleGatewayCrashRaisesUnreachable) {
           std::string(e.what()).find("unreachable") != std::string::npos;
     }
   });
+  std::string receiver_error;
   rig.engine.spawn("r", [&] {
-    // The message can never arrive; a bounded wait must come back empty
-    // instead of deadlocking the engine.
+    // The gateway relayed the head of the message before it crashed; the
+    // rest can never arrive, and no replay can reach this node.
     auto msg =
         rig.ep(rig.sci_node()).begin_unpacking_until(sim::seconds(5));
-    EXPECT_FALSE(msg.has_value());
+    ASSERT_TRUE(msg.has_value());
+    std::vector<std::byte> out(payload.size());
+    try {
+      msg->unpack(out);
+    } catch (const util::PanicError& e) {
+      receiver_error = e.what();
+    }
   });
   rig.engine.run();
   EXPECT_TRUE(diagnosed);
+  EXPECT_NE(receiver_error.find("cannot adopt the stream from origin 0: "
+                                "origin unreachable"),
+            std::string::npos)
+      << receiver_error;
 }
 
 TEST(Reliable, LinkDownWindowIsRiddenOutByRetransmits) {

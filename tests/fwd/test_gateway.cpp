@@ -302,15 +302,14 @@ TEST(GatewayConcurrency, TwoSimultaneousStreamsThroughOneGateway) {
 //
 // Every message crosses the gateway on one path, its listener handing it to
 // a send actor; the options set the pipeline budget (unreliable, depth 1
-// or 3), when the send actor starts (reliable: store-then-send at window
-// 1, cut-through at window 8) and flow mode. Every row relays the same
-// three-block message over the same route. The bytes and the gateway
-// counters must not depend on the row, and each row's one-way virtual time
-// is pinned: the simulator is deterministic, so any change in the relay's
-// event order shows up here as a moved number. No reliable row is charged
-// virtual copy time for a payload byte: the gateway keeps each paquet in
-// the buffer it arrived in, and the final receiver's NIC places each
-// in-order paquet in user memory.
+// or 3), the reliable window (1 or 8; both cut through) and flow mode.
+// Every row relays the same three-block message over the same route. The
+// bytes and the gateway counters must not depend on the row, and each
+// row's one-way virtual time is pinned: the simulator is deterministic, so
+// any change in the relay's event order shows up here as a moved number.
+// No reliable row is charged virtual copy time for a payload byte: the
+// gateway keeps each paquet in the buffer it arrived in, and the final
+// receiver's NIC places each in-order paquet in user memory.
 
 struct RelayRow {
   const char* name;
@@ -452,17 +451,17 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, GatewayRelayMatrix,
     ::testing::Values(
         RelayCase{"SciToMyri", RelayTopo::SciToMyri, false,
-                  {3411415, 2270989, 3873362, 3873362, 2273994, 2273994}},
+                  {3411415, 2270989, 2368874, 2368874, 2273994, 2273994}},
         RelayCase{"SciToMyriRdma", RelayTopo::SciToMyri, true,
-                  {3457415, 2276853, 3983362, 3983362, 2300334, 2300334}},
+                  {3457415, 2276853, 2417048, 2417048, 2300334, 2300334}},
         RelayCase{"MyriToSci", RelayTopo::MyriToSci, false,
-                  {3561583, 2722616, 3770137, 3770137, 2722036, 2722036}},
+                  {3561583, 2722616, 2816554, 2816554, 2722036, 2722036}},
         RelayCase{"MyriToSciRdma", RelayTopo::MyriToSci, true,
-                  {3498360, 2516266, 3776975, 3776975, 2535416, 2535416}},
+                  {3498360, 2516266, 2571203, 2571203, 2535416, 2535416}},
         RelayCase{"Chain", RelayTopo::TwoGatewayChain, false,
-                  {3840213, 3046700, 7537223, 7537223, 3602533, 3602533}},
+                  {3840213, 3046700, 4378116, 4378116, 3602533, 3602533}},
         RelayCase{"ChainRdma", RelayTopo::TwoGatewayChain, true,
-                  {3776990, 2802784, 7544061, 7544061, 3669621, 3669621}}),
+                  {3776990, 2802784, 4379080, 4379080, 3669621, 3669621}}),
     [](const ::testing::TestParamInfo<RelayCase>& info) {
       return std::string(info.param.name);
     });
@@ -563,14 +562,14 @@ INSTANTIATE_TEST_SUITE_P(
         OriginCase{"TwoSided", false,
                    {{{1516021, 0, 0, 0},
                      {2756088, 1, 8, 97000},
-                     {3783393, 1, 8, 97000},
+                     {2825676, 1, 8, 97000},
                      {2731158, 1, 8, 97000},
                      {1907978, 2, 8, 97000},
                      {2687901, 2, 8, 97000}}}},
         OriginCase{"Rdma", true,
                    {{{1516021, 0, 0, 0},
                      {2464960, 1, 8, 97000},
-                     {3790231, 1, 8, 97000},
+                     {2580325, 1, 8, 97000},
                      {2544538, 1, 8, 97000},
                      {1907978, 2, 8, 97000},
                      {2687901, 2, 8, 97000}}}}),
@@ -767,8 +766,8 @@ TEST_P(EgressRecoveryMatrix, EveryRecoveryPathIsPinned) {
       break;
     case Recovery::GatewayReject:
       // x0's messages hold gw2's one-message bulk budget, so gw2 refuses
-      // what gw1 relays for m0. gw1 stores each message before sending it
-      // (window 1), so every refusal is retried from the stored copy.
+      // what gw1 relays for m0. A reliable relay keeps every block it
+      // received, so every refusal is retried from the stored copy.
       config = kRejectChainConfig;
       options.reliable.window = 1;
       options.reliable.ack_timeout = sim::milliseconds(120);
@@ -824,7 +823,7 @@ INSTANTIATE_TEST_SUITE_P(
                      1, 0, 1, 0},
         RecoveryCase{"ProactiveReroute", Recovery::ProactiveReroute,
                      1001895478, 1, 1, 1, 0, 0},
-        RecoveryCase{"GatewayReject", Recovery::GatewayReject, 281085844, 0,
+        RecoveryCase{"GatewayReject", Recovery::GatewayReject, 253177673, 0,
                      0, 0, 0, 6}),
     [](const ::testing::TestParamInfo<RecoveryCase>& info) {
       return std::string(info.param.name);

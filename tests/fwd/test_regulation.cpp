@@ -362,6 +362,10 @@ TEST(FlowScheduler, ControlGrantedBeforeParkedBulk) {
 
 using Verdict = AdmissionController::Verdict;
 
+// The shedding cases below step their sojourn samples across these.
+static_assert(kShedTarget == sim::milliseconds(20));
+static_assert(kShedInterval == sim::milliseconds(100));
+
 TEST(AdmissionController, ByteBudgetAdmitsStrictlyBelowTheLine) {
   // An enqueue landing exactly at budget makes the NEXT admission reject;
   // the admission that precedes it still passes.
@@ -369,14 +373,14 @@ TEST(AdmissionController, ByteBudgetAdmitsStrictlyBelowTheLine) {
   opts.enabled = true;
   opts.byte_budget[traffic_class_index(TrafficClass::Bulk)] = 1000;
   AdmissionController adm(opts);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::Admit);
   adm.on_enqueue(TrafficClass::Bulk, 999);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::Admit);
   adm.on_enqueue(TrafficClass::Bulk, 1);  // exactly at budget now
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::RejectBudget);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::RejectBudget);
   // Draining a single byte reopens the class.
   adm.on_dequeue(TrafficClass::Bulk, 1, 0, 0);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::Admit);
 }
 
 TEST(AdmissionController, MessageBudgetBracketsConcurrentRelays) {
@@ -386,9 +390,9 @@ TEST(AdmissionController, MessageBudgetBracketsConcurrentRelays) {
   AdmissionController adm(opts);
   adm.on_message_admitted(TrafficClass::Bulk);
   adm.on_message_admitted(TrafficClass::Bulk);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::RejectBudget);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::RejectBudget);
   adm.on_message_done(TrafficClass::Bulk);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::Admit);
 }
 
 TEST(AdmissionController, ControlIsNeverRejected) {
@@ -398,48 +402,32 @@ TEST(AdmissionController, ControlIsNeverRejected) {
   opts.enabled = true;
   opts.byte_budget = {1, 1, 1};
   opts.message_budget = {1, 1, 1};
-  opts.flow_budget = {1, 1, 1};
   AdmissionController adm(opts);
   adm.on_enqueue(TrafficClass::Control, 100);
   adm.on_message_admitted(TrafficClass::Control);
-  adm.on_flow_registered(TrafficClass::Control);
-  EXPECT_EQ(adm.admit(TrafficClass::Control, true), Verdict::Admit);
-}
-
-TEST(AdmissionController, FlowBudgetChecksRegistrationOnly) {
-  AdmissionOptions opts;
-  opts.enabled = true;
-  opts.flow_budget[traffic_class_index(TrafficClass::Bulk)] = 1;
-  AdmissionController adm(opts);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, true), Verdict::Admit);
-  adm.on_flow_registered(TrafficClass::Bulk);
-  // A second flow is refused; more messages on the existing flow pass.
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, true), Verdict::RejectFlow);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Control), Verdict::Admit);
 }
 
 TEST(AdmissionController, ShedsAfterSustainedSojournThenRecovers) {
   AdmissionOptions opts;
   opts.enabled = true;
-  opts.shed_target = sim::milliseconds(10);
-  opts.shed_interval = sim::milliseconds(50);
   AdmissionController adm(opts);
   const TrafficClass bulk = TrafficClass::Bulk;
   // A standing queue (300 bytes) whose sojourn samples stay at or above
   // target. The first sample arms the above-target clock, but within the
   // interval nothing sheds.
   adm.on_enqueue(bulk, 300);
-  adm.on_dequeue(bulk, 100, 0, sim::milliseconds(10));
+  adm.on_dequeue(bulk, 100, 0, sim::milliseconds(20));
   EXPECT_FALSE(adm.shedding(bulk));
-  EXPECT_EQ(adm.admit(bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(bulk), Verdict::Admit);
   // Still above target a full interval later: the class sheds.
-  adm.on_dequeue(bulk, 100, sim::milliseconds(45), sim::milliseconds(60));
+  adm.on_dequeue(bulk, 100, sim::milliseconds(90), sim::milliseconds(120));
   EXPECT_TRUE(adm.shedding(bulk));
-  EXPECT_EQ(adm.admit(bulk, false), Verdict::RejectShed);
+  EXPECT_EQ(adm.admit(bulk), Verdict::RejectShed);
   // One below-target sample proves the standing queue drained: reopen.
-  adm.on_dequeue(bulk, 100, sim::milliseconds(61), sim::milliseconds(62));
+  adm.on_dequeue(bulk, 100, sim::milliseconds(121), sim::milliseconds(122));
   EXPECT_FALSE(adm.shedding(bulk));
-  EXPECT_EQ(adm.admit(bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(bulk), Verdict::Admit);
 }
 
 TEST(AdmissionController, ShedReopensWhenQueueFullyDrains) {
@@ -450,16 +438,14 @@ TEST(AdmissionController, ShedReopensWhenQueueFullyDrains) {
   // still above target.
   AdmissionOptions opts;
   opts.enabled = true;
-  opts.shed_target = sim::milliseconds(10);
-  opts.shed_interval = sim::milliseconds(50);
   AdmissionController adm(opts);
   const TrafficClass bulk = TrafficClass::Bulk;
   adm.on_enqueue(bulk, 200);
-  adm.on_dequeue(bulk, 100, 0, sim::milliseconds(20));
-  adm.on_dequeue(bulk, 100, sim::milliseconds(80), sim::milliseconds(100));
+  adm.on_dequeue(bulk, 100, 0, sim::milliseconds(40));
+  adm.on_dequeue(bulk, 100, sim::milliseconds(160), sim::milliseconds(200));
   EXPECT_TRUE(adm.shedding(bulk));
   EXPECT_EQ(adm.queued_bytes(bulk), 0u);
-  EXPECT_EQ(adm.admit(bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(bulk), Verdict::Admit);
   EXPECT_FALSE(adm.shedding(bulk));
 }
 
@@ -469,31 +455,20 @@ TEST(AdmissionController, LatencyShedsOnlyWhileBulkSheds) {
   // the bottom of the priority order first.
   AdmissionOptions opts;
   opts.enabled = true;
-  opts.shed_target = sim::milliseconds(10);
-  opts.shed_interval = sim::milliseconds(50);
   AdmissionController adm(opts);
   // Leaves 100 bytes standing so the reopen-on-drain exit does not clear
   // the shed state between assertions.
   const auto push_above = [&](TrafficClass cls) {
     adm.on_enqueue(cls, 300);
-    adm.on_dequeue(cls, 100, 0, sim::milliseconds(20));
-    adm.on_dequeue(cls, 100, sim::milliseconds(80), sim::milliseconds(100));
+    adm.on_dequeue(cls, 100, 0, sim::milliseconds(40));
+    adm.on_dequeue(cls, 100, sim::milliseconds(160), sim::milliseconds(200));
   };
   push_above(TrafficClass::Latency);
   EXPECT_TRUE(adm.shedding(TrafficClass::Latency));
-  EXPECT_EQ(adm.admit(TrafficClass::Latency, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Latency), Verdict::Admit);
   push_above(TrafficClass::Bulk);
-  EXPECT_EQ(adm.admit(TrafficClass::Latency, false), Verdict::RejectShed);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::RejectShed);
-}
-
-TEST(AdmissionOptions, ValidateRejectsNonPositiveTimes) {
-  AdmissionOptions opts;
-  opts.shed_target = 0;
-  EXPECT_THROW(opts.validate(), util::PanicError);
-  opts.shed_target = sim::milliseconds(1);
-  opts.shed_interval = -1;
-  EXPECT_THROW(opts.validate(), util::PanicError);
+  EXPECT_EQ(adm.admit(TrafficClass::Latency), Verdict::RejectShed);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::RejectShed);
 }
 
 // --- Adaptive window under loss --------------------------------------------

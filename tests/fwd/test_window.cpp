@@ -128,8 +128,8 @@ TEST(Window, DuplicateCumAcksTriggerFastRetransmit) {
 }
 
 TEST(Window, WindowOneNeverFastRetransmits) {
-  // window = 1 is the stop-and-wait protocol: recovery is timer-driven
-  // only, exactly as in the original implementation.
+  // A one-paquet window has no later paquet to sack or to draw duplicate
+  // acks, so its losses are recovered by the retransmit timer.
   PaperRig rig(windowed_options(1));
   net::FaultPlan plan;
   plan.seed = 1;
@@ -142,13 +142,58 @@ TEST(Window, WindowOneNeverFastRetransmits) {
   EXPECT_EQ(gw.fast_retransmits, 0u);
 }
 
+TEST(Window, WindowOneRelaysCutThrough) {
+  // Window 1 runs the same relay as every other window: the gateway sends
+  // paquet k while paquet k+1 arrives (paper §2.2.2, Fig 4), so its first
+  // send begins before its last receive ends.
+  sim::TraceSink trace;
+  trace.enable();
+  fwd::VcOptions options = windowed_options(1);
+  options.trace = &trace;
+  PaperRig rig(options);
+  util::Rng rng(41);
+  const auto payload = rng.bytes(1 << 20);
+  std::vector<std::byte> out(payload.size());
+  rig.engine.spawn("s", [&] {
+    auto msg = rig.ep(rig.sci_node()).begin_packing(rig.myri_node());
+    msg.pack(payload);
+    msg.end_packing();
+  });
+  rig.engine.spawn("r", [&] {
+    auto msg = rig.ep(rig.myri_node()).begin_unpacking();
+    msg.unpack(out);
+    msg.end_unpacking();
+  });
+  rig.engine.run();
+  EXPECT_EQ(out, payload);
+  const std::vector<sim::TraceEvent> recvs = trace.by_name("gw.recv");
+  const std::vector<sim::TraceEvent> sends = trace.by_name("gw.send");
+  ASSERT_GT(recvs.size(), 1u);
+  ASSERT_EQ(sends.size(), recvs.size());
+  EXPECT_LT(sends.front().begin, recvs.back().end)
+      << "the gateway stored the whole message before sending";
+}
+
+TEST(Window, WindowOneSamplesEveryRoundTrip) {
+  // Window 1 feeds the same RTO estimator as every other window: on a
+  // clean hop each acked paquet is one Karn-valid RTT sample.
+  PaperRig rig(windowed_options(1));
+  rig.fabric.metrics().enable();
+  run_transfer(rig, 1 << 20, /*seed=*/42);
+  sim::MetricsRegistry& metrics = rig.fabric.metrics();
+  const std::uint64_t acked =
+      metrics.counter("rel.paquets_acked", "node=0").value;
+  EXPECT_GT(acked, 0u);
+  EXPECT_EQ(metrics.histogram("rel.rtt_us", "node=0").count(), acked);
+}
+
 TEST(Window, WindowMetricsAreRecorded) {
   PaperRig rig(windowed_options(8));
   rig.fabric.metrics().enable();
   run_transfer(rig, 1 << 20, /*seed=*/36);
   sim::MetricsRegistry& metrics = rig.fabric.metrics();
   // The origin's sender sampled occupancy on every send and RTTs from the
-  // ack round trips (window > 1 enables RTT sampling).
+  // ack round trips.
   EXPECT_GT(metrics.histogram("rel.window_occupancy", "node=0").count(), 0u);
   EXPECT_GT(metrics.histogram("rel.rtt_us", "node=0").count(), 0u);
   EXPECT_GT(metrics.counter("rel.paquets_acked", "node=0").value, 0u);
