@@ -152,7 +152,10 @@ void BM_PaquetChecksum(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_PaquetChecksum)->Arg(8 * 1024)->Arg(128 * 1024);
+BENCHMARK(BM_PaquetChecksum)
+    ->Arg(8 * 1024)
+    ->Arg(64 * 1024)
+    ->Arg(128 * 1024);
 
 // The same loop storing every word it loads: the reliable sender's pass
 // into its wire buffer and the receiver's verifying pass into the
@@ -170,7 +173,10 @@ void BM_PaquetCopyChecksum(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_PaquetCopyChecksum)->Arg(8 * 1024)->Arg(128 * 1024);
+BENCHMARK(BM_PaquetCopyChecksum)
+    ->Arg(8 * 1024)
+    ->Arg(64 * 1024)
+    ->Arg(128 * 1024);
 
 // A reliable gateway's egress fill of a stored fragment: a memcpy into the
 // wire buffer plus a trailer sealed from the digest its ingress

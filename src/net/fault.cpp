@@ -345,24 +345,6 @@ void AckRegistry::post_sack(std::uint64_t tag, int receiver_nic,
   s.cond->notify_all();
 }
 
-bool AckRegistry::await(std::uint64_t tag, int receiver_nic,
-                        std::uint32_t epoch, std::uint32_t seq,
-                        sim::Time deadline) {
-  Stream& s = stream(tag, receiver_nic);
-  for (;;) {
-    if (s.any && s.epoch == epoch && s.has_cum && s.max_seq >= seq) {
-      if (engine_.now() < s.visible) {
-        engine_.sleep_until(s.visible);
-      }
-      return true;
-    }
-    if (engine_.now() >= deadline) {
-      return false;
-    }
-    s.cond->wait_until(deadline);
-  }
-}
-
 AckView AckRegistry::view(std::uint64_t tag, int receiver_nic,
                           std::uint32_t epoch) {
   Stream& s = stream(tag, receiver_nic);

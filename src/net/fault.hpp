@@ -222,9 +222,8 @@ struct AckView {
 /// toward every peer. Receivers post cumulative acks (highest contiguous
 /// (epoch, seq) accepted) and, for the sliding-window protocol, selective
 /// acks for out-of-order paquets parked in the reorder buffer. Senders
-/// either block on one seq with a virtual-time deadline (await — the
-/// stop-and-wait interface) or poll the stream state (view/wait_activity —
-/// the window interface). An ack becomes visible to the sender one wire
+/// poll the stream state (view) and park until it changes
+/// (wait_activity). An ack becomes visible to the sender one wire
 /// latency after it is posted, modelling the reverse control message
 /// without simulating its packet.
 class AckRegistry {
@@ -268,20 +267,13 @@ class AckRegistry {
   void post_hold(std::uint64_t tag, int receiver_nic, std::uint32_t epoch,
                  sim::Time visible);
 
-  /// Blocks until an ack for (epoch, >= seq) is visible or `deadline`
-  /// passes; returns false on timeout. A satisfying ack already posted at
-  /// the deadline (visibility latency still running) counts as success —
-  /// the call sleeps out the latency and returns true.
-  bool await(std::uint64_t tag, int receiver_nic, std::uint32_t epoch,
-             std::uint32_t seq, sim::Time deadline);
-
   /// Snapshot of the stream state visible at the current virtual time for
   /// `epoch` (an empty view when the stream is on a different epoch).
   AckView view(std::uint64_t tag, int receiver_nic, std::uint32_t epoch);
 
   /// When a post covering (epoch, seq) exists — cumulative or selective,
   /// visible or with its latency still running — returns its visibility
-  /// time; kForever otherwise. Mirrors await's "posted counts" rule so the
+  /// time; kForever otherwise. A post counts once it is made, so the
   /// window sender never times out a paquet whose ack is already on the
   /// wire.
   sim::Time posted_cover_time(std::uint64_t tag, int receiver_nic,

@@ -10,6 +10,14 @@
 #include "util/rng.hpp"
 
 namespace mad::fwd {
+
+// The digest loop's portable lane kernel alone (generic_tm.cpp), which a
+// host without a vector kernel runs.
+namespace detail {
+std::uint64_t portable_digest(util::ByteSpan payload);
+std::uint64_t portable_copy_digest(util::MutByteSpan dst, util::ByteSpan src);
+}  // namespace detail
+
 namespace {
 
 TEST(GenericTm, FragmentMath) {
@@ -155,6 +163,88 @@ TEST(GenericTm, ChecksumCatchesEverySingleByteCorruption) {
   for (int bit = 0; bit < 32; ++bit) {
     EXPECT_NE(gtm_paquet_checksum(payload, seq ^ (1u << bit), epoch), clean);
     EXPECT_NE(gtm_paquet_checksum(payload, seq, epoch ^ (1u << bit)), clean);
+  }
+}
+
+// A 64 KB paquet, the largest the reliable path sends: a random nonzero
+// XOR at every byte position changes the checksum.
+TEST(GenericTm, ChecksumCatchesARandomFlipAtEveryPositionOf64KB) {
+  util::Rng rng(64);
+  std::vector<std::byte> payload = rng.bytes(64 * 1024);
+  const std::uint64_t clean = gtm_paquet_checksum(payload, 21, 3);
+  for (std::size_t pos = 0; pos < payload.size(); ++pos) {
+    const auto mask = static_cast<std::byte>(rng.next_between(1, 255));
+    payload[pos] ^= mask;
+    ASSERT_NE(gtm_paquet_checksum(payload, 21, 3), clean)
+        << "pos " << pos << " mask " << static_cast<unsigned>(mask);
+    payload[pos] ^= mask;
+  }
+}
+
+TEST(GenericTm, ChecksumCatchesEveryPairOfFlipsWithinALane) {
+  // A 512-byte payload is two 256-byte stripes, so each of the 32 lanes
+  // takes two words, 256 bytes apart: no pair of single-bit flips in one
+  // lane's two words cancels, over random and all-zero data.
+  constexpr std::size_t kStripe = 256;
+  constexpr std::size_t kLaneBits = 2 * 64;
+  const auto bit_at = [](std::size_t lane, std::size_t k) {
+    return (k < 64 ? 0 : kStripe * 8) + lane * 64 + k % 64;
+  };
+  for (std::vector<std::byte> bytes : {util::Rng(13).bytes(2 * kStripe),
+                                       std::vector<std::byte>(2 * kStripe)}) {
+    const std::uint64_t base = gtm_paquet_checksum(bytes, 5, 5);
+    std::size_t missed = 0;
+    for (std::size_t lane = 0; lane < 32; ++lane) {
+      for (std::size_t a = 0; a < kLaneBits; ++a) {
+        const std::size_t i = bit_at(lane, a);
+        bytes[i / 8] ^= static_cast<std::byte>(1u << (i % 8));
+        for (std::size_t b = a + 1; b < kLaneBits; ++b) {
+          const std::size_t j = bit_at(lane, b);
+          bytes[j / 8] ^= static_cast<std::byte>(1u << (j % 8));
+          missed += gtm_paquet_checksum(bytes, 5, 5) == base ? 1 : 0;
+          bytes[j / 8] ^= static_cast<std::byte>(1u << (j % 8));
+        }
+        bytes[i / 8] ^= static_cast<std::byte>(1u << (i % 8));
+      }
+    }
+    EXPECT_EQ(missed, 0u);
+  }
+}
+
+TEST(GenericTm, DispatchedDigestEqualsThePortableLoop) {
+  // Whichever kernel this host runs, its digest equals the portable
+  // loop's, copying or not, at every size through three stripes and
+  // every tail, both paquet sizes, and every source and destination
+  // alignment: a host without the vector kernel computes the same
+  // trailers.
+  constexpr std::size_t kStripe = 256;
+  constexpr std::size_t kLargest = 128 * 1024 + 13;
+  std::vector<std::size_t> sizes;
+  for (std::size_t size = 0; size <= 2 * kStripe + 257; ++size) {
+    sizes.push_back(size);
+  }
+  sizes.push_back(8 * 1024);
+  sizes.push_back(kLargest);
+  const std::vector<std::byte> source = util::Rng(11).bytes(kLargest + 7);
+  std::vector<std::byte> dispatched(kLargest + 7);
+  std::vector<std::byte> portable(kLargest + 7);
+  for (const std::size_t size : sizes) {
+    for (std::size_t src_at = 0; src_at < 8; ++src_at) {
+      const util::ByteSpan src(source.data() + src_at, size);
+      const std::uint64_t digest = detail::portable_digest(src);
+      ASSERT_EQ(gtm_digest(src), digest) << "size " << size << " src+"
+                                         << src_at;
+      for (std::size_t dst_at = 0; dst_at < 8; ++dst_at) {
+        const util::MutByteSpan to(dispatched.data() + dst_at, size);
+        const util::MutByteSpan ref(portable.data() + dst_at, size);
+        ASSERT_EQ(gtm_copy_digest(to, src), digest)
+            << "size " << size << " src+" << src_at << " dst+" << dst_at;
+        ASSERT_EQ(detail::portable_copy_digest(ref, src), digest)
+            << "size " << size << " src+" << src_at << " dst+" << dst_at;
+        ASSERT_TRUE(std::equal(src.begin(), src.end(), ref.begin()))
+            << "size " << size << " src+" << src_at << " dst+" << dst_at;
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -12,6 +13,25 @@
 
 namespace mad::net {
 namespace {
+
+// A sender's wait on the ack board, as the window sender reads it:
+// re-read view() after every wake until a cumulative ack covering
+// (epoch, seq) is visible, or `deadline` passes.
+bool cum_acked_by(sim::Engine& eng, AckRegistry& acks, std::uint64_t tag,
+                  int receiver_nic, std::uint32_t epoch, std::uint32_t seq,
+                  sim::Time deadline) {
+  for (;;) {
+    const AckView view = acks.view(tag, receiver_nic, epoch);
+    if (view.has_cum && view.cum_seq >= seq) {
+      return true;
+    }
+    if (eng.now() >= deadline) {
+      return false;
+    }
+    acks.wait_activity(tag, receiver_nic,
+                       std::min(deadline, view.next_visible));
+  }
+}
 
 TEST(FaultInjector, SameSeedSameVerdictSequence) {
   FaultPlan plan;
@@ -212,7 +232,7 @@ TEST(AckRegistry, AwaitSeesPostAfterVisibilityDelay) {
               /*visible=*/sim::microseconds(10));
   });
   eng.spawn("sender", [&] {
-    got = acks.await(7, 1, 1, 0, sim::milliseconds(1));
+    got = cum_acked_by(eng, acks, 7, 1, 1, 0, sim::milliseconds(1));
     EXPECT_EQ(eng.now(), sim::microseconds(10));
   });
   eng.run();
@@ -224,7 +244,7 @@ TEST(AckRegistry, AwaitTimesOutWithoutPost) {
   AckRegistry acks(eng, "acks");
   bool got = true;
   eng.spawn("sender", [&] {
-    got = acks.await(7, 1, 1, 0, sim::milliseconds(2));
+    got = cum_acked_by(eng, acks, 7, 1, 1, 0, sim::milliseconds(2));
     EXPECT_EQ(eng.now(), sim::milliseconds(2));
   });
   eng.run();
@@ -236,7 +256,8 @@ TEST(AckRegistry, HigherSeqSatisfiesLowerAwait) {
   AckRegistry acks(eng, "acks");
   bool got = false;
   eng.spawn("receiver", [&] { acks.post(7, 1, 1, /*seq=*/5, 0); });
-  eng.spawn("sender", [&] { got = acks.await(7, 1, 1, /*seq=*/3, 10); });
+  eng.spawn("sender",
+            [&] { got = cum_acked_by(eng, acks, 7, 1, 1, /*seq=*/3, 10); });
   eng.run();
   EXPECT_TRUE(got);
 }
@@ -251,8 +272,10 @@ TEST(AckRegistry, StaleEpochNeitherSatisfiesNorRegresses) {
     acks.post(7, 1, /*epoch=*/1, /*seq=*/9, 0);  // stale: ignored
   });
   eng.spawn("sender", [&] {
-    old_epoch = acks.await(7, 1, /*epoch=*/1, /*seq=*/0, sim::seconds(1));
-    new_epoch = acks.await(7, 1, /*epoch=*/2, /*seq=*/0, sim::seconds(1));
+    old_epoch = cum_acked_by(eng, acks, 7, 1, /*epoch=*/1, /*seq=*/0,
+                             sim::seconds(1));
+    new_epoch = cum_acked_by(eng, acks, 7, 1, /*epoch=*/2, /*seq=*/0,
+                             sim::seconds(1));
   });
   eng.run();
   EXPECT_FALSE(old_epoch);
@@ -266,8 +289,10 @@ TEST(AckRegistry, StreamsAreKeyedByTagAndReceiver) {
   bool right_nic = false;
   eng.spawn("receiver", [&] { acks.post(7, /*receiver_nic=*/2, 1, 0, 0); });
   eng.spawn("sender", [&] {
-    wrong_nic = acks.await(7, /*receiver_nic=*/1, 1, 0, sim::seconds(1));
-    right_nic = acks.await(7, /*receiver_nic=*/2, 1, 0, sim::seconds(1));
+    wrong_nic = cum_acked_by(eng, acks, 7, /*receiver_nic=*/1, 1, 0,
+                             sim::seconds(1));
+    right_nic = cum_acked_by(eng, acks, 7, /*receiver_nic=*/2, 1, 0,
+                             sim::seconds(1));
   });
   eng.run();
   EXPECT_FALSE(wrong_nic);
@@ -426,7 +451,8 @@ TEST(FaultNetwork, OneWayLinkDownLetsAcksThrough) {
                      /*epoch=*/1, /*seq=*/0);
   });
   eng.spawn("sender", [&] {
-    got = rig.net.acks().await(7, 1, 1, 0, sim::milliseconds(1));
+    got = cum_acked_by(eng, rig.net.acks(), 7, 1, 1, 0,
+                       sim::milliseconds(1));
   });
   eng.run();
   EXPECT_TRUE(got);
@@ -443,7 +469,8 @@ TEST(FaultNetwork, SymmetricLinkDownSuppressesAcksToo) {
     rig.net.post_ack(7, /*receiver_nic=*/1, /*sender_nic=*/0, 1, 0);
   });
   eng.spawn("sender", [&] {
-    got = rig.net.acks().await(7, 1, 1, 0, sim::milliseconds(1));
+    got = cum_acked_by(eng, rig.net.acks(), 7, 1, 1, 0,
+                       sim::milliseconds(1));
   });
   eng.run();
   EXPECT_FALSE(got);
@@ -557,7 +584,8 @@ TEST(FaultNetwork, PostAckSuppressedWhileReceiverCrashed) {
                      /*epoch=*/1, /*seq=*/0);
   });
   eng.spawn("sender", [&] {
-    got = rig.net.acks().await(7, 0, 1, 0, sim::milliseconds(1));
+    got = cum_acked_by(eng, rig.net.acks(), 7, 0, 1, 0,
+                       sim::milliseconds(1));
   });
   eng.run();
   EXPECT_FALSE(got);
