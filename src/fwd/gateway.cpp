@@ -14,10 +14,9 @@
 // flow mode its upstream hop's relay actor) hands its relay items (block
 // headers, fragments, the end marker) through a mailbox to its one send
 // actor, which runs the egress; paquet k leaves while paquet k+1 arrives,
-// within the pipeline budget. Store-then-send (a reliable striped rail)
-// hands a message over at its end marker. A reliable relay keeps every
-// block; after a failed egress the receiving actor's failover loop
-// replays them on a freshly picked route.
+// within the pipeline budget. A striped rail is one more such message. A
+// reliable relay keeps every block; after a failed egress the receiving
+// actor's failover loop replays them on a freshly picked route.
 #include "fwd/gateway.hpp"
 
 #include <algorithm>
@@ -165,10 +164,9 @@ struct Transfer {
     items.set_capacity(capacity);
     outcome.reset();
   }
-  /// Once the message is over: gives back its stored fragments, drops the
-  /// items a store-then-send relay never handed over and closes the egress.
+  /// Once the message is over: gives back its stored fragments and closes
+  /// the egress.
   void end() {
-    items.clear();
     blocks.clear();
     egress.reset();
   }
@@ -367,17 +365,14 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   }
 
   /// The relay path (ARCHITECTURE.md §5): ingress → send actor → egress,
-  /// then the failover loop here. Store-then-send (a reliable striped
-  /// rail, whose reassembly assumes a rail appears downstream
-  /// all-or-nothing) first receives and acks the whole message. Known
-  /// limitation: if THIS gateway crashes after the upstream acks completed
-  /// but before downstream delivery, the message is lost.
+  /// then the failover loop here. Known limitation (§8): if THIS gateway
+  /// crashes after the upstream acked a paquet but before it went
+  /// downstream, the message is lost.
   void relay(MessageReader& in, const GtmMsgHeader& hdr,
              const std::optional<GtmStripeHeader>& stripe, TrafficClass cls,
              Sender& sender, const std::shared_ptr<Transfer>& t) {
     const VcOptions& options = vc_.options();
     const bool reliable = (hdr.flags & kGtmFlagReliable) != 0;
-    const bool store_first = reliable && stripe;
     const int flow = flow_id_for(static_cast<NodeRank>(hdr.origin), cls);
     // Item queue bound. Unreliable: pipeline_depth - 1 items plus the
     // paquet being received reproduce the paper's buffer budget. Reliable:
@@ -391,47 +386,29 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     std::size_t capacity = 0;
     if (!reliable) {
       capacity = static_cast<std::size_t>(options.pipeline_depth - 1);
-    } else if (flow_sched_ != nullptr && !store_first) {
+    } else if (flow_sched_ != nullptr) {
       capacity = static_cast<std::size_t>(
           static_cast<double>(options.flow.queue_limit) *
           std::max(1.0, flow_sched_->weight_of(flow)));
     }
     t->begin(hdr, cls, flow, capacity);
+    Egress& egress = t->egress.emplace(
+        vc_, self_, hdr, stripe, rail_, static_cast<std::uint64_t>(self_)
+                                            << 40);
+    egress.pick_route();
+    sender.hand(t);
     // Every exit from here, a throw included, ends the message, once the
     // send actor is done with it (at engine shutdown one still pumping
     // keeps it).
     struct EndTransfer {
       Transfer& t;
-      bool handed = false;
       ~EndTransfer() {
-        if (!handed || t.outcome) {
+        if (t.outcome) {
           t.end();
         }
       }
     } ending{*t};
-    Egress& egress = t->egress.emplace(
-        vc_, self_, hdr, stripe, rail_, static_cast<std::uint64_t>(self_)
-                                            << 40);
-    // A reliable delivery begun at the first check stands down quietly once
-    // this gateway's own NIC crashed, even if it has recovered since: its
-    // suppressed acks must not condemn healthy peers, and the downstream
-    // copy may already exist.
-    std::optional<sim::Time> since;
-    const auto stand_down = [&] {
-      if (!since) {
-        since = engine_.now();
-      }
-      return vc_.node_crashed_within(self_, *since);
-    };
-    if (!store_first) {
-      egress.pick_route();
-      sender.hand(t);
-      ending.handed = true;
-    }
-    // detect_dead: an upstream that dies (or is rerouted away) mid-stream
-    // abandons its half-sent message, and a blocking receiver would wait
-    // on the rest of it forever.
-    HopReader hop(vc_, self_, in, in_channel_, hdr, /*detect_dead=*/true);
+    HopReader hop(vc_, self_, in, in_channel_, hdr);
     try {
       for (GtmBlockHeader bh = hop.block_header(); bh.end_of_message == 0;
            bh = hop.block_header()) {
@@ -444,13 +421,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
           RelayItem item = receive_fragment(
               in, hop, *t, fragment_size(bh.size, vc_.mtu(), i));
           const std::uint32_t size = item.size;
-          if (!store_first) {
-            item.queued_at = engine_.now();
-          }
+          item.queued_at = engine_.now();
           t->items.send(std::move(item));
-          if (!store_first) {
-            note_queued(*t, hop.receiver(), size);
-          }
+          note_queued(*t, hop.receiver(), size);
         }
       }
       hop.finish();
@@ -460,32 +433,30 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       // abandon the partial relay once the send actor has stopped — the
       // origin replays on a surviving route, and downstream readers adopt
       // the replayed stream.
-      if (!store_first) {
-        t->items.send(RelayItem::of(RelayItem::Kind::Abort));
-        while (!t->outcome) {
-          t->done.wait();
-        }
+      t->items.send(RelayItem::of(RelayItem::Kind::Abort));
+      while (!t->outcome) {
+        t->done.wait();
       }
       throw;
-    }
-    if (store_first) {
-      if (stand_down()) {
-        return;
-      }
-      egress.pick_route();
-      sender.hand(t);
-      ending.handed = true;
     }
     while (!t->outcome) {
       t->done.wait();
     }
-    // Store-then-send began its delivery at the hand-over; a cut-through
-    // one begins it once the failover loop has booked the setback, at its
-    // first check.
-    if (t->outcome->ok() ||
-        (store_first ? stand_down() : vc_.node_crashed(self_))) {
+    if (t->outcome->ok() || vc_.node_crashed(self_)) {
       return;
     }
+    // The redelivery begins once the failover loop has booked the setback,
+    // at the first check, and stands down quietly once this gateway's own
+    // NIC crashed, even if it has recovered since: its suppressed acks
+    // must not condemn healthy peers, and the downstream copy may already
+    // exist.
+    std::optional<sim::Time> since;
+    const auto stand_down = [&] {
+      if (!since) {
+        since = engine_.now();
+      }
+      return vc_.node_crashed_within(self_, *since);
+    };
     std::vector<RelayItem> bundle;
     egress.recover(*t->outcome, [&] { return replay(*t, bundle); },
                    stand_down);
@@ -843,10 +814,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
            ",class=" + std::string(traffic_class_name(cls));
   }
 
-  /// Queue accounting for one fragment a send actor's mailbox just took
-  /// (a store-then-send queue fills before its send actor starts and a
-  /// replay reads the stored blocks, so neither builds a standing egress
-  /// queue: they are governed by the message budgets alone). The admission byte
+  /// Queue accounting for one fragment a send actor's mailbox just took (a
+  /// replay reads the stored blocks, so it builds no standing egress queue:
+  /// it is governed by the message budgets alone). The admission byte
   /// ledger counts it; in flow mode the depth histogram samples the queue,
   /// and once the flow's queue reaches its threshold an ECN-style mark goes
   /// to the upstream sender — the egress scheduler is serving other flows
@@ -934,7 +904,7 @@ void spawn_gateway_actors(VirtualChannel& vc) {
     for (const int local : vc.topology().networks_of(rank)) {
       // One relay actor per (gateway, network, rail): each rail's channel
       // pair gets its own listener, so striped rails relay concurrently
-      // and never serialize behind each other's store-and-forward.
+      // and never serialize behind each other.
       for (int rail = 0; rail < vc.max_rails(); ++rail) {
         std::string actor_name = vc.name() + ".gw." + std::to_string(rank) +
                                  "." + vc.network(local).name();

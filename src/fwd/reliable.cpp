@@ -604,13 +604,12 @@ void ReliableSender::drain_to(std::size_t target) {
 
 ReliableReceiver::ReliableReceiver(VirtualChannel& vc, NodeRank self,
                                    Channel& in_channel, NodeRank peer,
-                                   std::uint32_t epoch, bool detect_dead)
+                                   std::uint32_t epoch)
     : vc_(vc),
       self_(self),
       in_channel_(in_channel),
       peer_(peer),
       epoch_(epoch),
-      detect_dead_(detect_dead),
       self_nic_(in_channel.tm().nic().index()),
       charge_delivery_(in_channel.tm().model().rx_static() ||
                        in_channel.tm().model().hybrid()),
@@ -673,24 +672,20 @@ ReliableReceiver::Verified ReliableReceiver::receive(
 
   for (;;) {
     util::Bytes arrived;
-    if (detect_dead_) {
-      // Poll in ack_timeout slices so a dead upstream peer is noticed:
-      // the stream it was feeding will never complete, and the origin's
-      // replay arrives on a fresh stream (reader adoption).
-      for (;;) {
-        std::optional<util::Bytes> got = in.take_paquet_until(
-            engine.now() + vc_.options().reliable.ack_timeout);
-        if (got.has_value()) {
-          arrived = std::move(*got);
-          break;
-        }
-        if (vc_.is_dead(peer_) || vc_.node_crashed(peer_) ||
-            vc_.node_crashed(self_)) {
-          throw PeerDied{peer_};
-        }
+    // Poll in ack_timeout slices so a dead upstream peer is noticed: the
+    // stream it was feeding will never complete, and the origin's replay
+    // arrives on a fresh stream (StreamReader adoption).
+    for (;;) {
+      std::optional<util::Bytes> got = in.take_paquet_until(
+          engine.now() + vc_.options().reliable.ack_timeout);
+      if (got.has_value()) {
+        arrived = std::move(*got);
+        break;
       }
-    } else {
-      arrived = in.take_paquet();
+      if (vc_.is_dead(peer_) || vc_.node_crashed(peer_) ||
+          vc_.node_crashed(self_)) {
+        throw PeerDied{peer_};
+      }
     }
     const std::size_t wire_size = arrived.size();
     // Verify the trailer. When its fields, as they arrived, name this
@@ -819,11 +814,11 @@ void ReliableReceiver::complete(std::uint32_t last_seq) {
 
 HopReader::HopReader(VirtualChannel& vc, NodeRank self,
                      MessageReader& reader, Channel& channel,
-                     const GtmMsgHeader& header, bool detect_dead)
+                     const GtmMsgHeader& header)
     : reader_(reader), mtu_(vc.mtu()) {
   if ((header.flags & kGtmFlagReliable) != 0) {
     rel_ = std::make_unique<ReliableReceiver>(
-        vc, self, channel, reader.source(), header.epoch, detect_dead);
+        vc, self, channel, reader.source(), header.epoch);
   }
 }
 

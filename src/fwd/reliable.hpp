@@ -135,10 +135,11 @@ struct HopFailure {
   int attempts = 0;
 };
 
-/// Thrown by a ReliableReceiver in detect_dead mode when the upstream peer
-/// is marked dead or crashed while the receiver waits for the next paquet.
-/// The virtual-channel reader turns this into stream adoption (waiting for
-/// the origin's replayed message on the failover route).
+/// Thrown by a ReliableReceiver when the upstream peer is marked dead or
+/// crashed while the receiver waits for the next paquet. The final
+/// receiver's StreamReader turns this into stream adoption (waiting for the
+/// origin's replayed message on the failover route); a gateway relay
+/// abandons the stream.
 struct PeerDied {
   NodeRank peer = -1;
 };
@@ -364,14 +365,14 @@ class ReliableSender {
 
 /// Sliding-window receiver for one hop of one open GTM message: validates,
 /// deduplicates and reorders incoming paquets, releasing them strictly in
-/// (epoch, seq) order. With detect_dead set, receive waits poll in
-/// ack_timeout slices and throw PeerDied once the upstream peer is marked
-/// dead or crashed — a blocking receiver would hang forever on a stream
-/// whose sender died mid-message.
+/// (epoch, seq) order. Receive waits poll in ack_timeout slices and throw
+/// PeerDied once the upstream peer is marked dead or crashed: gateways relay
+/// streams cut through, and a blocking receiver would hang forever on a
+/// stream whose sender died mid-message.
 class ReliableReceiver {
  public:
   ReliableReceiver(VirtualChannel& vc, NodeRank self, Channel& in_channel,
-                   NodeRank peer, std::uint32_t epoch, bool detect_dead);
+                   NodeRank peer, std::uint32_t epoch);
   /// Gives any parked paquets back to the fabric's packet pool.
   ~ReliableReceiver();
   ReliableReceiver(const ReliableReceiver&) = delete;
@@ -421,7 +422,6 @@ class ReliableReceiver {
   Channel& in_channel_;
   NodeRank peer_;
   std::uint32_t epoch_;
-  bool detect_dead_;
   int self_nic_;
   /// Whether delivery into the caller's span is a software copy: the
   /// receiving NIC has static or hybrid receive buffers.
@@ -453,10 +453,10 @@ class HopReader {
  public:
   /// Reads the hop stream `header` opened on `channel`, sent by the
   /// upstream hop `reader.source()` — the last gateway in general, not the
-  /// origin. With `detect_dead` a reliable reader throws PeerDied when
-  /// that peer dies mid-stream.
+  /// origin. A reliable reader throws PeerDied when that peer dies
+  /// mid-stream.
   HopReader(VirtualChannel& vc, NodeRank self, MessageReader& reader,
-            Channel& channel, const GtmMsgHeader& header, bool detect_dead);
+            Channel& channel, const GtmMsgHeader& header);
 
   GtmBlockHeader block_header();
   /// One MTU fragment into `dst`; on a reliable stream, returns the

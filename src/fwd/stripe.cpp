@@ -163,6 +163,13 @@ Striper::Striper(VirtualChannel& vc, NodeRank src, NodeRank dst,
             vc.name() + ".stripe.done." + std::to_string(src)) {
   MAD_ASSERT(plans.size() >= 2, "striping needs at least two rails");
   MAD_ASSERT(plans.size() <= 0xFFFF, "rail count exceeds the wire format");
+  const bool alone = vc.endpoint(src).striping_to().insert(dst).second;
+  MAD_ASSERT(alone, "node " + std::to_string(src) +
+                        " began a striped message to node " +
+                        std::to_string(dst) +
+                        " while its previous one is still open: striped "
+                        "transfers from one origin to one destination must "
+                        "not overlap (VcOptions::max_rails)");
   sim::Engine& engine = vc.domain().engine();
   rails_.reserve(plans.size());
   for (std::size_t r = 0; r < plans.size(); ++r) {
@@ -180,7 +187,11 @@ Striper::Striper(VirtualChannel& vc, NodeRank src, NodeRank dst,
 // No assert on ended_: when a rail actor panics (no surviving route), the
 // exception unwinds the app actor's stack through this destructor while
 // the engine is shutting down — the rail actors never run again.
-Striper::~Striper() = default;
+Striper::~Striper() {
+  if (!ended_) {
+    vc_.endpoint(src_).striping_to().erase(dst_);
+  }
+}
 
 void Striper::feed(std::size_t rail, RailItem item) {
   // One credit per chunk: a rail that stopped draining (slow, regulated,
@@ -225,6 +236,7 @@ void Striper::end_packing() {
     done_.wait();
   }
   ended_ = true;
+  vc_.endpoint(src_).striping_to().erase(dst_);
 }
 
 void Striper::run_rail(std::size_t index) {
@@ -323,43 +335,28 @@ void Striper::run_rail(std::size_t index) {
 
 // ------------------------------------------------------------- Reassembler
 
-Reassembler::Reassembler(VcEndpoint& endpoint, VcIncoming& rail0,
-                         const GtmMsgHeader& header,
-                         const GtmStripeHeader& stripe)
+Reassembler::Reassembler(VcEndpoint& endpoint, StreamReader& rail0)
     : vc_(endpoint.vc()),
       self_(endpoint.rank()),
       mtu_(endpoint.vc().mtu()),
       progress_(endpoint.vc().domain().engine(),
                 endpoint.vc().name() + ".rxprogress." +
                     std::to_string(endpoint.rank())) {
+  const GtmMsgHeader& header = *rail0.incoming().gtm_header;
+  const GtmStripeHeader& stripe = rail0.incoming().stripe;
   MAD_ASSERT(stripe.rails >= 2, "striped message with fewer than two rails");
+  const auto origin = static_cast<NodeRank>(header.origin);
   std::vector<std::uint32_t> shares(stripe.rails, 0);
   shares[0] = stripe.share;
-  owned_.reserve(stripe.rails - 1u);
-  for (std::uint16_t r = 1; r < stripe.rails; ++r) {
-    StripeIncoming inc =
-        endpoint.collect_rail(header.origin, stripe.stripe_id, r);
-    MAD_ASSERT(inc.header.final_dst == static_cast<std::uint32_t>(self_),
-               "striped rail delivered to the wrong node");
-    MAD_ASSERT(inc.header.origin == header.origin,
-               "striped rail origin mismatch");
-    MAD_ASSERT(inc.header.mtu == header.mtu, "striped rail MTU mismatch");
-    MAD_ASSERT(inc.header.flags == header.flags,
-               "striped rail flags mismatch");
-    MAD_ASSERT(inc.stripe.rails == stripe.rails,
-               "striped rail count mismatch");
-    shares[r] = inc.stripe.share;
-    owned_.push_back(std::move(inc));
-  }
   rails_.resize(stripe.rails);
-  // Blocking (not detect_dead) reliable receivers: a striped rail is
-  // relayed two-phase, so a partial rail stream never reaches this node.
-  rails_[0].hop.emplace(vc_, self_, rail0.reader, *rail0.channel, header,
-                        /*detect_dead=*/false);
-  for (std::size_t r = 1; r < rails_.size(); ++r) {
-    StripeIncoming& inc = owned_[r - 1];
-    rails_[r].hop.emplace(vc_, self_, inc.reader, *inc.channel, inc.header,
-                          /*detect_dead=*/false);
+  rails_[0].stream = &rail0;
+  for (std::uint16_t r = 1; r < stripe.rails; ++r) {
+    VcIncoming inc = *endpoint.collect(
+        origin, GtmStripeHeader{stripe.stripe_id, r, stripe.rails, 0},
+        sim::kForever);
+    expect_message(inc, header, stripe, "striped rail does not match rail 0");
+    shares[r] = inc.stripe.share;
+    rails_[r].stream = &owned_.emplace_back(endpoint, std::move(inc));
   }
   schedule_ = StripeSchedule(std::move(shares));
   // One reader actor per rail: the rails' receive costs overlap instead of
@@ -380,9 +377,17 @@ Reassembler::Reassembler(VcEndpoint& endpoint, VcIncoming& rail0,
 void Reassembler::run_rail_rx(std::size_t rail) {
   RailRx& rx = rails_[rail];
   for (;;) {
+    // A rail with no job waits for the app's next unpack: its poller holds
+    // a reliable rail meanwhile (Park).
+    if (vc_.reliable() && rx.jobs->empty()) {
+      Park& park = *rx.stream->incoming().park;
+      park.reading = false;
+      park.changed.notify_all();
+    }
     RxJob job = rx.jobs->recv();
+    rx.stream->incoming().park->reading = true;
     if (job.end) {
-      rx.hop->end();
+      rx.stream->end();
       ++rx.completed;
       progress_.notify_all();
       break;
@@ -409,7 +414,7 @@ void Reassembler::join() {
 void Reassembler::read_chunk(std::size_t rail, util::MutByteSpan dst,
                              SendMode smode, RecvMode rmode) {
   RailRx& rx = rails_[rail];
-  rx.hop->block(dst, smode, rmode);
+  rx.stream->block(dst, smode, rmode);
   const std::uint64_t fragments = fragment_count(dst.size(), mtu_);
   rx.paquets += fragments;
   sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
@@ -441,10 +446,8 @@ void Reassembler::end_unpacking() {
   join();
   // Close and release the stripe-channel rails; rail 0 stays open for the
   // owning VcMessageReader to close.
-  for (StripeIncoming& inc : owned_) {
-    inc.reader.end_unpacking();
-    inc.park->done = true;
-    inc.park->changed.notify_all();
+  for (StreamReader& rail : owned_) {
+    rail.release();
   }
 }
 

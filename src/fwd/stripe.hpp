@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fwd/regulation.hpp"
@@ -154,7 +153,9 @@ class Striper {
 /// (rail 0 arrives on the regular channel and is owned by the
 /// VcMessageReader; rails >= 1 are claimed from the endpoint's stripe
 /// inbox by (origin, stripe_id, rail)), then replays the sender's chunk
-/// schedule to split unpack() destinations into per-rail chunk jobs.
+/// schedule to split unpack() destinations into per-rail chunk jobs. Each
+/// rail is a StreamReader, so a rail whose gateway dies mid-stream adopts
+/// the origin's repaired rail like any other forwarded stream.
 ///
 /// One reader actor per rail drains its stream CONCURRENTLY with the
 /// others — chunk destinations of different rails are disjoint spans, and
@@ -164,8 +165,7 @@ class Striper {
 /// win. unpack() returns once every chunk of that destination landed.
 class Reassembler {
  public:
-  Reassembler(VcEndpoint& endpoint, VcIncoming& rail0,
-              const GtmMsgHeader& header, const GtmStripeHeader& stripe);
+  Reassembler(VcEndpoint& endpoint, StreamReader& rail0);
 
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode);
 
@@ -190,7 +190,7 @@ class Reassembler {
   };
 
   struct RailRx {
-    std::optional<HopReader> hop;
+    StreamReader* stream = nullptr;
     std::uint64_t paquets = 0;
     std::unique_ptr<sim::Mailbox<RxJob>> jobs;
     std::uint64_t enqueued = 0;
@@ -207,8 +207,8 @@ class Reassembler {
   VirtualChannel& vc_;
   NodeRank self_;
   std::uint32_t mtu_;
-  std::vector<StripeIncoming> owned_;  // rails 1..k-1, in rail order
-  std::vector<RailRx> rails_;          // all k rails, rail 0 first
+  std::deque<StreamReader> owned_;  // rails 1..k-1, in rail order
+  std::vector<RailRx> rails_;       // all k rails, rail 0 first
   StripeSchedule schedule_;
   sim::Condition progress_;
 };

@@ -24,6 +24,20 @@ constexpr sim::Time kRejectBackoff = sim::milliseconds(2);
 constexpr double kRejectBackoffFactor = 2.0;
 constexpr sim::Time kRejectBackoffCap = sim::milliseconds(100);
 
+/// Reads the heads a forwarded message's polling actor left on its stream:
+/// the GTM header, unless a reliable poller pre-read it, and a striped
+/// message's rail 0 stripe header.
+void read_heads(VcIncoming& incoming) {
+  if (!incoming.gtm_header) {
+    incoming.gtm_header = read_msg_header(incoming.reader);
+  }
+  if ((incoming.gtm_header->flags & kGtmFlagStriped) != 0) {
+    incoming.stripe = read_stripe_header(incoming.reader);
+    MAD_ASSERT(incoming.stripe.rail == 0,
+               "rail 0 must arrive on the regular channel");
+  }
+}
+
 }  // namespace
 
 void FlowOptions::validate(bool reliable_enabled) const {
@@ -516,93 +530,69 @@ void VirtualChannel::spawn_pollers() {
   sim::Engine& engine = domain_.engine();
   for (const auto& [rank, endpoint] : endpoints_) {
     for (const int local : topology_->networks_of(rank)) {
-      Channel& channel = regular_channel(local, rank);
-      VcEndpoint* ep = endpoint.get();
-      const std::string actor_name = name_ + ".poll." + std::to_string(rank) +
-                                     "." + network(local).name();
-      engine.spawn(
-          actor_name,
-          [this, &channel, ep, actor_name] {
-            sim::Engine& eng = domain_.engine();
-            for (;;) {
-              channel.wait_incoming();
-              MessageReader reader = channel.begin_unpacking();
-              Preamble preamble{};
-              std::optional<GtmMsgHeader> header;
-              if (options_.reliable.enabled) {
-                // Boundary parse: skips late retransmits and ghost framing
-                // of finished streams; pre-reads the GTM header of a
-                // forwarded message (the ghost filter needs its epoch).
-                preamble =
-                    read_stream_head(reader, channel, ep->rank(), header);
-              } else {
-                preamble = read_preamble(reader);
-              }
-              auto done =
-                  std::make_shared<sim::Condition>(eng, actor_name + ".done");
-              ep->inbox().send(VcIncoming{std::move(reader), preamble,
-                                          header, &channel, done});
-              // Serialize messages per real channel: the next
-              // begin_unpacking would otherwise steal packets of the
-              // message the application is still consuming.
-              done->wait();
-            }
-          },
-          /*daemon=*/true);
-      // Stripe-channel pollers (rails >= 1): read all three bootstrap
-      // headers so the park is already matchable by (origin, stripe_id,
-      // rail), then serialize per channel exactly like the regular poller.
-      for (int rail = 1; rail < options_.max_rails; ++rail) {
-        Channel& stripe_channel = rail_regular_channel(local, rail, rank);
-        const std::string stripe_name = name_ + ".stpoll" +
-                                        std::to_string(rail) + "." +
-                                        std::to_string(rank) + "." +
-                                        network(local).name();
+      // Rail 0 is the regular channel. A stripe channel (rail >= 1) also
+      // reads the stripe header, so its park is already matchable by
+      // (origin, stripe_id, rail).
+      for (int rail = 0; rail < options_.max_rails; ++rail) {
+        Channel& channel = rail_regular_channel(local, rail, rank);
+        VcEndpoint* ep = endpoint.get();
+        const std::string actor_name =
+            name_ +
+            (rail == 0 ? ".poll." : ".stpoll" + std::to_string(rail) + ".") +
+            std::to_string(rank) + "." + network(local).name();
         engine.spawn(
-            stripe_name,
-            [this, &stripe_channel, ep, stripe_name, rail] {
+            actor_name,
+            [this, &channel, ep, actor_name, rail] {
               sim::Engine& eng = domain_.engine();
               for (;;) {
-                stripe_channel.wait_incoming();
-                MessageReader reader = stripe_channel.begin_unpacking();
+                channel.wait_incoming();
+                MessageReader reader = channel.begin_unpacking();
                 Preamble preamble{};
-                GtmMsgHeader header{};
+                std::optional<GtmMsgHeader> header;
                 GtmStripeHeader stripe{};
                 if (options_.reliable.enabled) {
-                  std::optional<GtmMsgHeader> h;
-                  preamble = read_stream_head(reader, stripe_channel,
-                                              ep->rank(), h, &stripe);
-                  MAD_ASSERT(h.has_value(),
-                             "native message on a stripe channel");
-                  header = *h;
+                  // Boundary parse: skips late retransmits and ghost
+                  // framing of finished streams; pre-reads the GTM header
+                  // of a forwarded message (the ghost filter needs its
+                  // epoch).
+                  preamble = read_stream_head(reader, channel, ep->rank(),
+                                              header,
+                                              rail > 0 ? &stripe : nullptr);
                 } else {
                   preamble = read_preamble(reader);
-                  MAD_ASSERT(preamble.forwarded != 0,
-                             "native message on a stripe channel");
-                  header = read_msg_header(reader);
-                  stripe = read_stripe_header(reader);
+                  if (rail > 0 && preamble.forwarded != 0) {
+                    header = read_msg_header(reader);
+                    stripe = read_stripe_header(reader);
+                  }
                 }
-                MAD_ASSERT((header.flags & kGtmFlagStriped) != 0,
-                           "non-striped message on a stripe channel");
-                MAD_ASSERT(stripe.rail == static_cast<std::uint16_t>(rail),
-                           "rail delivered on the wrong stripe channel");
-                const Connection& conn =
-                    stripe_channel.connection_to(reader.source());
-                auto park =
-                    std::make_shared<RailPark>(eng, stripe_name + ".done");
-                ep->stripe_inbox().send(StripeIncoming{
-                    std::move(reader), preamble, header, stripe,
-                    &stripe_channel, park});
-                // A reassembler claims its rails only once rail 0 has
-                // arrived, and a reliable rail is acked only as it is
-                // read: until then the rail is held, so its sender does
-                // not condemn this node for the wait. A hold covers one
+                if (rail > 0) {
+                  MAD_ASSERT(header && (header->flags & kGtmFlagStriped) != 0,
+                             "non-striped message on a stripe channel");
+                  MAD_ASSERT(stripe.rail == static_cast<std::uint16_t>(rail),
+                             "rail delivered on the wrong stripe channel");
+                }
+                const NodeRank from = reader.source();
+                const bool held = options_.reliable.enabled && header &&
+                                  (header->flags & kGtmFlagStriped) != 0;
+                auto park = std::make_shared<Park>(eng, actor_name + ".done");
+                (rail == 0 ? ep->inbox() : ep->stripe_inbox())
+                    .send(VcIncoming{std::move(reader), preamble, header,
+                                     stripe, &channel, park});
+                // Serialize messages per real channel: the next
+                // begin_unpacking would otherwise steal packets of the
+                // message the application is still consuming. A reliable
+                // rail is acked only as it is read, and a reassembler reads
+                // a rail only once rail 0 has arrived and only as far as
+                // the app unpacks, which may wait on another rail's repair:
+                // meanwhile the rail is held, so its sender does not
+                // condemn this node for the wait. A hold covers one
                 // ack_timeout, the shortest retransmit timer.
                 while (!park->done) {
-                  if (options_.reliable.enabled && !park->claimed) {
-                    stripe_channel.network().post_hold(
-                        conn.rx_tag, stripe_channel.tm().nic().index(),
-                        conn.peer_nic_index, header.epoch);
+                  if (held && !park->reading) {
+                    const Connection& conn = channel.connection_to(from);
+                    channel.network().post_hold(
+                        conn.rx_tag, channel.tm().nic().index(),
+                        conn.peer_nic_index, header->epoch);
                     park->changed.wait_until(eng.now() +
                                              options_.reliable.ack_timeout);
                   } else {
@@ -664,29 +654,34 @@ VcEndpoint::VcEndpoint(VirtualChannel& vc, NodeRank rank)
       stripe_inbox_(vc.domain().engine(), /*capacity=*/0,
                     vc.name() + ".stinbox." + std::to_string(rank)) {}
 
-StripeIncoming VcEndpoint::collect_rail(std::uint32_t origin,
-                                        std::uint32_t stripe_id,
-                                        std::uint16_t rail) {
-  StripeIncoming inc = *claim(
-      stripe_pending_,
-      [&] { return std::optional<StripeIncoming>(stripe_inbox_.recv()); },
-      [&](const StripeIncoming& inc) {
-        return inc.preamble.origin == origin &&
-               inc.stripe.stripe_id == stripe_id && inc.stripe.rail == rail;
-      });
-  inc.park->claimed = true;
-  inc.park->changed.notify_all();
+std::optional<VcIncoming> VcEndpoint::collect(NodeRank origin,
+                                              const GtmStripeHeader& stripe,
+                                              sim::Time deadline) {
+  const auto from = static_cast<std::uint32_t>(origin);
+  std::optional<VcIncoming> inc =
+      stripe.rail == 0
+          ? claim(
+                pending_, [&] { return inbox_.recv_until(deadline); },
+                [&](const VcIncoming& inc) {
+                  return inc.preamble.forwarded != 0 &&
+                         inc.preamble.origin == from;
+                })
+          : claim(
+                stripe_pending_,
+                [&] { return stripe_inbox_.recv_until(deadline); },
+                [&](const VcIncoming& inc) {
+                  return inc.preamble.origin == from &&
+                         inc.stripe.stripe_id == stripe.stripe_id &&
+                         inc.stripe.rail == stripe.rail;
+                });
+  if (inc) {
+    if (stripe.rail == 0) {
+      read_heads(*inc);
+    }
+    inc->park->reading = true;
+    inc->park->changed.notify_all();
+  }
   return inc;
-}
-
-std::optional<VcIncoming> VcEndpoint::collect_replacement(
-    NodeRank origin, sim::Time deadline) {
-  return claim(
-      pending_, [&] { return inbox_.recv_until(deadline); },
-      [&](const VcIncoming& inc) {
-        return inc.preamble.forwarded != 0 &&
-               inc.preamble.origin == static_cast<std::uint32_t>(origin);
-      });
 }
 
 VcMessageWriter VcEndpoint::begin_packing(NodeRank dst) {
@@ -816,95 +811,98 @@ void VcMessageWriter::end_packing() {
   ended_ = true;
 }
 
-// -------------------------------------------------------- VcMessageReader
+// ----------------------------------------------------------- StreamReader
 
-VcMessageReader::VcMessageReader(VcEndpoint& endpoint, VcIncoming incoming)
-    : incoming_(std::move(incoming)),
-      vc_(&endpoint.vc()),
-      endpoint_(&endpoint),
-      self_(endpoint.rank()) {
-  if (forwarded()) {
-    // In reliable mode the polling actor already pulled the header off the
-    // stream (its epoch drives the ghost filter); re-reading it here would
-    // desynchronize the stream.
-    gtm_header_ = incoming_->gtm_header ? *incoming_->gtm_header
-                                        : read_msg_header(incoming_->reader);
-    MAD_ASSERT(gtm_header_.final_dst ==
-                   static_cast<std::uint32_t>(endpoint.rank()),
-               "forwarded message delivered to the wrong node");
-    MAD_ASSERT(gtm_header_.origin == incoming_->preamble.origin,
-               "preamble/GTM origin mismatch");
-    MAD_ASSERT(gtm_header_.mtu == vc_->mtu(), "GTM MTU mismatch");
-    MAD_ASSERT(((gtm_header_.flags & kGtmFlagReliable) != 0) ==
-                   vc_->reliable(),
-               "reliable-mode mismatch between sender and receiver");
-    if (striped()) {
-      stripe_ = read_stripe_header(incoming_->reader);
-      MAD_ASSERT(stripe_.rail == 0,
-                 "rail 0 must arrive on the regular channel");
-    }
-  }
+void expect_message(const VcIncoming& incoming, const GtmMsgHeader& header,
+                    const GtmStripeHeader& stripe, const char* what) {
+  const GtmMsgHeader& got = *incoming.gtm_header;
+  MAD_ASSERT(got.final_dst == header.final_dst && got.origin == header.origin &&
+                 got.mtu == header.mtu && got.flags == header.flags &&
+                 incoming.stripe.stripe_id == stripe.stripe_id &&
+                 incoming.stripe.rails == stripe.rails,
+             what);
 }
 
-VcMessageReader::VcMessageReader(VcMessageReader&&) noexcept = default;
-VcMessageReader::~VcMessageReader() = default;
+StreamReader::StreamReader(VcEndpoint& endpoint, VcIncoming incoming)
+    : endpoint_(&endpoint), incoming_(std::move(incoming)) {}
 
-void VcMessageReader::ensure_reassembler() {
-  if (reassembler_ == nullptr) {
-    reassembler_ = std::make_unique<Reassembler>(*endpoint_, *incoming_,
-                                                 gtm_header_, stripe_);
-  }
-}
-
-HopReader& VcMessageReader::hop() {
+HopReader& StreamReader::hop() {
   if (hop_ == nullptr) {
-    // Gateways stream partial messages, so a dead upstream hop can strand
-    // this reader mid-message: poll for liveness.
     hop_ = std::make_unique<HopReader>(
-        *vc_, self_, incoming_->reader, *incoming_->channel, gtm_header_,
-        /*detect_dead=*/true);
+        endpoint_->vc(), endpoint_->rank(), incoming_->reader,
+        *incoming_->channel, *incoming_->gtm_header);
   }
   return *hop_;
 }
 
-void VcMessageReader::adopt() {
-  const NodeRank origin = source();
-  sim::Engine& engine = vc_->domain().engine();
-  const sim::Time poll = vc_->options().reliable.ack_timeout;
+void StreamReader::block(util::MutByteSpan dst, SendMode smode,
+                         RecvMode rmode) {
+  for (;;) {
+    try {
+      hop().block(dst, smode, rmode);
+      ++blocks_consumed_;
+      return;
+    } catch (const PeerDied&) {
+      adopt();  // restarts this block on the replayed stream
+    }
+  }
+}
+
+void StreamReader::end() {
+  for (;;) {
+    try {
+      // On a reliable stream the end marker is a paquet too: its ack
+      // confirms the whole stream made it across this hop.
+      hop().end();
+      return;
+    } catch (const PeerDied&) {
+      adopt();
+    }
+  }
+}
+
+void StreamReader::release() {
+  // In paquet mode the reader holds no partial-packet state, so closing an
+  // abandoned stream is a no-op at the BMM level.
+  incoming_->reader.end_unpacking();
+  incoming_->park->done = true;
+  incoming_->park->changed.notify_all();
+}
+
+void StreamReader::adopt() {
+  const GtmMsgHeader abandoned = *incoming_->gtm_header;
+  const GtmStripeHeader stripe = incoming_->stripe;
+  const auto origin = static_cast<NodeRank>(abandoned.origin);
+  const NodeRank self = endpoint_->rank();
+  VirtualChannel& vc = endpoint_->vc();
+  sim::Engine& engine = vc.domain().engine();
+  const sim::Time poll = vc.options().reliable.ack_timeout;
   std::vector<std::byte> skip;
   for (;;) {
     // Abandon the dead gateway's stream (or the replacement's, when its
-    // gateway died too): in paquet mode the reader holds no partial-packet
-    // state, so closing it is a no-op at the BMM level, and releasing
-    // `done` lets the polling actor pick up the replacement message on
-    // this same real channel.
-    incoming_->reader.end_unpacking();
-    incoming_->done->notify_all();
+    // gateway died too), which frees its polling actor to park the
+    // replacement when it arrives on this same real channel.
+    release();
     incoming_.reset();
     hop_.reset();
     while (!incoming_) {  // recheck reachability each ack_timeout slice
-      if (!vc_->routing().reachable(origin, self_)) {
-        MAD_PANIC("node " + std::to_string(self_) +
+      if (!vc.routing().reachable(origin, self)) {
+        MAD_PANIC("node " + std::to_string(self) +
                   " cannot adopt the stream from origin " +
                   std::to_string(origin) +
                   ": origin unreachable, no route survives the failed nodes");
       }
-      if (auto replacement =
-              endpoint_->collect_replacement(origin, engine.now() + poll)) {
-        incoming_.emplace(std::move(*replacement));
+      if (auto replay =
+              endpoint_->collect(origin, stripe, engine.now() + poll)) {
+        incoming_.emplace(std::move(*replay));
       }
     }
     MAD_ASSERT(incoming_->gtm_header.has_value(),
                "reliable replacement stream arrived without its header");
-    const GtmMsgHeader header = *incoming_->gtm_header;
-    MAD_ASSERT(header.final_dst == gtm_header_.final_dst &&
-                   header.origin == gtm_header_.origin &&
-                   header.mtu == gtm_header_.mtu &&
-                   header.flags == gtm_header_.flags,
-               "replayed message does not match the abandoned stream");
-    gtm_header_ = header;  // fresh epoch
-    // The origin replays the whole message; skip what was already
-    // consumed so unpack resumes exactly where the old stream broke.
+    expect_message(*incoming_, abandoned, stripe,
+                   "replayed message does not match the abandoned stream");
+    // The origin replays the whole stream; skip what was already consumed
+    // so reading resumes exactly where the old stream broke.
     try {
       for (std::uint64_t b = 0; b < blocks_consumed_; ++b) {
         const GtmBlockHeader h = hop().block_header();
@@ -920,30 +918,48 @@ void VcMessageReader::adopt() {
   }
 }
 
+// -------------------------------------------------------- VcMessageReader
+
+VcMessageReader::VcMessageReader(VcEndpoint& endpoint, VcIncoming incoming)
+    : endpoint_(&endpoint), stream_(endpoint, std::move(incoming)) {
+  if (forwarded()) {
+    VcIncoming& in = stream_.incoming();
+    read_heads(in);
+    const GtmMsgHeader& header = *in.gtm_header;
+    MAD_ASSERT(header.final_dst == static_cast<std::uint32_t>(endpoint.rank()),
+               "forwarded message delivered to the wrong node");
+    MAD_ASSERT(header.origin == in.preamble.origin,
+               "preamble/GTM origin mismatch");
+    MAD_ASSERT(header.mtu == endpoint.vc().mtu(), "GTM MTU mismatch");
+    MAD_ASSERT(((header.flags & kGtmFlagReliable) != 0) ==
+                   endpoint.vc().reliable(),
+               "reliable-mode mismatch between sender and receiver");
+  }
+}
+
+VcMessageReader::VcMessageReader(VcMessageReader&&) noexcept = default;
+VcMessageReader::~VcMessageReader() = default;
+
+void VcMessageReader::ensure_reassembler() {
+  if (reassembler_ == nullptr) {
+    reassembler_ = std::make_unique<Reassembler>(*endpoint_, stream_);
+  }
+}
+
 NodeRank VcMessageReader::source() const {
-  return static_cast<NodeRank>(incoming_->preamble.origin);
+  return static_cast<NodeRank>(stream_.incoming().preamble.origin);
 }
 
 void VcMessageReader::unpack(util::MutByteSpan dst, SendMode smode,
                              RecvMode rmode) {
   MAD_ASSERT(!ended_, "unpack after end_unpacking");
   if (!forwarded()) {
-    incoming_->reader.unpack(dst, smode, rmode);
-    return;
-  }
-  if (striped()) {
+    stream_.incoming().reader.unpack(dst, smode, rmode);
+  } else if (striped()) {
     ensure_reassembler();
     reassembler_->unpack(dst, smode, rmode);
-    return;
-  }
-  for (;;) {
-    try {
-      hop().block(dst, smode, rmode);
-      ++blocks_consumed_;
-      return;
-    } catch (const PeerDied&) {
-      adopt();  // restarts this block on the replayed stream
-    }
+  } else {
+    stream_.block(dst, smode, rmode);
   }
 }
 
@@ -954,21 +970,11 @@ void VcMessageReader::end_unpacking() {
     // reassembler yet — build it so rails 1..k-1 get claimed and closed).
     ensure_reassembler();
     reassembler_->end_unpacking();
-  } else {
-    while (forwarded()) {
-      try {
-        // On a reliable stream the end marker is a paquet too: its ack
-        // confirms the whole message made it across this hop.
-        hop().end();
-        break;
-      } catch (const PeerDied&) {
-        adopt();
-      }
-    }
+  } else if (forwarded()) {
+    stream_.end();
   }
-  incoming_->reader.end_unpacking();
   ended_ = true;
-  incoming_->done->notify_all();
+  stream_.release();
 }
 
 }  // namespace mad::fwd

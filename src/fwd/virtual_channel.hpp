@@ -122,8 +122,9 @@ struct VcOptions {
   /// pair. 1 = off (the default; no extra channels or actors exist).
   /// Striped transfers to one destination endpoint must not overlap in
   /// time (rails of interleaved messages on shared channels could block
-  /// each other); sequential transfers and different destinations are
-  /// unrestricted.
+  /// each other): an origin's begin_packing panics while it has a striped
+  /// writer to that destination open. Sequential transfers and different
+  /// destinations are unrestricted.
   int max_rails = 1;
   /// Overrides the MTU-derived per-rail shares (paquets per round-robin
   /// round) when non-empty — the "measured rate" weighting knob. Entries
@@ -374,42 +375,75 @@ class VirtualChannel {
   mutable std::map<std::pair<int, int>, std::unique_ptr<RdmaTm>> rdma_tms_;
 };
 
+/// What the polling actor that parked a message waits on: the reader
+/// releases it once done with the stream (`done`), and a reliable striped
+/// rail is held whenever no reader is `reading` it. `changed` is notified
+/// at each step.
+struct Park {
+  Park(sim::Engine& engine, const std::string& name) : changed(engine, name) {}
+  bool reading = false;
+  bool done = false;
+  sim::Condition changed;
+};
+
 /// One message arriving at an endpoint, parked after its preamble. The
-/// polling actor that produced it waits on `done` before opening the next
+/// polling actor that produced it waits on `park` before opening the next
 /// message of the same real channel, which serializes per-channel delivery.
 struct VcIncoming {
   MessageReader reader;
   Preamble preamble;
   /// Read early by the polling actor for forwarded reliable messages (it
-  /// needs the epoch to filter ghost reopens from duplicated framing); the
-  /// VcMessageReader then must not read it from the stream again.
+  /// needs the epoch to filter ghost reopens from duplicated framing), and
+  /// by the reader otherwise; never read from the stream twice.
   std::optional<GtmMsgHeader> gtm_header;
+  /// A striped message's stripe header: read by the stripe-channel poller
+  /// for rails >= 1, so the reassembler can match a parked rail to its
+  /// transfer by (origin, stripe_id, rail) without touching the stream,
+  /// and by the reader for rail 0.
+  GtmStripeHeader stripe{};
   Channel* channel = nullptr;
-  std::shared_ptr<sim::Condition> done;
+  std::shared_ptr<Park> park;
 };
 
-/// A parked rail's state, shared with the polling actor that parked it:
-/// its reassembler claims it, then reads it to the end. `changed` is
-/// notified at each step.
-struct RailPark {
-  RailPark(sim::Engine& engine, const std::string& name)
-      : changed(engine, name) {}
-  bool claimed = false;
-  bool done = false;
-  sim::Condition changed;
-};
+/// Panics with `what` unless `incoming` carries the same message as
+/// `header` and `stripe` describe (any rail of it).
+void expect_message(const VcIncoming& incoming, const GtmMsgHeader& header,
+                    const GtmStripeHeader& stripe, const char* what);
 
-/// One striped rail (rail >= 1) arriving on a stripe channel, parked by
-/// its polling actor with all three bootstrap headers already read, so
-/// the reassembler can match it to its transfer by (origin, stripe_id,
-/// rail) without touching the stream.
-struct StripeIncoming {
-  MessageReader reader;
-  Preamble preamble;
-  GtmMsgHeader header;
-  GtmStripeHeader stripe;
-  Channel* channel = nullptr;
-  std::shared_ptr<RailPark> park;
+/// The final receiver's reader of one forwarded stream: an unstriped
+/// message, or one rail of a striped one. Gateways relay streams cut
+/// through, so a gateway that dies mid-stream strands the rest of it: the
+/// reader then releases the stream, waits for the origin's replay on the
+/// failover route (rail 0 from the endpoint's inbox, a rail >= 1 from its
+/// stripe inbox) and skips the blocks it already consumed. It must not
+/// move once read from (its HopReader points into the incoming message).
+class StreamReader {
+ public:
+  StreamReader(VcEndpoint& endpoint, VcIncoming incoming);
+
+  VcIncoming& incoming() { return *incoming_; }
+  const VcIncoming& incoming() const { return *incoming_; }
+
+  /// One application block into `dst` (HopReader::block), resumed on the
+  /// replay when the upstream gateway dies.
+  void block(util::MutByteSpan dst, SendMode smode, RecvMode rmode);
+  /// The end marker (HopReader::end), likewise.
+  void end();
+  /// Closes the stream and lets its polling actor open the channel's next
+  /// message.
+  void release();
+
+ private:
+  // Created at the first read, for the movability reason above.
+  HopReader& hop();
+  void adopt();
+
+  VcEndpoint* endpoint_;
+  // An optional so adoption can replace it (VcIncoming is movable but not
+  // move-assignable).
+  std::optional<VcIncoming> incoming_;
+  std::unique_ptr<HopReader> hop_;
+  std::uint64_t blocks_consumed_ = 0;  // the prefix a replay skips
 };
 
 class VcEndpoint {
@@ -439,36 +473,39 @@ class VcEndpoint {
   }
 
   sim::Mailbox<VcIncoming>& inbox() { return inbox_; }
-  sim::Mailbox<StripeIncoming>& stripe_inbox() { return stripe_inbox_; }
+  sim::Mailbox<VcIncoming>& stripe_inbox() { return stripe_inbox_; }
 
-  /// Waits (until `deadline`) for a forwarded message from `origin` — the
-  /// replayed stream a reader adopts after its upstream gateway died.
-  /// Non-matching arrivals are stashed for later begin_unpacking calls.
-  std::optional<VcIncoming> collect_replacement(NodeRank origin,
-                                                sim::Time deadline);
-
-  /// Claims the parked rail message matching (origin, stripe_id, rail),
-  /// blocking until it arrives; non-matching arrivals are stashed for the
-  /// reassemblers they belong to.
-  StripeIncoming collect_rail(std::uint32_t origin, std::uint32_t stripe_id,
-                              std::uint16_t rail);
+  /// Claims the forwarded stream from `origin` that `stripe` names,
+  /// waiting until `deadline`: for rail 0 (or an unstriped message) the
+  /// next forwarded message from `origin` in the inbox, with its heads
+  /// read; for a rail >= 1 the parked rail matching (origin, stripe_id,
+  /// rail). Non-matching arrivals are stashed for their own claimants.
+  std::optional<VcIncoming> collect(NodeRank origin,
+                                    const GtmStripeHeader& stripe,
+                                    sim::Time deadline);
 
   /// Monotonic per-origin striped-transfer id.
   std::uint32_t next_stripe_id() { return stripe_seq_++; }
+
+  /// The destinations this node has a striped writer open to. Rails of two
+  /// such transfers share their channels and could each wait on the other
+  /// at the receiver, so a second one panics (VcOptions::max_rails).
+  std::set<NodeRank>& striping_to() { return striping_to_; }
 
  private:
   VirtualChannel& vc_;
   NodeRank rank_;
   sim::Mailbox<VcIncoming> inbox_;
-  sim::Mailbox<StripeIncoming> stripe_inbox_;
+  sim::Mailbox<VcIncoming> stripe_inbox_;
   // Messages received while hunting for a replacement stream; served to
-  // later begin_unpacking calls ahead of the inbox (a list for the same
-  // move-assignability reason as stripe_pending_).
+  // later begin_unpacking calls ahead of the inbox. Lists, so claiming one
+  // (erase) never needs VcIncoming to be move-assignable (MessageReader is
+  // not).
   std::list<VcIncoming> pending_;
-  // Parked rails not yet claimed; a list so claiming one (erase) never
-  // needs StripeIncoming to be move-assignable (MessageReader is not).
-  std::list<StripeIncoming> stripe_pending_;
+  // Parked rails not yet claimed.
+  std::list<VcIncoming> stripe_pending_;
   std::uint32_t stripe_seq_ = 0;
+  std::set<NodeRank> striping_to_;
 };
 
 class VcMessageWriter {
@@ -520,8 +557,11 @@ class VcMessageReader {
 
   /// The ORIGIN of the message (not the last gateway).
   NodeRank source() const;
-  bool forwarded() const { return incoming_->preamble.forwarded != 0; }
-  bool striped() const { return (gtm_header_.flags & kGtmFlagStriped) != 0; }
+  bool forwarded() const { return stream_.incoming().preamble.forwarded != 0; }
+  bool striped() const {
+    return forwarded() &&
+           (stream_.incoming().gtm_header->flags & kGtmFlagStriped) != 0;
+  }
   /// The reassembler of a striped message (per-rail paquet counts etc);
   /// exists once the first unpack ran.
   const Reassembler& reassembler() const { return *reassembler_; }
@@ -546,27 +586,13 @@ class VcMessageReader {
   // object, which must not move afterwards (readers are only moved
   // between begin_unpacking and the first unpack).
   void ensure_reassembler();
-  // The hop stream's reader (with its window receiver when reliable),
-  // created lazily at the first unpack for the same movability reason.
-  HopReader& hop();
-  // Reliable only: the upstream gateway died mid-stream.
-  // Abandons the current real-channel stream and waits for the origin's
-  // replayed message on the failover route, skipping the blocks this
-  // reader already consumed.
-  void adopt();
 
-  // An optional so adoption can replace it (VcIncoming is movable but not
-  // move-assignable).
-  std::optional<VcIncoming> incoming_;
-  VirtualChannel* vc_ = nullptr;
-  VcEndpoint* endpoint_ = nullptr;
-  NodeRank self_ = -1;
-  GtmMsgHeader gtm_header_;  // valid when forwarded()
-  GtmStripeHeader stripe_;   // valid when striped()
+  VcEndpoint* endpoint_;
+  // The message itself: a native one, an unstriped forwarded one, or a
+  // striped one's rail 0.
+  StreamReader stream_;
   std::unique_ptr<Reassembler> reassembler_;  // striped messages only
   bool ended_ = false;
-  std::uint64_t blocks_consumed_ = 0;  // completed blocks (adoption skip)
-  std::unique_ptr<HopReader> hop_;  // forwarded, unstriped messages
 };
 
 }  // namespace mad::fwd

@@ -82,16 +82,6 @@ class Mailbox {
   /// is invalidated by any mutation of the mailbox.
   const T* peek() const { return items_.empty() ? nullptr : &items_.front(); }
 
-  /// Drops every queued item, waking any sender blocked on a full box.
-  void clear() {
-    if (!items_.empty()) {
-      items_.clear();
-      if (capacity_ != 0) {
-        not_full_.notify_all();
-      }
-    }
-  }
-
   /// Sets the bound of an empty box (0 = unbounded).
   void set_capacity(std::size_t capacity) {
     MAD_ASSERT(items_.empty(), "rebounding a mailbox that holds items");

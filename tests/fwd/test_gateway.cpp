@@ -565,14 +565,14 @@ INSTANTIATE_TEST_SUITE_P(
                      {2825676, 1, 8, 97000},
                      {2731158, 1, 8, 97000},
                      {1907978, 2, 8, 97000},
-                     {2687901, 2, 8, 97000}}}},
+                     {2024357, 2, 8, 97000}}}},
         OriginCase{"Rdma", true,
                    {{{1516021, 0, 0, 0},
                      {2464960, 1, 8, 97000},
                      {2580325, 1, 8, 97000},
                      {2544538, 1, 8, 97000},
                      {1907978, 2, 8, 97000},
-                     {2687901, 2, 8, 97000}}}}),
+                     {2024357, 2, 8, 97000}}}}),
     [](const ::testing::TestParamInfo<OriginCase>& info) {
       return std::string(info.param.name);
     });
@@ -679,7 +679,8 @@ std::uint64_t counter_total(const sim::MetricsRegistry& metrics,
 }
 
 enum class Recovery { OriginFailover, OriginFailoverSafer,
-                      OriginFailoverCheaper, StripeRepair, ProactiveReroute,
+                      OriginFailoverCheaper, StripeRepair,
+                      StripeRepairBeforeRailZero, ProactiveReroute,
                       GatewayReject };
 
 struct RecoveryCase {
@@ -752,6 +753,7 @@ TEST_P(EgressRecoveryMatrix, EveryRecoveryPathIsPinned) {
       break;
     }
     case Recovery::StripeRepair:
+    case Recovery::StripeRepairBeforeRailZero:
       config = kDisjointConfig;
       options.max_rails = 2;
       sends.push_back({"m0", "s0", 1, {512 * 1024}});
@@ -782,7 +784,11 @@ TEST_P(EgressRecoveryMatrix, EveryRecoveryPathIsPinned) {
   }
   harness::ConfigWorld world(topo::parse_topo_config(config), options);
   world.fabric->metrics().enable();
-  if (c.scenario != Recovery::GatewayReject) {
+  if (c.scenario == Recovery::StripeRepairBeforeRailZero) {
+    // gw1 is down before rail 0's first paquet crosses it, so rail 1
+    // reaches s0 first and waits there unclaimed.
+    crash_node(world, "gw1", 0);
+  } else if (c.scenario != Recovery::GatewayReject) {
     crash_node(world, "gw1", sim::milliseconds(4));
   }
   const sim::Time one_way = run_sends(world, sends);
@@ -793,9 +799,11 @@ TEST_P(EgressRecoveryMatrix, EveryRecoveryPathIsPinned) {
   EXPECT_EQ(counter_total(metrics, "health.reroutes"), c.reroutes);
   EXPECT_EQ(counter_total(metrics, "stripe.repairs"), c.stripe_repairs);
   EXPECT_EQ(counter_total(metrics, "flow.reject_retries"), c.reject_retries);
-  if (c.scenario == Recovery::StripeRepair) {
-    // gw2 stores rail 1 and sends it to s0, which holds it unread until
-    // the repaired rail 0 arrives: gw2 spends no retry budget meanwhile.
+  if (c.scenario == Recovery::StripeRepair ||
+      c.scenario == Recovery::StripeRepairBeforeRailZero) {
+    // s0 holds rail 1 while it does not read it: unclaimed until the
+    // repaired rail 0 arrives, or claimed but idle until the app unpacks
+    // on. gw2 spends no retry budget meanwhile.
     const NodeRank gw2 = world.rank_of("gw2");
     EXPECT_EQ(world.vc->gateway_stats(gw2).reliability.timeouts, 0u);
   }
@@ -819,8 +827,11 @@ INSTANTIATE_TEST_SUITE_P(
                      601291130, 1, 1, 0, 0, 0},
         RecoveryCase{"OriginFailoverCheaper", Recovery::OriginFailoverCheaper,
                      601291130, 1, 1, 0, 0, 0},
-        RecoveryCase{"StripeRepair", Recovery::StripeRepair, 600960481, 1,
+        RecoveryCase{"StripeRepair", Recovery::StripeRepair, 594558784, 1,
                      1, 0, 1, 0},
+        RecoveryCase{"StripeRepairBeforeRailZero",
+                     Recovery::StripeRepairBeforeRailZero, 595000927, 1, 1, 0,
+                     1, 0},
         RecoveryCase{"ProactiveReroute", Recovery::ProactiveReroute,
                      1001895478, 1, 1, 1, 0, 0},
         RecoveryCase{"GatewayReject", Recovery::GatewayReject, 253177673, 0,

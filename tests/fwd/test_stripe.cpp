@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 #include "support/coc_rig.hpp"
+#include "util/panic.hpp"
 #include "util/rng.hpp"
 
 namespace mad {
@@ -227,31 +231,107 @@ TEST(Stripe, ReliableStripedTransferSurvivesPaquetLoss) {
   EXPECT_GT(retransmits, 0u);
 }
 
-TEST(Stripe, GatewayCrashMidStripeRepairsOntoSurvivingRoute) {
-  // The acceptance fault scenario: paquet loss on the SCI segment AND the
-  // rail-0 gateway crashing mid-stripe. The rail-0 sender actor must
-  // declare gw1 dead and replay its chunks via gw2 (the repair rail) while
-  // rail 1 streams on — the receiver sees every byte exactly once.
+/// The acceptance fault scenario: paquet loss on the SCI segment AND the
+/// gateway of one rail (gw1 = node 1 carries rail 0, gw2 = node 2 rail 1)
+/// crashing mid-stripe, after it relayed part of its rail. That rail's
+/// sender actor must declare the gateway dead and replay its chunks via the
+/// other gateway (the repair rail) while the other rail streams on. The
+/// message goes in 32 KB blocks, so the receiver adopts the repaired rail
+/// and skips the chunks it consumed across its earlier unpack calls: it
+/// sees every byte exactly once.
+void crash_mid_stripe(NodeRank gateway) {
   fwd::VcOptions options;
   options.paquet_size = 16 * 1024;
   options.reliable.enabled = true;
   options.max_rails = 2;
   DisjointRailRig rig(options);
   rig.fabric.metrics().enable();
+  const int rail = gateway - 1;
   net::FaultPlan sci_plan;
   sci_plan.seed = 29;
   sci_plan.drop_rate = 0.02;
   const sim::Time crash_at = sim::milliseconds(4);
-  sci_plan.crashes.push_back({/*nic_index=*/0, crash_at});  // gw1 on sci
+  sci_plan.crashes.push_back({/*nic_index=*/rail, crash_at});
   rig.sci.set_fault_plan(sci_plan);
   net::FaultPlan myri_plan;
-  myri_plan.crashes.push_back({/*nic_index=*/1, crash_at});  // gw1 on myri0
-  rig.myri_a.set_fault_plan(myri_plan);
+  myri_plan.crashes.push_back({/*nic_index=*/1, crash_at});
+  (gateway == 1 ? rig.myri_a : rig.myri_b).set_fault_plan(myri_plan);
   util::Rng rng(19);
   const std::size_t bytes = 1 << 20;
+  const std::size_t piece = 32 * 1024;
   const auto payload = rng.bytes(bytes);
   std::vector<std::byte> out(bytes);
   std::uint64_t rail_paquets[2] = {0, 0};
+  rig.engine.spawn("s", [&] {
+    auto msg = rig.ep(0).begin_packing(3);
+    EXPECT_TRUE(msg.striped());
+    for (std::size_t offset = 0; offset < bytes; offset += piece) {
+      msg.pack(util::ByteSpan(payload).subspan(offset, piece));
+    }
+    msg.end_packing();
+  });
+  rig.engine.spawn("r", [&] {
+    auto msg = rig.ep(3).begin_unpacking();
+    for (std::size_t offset = 0; offset < bytes; offset += piece) {
+      msg.unpack(util::MutByteSpan(out).subspan(offset, piece));
+    }
+    rail_paquets[0] = msg.reassembler().rail_paquets(0);
+    rail_paquets[1] = msg.reassembler().rail_paquets(1);
+    msg.end_unpacking();
+  });
+  rig.engine.run();
+  EXPECT_EQ(out, payload) << "repair rail lost or duplicated bytes";
+  EXPECT_TRUE(rig.vc->is_dead(gateway));
+  EXPECT_FALSE(rig.vc->is_dead(3 - gateway));
+  sim::MetricsRegistry& metrics = rig.fabric.metrics();
+  // The crashed gateway had sent part of its rail on, so the receiver
+  // adopted the repaired rail mid-stream.
+  EXPECT_GT(metrics
+                .histogram("gw.phase_us", "gateway=" +
+                                              std::to_string(gateway) +
+                                              ",phase=send")
+                .count(),
+            0u);
+  const fwd::ReliabilityStats& sender = rig.vc->gateway_stats(0).reliability;
+  EXPECT_GE(sender.peers_declared_dead, 1u);
+  EXPECT_GE(sender.failovers, 1u);
+  EXPECT_GE(metrics
+                .counter("stripe.repairs",
+                         "node=0,rail=" + std::to_string(rail))
+                .value,
+            1u);
+  // Every paquet of each rail's stream was delivered exactly once: the
+  // reassembler's per-rail counts add up to the fragments of every piece.
+  // (vc->mtu() is the reliable-mode payload size — the trailer is carved
+  // from the configured paquet size.)
+  const std::uint64_t mtu = rig.vc->mtu();
+  EXPECT_EQ(rail_paquets[0] + rail_paquets[1],
+            (bytes / piece) * ((piece + mtu - 1) / mtu));
+}
+
+TEST(Stripe, GatewayCrashMidStripeRepairsOntoSurvivingRoute) {
+  for (const NodeRank gateway : {1, 2}) {
+    SCOPED_TRACE("gw" + std::to_string(gateway) + " crashes");
+    crash_mid_stripe(gateway);
+  }
+}
+
+TEST(Stripe, ReliableRailRelaysCutThrough) {
+  // A reliable striped rail runs the same relay as every other stream:
+  // each rail's gateway sends paquet k while paquet k+1 arrives (paper
+  // §2.2.2, Fig 4), so its first send begins before its last receive ends.
+  sim::TraceSink trace;
+  trace.enable();
+  fwd::VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = true;
+  options.reliable.window = 8;
+  options.max_rails = 2;
+  options.trace = &trace;
+  DisjointRailRig rig(options);
+  util::Rng rng(43);
+  const auto payload = rng.bytes(1 << 20);
+  std::vector<std::byte> out(payload.size());
   rig.engine.spawn("s", [&] {
     auto msg = rig.ep(0).begin_packing(3);
     EXPECT_TRUE(msg.striped());
@@ -261,26 +341,76 @@ TEST(Stripe, GatewayCrashMidStripeRepairsOntoSurvivingRoute) {
   rig.engine.spawn("r", [&] {
     auto msg = rig.ep(3).begin_unpacking();
     msg.unpack(out);
-    rail_paquets[0] = msg.reassembler().rail_paquets(0);
-    rail_paquets[1] = msg.reassembler().rail_paquets(1);
     msg.end_unpacking();
   });
   rig.engine.run();
-  EXPECT_EQ(out, payload) << "repair rail lost or duplicated bytes";
-  EXPECT_TRUE(rig.vc->is_dead(1));
-  EXPECT_FALSE(rig.vc->is_dead(2));
-  const fwd::ReliabilityStats& sender = rig.vc->gateway_stats(0).reliability;
-  EXPECT_GE(sender.peers_declared_dead, 1u);
-  EXPECT_GE(sender.failovers, 1u);
-  EXPECT_GE(
-      rig.fabric.metrics().counter("stripe.repairs", "node=0,rail=0").value,
-      1u);
-  // Every paquet of each rail's stream was delivered exactly once: the
-  // reassembler's per-rail counts add up to the whole message. (vc->mtu()
-  // is the reliable-mode payload size — the trailer is carved from the
-  // configured paquet size.)
-  const std::uint64_t mtu = rig.vc->mtu();
-  EXPECT_EQ(rail_paquets[0] + rail_paquets[1], (bytes + mtu - 1) / mtu);
+  EXPECT_EQ(out, payload);
+  // A relay actor records its receives on its own track and its send
+  // actor its sends on that track + ".send".
+  std::map<std::string, std::pair<sim::Time, sim::Time>> relays;
+  for (const sim::TraceEvent& recv : trace.by_name("gw.recv")) {
+    auto& [first_send, last_recv] =
+        relays.try_emplace(recv.track, sim::kForever, 0).first->second;
+    last_recv = std::max(last_recv, recv.end);
+  }
+  for (const sim::TraceEvent& send : trace.by_name("gw.send")) {
+    const std::string& track = send.track;
+    auto& [first_send, last_recv] =
+        relays.at(track.substr(0, track.rfind(".send")));
+    first_send = std::min(first_send, send.begin);
+  }
+  ASSERT_EQ(relays.size(), 2u) << "one relay per rail";
+  for (const auto& [track, span] : relays) {
+    EXPECT_LT(span.first, span.second)
+        << track << " stored its whole rail before sending";
+  }
+}
+
+TEST(Stripe, OverlappingStripedWritersToOneDestinationPanic) {
+  // Rails of two open striped transfers from one origin to one
+  // destination share their channels and can each wait on the other at
+  // the receiver, so the second begin_packing is refused while the first
+  // writer is open (VcOptions::max_rails); the first still arrives whole.
+  fwd::VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.reliable.enabled = true;
+  options.max_rails = 2;
+  DisjointRailRig rig(options);
+  // An overlap that went through would keep the run going until this
+  // horizon.
+  rig.engine.set_time_horizon(sim::seconds(20));
+  util::Rng rng(23);
+  const auto first = rng.bytes(256 * 1024);
+  const auto second = rng.bytes(256 * 1024);
+  std::vector<std::byte> out(first.size());
+  std::string diagnosis;
+  rig.engine.spawn("s", [&] {
+    auto msg = rig.ep(0).begin_packing(3);
+    msg.pack(first);
+    try {
+      auto overlapping = rig.ep(0).begin_packing(3);
+      overlapping.pack(second);
+      overlapping.end_packing();
+    } catch (const util::PanicError& e) {
+      diagnosis = e.what();
+    }
+    msg.end_packing();
+    // Once the first writer is closed, the next striped transfer may go.
+    auto next = rig.ep(0).begin_packing(3);
+    next.pack(second);
+    next.end_packing();
+  });
+  rig.engine.spawn("r", [&] {
+    for (const auto* expected : {&first, &second}) {
+      auto msg = rig.ep(3).begin_unpacking();
+      msg.unpack(out);
+      msg.end_unpacking();
+      EXPECT_EQ(out, *expected);
+    }
+  });
+  rig.engine.run();
+  EXPECT_NE(diagnosis.find("must not overlap"), std::string::npos)
+      << diagnosis;
 }
 
 TEST(Stripe, RepairRecordsDeadPeerAndFailoverInstants) {
